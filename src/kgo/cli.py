@@ -13,11 +13,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from . import oracle, spectrum, wavefn
 from .errors import KgoError, UsageError
-from .params import from_b
+from .params import check_positive, from_b
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -39,18 +41,10 @@ class Command:
     output_format: str
 
 
-@dataclass(frozen=True)
-class RunReport:
-    rows_emitted: int
-    warnings: Tuple[str, ...]
-    exit_code: int
-
-
 @dataclass
 class _Emission:
-    columns: List[str]
+    columns: Dict[str, List[str]]  # column name -> cells already formatted
     int_columns: set
-    rows: List[List[str]]     # cells already formatted
     warnings: List[str]
     comments: List[str]       # non-warning trailing comment lines
     json_extra: dict
@@ -64,12 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_float(text: str) -> float:
     try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return v
+        return check_positive("value", float(text))
+    except ValueError:  # float() and check_positive both raise ValueErrors
+        raise argparse.ArgumentTypeError(
+            f"must be a positive and finite number, got {text!r}")
 
 
 def _finite_float(text: str) -> float:
@@ -194,23 +186,25 @@ def parse_args(argv: Sequence[str]) -> Command:
                    output_format=output_format)
 
 
-def _fmt(v: float, decimals: Optional[int]) -> str:
-    if v == 0.0:
-        v = 0.0  # canonicalise -0.0
-    if decimals is None:
-        return f"{v:.6g}"
-    return f"{v:.{decimals}f}"
+def _fmt(values, decimals: Optional[int]) -> List[str]:
+    """Cells for a column of numbers: 6 significant digits or K fixed decimals."""
+    spec = ".6g" if decimals is None else f".{decimals}f"
+    # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"
+    return [format(v, spec) for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
 
 
 def _build_table(opts: dict) -> _Emission:
-    rows = spectrum.generate_table(opts["b"], range(opts["n_max"] + 1),
-                                   formula=opts["formula"])
+    b_values, n_values = opts["b"], range(opts["n_max"] + 1)
+    table = spectrum.generate_table(b_values, n_values, formula=opts["formula"])
     d = opts["decimals"]
-    cells = [[str(r.n), _fmt(r.b, None), _fmt(r.e_rel, d), _fmt(r.e_nr_plus_one, d)]
-             for r in rows]
+    # rows run n-major, b-minor: each n cell repeats len(b) times and the
+    # b cells repeat once per n, formatted once and shared
+    n_cells = [cell for n in n_values for cell in [str(n)] * len(b_values)]
+    columns = {"n": n_cells, "b": _fmt(b_values, None) * len(n_values),
+               "e_rel": _fmt(table.e_rel, d),
+               "e_nr_plus_one": _fmt(table.e_nr_plus_one, d)}
     warnings = [TABLE_FORMULA_WARNING] if opts["formula"] == "table" else []
-    return _Emission(columns=["n", "b", "e_rel", "e_nr_plus_one"],
-                     int_columns={"n"}, rows=cells, warnings=warnings,
+    return _Emission(columns=columns, int_columns={"n"}, warnings=warnings,
                      comments=[], json_extra={})
 
 
@@ -222,15 +216,14 @@ def _build_spectrum(opts: dict) -> _Emission:
     if opts["expansion"] == "second-order":
         energy = spectrum.energy_second_order(combined_index, b)
     else:
-        energy = spectrum.energy_combined(combined_index, b).value
+        energy = spectrum.energy_combined(combined_index, b)
     d = opts["decimals"]
-    row = [str(n), _fmt(b, None), parity, _fmt(energy, d)]
-    columns = ["n", "b", "parity", "energy"]
+    columns = {"n": [str(n)], "b": _fmt([b], None), "parity": [parity],
+               "energy": _fmt([energy], d)}
     if opts["binding"]:
-        columns.append("binding")
-        row.append(_fmt(energy - 1.0, d))
-    return _Emission(columns=columns, int_columns={"n"}, rows=[row],
-                     warnings=[], comments=[], json_extra={})
+        columns["binding"] = _fmt([energy - 1.0], d)
+    return _Emission(columns=columns, int_columns={"n"}, warnings=[],
+                     comments=[], json_extra={})
 
 
 def _build_wavefn(opts: dict) -> _Emission:
@@ -239,10 +232,8 @@ def _build_wavefn(opts: dict) -> _Emission:
     grid = wavefn.GridSpec.symmetric(extent, opts["points"])
     sampled = wavefn.sample(n, grid, lam)
     d = opts["decimals"]
-    cells = [[_fmt(float(x), d), _fmt(float(v), d)]
-             for x, v in zip(grid.nodes(), sampled.values)]
-    return _Emission(columns=["x", "psi"], int_columns=set(), rows=cells,
-                     warnings=[], comments=[], json_extra={})
+    return _Emission(columns={"x": _fmt(grid.nodes(), d), "psi": _fmt(sampled.values, d)},
+                     int_columns=set(), warnings=[], comments=[], json_extra={})
 
 
 def _build_oracle(opts: dict) -> _Emission:
@@ -250,16 +241,14 @@ def _build_oracle(opts: dict) -> _Emission:
     grid = wavefn.GridSpec.symmetric(oracle.default_box(params, opts["count"]),
                                      opts["points"])
     results = oracle.oracle_energies(params, opts["count"], grid, opts["tol"])
+    e_oracle = np.array([r.energy_dimensionless for r in results])
+    reference = np.array([spectrum.energy_combined(r.index, opts["b"]) for r in results])
     d = opts["decimals"]
-    cells = []
-    for r in results:
-        reference = spectrum.energy_combined(r.index, opts["b"]).value
-        rel_diff = abs(r.energy_dimensionless - reference) / reference
-        cells.append([str(r.index), _fmt(r.k_squared, d),
-                      _fmt(r.energy_dimensionless, d), _fmt(reference, d),
-                      _fmt(rel_diff, d)])
-    return _Emission(columns=["n", "k_squared", "e_oracle", "e_eq21", "rel_diff"],
-                     int_columns={"n"}, rows=cells, warnings=[], comments=[],
+    columns = {"n": [str(r.index) for r in results],
+               "k_squared": _fmt([r.k_squared for r in results], d),
+               "e_oracle": _fmt(e_oracle, d), "e_eq21": _fmt(reference, d),
+               "rel_diff": _fmt(np.abs(e_oracle - reference) / reference, d)}
+    return _Emission(columns=columns, int_columns={"n"}, warnings=[], comments=[],
                      json_extra={})
 
 
@@ -273,10 +262,10 @@ def _build_veff(opts: dict) -> _Emission:
     grid = wavefn.GridSpec.symmetric(extent, opts["points"])
     profile = oracle.profile_effective_potential(params, opts["energy"], grid)
     d = opts["decimals"]
-    cells = [[_fmt(float(x), d), _fmt(float(v), d)] for x, v in profile.samples]
     flag = profile.unbounded_below_detected
-    return _Emission(columns=["x", "v_eff"], int_columns=set(), rows=cells,
-                     warnings=[],
+    return _Emission(columns={"x": _fmt(profile.samples[:, 0], d),
+                              "v_eff": _fmt(profile.samples[:, 1], d)},
+                     int_columns=set(), warnings=[],
                      comments=[f"unbounded_below_detected: {str(flag).lower()}"],
                      json_extra={"unbounded_below_detected": flag})
 
@@ -290,9 +279,7 @@ _BUILDERS = {
 }
 
 
-def _json_cell(column: str, cell: str, int_columns: set):
-    if column in int_columns:
-        return int(cell)
+def _json_value(cell: str):
     try:
         return float(cell)
     except ValueError:
@@ -300,37 +287,37 @@ def _json_cell(column: str, cell: str, int_columns: set):
 
 
 def _render(emission: _Emission, output_format: str) -> str:
+    names = list(emission.columns)
     if output_format == "json":
-        rows = [{col: _json_cell(col, cell, emission.int_columns)
-                 for col, cell in zip(emission.columns, row)}
-                for row in emission.rows]
+        values = [list(map(int, cells)) if name in emission.int_columns
+                  else list(map(_json_value, cells))
+                  for name, cells in emission.columns.items()]
+        rows = [dict(zip(names, row)) for row in zip(*values)]
         payload = {"rows": rows, "warnings": list(emission.warnings)}
         payload.update(emission.json_extra)
         return json.dumps(payload, separators=(",", ":")) + "\n"
     sep = "," if output_format == "csv" else "\t"
-    lines = [sep.join(emission.columns)]
-    lines.extend(sep.join(row) for row in emission.rows)
+    lines = [sep.join(names)]
+    lines.extend(map(sep.join, zip(*emission.columns.values())))
     lines.extend(f"# {c}" for c in emission.comments)
     lines.extend(f"# {w}" for w in emission.warnings)
     return "\n".join(lines) + "\n"
 
 
-def run(cmd: Command) -> RunReport:
+def run(cmd: Command) -> None:
     """Execute a validated command, writing rows to standard output."""
     emission = _BUILDERS[cmd.subcommand](cmd.options)
     sys.stdout.write(_render(emission, cmd.output_format))
-    return RunReport(rows_emitted=len(emission.rows),
-                     warnings=tuple(emission.warnings), exit_code=0)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
-        report = run(parse_args(args))
+        run(parse_args(args))
     except UsageError as exc:
         print(f"kgo: error: {exc}", file=sys.stderr)
         return 2
     except (KgoError, OverflowError) as exc:
         print(f"kgo: error: {exc}", file=sys.stderr)
         return 1
-    return report.exit_code
+    return 0

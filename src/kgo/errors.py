@@ -33,6 +33,10 @@ class EmptyInput(KgoError, ValueError):
     """An input collection that must be non-empty was empty."""
 
 
+class OutOfRange(KgoError, ArithmeticError):
+    """A closed-form result does not fit in double precision."""
+
+
 class BudgetExceeded(KgoError, ArithmeticError):
     """Iteration cap hit before the requested tolerance was reached."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, GridTooSmall, InvalidGrid,
                      NonPositiveParameter)
-from .params import OscillatorParams
+from .params import OscillatorParams, check_positive
 from .wavefn import GridSpec
 
 MACHINE_EPS = sys.float_info.epsilon
@@ -107,8 +107,7 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     Dirichlet psi = 0 at both grid ends; eigenvalues approximate k^2 with
     O(h^2) error.
     """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-        raise NonPositiveParameter(f"lam must be positive and finite, got {lam!r}")
+    check_positive("lam", lam)
     if not grid.is_symmetric:
         raise InvalidGrid("discretisation expects a symmetric grid")
     x = grid.nodes()[1:-1]
@@ -166,8 +165,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     if count > op.dimension:
         raise NonPositiveParameter(
             f"count = {count} exceeds the matrix dimension {op.dimension}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise NonPositiveParameter(f"tol must be positive and finite, got {tol!r}")
+    check_positive("tol", tol)
     hi0 = op.gershgorin_upper
     results = []
     for j in range(count):

@@ -11,6 +11,17 @@ from dataclasses import dataclass
 from .errors import NonPositiveParameter
 
 
+def check_positive(name: str, value) -> float:
+    """value as a float if it is a positive, finite real number.
+
+    The one validator for strictly positive inputs; anything else raises
+    NonPositiveParameter naming the offending parameter.
+    """
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise NonPositiveParameter(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Oscillator constants m, omega, hbar, c and their derived ratios.
@@ -26,10 +37,7 @@ class OscillatorParams:
 
     def __post_init__(self):
         for name in ("mass", "omega", "hbar", "c"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise NonPositiveParameter(
-                    f"{name} must be positive and finite, got {v!r}")
+            check_positive(name, getattr(self, name))
 
     @property
     def lam(self) -> float:
@@ -42,21 +50,6 @@ class OscillatorParams:
         return self.hbar * self.omega / (self.mass * self.c**2)
 
 
-@dataclass(frozen=True)
-class DimensionlessEnergy:
-    """Total energy in units of m c^2; at least 1 for any bound state."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 1.0):
-            raise ValueError(
-                f"bound-state energy must be >= 1 in units of m c^2, got {self.value!r}")
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def natural_units() -> OscillatorParams:
     """Params with m = omega = hbar = c = 1, so lam = b = 1."""
     return OscillatorParams(mass=1.0, omega=1.0, hbar=1.0, c=1.0)
@@ -64,9 +57,7 @@ def natural_units() -> OscillatorParams:
 
 def from_b(b: float) -> OscillatorParams:
     """Params with unit mass, hbar and c and omega = b, so that .b == b exactly."""
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
-        raise NonPositiveParameter(f"b must be positive and finite, got {b!r}")
-    return OscillatorParams(mass=1.0, omega=float(b), hbar=1.0, c=1.0)
+    return OscillatorParams(mass=1.0, omega=check_positive("b", b), hbar=1.0, c=1.0)
 
 
 def k_squared(params: OscillatorParams, energy: float) -> float:

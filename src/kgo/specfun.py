@@ -43,15 +43,6 @@ class KummerParams:
         object.__setattr__(self, "terminates", _is_nonpositive_integer(self.a))
 
 
-@dataclass(frozen=True)
-class HermiteValue:
-    """One evaluated polynomial value; value(n, -xi) = (-1)^n value(n, xi)."""
-
-    n: int
-    xi: float
-    value: float
-
-
 def hermite(n: int, xi: float) -> float:
     """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
     if n < 0:
@@ -64,10 +55,6 @@ def hermite(n: int, xi: float) -> float:
     if not math.isfinite(h):
         raise OverflowError(f"H_{n}({xi!r}) exceeds the floating-point range")
     return h
-
-
-def hermite_value(n: int, xi: float) -> HermiteValue:
-    return HermiteValue(n=n, xi=xi, value=hermite(n, xi))
 
 
 def kummer_m(a: float, c: float, y: float) -> float:

@@ -5,47 +5,58 @@ derived spectrum Ebar_n = sqrt(1 + 2 b (n + 1/2)), which the independent
 finite-difference oracle confirms.  table_row carries the alternative
 sqrt(1 + 2 b (n + 1)) law that the tabulated reference values follow; it
 is exposed (CLI formula "table") so the disagreement stays visible instead
-of being silently patched either way.
+of being silently patched either way.  Both are the one function
+_energy_law at shift 1/2 or 1, evaluated on scalars or whole arrays.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
-from .errors import EmptyInput, NonPositiveParameter
-from .params import DimensionlessEnergy
+import numpy as np
 
-# plain machine integers; 1 + 2 b (n + 1/2) stays in double range throughout
+from .errors import EmptyInput, NonPositiveParameter, OutOfRange
+from .params import check_positive
+
+# plain machine integers for the level index
 MAX_LEVEL = 10**6
 
-FORMULA_CHOICES = ("eq21", "table")
+# formula -> shift s of the law sqrt(1 + 2 b (n + s))
+_SHIFTS = {"eq21": 0.5, "table": 1.0}
+FORMULA_CHOICES = tuple(_SHIFTS)
 
 
-def _check_level(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+def _check_levels(n) -> None:
+    """Raise unless n (an int or an array of ints) lies in [0, MAX_LEVEL]."""
+    levels = np.asarray(n)
+    if levels.dtype.kind not in "iu":
         raise NonPositiveParameter(f"level index must be an integer, got {n!r}")
-    if n < 0 or n > MAX_LEVEL:
-        raise NonPositiveParameter(f"level index must be in [0, {MAX_LEVEL}], got {n}")
+    outside = levels[(levels < 0) | (levels > MAX_LEVEL)]
+    if outside.size:
+        raise NonPositiveParameter(
+            f"level index must be in [0, {MAX_LEVEL}], got {outside.flat[0]}")
 
 
-def _check_b(b: float) -> None:
-    if not (isinstance(b, (int, float)) and math.isfinite(b) and b > 0):
-        raise NonPositiveParameter(f"b must be positive and finite, got {b!r}")
+def _finite(value, what: str):
+    if not np.all(np.isfinite(value)):
+        raise OutOfRange(f"{what} exceeds the floating-point range")
+    return value
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    """One bound level: combined index, parity, energy, binding energy."""
-
-    n: int
-    parity: str
-    e_dimensionless: DimensionlessEnergy
-    binding: float
+def _energy_law(n, b, shift: float):
+    """sqrt(1 + 2 b (n + shift)), elementwise for array n and b."""
+    with np.errstate(over="ignore"):
+        energy = np.sqrt(1.0 + 2.0 * b * (n + shift))
+    return _finite(energy, f"energy sqrt(1 + 2b(n + {shift:g}))")
 
 
 @dataclass(frozen=True)
 class SpectrumRow:
-    """One (n, b) table entry: relativistic and first-order columns."""
+    """Relativistic and first-order columns of the reference table.
+
+    One (n, b) entry from table_row; whole columns, as numpy arrays in
+    n-major then b-minor order, from generate_table.
+    """
 
     n: int
     b: float
@@ -53,31 +64,33 @@ class SpectrumRow:
     e_nr_plus_one: float
 
 
-def energy_combined(n: int, b: float) -> DimensionlessEnergy:
+def energy_combined(n: int, b: float) -> float:
     """Ebar_n = sqrt(1 + 2 b (n + 1/2)); even and odd states interleaved."""
-    _check_level(n)
-    _check_b(b)
-    return DimensionlessEnergy(math.sqrt(1.0 + 2.0 * b * (n + 0.5)))
+    _check_levels(n)
+    return float(_energy_law(n, check_positive("b", b), 0.5))
 
 
-def energy_even(n: int, b: float) -> DimensionlessEnergy:
+def energy_even(n: int, b: float) -> float:
     """n-th even state, sqrt(1 + 2 b (2n + 1/2)); equals energy_combined(2n, b)."""
-    _check_level(n)
+    _check_levels(n)
     return energy_combined(2 * n, b)
 
 
-def energy_odd(n: int, b: float) -> DimensionlessEnergy:
+def energy_odd(n: int, b: float) -> float:
     """n-th odd state, sqrt(1 + 2 b (2n + 3/2)); equals energy_combined(2n+1, b)."""
-    _check_level(n)
+    _check_levels(n)
     return energy_combined(2 * n + 1, b)
 
 
 def energy_second_order(n: int, b: float) -> float:
     """Expansion 1 + b (n + 1/2) - b^2 (n + 1/2)^2 / 2 of the combined law."""
-    _check_level(n)
-    _check_b(b)
-    s = n + 0.5
-    return 1.0 + b * s - 0.5 * (b * s) ** 2
+    _check_levels(n)
+    bs = check_positive("b", b) * (n + 0.5)
+    try:
+        energy = 1.0 + bs - 0.5 * bs ** 2
+    except OverflowError:
+        energy = math.inf
+    return _finite(energy, "second-order energy 1 + b(n + 1/2) - b^2 (n + 1/2)^2 / 2")
 
 
 def binding_energy(n: int, b: float) -> float:
@@ -86,14 +99,7 @@ def binding_energy(n: int, b: float) -> float:
     Dividing by b counts oscillator quanta: the ratio tends to n + 1/2 as
     b -> 0, the non-relativistic level.
     """
-    return energy_combined(n, b).value - 1.0
-
-
-def level(n: int, b: float) -> EnergyLevel:
-    """EnergyLevel for combined index n (even parity iff n is even)."""
-    e = energy_combined(n, b)
-    return EnergyLevel(n=n, parity="even" if n % 2 == 0 else "odd",
-                       e_dimensionless=e, binding=e.value - 1.0)
+    return energy_combined(n, b) - 1.0
 
 
 def table_row(n: int, b: float) -> SpectrumRow:
@@ -103,33 +109,29 @@ def table_row(n: int, b: float) -> SpectrumRow:
     encode, which differs from energy_combined's (n + 1/2) law.
     e_nr_plus_one is 1 + b (n + 1/2) exactly.
     """
-    _check_level(n)
-    _check_b(b)
-    return SpectrumRow(n=n, b=float(b),
-                       e_rel=math.sqrt(1.0 + 2.0 * b * (n + 1.0)),
+    _check_levels(n)
+    b = check_positive("b", b)
+    return SpectrumRow(n=n, b=b, e_rel=float(_energy_law(n, b, 1.0)),
                        e_nr_plus_one=1.0 + b * (n + 0.5))
 
 
 def generate_table(b_values: Iterable[float], n_values: Iterable[int],
-                   formula: str = "eq21") -> List[SpectrumRow]:
-    """Spectrum rows for every (n, b) pair, n-major then b-minor.
+                   formula: str = "eq21") -> SpectrumRow:
+    """Columns for every (n, b) pair, n-major then b-minor.
 
     formula selects what fills e_rel: "eq21" the derived (n + 1/2) law,
-    "table" the (n + 1) law of table_row.
+    "table" the (n + 1) law of table_row.  Each entry equals the scalar
+    energy_combined or table_row value bit for bit.
     """
     if formula not in FORMULA_CHOICES:
         raise ValueError(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
-    b_list = list(b_values)
-    n_list = list(n_values)
-    if not b_list or not n_list:
+    b = np.array([check_positive("b", v) for v in b_values])
+    n = np.array(list(n_values))
+    if not b.size or not n.size:
         raise EmptyInput("b_values and n_values must both be non-empty")
-    rows = []
-    for n in n_list:
-        for b in b_list:
-            row = table_row(n, b)
-            if formula == "eq21":
-                row = SpectrumRow(n=row.n, b=row.b,
-                                  e_rel=energy_combined(n, b).value,
-                                  e_nr_plus_one=row.e_nr_plus_one)
-            rows.append(row)
-    return rows
+    _check_levels(n)
+    n_col = np.repeat(n, b.size)
+    b_col = np.tile(b, n.size)
+    return SpectrumRow(n=n_col, b=b_col,
+                       e_rel=_energy_law(n_col, b_col, _SHIFTS[formula]),
+                       e_nr_plus_one=1.0 + b_col * (n_col + 0.5))

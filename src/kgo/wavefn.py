@@ -1,9 +1,11 @@
 """Normalized stationary states psi_n(x) and quadrature checks.
 
 psi_n(x) = N_n exp(-lam x^2 / 2) H_n(sqrt(lam) x) with the constant
-N_n = sqrt( sqrt(lam/pi) / (2^n n!) ).  Past n = 30 the product N_n H_n is
-carried through a normalised recurrence so the factorially growing
-polynomial and the shrinking constant never appear separately.
+N_n = sqrt( sqrt(lam/pi) / (2^n n!) ).  psi evaluates the product N_n H_n
+exp(-xi^2/2) at every n through the normalised Hermite-function recurrence
+(Gil, Segura & Temme, Numerical Methods for Special Functions, 2007), so
+the factorially growing polynomial and the shrinking constant never appear
+separately; it works on whole arrays of x at once.
 """
 
 import math
@@ -11,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid, NonPositiveParameter
-from .specfun import hermite, kummer_m
+from .errors import GridMismatch, InvalidGrid
+from .params import check_positive
+from .specfun import kummer_m
 
 MAX_FACTORIAL_LEVEL = 170
-# direct N_n * H_n product is safe up to here; beyond it the normalised
-# recurrence avoids overflow of the separate factors
-DIRECT_EVAL_MAX_N = 30
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,10 @@ class GridSpec:
                 f"grid must straddle the origin, got [{self.x_min!r}, {self.x_max!r}]")
         if not isinstance(self.points, int) or self.points < 3 or self.points % 2 == 0:
             raise InvalidGrid(f"points must be an odd integer >= 3, got {self.points!r}")
+        if not math.isfinite(self.spacing):
+            raise InvalidGrid(
+                f"grid spacing over [{self.x_min!r}, {self.x_max!r}] exceeds the "
+                "floating-point range")
 
     @classmethod
     def symmetric(cls, extent: float, points: int) -> "GridSpec":
@@ -79,11 +83,6 @@ def default_extent(n: int, lam: float) -> float:
     return 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam)
 
 
-def _check_lam(lam: float) -> None:
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-        raise NonPositiveParameter(f"lam must be positive and finite, got {lam!r}")
-
-
 def normalization_constant(n: int, lam: float) -> float:
     """N_n = sqrt( sqrt(lam/pi) / (2^n n!) ), evaluated in log space."""
     if n < 0:
@@ -91,32 +90,33 @@ def normalization_constant(n: int, lam: float) -> float:
     if n > MAX_FACTORIAL_LEVEL:
         raise OverflowError(
             f"n = {n} is beyond the factorial range (n <= {MAX_FACTORIAL_LEVEL})")
-    _check_lam(lam)
+    check_positive("lam", lam)
     return math.exp(0.25 * math.log(lam / math.pi)
                     - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)))
 
 
-def _weighted_hermite(n: int, xi: float) -> float:
-    """pi^(-1/4) H_n(xi) exp(-xi^2/2) / sqrt(2^n n!) by a stable recurrence."""
-    phi_prev = math.pi ** -0.25 * math.exp(-0.5 * xi * xi)
-    if n == 0:
-        return phi_prev
-    phi = math.sqrt(2.0) * xi * phi_prev
-    for k in range(1, n):
-        phi_prev, phi = phi, (math.sqrt(2.0 / (k + 1.0)) * xi * phi
-                              - math.sqrt(k / (k + 1.0)) * phi_prev)
-    return phi
+def psi(n: int, x, lam: float):
+    """Normalised stationary state psi_n at x, a float or an array of floats.
 
-
-def psi(n: int, x: float, lam: float) -> float:
-    """Value of the normalised stationary state psi_n at x."""
+    Runs phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1} from
+    phi_0 = pi^(-1/4) exp(-xi^2/2), xi = sqrt(lam) x, keeping only the last
+    two arrays; psi_n = lam^(1/4) phi_n.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    _check_lam(lam)
-    xi = math.sqrt(lam) * x
-    if n <= DIRECT_EVAL_MAX_N:
-        return normalization_constant(n, lam) * math.exp(-0.5 * lam * x * x) * hermite(n, xi)
-    return lam ** 0.25 * _weighted_hermite(n, xi)
+    check_positive("lam", lam)
+    with np.errstate(over="ignore"):
+        xi = math.sqrt(lam) * np.asarray(x, dtype=float)
+        phi = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    # where phi_0 underflows every phi_k is zero; zeroing xi there keeps an
+    # overflowed xi from turning 0 * inf into NaN
+    xi = np.where(phi == 0.0, 0.0, xi)
+    phi_prev = np.zeros_like(phi)
+    for k in range(n):
+        phi_prev, phi = phi, (math.sqrt(2.0 / (k + 1.0)) * xi * phi
+                              - math.sqrt(k / (k + 1.0)) * phi_prev)
+    values = lam ** 0.25 * phi
+    return float(values) if values.ndim == 0 else values
 
 
 def psi_general(x: float, a: float, coeff_even: float, coeff_odd: float,
@@ -126,7 +126,7 @@ def psi_general(x: float, a: float, coeff_even: float, coeff_odd: float,
     coeff_even * exp(-lam x^2/2) M(a, 1/2, lam x^2)
       + coeff_odd * exp(-lam x^2/2) sqrt(lam) x M(a + 1/2, 3/2, lam x^2)
     """
-    _check_lam(lam)
+    check_positive("lam", lam)
     y = lam * x * x
     gauss = math.exp(-0.5 * y)
     even_part = coeff_even * kummer_m(a, 0.5, y) if coeff_even != 0.0 else 0.0
@@ -137,8 +137,8 @@ def psi_general(x: float, a: float, coeff_even: float, coeff_odd: float,
 
 def sample(n: int, grid: GridSpec, lam: float) -> SampledWavefunction:
     """psi_n evaluated at every grid node."""
-    values = np.array([psi(n, float(x), lam) for x in grid.nodes()])
-    return SampledWavefunction(n=n, grid=grid, values=values, lam=lam)
+    return SampledWavefunction(n=n, grid=grid, values=psi(n, grid.nodes(), lam),
+                               lam=lam)
 
 
 def inner_product(f: SampledWavefunction, g: SampledWavefunction) -> float:

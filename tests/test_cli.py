@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from kgo.cli import Command, main, parse_args, run
+from kgo.cli import Command, main, parse_args
 from kgo.errors import UsageError
 
 
@@ -77,7 +78,10 @@ def test_table_golden_first_row_and_warning(capsys):
     assert lines[0] == "n,b,e_rel,e_nr_plus_one"
     assert lines[1] == "0,0.1,1.09545,1.05000"
     assert lines[4] == "3,0.1,1.34164,1.35000"
-    assert any(line.startswith("#") for line in lines)
+    # header, one row per level, then exactly one warning comment
+    assert len(lines) == 6
+    assert [line.startswith("#") for line in lines].count(True) == 1
+    assert lines[-1].startswith("#")
 
 
 def test_table_eq21_has_no_warning(capsys):
@@ -191,13 +195,33 @@ def test_veff_flag_in_comment_and_json(capsys):
     assert {"x", "v_eff"} == set(payload["rows"][0])
 
 
-def test_run_report_counts_rows(capsys):
-    report = run(parse_args(["table", "--b", "0.1,0.001", "--n-max", "2",
-                             "--formula", "table"]))
-    capsys.readouterr()
-    assert report.rows_emitted == 6
-    assert report.exit_code == 0
-    assert len(report.warnings) == 1
+def _run_no_warnings(capsys, *argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        return _run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--b", "1e308", "--n", "1000000"),
+    ("table", "--b", "1e308", "--n-max", "2"),
+    ("spectrum", "--b", "1e300", "--n", "3", "--expansion", "second-order"),
+    ("wavefn", "--n", "4", "--lambda", "1", "--x-max", "1e308", "--points", "5"),
+])
+def test_out_of_range_inputs_give_one_error_line(capsys, argv):
+    code, out, err = _run_no_warnings(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("kgo: error: ") and "floating-point range" in err
+
+
+def test_wavefn_far_tails_print_zero_rows(capsys):
+    code, out, err = _run_no_warnings(capsys, "wavefn", "--n", "4", "--lambda", "1",
+                                      "--x-max", "1e300", "--points", "5")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [x for x, _ in rows] == ["-1e+300", "-5e+299", "0", "5e+299", "1e+300"]
+    assert [v for _, v in rows] == ["0", "0", "0.459969", "0", "0"]
 
 
 def test_module_entry_point_help():

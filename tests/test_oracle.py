@@ -152,7 +152,7 @@ def test_oracle_confirms_combined_law_across_b():
         grid = GridSpec.symmetric(default_box(params, 9), 2001)
         results = oracle_energies(params, 9, grid, tol=1e-12)
         for n, res in enumerate(results):
-            want = energy_combined(n, b).value
+            want = energy_combined(n, b)
             assert abs(res.energy_dimensionless - want) / want < 2e-3, (b, n)
     # ... and visibly rejects the (n+1) law at b = 0.1
     params = from_b(0.1)

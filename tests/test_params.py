@@ -3,8 +3,8 @@ import math
 import pytest
 
 from kgo.errors import NonPositiveParameter
-from kgo.params import (DimensionlessEnergy, OscillatorParams, from_b,
-                        k_squared, natural_units)
+from kgo.params import (OscillatorParams, check_positive, from_b, k_squared,
+                        natural_units)
 
 
 def test_natural_units_fields_and_ratios():
@@ -81,12 +81,12 @@ def test_k_squared_dimensionless_identity():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_dimensionless_energy_guards_bound_state_range():
-    assert float(DimensionlessEnergy(1.0)) == 1.0
-    with pytest.raises(ValueError):
-        DimensionlessEnergy(0.999)
-    with pytest.raises(ValueError):
-        DimensionlessEnergy(float("nan"))
+def test_check_positive_returns_float_or_names_the_parameter():
+    assert check_positive("lam", 2) == 2.0 and type(check_positive("lam", 2)) is float
+    assert check_positive("b", 5e-324) == 5e-324
+    for bad in (0.0, -1.0, float("inf"), float("nan"), "1.0", None):
+        with pytest.raises(NonPositiveParameter, match="^tol must be positive"):
+            check_positive("tol", bad)
 
 
 def test_params_are_immutable():

@@ -4,7 +4,7 @@ import pytest
 
 from kgo.errors import NonConvergence, PoleAtC
 from kgo.specfun import (KummerParams, hermite, hermite_from_kummer_even,
-                         hermite_from_kummer_odd, hermite_value, kummer_m)
+                         hermite_from_kummer_odd, kummer_m)
 
 XI_SAMPLE = (-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0)
 
@@ -59,12 +59,6 @@ def test_hermite_rejects_negative_degree():
 def test_hermite_overflow_signalled():
     with pytest.raises(OverflowError):
         hermite(500, 10.0)
-
-
-def test_hermite_value_carries_parity():
-    hv = hermite_value(5, 1.2)
-    assert hv.n == 5 and hv.xi == 1.2
-    assert hermite_value(5, -1.2).value == -hv.value
 
 
 def test_kummer_at_origin_is_one():

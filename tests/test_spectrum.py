@@ -2,42 +2,42 @@ import math
 
 import pytest
 
-from kgo.errors import EmptyInput, NonPositiveParameter
+from kgo.errors import EmptyInput, NonPositiveParameter, OutOfRange
 from kgo.spectrum import (binding_energy, energy_combined, energy_even,
                           energy_odd, energy_second_order, generate_table,
-                          level, table_row)
+                          table_row)
 
 
 def test_energy_even_direct_values():
-    assert energy_even(0, 0.1).value == pytest.approx(math.sqrt(1.1), rel=1e-15)
-    assert energy_even(0, 0.1).value == pytest.approx(1.048809, abs=1e-6)
-    assert energy_even(1, 0.1).value == pytest.approx(math.sqrt(1.5), rel=1e-15)
+    assert energy_even(0, 0.1) == pytest.approx(math.sqrt(1.1), rel=1e-15)
+    assert energy_even(0, 0.1) == pytest.approx(1.048809, abs=1e-6)
+    assert energy_even(1, 0.1) == pytest.approx(math.sqrt(1.5), rel=1e-15)
     # rest-energy limit
-    assert energy_even(0, 1e-15).value == pytest.approx(1.0, abs=1e-14)
+    assert energy_even(0, 1e-15) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_energy_odd_direct_values():
-    assert energy_odd(0, 0.1).value == pytest.approx(math.sqrt(1.3), rel=1e-15)
-    assert energy_odd(1, 0.1).value == pytest.approx(math.sqrt(1.7), rel=1e-15)
-    assert energy_odd(3, 1e-15).value == pytest.approx(1.0, abs=1e-13)
+    assert energy_odd(0, 0.1) == pytest.approx(math.sqrt(1.3), rel=1e-15)
+    assert energy_odd(1, 0.1) == pytest.approx(math.sqrt(1.7), rel=1e-15)
+    assert energy_odd(3, 1e-15) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_energy_combined_direct_values():
-    assert energy_combined(0, 0.1).value == pytest.approx(math.sqrt(1.1), rel=1e-15)
-    assert energy_combined(99, 0.0001).value == pytest.approx(1.009901, abs=1e-6)
-    assert energy_combined(7, 1e-15).value == pytest.approx(1.0, abs=1e-13)
+    assert energy_combined(0, 0.1) == pytest.approx(math.sqrt(1.1), rel=1e-15)
+    assert energy_combined(99, 0.0001) == pytest.approx(1.009901, abs=1e-6)
+    assert energy_combined(7, 1e-15) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_interleaving_is_exact():
     for b in (1e-4, 1e-3, 0.1, 1.0):
         for k in range(51):
-            assert energy_even(k, b).value == energy_combined(2 * k, b).value
-            assert energy_odd(k, b).value == energy_combined(2 * k + 1, b).value
+            assert energy_even(k, b) == energy_combined(2 * k, b)
+            assert energy_odd(k, b) == energy_combined(2 * k + 1, b)
 
 
 def test_monotone_compression():
     for b in (1e-4, 0.1, 1.0):
-        energies = [energy_combined(n, b).value for n in range(1002)]
+        energies = [energy_combined(n, b) for n in range(1002)]
         gaps = [e2 - e1 for e1, e2 in zip(energies, energies[1:])]
         assert all(g > 0.0 for g in gaps)
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -53,7 +53,7 @@ def test_second_order_remainder_bound():
     # Taylor remainder of sqrt(1+x): |exact - expansion| <= (1/2) (b(n+1/2))^3
     for b in (1e-4, 1e-3, 1e-2):
         for n in range(31):
-            diff = abs(energy_second_order(n, b) - energy_combined(n, b).value)
+            diff = abs(energy_second_order(n, b) - energy_combined(n, b))
             assert diff <= 0.5 * (b * (n + 0.5)) ** 3, (n, b)
 
 
@@ -61,6 +61,7 @@ def test_binding_energy_small_b_limit():
     assert binding_energy(0, 1e-6) / 1e-6 == pytest.approx(0.5, abs=1e-6)
     assert binding_energy(3, 1e-6) / 1e-6 == pytest.approx(3.5, abs=1e-5)
     assert binding_energy(5, 1e-12) == pytest.approx(0.0, abs=1e-11)
+    assert binding_energy(4, 0.01) == energy_combined(4, 0.01) - 1.0
 
 
 def test_binding_energy_quanta_ratio_tends_to_half_integers():
@@ -74,16 +75,9 @@ def test_binding_energy_quanta_ratio_tends_to_half_integers():
 def test_square_form_identity():
     for b in (0.1, 1.0):
         for n in range(51):
-            lhs = energy_combined(n, b).value ** 2 - 1.0
+            lhs = energy_combined(n, b) ** 2 - 1.0
             rhs = 2.0 * b * (n + 0.5)
             assert abs(lhs - rhs) <= 1e-14 * rhs, (n, b)
-
-
-def test_level_parity_and_binding():
-    lv = level(4, 0.01)
-    assert lv.parity == "even"
-    assert lv.binding == lv.e_dimensionless.value - 1.0
-    assert level(7, 0.01).parity == "odd"
 
 
 def test_table_row_values():
@@ -113,21 +107,34 @@ def test_table_row_first_order_column_identity():
 def test_generate_table_matches_reference_column():
     printed = ["1.001", "1.002", "1.003", "1.00399", "1.00499", "1.00598",
                "1.00698", "1.00797", "1.00896", "1.00995"]
-    rows = generate_table([0.001], range(10), formula="table")
-    for row, want in zip(rows, printed):
+    table = generate_table([0.001], range(10), formula="table")
+    for n, e_rel, want in zip(table.n, table.e_rel, printed):
         decimals = len(want.split(".")[1])
-        assert f"{row.e_rel:.{decimals}f}" == want, row.n
+        assert f"{e_rel:.{decimals}f}" == want, n
 
 
 def test_generate_table_eq21_single_row():
-    rows = generate_table([0.1], [0], formula="eq21")
-    assert len(rows) == 1
-    assert rows[0].e_rel == pytest.approx(1.048809, abs=1e-6)
+    table = generate_table([0.1], [0], formula="eq21")
+    assert len(table.e_rel) == 1
+    assert table.e_rel[0] == pytest.approx(1.048809, abs=1e-6)
 
 
 def test_generate_table_row_order_is_n_major():
-    rows = generate_table([0.1, 0.001], [0, 1], formula="table")
-    assert [(r.n, r.b) for r in rows] == [(0, 0.1), (0, 0.001), (1, 0.1), (1, 0.001)]
+    table = generate_table([0.1, 0.001], [0, 1], formula="table")
+    assert list(zip(table.n.tolist(), table.b.tolist())) == [
+        (0, 0.1), (0, 0.001), (1, 0.1), (1, 0.001)]
+
+
+def test_generate_table_columns_equal_scalar_values_bit_for_bit():
+    b_values = [1e-8, 1e-4, 0.001, 0.37, 1.0, 3.5, 1e6]
+    n_values = [0, 1, 2, 7, 31, 100, 999, 12345, 10**6]
+    eq21 = generate_table(b_values, n_values, formula="eq21")
+    table = generate_table(b_values, n_values, formula="table")
+    pairs = [(n, b) for n in n_values for b in b_values]
+    assert eq21.e_rel.tolist() == [energy_combined(n, b) for n, b in pairs]
+    assert table.e_rel.tolist() == [table_row(n, b).e_rel for n, b in pairs]
+    firsts = [table_row(n, b).e_nr_plus_one for n, b in pairs]
+    assert eq21.e_nr_plus_one.tolist() == firsts == table.e_nr_plus_one.tolist()
 
 
 def test_generate_table_rejects_empty_inputs():
@@ -153,3 +160,24 @@ def test_parameter_validation():
         energy_combined(10**6 + 1, 0.1)
     with pytest.raises(NonPositiveParameter):
         energy_second_order(0, float("nan"))
+
+
+def test_energy_law_guards_bound_state_range():
+    # bound-state energies are finite and at least the rest energy; a law
+    # that leaves double range is an error, never an inf or a bare ValueError
+    assert energy_combined(0, 5e-324) == 1.0
+    assert energy_combined(10**6, 1e300) > 1.0
+    with pytest.raises(OutOfRange):
+        energy_combined(10**6, 1e308)
+    with pytest.raises(OutOfRange):
+        energy_even(0, 1e308)
+    with pytest.raises(OutOfRange):
+        table_row(2, 1e308)
+    with pytest.raises(OutOfRange):
+        generate_table([0.1, 1e308], range(3))
+    with pytest.raises(OutOfRange):
+        generate_table([1e308], [0], formula="table")
+    with pytest.raises(OutOfRange):
+        energy_second_order(3, 1e300)
+    with pytest.raises(OutOfRange):
+        energy_second_order(10**6, 1e308)

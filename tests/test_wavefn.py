@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ def test_gridspec_validation():
         GridSpec(x_min=0.5, x_max=1.0, points=5)      # does not straddle 0
     with pytest.raises(InvalidGrid):
         GridSpec(x_min=-1.0, x_max=float("inf"), points=5)
+    with pytest.raises(InvalidGrid):
+        GridSpec.symmetric(1e308, 5)                  # spacing overflows
 
 
 def test_gridspec_nodes_symmetric_and_exact():
@@ -77,13 +81,52 @@ def test_psi_parity():
 
 
 def test_psi_large_n_recurrence_matches_direct_product():
-    # beyond n = 30 psi switches to the normalised recurrence; check the
-    # seam against the explicit N_n H_n exp product while it is still finite
+    # psi runs the normalised recurrence at every n; check it against the
+    # explicit N_n H_n exp product while that is still finite
     for n, lam, x in ((31, 1.0, 1.3), (35, 2.0, 0.7), (40, 0.5, -2.1)):
         direct = (normalization_constant(n, lam)
                   * math.exp(-0.5 * lam * x * x)
                   * hermite(n, math.sqrt(lam) * x))
         assert psi(n, x, lam) == pytest.approx(direct, rel=1e-9), (n, lam, x)
+
+
+def _psi_mpmath(n, x, lam):
+    """psi_n(x) from its definition at 50 significant digits."""
+    with mpmath.workdps(50):
+        xi = mpmath.sqrt(lam) * mpmath.mpf(x)
+        norm = (mpmath.mpf(lam) / mpmath.pi) ** 0.25 / mpmath.sqrt(
+            mpmath.mpf(2) ** n * mpmath.factorial(n))
+        return float(norm * mpmath.exp(-xi * xi / 2) * mpmath.hermite(n, xi))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 30, 31, 60, 120, 200])
+def test_psi_matches_mpmath_reference(n):
+    # out to the classical turning point sqrt(2n + 1) and six units of tail
+    # beyond it, in xi = sqrt(lam) x; error relative to max |psi_n|
+    for lam in (1.0, 2.5):
+        reach = math.sqrt(2.0 * n + 1.0) + 6.0
+        x = np.linspace(-reach, reach, 61) / math.sqrt(lam)
+        want = np.array([_psi_mpmath(n, v, lam) for v in x.tolist()])
+        error = np.abs(psi(n, x, lam) - want).max() / np.abs(want).max()
+        assert error < 1e-15 * (n + 5), (n, lam, error)
+
+
+def test_psi_accepts_scalar_or_array():
+    x = np.array([-2.0, -0.3, 0.0, 1.1])
+    values = psi(7, x, 1.7)
+    assert isinstance(values, np.ndarray) and values.shape == x.shape
+    for xv, v in zip(x.tolist(), values.tolist()):
+        got = psi(7, xv, 1.7)
+        assert isinstance(got, float) and got == v
+
+
+def test_psi_far_tails_are_zero_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = psi(4, np.array([-1e300, -5e299, 0.0, 5e299, 1e300]), 1.0)
+        assert psi(3, 1e200, 1e308) == 0.0    # sqrt(lam) x overflows to inf
+    assert values[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert values[2] == psi(4, 0.0, 1.0)
 
 
 def test_psi_general_reduces_to_gaussian():
