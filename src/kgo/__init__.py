@@ -8,10 +8,9 @@ an independent finite-difference eigenvalue oracle and a CLI front end.
 from .errors import (BudgetExceeded, EmptyInput, GridMismatch, GridTooSmall,
                      InvalidGrid, KgoError, NonConvergence,
                      NonPositiveParameter, OutOfRange, PoleAtC, UsageError)
-from .oracle import (EffectivePotentialProfile, EigenResult,
-                     TridiagonalOperator, discretize_kg, discretize_weber,
-                     effective_potential, lowest_eigenvalues, oracle_energies,
-                     profile_effective_potential, sturm_count)
+from .oracle import (EffectivePotentialProfile, TridiagonalOperator,
+                     discretize_weber, effective_potential, lowest_eigenvalues,
+                     oracle_energies, profile_effective_potential, sturm_count)
 from .params import OscillatorParams, from_b, k_squared, natural_units
 from .specfun import (KummerParams, hermite, hermite_from_kummer_even,
                       hermite_from_kummer_odd, kummer_m)
@@ -25,12 +24,12 @@ from .wavefn import (GridSpec, SampledWavefunction, default_extent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded", "EffectivePotentialProfile", "EigenResult", "EmptyInput",
+    "BudgetExceeded", "EffectivePotentialProfile", "EmptyInput",
     "GridMismatch", "GridSpec", "GridTooSmall", "InvalidGrid", "KgoError",
     "KummerParams", "NonConvergence", "NonPositiveParameter",
     "OscillatorParams", "OutOfRange", "PoleAtC", "SampledWavefunction",
     "SpectrumRow", "TridiagonalOperator", "UsageError", "binding_energy",
-    "default_extent", "discretize_kg", "discretize_weber",
+    "default_extent", "discretize_weber",
     "effective_potential", "energy_combined", "energy_even", "energy_odd",
     "energy_second_order", "from_b", "generate_table", "hermite",
     "hermite_from_kummer_even", "hermite_from_kummer_odd", "inner_product",

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -160,8 +160,8 @@ def build_parser() -> _Parser:
     orc.add_argument("--count", type=_positive_int, required=True,
                      help="number of lowest levels to verify")
     orc.add_argument("--points", type=_odd_points, default=oracle.DEFAULT_POINTS)
-    orc.add_argument("--tol", type=_positive_float, default=1e-10,
-                     help="bisection bracket width on k^2 (default: 1e-10)")
+    orc.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOL,
+                     help=f"bisection bracket width on k^2 (default: {oracle.DEFAULT_TOL:g})")
     _add_output_options(orc)
 
     veff = sub.add_parser("veff", help="vector-coupling effective potential profile")
@@ -186,7 +186,7 @@ def parse_args(argv: Sequence[str]) -> Command:
                    output_format=output_format)
 
 
-def _fmt(values, decimals: Optional[int]) -> List[str]:
+def _fmt(values, decimals: int | None) -> List[str]:
     """Cells for a column of numbers: 6 significant digits or K fixed decimals."""
     spec = ".6g" if decimals is None else f".{decimals}f"
     # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"
@@ -229,7 +229,7 @@ def _build_spectrum(opts: dict) -> _Emission:
 def _build_wavefn(opts: dict) -> _Emission:
     n, lam = opts["n"], opts["lam"]
     extent = opts["x_max"] if opts["x_max"] is not None else wavefn.default_extent(n, lam)
-    grid = wavefn.GridSpec.symmetric(extent, opts["points"])
+    grid = wavefn.GridSpec(extent, opts["points"])
     sampled = wavefn.sample(n, grid, lam)
     d = opts["decimals"]
     return _Emission(columns={"x": _fmt(grid.nodes(), d), "psi": _fmt(sampled.values, d)},
@@ -237,15 +237,12 @@ def _build_wavefn(opts: dict) -> _Emission:
 
 
 def _build_oracle(opts: dict) -> _Emission:
-    params = from_b(opts["b"])
-    grid = wavefn.GridSpec.symmetric(oracle.default_box(params, opts["count"]),
-                                     opts["points"])
-    results = oracle.oracle_energies(params, opts["count"], grid, opts["tol"])
-    e_oracle = np.array([r.energy_dimensionless for r in results])
-    reference = np.array([spectrum.energy_combined(r.index, opts["b"]) for r in results])
+    b, levels = opts["b"], range(opts["count"])
+    k_squared, e_oracle = oracle.oracle_energies(from_b(b), opts["count"],
+                                                 opts["points"], opts["tol"])
+    reference = np.array([spectrum.energy_combined(n, b) for n in levels])
     d = opts["decimals"]
-    columns = {"n": [str(r.index) for r in results],
-               "k_squared": _fmt([r.k_squared for r in results], d),
+    columns = {"n": [str(n) for n in levels], "k_squared": _fmt(k_squared, d),
                "e_oracle": _fmt(e_oracle, d), "e_eq21": _fmt(reference, d),
                "rel_diff": _fmt(np.abs(e_oracle - reference) / reference, d)}
     return _Emission(columns=columns, int_columns={"n"}, warnings=[], comments=[],
@@ -259,7 +256,7 @@ def _build_veff(opts: dict) -> _Emission:
     else:
         xstar = oracle.veff_zero_crossing(params, opts["energy"])
         extent = VEFF_DEFAULT_EXTENT_FACTOR * xstar if xstar > 0 else 5.0
-    grid = wavefn.GridSpec.symmetric(extent, opts["points"])
+    grid = wavefn.GridSpec(extent, opts["points"])
     profile = oracle.profile_effective_potential(params, opts["energy"], grid)
     d = opts["decimals"]
     flag = profile.unbounded_below_detected
@@ -310,7 +307,7 @@ def run(cmd: Command) -> None:
     sys.stdout.write(_render(emission, cmd.output_format))
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         run(parse_args(args))

@@ -15,20 +15,20 @@ profile_effective_potential detects.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional
 
 import numpy as np
 
 from .errors import (BudgetExceeded, GridTooSmall, InvalidGrid,
                      NonPositiveParameter)
-from .params import OscillatorParams, check_positive
-from .wavefn import GridSpec
+from .params import OscillatorParams, check_positive, evaluate_finite
+from .wavefn import GridSpec, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
 DEFAULT_POINTS = 2001
+DEFAULT_TOL = 1e-10  # bisection bracket width on k^2
 # fraction of the beyond-zero samples inspected for the unboundedness flag
 TAIL_FRACTION = 0.1
 
@@ -43,8 +43,6 @@ class TridiagonalOperator:
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    spacing: float
-    origin: float
 
     def __post_init__(self):
         if len(self.diagonal) < 1:
@@ -81,17 +79,6 @@ class TridiagonalOperator:
         return hi
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """One bisected eigenvalue; energy_dimensionless is filled by oracle_energies."""
-
-    index: int
-    k_squared: float
-    energy_dimensionless: Optional[float]
-    converged: bool
-    interval_width: float
-
-
 @dataclass(frozen=True, eq=False)
 class EffectivePotentialProfile:
     """Sampled vector-coupling effective potential (columns x, V_eff)."""
@@ -105,28 +92,17 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     """Central-difference matrix of -psi'' + lam^2 x^2 psi on interior nodes.
 
     Dirichlet psi = 0 at both grid ends; eigenvalues approximate k^2 with
-    O(h^2) error.
+    O(h^2) error.  The momentum-coupled relativistic oscillator is this
+    operator with lam = m omega / hbar, acting on the eigenvalue
+    k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).
     """
     check_positive("lam", lam)
-    if not grid.is_symmetric:
-        raise InvalidGrid("discretisation expects a symmetric grid")
     x = grid.nodes()[1:-1]
     h = grid.spacing
-    diagonal = 2.0 / h**2 + lam**2 * x**2
+    diagonal = evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2",
+                               lambda: 2.0 / h**2 + lam**2 * x**2)
     off_diagonal = np.full(len(x) - 1, -1.0 / h**2)
-    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal,
-                               spacing=h, origin=float(x[0]))
-
-
-def discretize_kg(params: OscillatorParams, grid: GridSpec) -> TridiagonalOperator:
-    """Momentum-coupled relativistic oscillator operator.
-
-    The symmetrised substitution p -> p - i m omega x produces exactly the
-    operator of discretize_weber with lam = m omega / hbar, acting on the
-    eigenvalue (E^2 - m^2 c^4)/(c^2 hbar^2); both entry points share one
-    code path so the equivalence holds by construction.
-    """
-    return discretize_weber(params.lam, grid)
+    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal)
 
 
 def sturm_count(op: TridiagonalOperator, shift: float) -> int:
@@ -154,11 +130,12 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
 
 
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
-                       tol: float) -> List[EigenResult]:
-    """First `count` eigenvalues by Sturm bisection, ascending.
+                       tol: float) -> np.ndarray:
+    """First `count` eigenvalues by Sturm bisection, as an ascending array.
 
     Each eigenvalue starts from the bracket [0, Gershgorin upper bound] and
-    is bisected until the bracket is narrower than tol.
+    is bisected until the bracket is narrower than tol; the bracket midpoint
+    is returned.
     """
     if count < 1:
         raise NonPositiveParameter(f"count must be >= 1, got {count}")
@@ -167,7 +144,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
             f"count = {count} exceeds the matrix dimension {op.dimension}")
     check_positive("tol", tol)
     hi0 = op.gershgorin_upper
-    results = []
+    k_squared = np.empty(count)
     for j in range(count):
         lo, hi = 0.0, hi0
         iterations = 0
@@ -182,39 +159,25 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
             else:
                 lo = mid
             iterations += 1
-        width = hi - lo
-        results.append(EigenResult(index=j, k_squared=0.5 * (lo + hi),
-                                   energy_dimensionless=None,
-                                   converged=width <= tol,
-                                   interval_width=width))
-    return results
-
-
-def default_box(params: OscillatorParams, count: int) -> float:
-    """Box extent: twice the highest requested turning point plus tail padding."""
-    lam = params.lam
-    return 2.0 * math.sqrt((2.0 * count - 1.0) / lam) + 5.0 / math.sqrt(lam)
+        k_squared[j] = 0.5 * (lo + hi)
+    return k_squared
 
 
 def oracle_energies(params: OscillatorParams, count: int,
-                    grid: Optional[GridSpec] = None,
-                    tol: float = 1e-10) -> List[EigenResult]:
-    """Finite-difference eigenvalues mapped to dimensionless energies.
+                    points: int = DEFAULT_POINTS,
+                    tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest `count` finite-difference k^2 and their dimensionless energies.
 
-    Each k^2 maps through Ebar = sqrt(1 + b k^2 / lam), the dimensionless
-    inversion of k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).
+    The box is twice the turning point of the highest requested level plus
+    tail padding, sampled at `points` nodes.  Each k^2 maps through
+    Ebar = sqrt(1 + b k^2 / lam), the dimensionless inversion of
+    k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).
     """
     if count < 1:
         raise NonPositiveParameter(f"count must be >= 1, got {count}")
-    if grid is None:
-        grid = GridSpec.symmetric(default_box(params, count), DEFAULT_POINTS)
-    op = discretize_kg(params, grid)
-    ratio = params.b / params.lam
-    results = []
-    for r in lowest_eigenvalues(op, count, tol):
-        ebar = math.sqrt(1.0 + ratio * r.k_squared)
-        results.append(replace(r, energy_dimensionless=ebar))
-    return results
+    grid = GridSpec(default_extent(count - 1, params.lam), points)
+    k_squared = lowest_eigenvalues(discretize_weber(params.lam, grid), count, tol)
+    return k_squared, np.sqrt(1.0 + params.b / params.lam * k_squared)
 
 
 def effective_potential(params: OscillatorParams, energy: float, x) -> float:
@@ -224,11 +187,14 @@ def effective_potential(params: OscillatorParams, energy: float, x) -> float:
     V = m w^2 x^2 / 2 substituted.  Accepts a scalar or an ndarray x.
     """
     m, w = params.mass, params.omega
-    # powers via products: multiplication is exactly sign-symmetric, so the
-    # profile of this even function mirrors bit for bit on symmetric grids
-    x2 = x * x
-    numerator = energy * m * w**2 * x2 - 0.25 * m**2 * w**4 * x2 * x2
-    return numerator / (params.c**2 * params.hbar**2)
+
+    def v_eff():
+        # powers of x via products: multiplication is exactly sign-symmetric,
+        # so the profile of this even function mirrors bit for bit
+        x2 = x * x
+        numerator = energy * m * w**2 * x2 - 0.25 * m**2 * w**4 * x2 * x2
+        return numerator / (params.c**2 * params.hbar**2)
+    return evaluate_finite("effective potential V_eff", v_eff)
 
 
 def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
@@ -250,9 +216,9 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
     still decreasing outward.  The grid must extend beyond x*.
     """
     xstar = veff_zero_crossing(params, energy)
-    if grid.x_max <= xstar:
+    if grid.extent <= xstar:
         raise GridTooSmall(
-            f"grid ends at {grid.x_max!r}, inside the potential zero at {xstar:g}")
+            f"grid ends at {grid.extent!r}, inside the potential zero at {xstar:g}")
     x = grid.nodes()
     v = effective_potential(params, energy, x)
     beyond = np.where(x > xstar)[0]

@@ -8,7 +8,9 @@ user-facing energies are dimensionless, Ebar = E / (m c^2).
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveParameter
+import numpy as np
+
+from .errors import NonPositiveParameter, OutOfRange
 
 
 def check_positive(name: str, value) -> float:
@@ -20,6 +22,24 @@ def check_positive(name: str, value) -> float:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise NonPositiveParameter(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def evaluate_finite(what: str, compute):
+    """compute() if its value (a float or an array) is finite everywhere.
+
+    The one overflow policy for computed results: numpy's floating-point
+    warnings are silenced and the errors Python floats raise instead of
+    giving inf are caught, and any non-finite entry raises OutOfRange naming
+    the quantity.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            value = compute()
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+    if not np.all(np.isfinite(value)):
+        raise OutOfRange(f"{what} exceeds the floating-point range")
+    return value
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,13 @@ of being silently patched either way.  Both are the one function
 _energy_law at shift 1/2 or 1, evaluated on scalars or whole arrays.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInput, NonPositiveParameter, OutOfRange
-from .params import check_positive
+from .errors import EmptyInput, NonPositiveParameter
+from .params import check_positive, evaluate_finite
 
 # plain machine integers for the level index
 MAX_LEVEL = 10**6
@@ -37,17 +36,10 @@ def _check_levels(n) -> None:
             f"level index must be in [0, {MAX_LEVEL}], got {outside.flat[0]}")
 
 
-def _finite(value, what: str):
-    if not np.all(np.isfinite(value)):
-        raise OutOfRange(f"{what} exceeds the floating-point range")
-    return value
-
-
 def _energy_law(n, b, shift: float):
     """sqrt(1 + 2 b (n + shift)), elementwise for array n and b."""
-    with np.errstate(over="ignore"):
-        energy = np.sqrt(1.0 + 2.0 * b * (n + shift))
-    return _finite(energy, f"energy sqrt(1 + 2b(n + {shift:g}))")
+    return evaluate_finite(f"energy sqrt(1 + 2b(n + {shift:g}))",
+                           lambda: np.sqrt(1.0 + 2.0 * b * (n + shift)))
 
 
 @dataclass(frozen=True)
@@ -86,11 +78,8 @@ def energy_second_order(n: int, b: float) -> float:
     """Expansion 1 + b (n + 1/2) - b^2 (n + 1/2)^2 / 2 of the combined law."""
     _check_levels(n)
     bs = check_positive("b", b) * (n + 0.5)
-    try:
-        energy = 1.0 + bs - 0.5 * bs ** 2
-    except OverflowError:
-        energy = math.inf
-    return _finite(energy, "second-order energy 1 + b(n + 1/2) - b^2 (n + 1/2)^2 / 2")
+    return evaluate_finite("second-order energy 1 + b(n + 1/2) - b^2 (n + 1/2)^2 / 2",
+                           lambda: 1.0 + bs - 0.5 * bs ** 2)
 
 
 def binding_energy(n: int, b: float) -> float:

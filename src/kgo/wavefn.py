@@ -22,50 +22,33 @@ MAX_FACTORIAL_LEVEL = 170
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid with an odd number of points, straddling the origin.
+    """Uniform grid over [-extent, extent] with an odd number of points.
 
     Odd counts keep x = 0 on the grid and make the point count usable for
-    composite Simpson quadrature.  Symmetric grids (x_min = -x_max) are the
-    default construction; their nodes are built from signed integer offsets
-    so that x = 0 is exact and x_{-i} = -x_i bit for bit.
+    composite Simpson quadrature.  Nodes are built from signed integer
+    offsets so that x = 0 is exact and x_{-i} = -x_i bit for bit.
     """
 
-    x_min: float
-    x_max: float
+    extent: float
     points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise InvalidGrid("grid bounds must be finite")
-        if not (self.x_min < 0.0 < self.x_max):
-            raise InvalidGrid(
-                f"grid must straddle the origin, got [{self.x_min!r}, {self.x_max!r}]")
+        if not (math.isfinite(self.extent) and self.extent > 0.0):
+            raise InvalidGrid(f"grid extent must be positive and finite, got {self.extent!r}")
         if not isinstance(self.points, int) or self.points < 3 or self.points % 2 == 0:
             raise InvalidGrid(f"points must be an odd integer >= 3, got {self.points!r}")
         if not math.isfinite(self.spacing):
             raise InvalidGrid(
-                f"grid spacing over [{self.x_min!r}, {self.x_max!r}] exceeds the "
+                f"grid spacing over [-{self.extent!r}, {self.extent!r}] exceeds the "
                 "floating-point range")
-
-    @classmethod
-    def symmetric(cls, extent: float, points: int) -> "GridSpec":
-        return cls(x_min=-float(extent), x_max=float(extent), points=points)
 
     @property
     def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.points - 1)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.x_min == -self.x_max
+        return (self.extent + self.extent) / (self.points - 1)
 
     def nodes(self) -> np.ndarray:
-        if self.is_symmetric:
-            offsets = np.arange(self.points) - (self.points - 1) // 2
-            return offsets * self.spacing
-        x = self.x_min + np.arange(self.points) * self.spacing
-        x[-1] = self.x_max
-        return x
+        offsets = np.arange(self.points) - (self.points - 1) // 2
+        return offsets * self.spacing
 
 
 @dataclass(frozen=True, eq=False)

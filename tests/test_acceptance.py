@@ -117,34 +117,34 @@ def test_c2_discrepancy_documented(capsys):
 
 def test_c3_oracle_adjudication():
     start = time.perf_counter()
-    op = discretize_weber(1.0, GridSpec.symmetric(10.0, 2001))
+    op = discretize_weber(1.0, GridSpec(10.0, 2001))
     results = lowest_eigenvalues(op, 5, tol=1e-10)
     elapsed = time.perf_counter() - start
 
-    for n, res in enumerate(results):
+    for n, k_squared in enumerate(results):
         half_integer_law = 2.0 * n + 1.0          # k^2 = 2 lam (n + 1/2)
         integer_law = 2.0 * n + 2.0               # k^2 = 2 lam (n + 1)
-        assert abs(res.k_squared - half_integer_law) / half_integer_law < 1e-3
+        assert abs(k_squared - half_integer_law) / half_integer_law < 1e-3
         # the nearest integer-law candidate sits 1/(2n+2) away relatively,
         # 0.1 at n = 4; anything past 0.05 rules it out decisively
-        assert abs(res.k_squared - integer_law) / integer_law > 0.05
+        assert abs(k_squared - integer_law) / integer_law > 0.05
     assert elapsed < 10.0
 
 
 def test_c4_convergence_order():
     exact = 1.0
     coarse = lowest_eigenvalues(
-        discretize_weber(1.0, GridSpec.symmetric(10.0, 1001)), 1,
-        tol=1e-12)[0].k_squared
+        discretize_weber(1.0, GridSpec(10.0, 1001)), 1,
+        tol=1e-12)[0]
     fine = lowest_eigenvalues(
-        discretize_weber(1.0, GridSpec.symmetric(10.0, 2001)), 1,
-        tol=1e-12)[0].k_squared
+        discretize_weber(1.0, GridSpec(10.0, 2001)), 1,
+        tol=1e-12)[0]
     ratio = abs(coarse - exact) / abs(fine - exact)
     assert 3.5 <= ratio <= 4.5
 
 
 def test_c5_orthonormality():
-    grid = GridSpec.symmetric(11.0, 1601)
+    grid = GridSpec(11.0, 1601)
     states = [sample(n, grid, 1.0) for n in range(11)]
     for i in range(11):
         for j in range(11):
@@ -190,6 +190,6 @@ def test_c8_expansion_remainder():
 def test_c9_unboundedness_demonstration():
     params = natural_units()
     profile = profile_effective_potential(params, 1.0,
-                                          GridSpec.symmetric(5.0, 501))
+                                          GridSpec(5.0, 501))
     assert profile.unbounded_below_detected is True
     assert abs(effective_potential(params, 1.0, 3.0) - (-11.25)) <= 1e-12

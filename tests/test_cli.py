@@ -206,6 +206,10 @@ def _run_no_warnings(capsys, *argv):
     ("table", "--b", "1e308", "--n-max", "2"),
     ("spectrum", "--b", "1e300", "--n", "3", "--expansion", "second-order"),
     ("wavefn", "--n", "4", "--lambda", "1", "--x-max", "1e308", "--points", "5"),
+    ("oracle", "--b", "1e200", "--count", "1"),     # lam**2 overflows
+    ("veff", "--b", "1e300", "--energy", "1"),      # omega**2 overflows
+    ("veff", "--b", "1e-200", "--energy", "1"),     # x**2 overflows: nan profile
+    ("veff", "--b", "1", "--energy", "1e300"),      # E x^2 overflows: nan profile
 ])
 def test_out_of_range_inputs_give_one_error_line(capsys, argv):
     code, out, err = _run_no_warnings(capsys, *argv)

@@ -1,8 +1,9 @@
-"""Refactor gate: the README example commands print exactly the recorded bytes.
+"""Refactor gate: the README examples still run as shown.
 
 Each `kgo ...` line of README.md runs in-process and its stdout is compared
 with tests/golden/readme_<i>_<subcommand>.txt.  A change that alters this
-output on purpose re-records the file and says so in CHANGES.md.
+output on purpose re-records the file and says so in CHANGES.md.  The Python
+block under "Library example" is executed as written.
 """
 
 import contextlib
@@ -31,3 +32,9 @@ def test_readme_example_stdout_matches_golden(index):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert out.getvalue().encode() == golden.read_bytes()
+
+
+def test_readme_library_example_runs():
+    section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md library example", "exec"), {})

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kgo.errors import (BudgetExceeded, GridTooSmall, InvalidGrid,
-                        NonPositiveParameter)
-from kgo.oracle import (TridiagonalOperator, default_box, discretize_kg,
-                        discretize_weber, effective_potential,
-                        lowest_eigenvalues, oracle_energies,
-                        profile_effective_potential, sturm_count,
-                        veff_zero_crossing)
+from kgo.errors import (BudgetExceeded, GridTooSmall, NonPositiveParameter,
+                        OutOfRange)
+from kgo.oracle import (MACHINE_EPS, TridiagonalOperator, discretize_weber,
+                        effective_potential, lowest_eigenvalues,
+                        oracle_energies, profile_effective_potential,
+                        sturm_count, veff_zero_crossing)
 from kgo.params import OscillatorParams, from_b, natural_units
 from kgo.spectrum import energy_combined, table_row
 from kgo.wavefn import GridSpec
@@ -18,20 +17,17 @@ from kgo.wavefn import GridSpec
 def _toy_operator():
     # eigenvalues 2 - sqrt(2), 2, 2 + sqrt(2)
     return TridiagonalOperator(diagonal=np.array([2.0, 2.0, 2.0]),
-                               off_diagonal=np.array([-1.0, -1.0]),
-                               spacing=1.0, origin=0.0)
+                               off_diagonal=np.array([-1.0, -1.0]))
 
 
 def test_discretize_weber_hand_assembly():
-    op = discretize_weber(1.0, GridSpec.symmetric(2.0, 5))
+    op = discretize_weber(1.0, GridSpec(2.0, 5))
     assert np.array_equal(op.diagonal, [3.0, 2.0, 3.0])
     assert np.array_equal(op.off_diagonal, [-1.0, -1.0])
-    assert op.spacing == 1.0
-    assert op.origin == -1.0
 
 
 def test_discretize_weber_uniform_off_diagonal():
-    g = GridSpec.symmetric(4.0, 41)
+    g = GridSpec(4.0, 41)
     op = discretize_weber(0.7, g)
     assert np.all(op.off_diagonal == -1.0 / g.spacing**2)
     assert op.dimension == 39
@@ -39,18 +35,11 @@ def test_discretize_weber_uniform_off_diagonal():
 
 def test_discretize_weber_validation():
     with pytest.raises(NonPositiveParameter):
-        discretize_weber(0.0, GridSpec.symmetric(2.0, 5))
-    with pytest.raises(InvalidGrid):
-        discretize_weber(1.0, GridSpec(x_min=-1.0, x_max=2.0, points=5))
-
-
-def test_discretize_kg_shares_weber_path():
-    params = OscillatorParams(mass=1.3, omega=0.8, hbar=0.9, c=2.0)
-    g = GridSpec.symmetric(5.0, 101)
-    kg = discretize_kg(params, g)
-    weber = discretize_weber(params.lam, g)
-    assert np.array_equal(kg.diagonal, weber.diagonal)
-    assert np.array_equal(kg.off_diagonal, weber.off_diagonal)
+        discretize_weber(0.0, GridSpec(2.0, 5))
+    with pytest.raises(OutOfRange, match="lam"):
+        discretize_weber(1e200, GridSpec(2.0, 5))   # lam**2 overflows
+    with pytest.raises(OutOfRange, match="2/h"):
+        discretize_weber(1.0, GridSpec(1e-200, 5))  # h**2 underflows to 0
 
 
 def test_sturm_count_analytic_3x3():
@@ -63,7 +52,7 @@ def test_sturm_count_analytic_3x3():
 
 
 def test_sturm_count_monotone_and_saturating():
-    op = discretize_weber(1.0, GridSpec.symmetric(6.0, 61))
+    op = discretize_weber(1.0, GridSpec(6.0, 61))
     shifts = np.linspace(0.0, op.gershgorin_upper * 1.1, 40)
     counts = [sturm_count(op, s) for s in shifts]
     assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
@@ -82,11 +71,22 @@ def test_sturm_count_brackets_give_interval_counts():
 def test_lowest_eigenvalues_toy_matrix():
     got = lowest_eigenvalues(_toy_operator(), 3, tol=1e-12)
     want = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
-    for res, w in zip(got, want):
-        assert res.k_squared == pytest.approx(w, abs=1e-12)
-        assert res.converged
-        assert 0.0 < res.interval_width <= 1e-12
-    assert [r.index for r in got] == [0, 1, 2]
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_lowest_eigenvalues_match_scipy_eigh_tridiagonal():
+    linalg = pytest.importorskip("scipy.linalg")
+    op = discretize_weber(0.7, GridSpec(6.0, 401))
+    tol = 1e-10
+    got = lowest_eigenvalues(op, 10, tol)
+    want = linalg.eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
+                                   select="i", select_range=(0, 9))
+    # bisection stops with the eigenvalue inside a bracket narrower than tol;
+    # both solvers also carry rounding of order eps * ||op||
+    slack = 16.0 * MACHINE_EPS * op.norm_inf
+    assert np.all(np.diff(got) > 0.0)
+    assert np.all(np.abs(got - want) <= tol + slack)
 
 
 def test_lowest_eigenvalues_validation():
@@ -105,40 +105,41 @@ def test_lowest_eigenvalues_budget_exceeded():
 
 
 def test_weber_spectrum_odd_integers():
-    op = discretize_weber(1.0, GridSpec.symmetric(10.0, 2001))
+    op = discretize_weber(1.0, GridSpec(10.0, 2001))
     results = lowest_eigenvalues(op, 5, tol=1e-10)
-    for n, res in enumerate(results):
+    for n, k_squared in enumerate(results):
         exact = 2.0 * n + 1.0
-        assert abs(res.k_squared - exact) / exact < 1e-3, n
+        assert abs(k_squared - exact) / exact < 1e-3, n
 
 
 def test_weber_eigenvalue_convergence_is_second_order():
     for n in (0, 1, 2):
         exact = 2.0 * n + 1.0
         coarse = lowest_eigenvalues(
-            discretize_weber(1.0, GridSpec.symmetric(10.0, 1001)), n + 1,
-            tol=1e-12)[n].k_squared
+            discretize_weber(1.0, GridSpec(10.0, 1001)), n + 1,
+            tol=1e-12)[n]
         fine = lowest_eigenvalues(
-            discretize_weber(1.0, GridSpec.symmetric(10.0, 2001)), n + 1,
-            tol=1e-12)[n].k_squared
+            discretize_weber(1.0, GridSpec(10.0, 2001)), n + 1,
+            tol=1e-12)[n]
         ratio = abs(coarse - exact) / abs(fine - exact)
         assert 3.5 < ratio < 4.5, n
 
 
 def test_oracle_energies_natural_units():
-    results = oracle_energies(natural_units(), 3,
-                              GridSpec.symmetric(10.0, 2001), tol=1e-10)
+    k_squared, energy = oracle_energies(natural_units(), 3, tol=1e-10)
     want = [math.sqrt(2.0), 2.0, math.sqrt(6.0)]
-    for res, w in zip(results, want):
-        assert abs(res.energy_dimensionless - w) / w < 2e-3
-        assert res.energy_dimensionless >= 1.0
+    for e, w in zip(energy, want):
+        assert abs(e - w) / w < 2e-3
+        assert e >= 1.0
+    # Ebar^2 - 1 = b k^2 / lam, and b = lam = 1 here
+    assert energy**2 - 1.0 == pytest.approx(k_squared, rel=1e-12)
 
 
 def test_oracle_energies_adjudicates_ground_state():
     # the derived law gives sqrt(1.001) ~ 1.0005; the tabulated law 1.001
-    result = oracle_energies(from_b(0.001), 1)[0]
-    assert abs(result.energy_dimensionless - 1.0005) <= 5e-6
-    assert abs(result.energy_dimensionless - 1.001) > 4e-4
+    _, (energy,) = oracle_energies(from_b(0.001), 1)
+    assert abs(energy - 1.0005) <= 5e-6
+    assert abs(energy - 1.001) > 4e-4
 
 
 def test_oracle_energies_validation():
@@ -148,18 +149,14 @@ def test_oracle_energies_validation():
 
 def test_oracle_confirms_combined_law_across_b():
     for b in (1e-4, 1e-3, 0.1):
-        params = from_b(b)
-        grid = GridSpec.symmetric(default_box(params, 9), 2001)
-        results = oracle_energies(params, 9, grid, tol=1e-12)
-        for n, res in enumerate(results):
+        _, energy = oracle_energies(from_b(b), 9, 2001, tol=1e-12)
+        for n, e in enumerate(energy):
             want = energy_combined(n, b)
-            assert abs(res.energy_dimensionless - want) / want < 2e-3, (b, n)
+            assert abs(e - want) / want < 2e-3, (b, n)
     # ... and visibly rejects the (n+1) law at b = 0.1
-    params = from_b(0.1)
-    grid = GridSpec.symmetric(default_box(params, 1), 2001)
-    ground = oracle_energies(params, 1, grid, tol=1e-12)[0]
+    _, (ground,) = oracle_energies(from_b(0.1), 1, 2001, tol=1e-12)
     alt = table_row(0, 0.1).e_rel
-    assert abs(ground.energy_dimensionless - alt) / alt > 0.02
+    assert abs(ground - alt) / alt > 0.02
 
 
 def test_effective_potential_values():
@@ -186,7 +183,7 @@ def test_veff_zero_crossing():
 
 def test_profile_detects_unboundedness():
     profile = profile_effective_potential(natural_units(), 1.0,
-                                          GridSpec.symmetric(5.0, 201))
+                                          GridSpec(5.0, 201))
     assert profile.unbounded_below_detected
     x, v = profile.samples[:, 0], profile.samples[:, 1]
     # even function: mirrored samples agree exactly
@@ -199,7 +196,7 @@ def test_profile_detects_unboundedness():
 def test_profile_requires_grid_beyond_zero():
     with pytest.raises(GridTooSmall):
         profile_effective_potential(natural_units(), 1.0,
-                                    GridSpec.symmetric(1.0, 51))
+                                    GridSpec(1.0, 51))
     with pytest.raises(GridTooSmall):
         profile_effective_potential(natural_units(), 1.0,
-                                    GridSpec.symmetric(2.0, 51))
+                                    GridSpec(2.0, 51))

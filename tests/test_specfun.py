@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import pytest
 
 from kgo.errors import NonConvergence, PoleAtC
@@ -119,6 +121,33 @@ def test_kummer_convergent_branch_matches_exponential():
     # M(a, a, y) = e^y for non-integer a
     for y in (-3.0, -0.5, 0.1, 2.0, 10.0):
         assert kummer_m(1.5, 1.5, y) == pytest.approx(math.exp(y), rel=1e-13)
+
+
+def _hyp1f1_reference(a, c, y):
+    """mpmath 1F1(a; c; y) at 50 digits and the sum of |terms| of its series."""
+    with mpmath.workdps(50):
+        a, c, y = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpf(y)
+        term = magnitude = mpmath.mpf(1)
+        for k in range(1000):
+            term *= (a + k) / (c + k) * y / (k + 1)
+            magnitude += abs(term)
+            if abs(term) <= mpmath.mpf(10) ** -40 * magnitude:
+                break
+        return mpmath.hyp1f1(a, c, y), magnitude
+
+
+@pytest.mark.parametrize("a_values", [
+    (0.0, -1.0, -2.0, -5.0, -10.0, -20.0),   # terminating: polynomials in y
+    (0.3, 1.7, -2.5),                        # convergent series
+], ids=["terminating", "convergent"])
+def test_kummer_matches_mpmath_hyp1f1(a_values):
+    # direct summation in double precision errs by a few eps times the sum of
+    # |terms| (measured <= 5.1 eps); that sum exceeds |M| where terms cancel
+    for a, c, y in itertools.product(a_values, (0.5, 1.5, 3.2),
+                                     (-4.0, -3.0, 0.1, 1.0, 2.0, 9.0, 20.0)):
+        want, magnitude = _hyp1f1_reference(a, c, y)
+        got = kummer_m(a, c, y)
+        assert abs(got - want) <= 32 * 2.0**-52 * magnitude, (a, c, y)
 
 
 def test_kummer_nonconvergence_signalled():

@@ -13,19 +13,18 @@ from kgo.wavefn import (GridSpec, default_extent, inner_product,
 
 def test_gridspec_validation():
     with pytest.raises(InvalidGrid):
-        GridSpec(x_min=-1.0, x_max=1.0, points=4)     # even
+        GridSpec(1.0, 4)              # even
     with pytest.raises(InvalidGrid):
-        GridSpec(x_min=-1.0, x_max=1.0, points=1)     # too few
+        GridSpec(1.0, 1)              # too few
+    for extent in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidGrid):
+            GridSpec(extent, 5)
     with pytest.raises(InvalidGrid):
-        GridSpec(x_min=0.5, x_max=1.0, points=5)      # does not straddle 0
-    with pytest.raises(InvalidGrid):
-        GridSpec(x_min=-1.0, x_max=float("inf"), points=5)
-    with pytest.raises(InvalidGrid):
-        GridSpec.symmetric(1e308, 5)                  # spacing overflows
+        GridSpec(1e308, 5)            # spacing overflows
 
 
 def test_gridspec_nodes_symmetric_and_exact():
-    g = GridSpec.symmetric(8.0, 801)
+    g = GridSpec(8.0, 801)
     assert g.spacing == pytest.approx(0.02, rel=1e-15)
     x = g.nodes()
     assert len(x) == 801
@@ -34,13 +33,6 @@ def test_gridspec_nodes_symmetric_and_exact():
     assert np.all(x[::-1] == -x)
     assert x[0] == pytest.approx(-8.0, abs=1e-14)
     assert x[-1] == pytest.approx(8.0, abs=1e-14)
-
-
-def test_gridspec_asymmetric_nodes_hit_bounds():
-    g = GridSpec(x_min=-1.0, x_max=2.0, points=7)
-    x = g.nodes()
-    assert x[0] == -1.0 and x[-1] == 2.0
-    assert not g.is_symmetric
 
 
 def test_normalization_constant_values():
@@ -181,14 +173,14 @@ def _sign_changes(values):
 
 
 def test_sample_ground_state_shape():
-    g = GridSpec.symmetric(6.0, 201)
+    g = GridSpec(6.0, 201)
     s = sample(0, g, 1.0)
     assert np.all(s.values > 0.0)
     assert s.values.argmax() == 100
 
 
 def test_sample_parity_and_node_counts():
-    g = GridSpec.symmetric(6.0, 401)
+    g = GridSpec(6.0, 401)
     s1 = sample(1, g, 1.0)
     assert np.all(s1.values[::-1] == -s1.values)
     assert _sign_changes(s1.values) == 1
@@ -199,12 +191,12 @@ def test_sample_parity_and_node_counts():
 def test_sample_node_count_matches_level():
     lam = 1.0
     for n in range(21):
-        g = GridSpec.symmetric(default_extent(n, lam), 1201)
+        g = GridSpec(default_extent(n, lam), 1201)
         assert _sign_changes(sample(n, g, lam).values) == n, n
 
 
 def test_inner_product_norm_and_orthogonality():
-    g = GridSpec.symmetric(8.0, 801)
+    g = GridSpec(8.0, 801)
     s0 = sample(0, g, 1.0)
     s1 = sample(1, g, 1.0)
     s3 = sample(3, g, 1.0)
@@ -215,8 +207,8 @@ def test_inner_product_norm_and_orthogonality():
 
 
 def test_inner_product_grid_mismatch():
-    a = sample(0, GridSpec.symmetric(8.0, 801), 1.0)
-    b = sample(0, GridSpec.symmetric(8.0, 803), 1.0)
+    a = sample(0, GridSpec(8.0, 801), 1.0)
+    b = sample(0, GridSpec(8.0, 803), 1.0)
     with pytest.raises(GridMismatch):
         inner_product(a, b)
 
@@ -224,7 +216,7 @@ def test_inner_product_grid_mismatch():
 def test_gram_matrix_is_identity():
     lam = 1.0
     extent = 2.0 * math.sqrt(2.0 * 10 + 1.0) / math.sqrt(lam)
-    g = GridSpec.symmetric(extent, 1601)
+    g = GridSpec(extent, 1601)
     states = [sample(n, g, lam) for n in range(11)]
     for i in range(11):
         for j in range(11):
@@ -233,7 +225,7 @@ def test_gram_matrix_is_identity():
 
 
 def _max_weber_residual(n, lam, points):
-    grid = GridSpec.symmetric(default_extent(n, lam), points)
+    grid = GridSpec(default_extent(n, lam), points)
     s = sample(n, grid, lam)
     x = grid.nodes()
     h = grid.spacing
