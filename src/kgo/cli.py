@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -30,24 +30,16 @@ TABLE_FORMULA_WARNING = (
 )
 
 VEFF_DEFAULT_EXTENT_FACTOR = 2.5  # default x_max as a multiple of the V_eff zero
-
-
-@dataclass(frozen=True)
-class Command:
-    """One validated invocation: subcommand, parsed options, output format."""
-
-    subcommand: str
-    options: dict
-    output_format: str
+# a double's exact decimal expansion has at most 1074 fractional digits, so
+# more decimals only add zeros (and a huge K exhausts memory)
+MAX_DECIMALS = 1074
 
 
 @dataclass
 class _Emission:
     columns: Dict[str, List[str]]  # column name -> cells already formatted
-    int_columns: set
-    warnings: List[str]
-    comments: List[str]       # non-warning trailing comment lines
-    json_extra: dict
+    warnings: List[str] = field(default_factory=list)
+    extra: dict = field(default_factory=dict)  # json keys, "# key: value" lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +90,13 @@ def _positive_int(text: str) -> int:
     return v
 
 
+def _decimals(text: str) -> int:
+    v = _nonnegative_int(text)
+    if v > MAX_DECIMALS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DECIMALS}, got {text!r}")
+    return v
+
+
 def _odd_points(text: str) -> int:
     v = _nonnegative_int(text)
     if v < 3 or v % 2 == 0:
@@ -108,9 +107,9 @@ def _odd_points(text: str) -> int:
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=FORMATS, default="csv",
                      help="output encoding (default: csv)")
-    sub.add_argument("--decimals", type=_nonnegative_int, default=None, metavar="K",
-                     help="fixed K-decimal rounding (half to even) instead of "
-                          "the default 6 significant digits")
+    sub.add_argument("--decimals", type=_decimals, default=None, metavar="K",
+                     help="fixed K-decimal rounding (half to even, K <= "
+                          f"{MAX_DECIMALS}) instead of the default 6 significant digits")
 
 
 def build_parser() -> _Parser:
@@ -177,13 +176,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> Command:
-    ns = build_parser().parse_args(list(argv))
-    options = vars(ns).copy()
-    subcommand = options.pop("subcommand")
-    output_format = options.pop("format")
-    return Command(subcommand=subcommand, options=options,
-                   output_format=output_format)
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    return build_parser().parse_args(list(argv))
 
 
 def _fmt(values, decimals: int | None) -> List[str]:
@@ -193,78 +187,63 @@ def _fmt(values, decimals: int | None) -> List[str]:
     return [format(v, spec) for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
 
 
-def _build_table(opts: dict) -> _Emission:
-    b_values, n_values = opts["b"], range(opts["n_max"] + 1)
-    table = spectrum.generate_table(b_values, n_values, formula=opts["formula"])
-    d = opts["decimals"]
+def _build_table(ns: argparse.Namespace) -> _Emission:
+    n_values = range(ns.n_max + 1)
+    e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, n_values, ns.formula)
     # rows run n-major, b-minor: each n cell repeats len(b) times and the
     # b cells repeat once per n, formatted once and shared
-    n_cells = [cell for n in n_values for cell in [str(n)] * len(b_values)]
-    columns = {"n": n_cells, "b": _fmt(b_values, None) * len(n_values),
-               "e_rel": _fmt(table.e_rel, d),
-               "e_nr_plus_one": _fmt(table.e_nr_plus_one, d)}
-    warnings = [TABLE_FORMULA_WARNING] if opts["formula"] == "table" else []
-    return _Emission(columns=columns, int_columns={"n"}, warnings=warnings,
-                     comments=[], json_extra={})
+    n_cells = [cell for n in n_values for cell in [str(n)] * len(ns.b)]
+    columns = {"n": n_cells, "b": _fmt(ns.b, None) * len(n_values),
+               "e_rel": _fmt(e_rel, ns.decimals),
+               "e_nr_plus_one": _fmt(e_nr_plus_one, ns.decimals)}
+    return _Emission(columns, [TABLE_FORMULA_WARNING] if ns.formula == "table" else [])
 
 
-def _build_spectrum(opts: dict) -> _Emission:
-    n, b = opts["n"], opts["b"]
-    parity = opts["parity"]
+def _build_spectrum(ns: argparse.Namespace) -> _Emission:
     # the parity families interleave into the combined index
-    combined_index = {"combined": n, "even": 2 * n, "odd": 2 * n + 1}[parity]
-    if opts["expansion"] == "second-order":
-        energy = spectrum.energy_second_order(combined_index, b)
+    combined_index = {"combined": ns.n, "even": 2 * ns.n, "odd": 2 * ns.n + 1}[ns.parity]
+    if ns.expansion == "second-order":
+        energy = spectrum.energy_second_order(combined_index, ns.b)
     else:
-        energy = spectrum.energy_combined(combined_index, b)
-    d = opts["decimals"]
-    columns = {"n": [str(n)], "b": _fmt([b], None), "parity": [parity],
-               "energy": _fmt([energy], d)}
-    if opts["binding"]:
-        columns["binding"] = _fmt([energy - 1.0], d)
-    return _Emission(columns=columns, int_columns={"n"}, warnings=[],
-                     comments=[], json_extra={})
+        energy = spectrum.energy_combined(combined_index, ns.b)
+    columns = {"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity],
+               "energy": _fmt([energy], ns.decimals)}
+    if ns.binding:
+        columns["binding"] = _fmt([energy - 1.0], ns.decimals)
+    return _Emission(columns)
 
 
-def _build_wavefn(opts: dict) -> _Emission:
-    n, lam = opts["n"], opts["lam"]
-    extent = opts["x_max"] if opts["x_max"] is not None else wavefn.default_extent(n, lam)
-    grid = wavefn.GridSpec(extent, opts["points"])
-    sampled = wavefn.sample(n, grid, lam)
-    d = opts["decimals"]
-    return _Emission(columns={"x": _fmt(grid.nodes(), d), "psi": _fmt(sampled.values, d)},
-                     int_columns=set(), warnings=[], comments=[], json_extra={})
+def _build_wavefn(ns: argparse.Namespace) -> _Emission:
+    extent = ns.x_max if ns.x_max is not None else wavefn.default_extent(ns.n, ns.lam)
+    grid = wavefn.GridSpec(extent, ns.points)
+    sampled = wavefn.sample(ns.n, grid, ns.lam)
+    return _Emission({"x": _fmt(grid.nodes(), ns.decimals),
+                      "psi": _fmt(sampled.values, ns.decimals)})
 
 
-def _build_oracle(opts: dict) -> _Emission:
-    b, levels = opts["b"], range(opts["count"])
-    k_squared, e_oracle = oracle.oracle_energies(from_b(b), opts["count"],
-                                                 opts["points"], opts["tol"])
-    reference = np.array([spectrum.energy_combined(n, b) for n in levels])
-    d = opts["decimals"]
-    columns = {"n": [str(n) for n in levels], "k_squared": _fmt(k_squared, d),
-               "e_oracle": _fmt(e_oracle, d), "e_eq21": _fmt(reference, d),
-               "rel_diff": _fmt(np.abs(e_oracle - reference) / reference, d)}
-    return _Emission(columns=columns, int_columns={"n"}, warnings=[], comments=[],
-                     json_extra={})
+def _build_oracle(ns: argparse.Namespace) -> _Emission:
+    levels = range(ns.count)
+    k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
+                                                 ns.points, ns.tol)
+    reference = np.array([spectrum.energy_combined(n, ns.b) for n in levels])
+    d = ns.decimals
+    return _Emission({"n": [str(n) for n in levels], "k_squared": _fmt(k_squared, d),
+                      "e_oracle": _fmt(e_oracle, d), "e_eq21": _fmt(reference, d),
+                      "rel_diff": _fmt(np.abs(e_oracle - reference) / reference, d)})
 
 
-def _build_veff(opts: dict) -> _Emission:
-    params = from_b(opts["b"])
-    if opts["x_max"] is not None:
-        extent = opts["x_max"]
+def _build_veff(ns: argparse.Namespace) -> _Emission:
+    params = from_b(ns.b)
+    if ns.x_max is not None:
+        extent = ns.x_max
     else:
-        xstar = oracle.veff_zero_crossing(params, opts["energy"])
+        xstar = oracle.veff_zero_crossing(params, ns.energy)
         extent = VEFF_DEFAULT_EXTENT_FACTOR * xstar if xstar > 0 else 5.0
-    grid = wavefn.GridSpec(extent, opts["points"])
-    profile = oracle.profile_effective_potential(params, opts["energy"], grid)
-    d = opts["decimals"]
-    flag = profile.unbounded_below_detected
-    return _Emission(columns={"x": _fmt(profile.samples[:, 0], d),
-                              "v_eff": _fmt(profile.samples[:, 1], d)},
-                     int_columns=set(), warnings=[],
-                     comments=[f"unbounded_below_detected: {str(flag).lower()}"],
-                     json_extra={"unbounded_below_detected": flag})
+    grid = wavefn.GridSpec(extent, ns.points)
+    v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
+    return _Emission({"x": _fmt(grid.nodes(), ns.decimals),
+                      "v_eff": _fmt(v_eff, ns.decimals)},
+                     extra={"unbounded_below_detected": unbounded})
 
 
 _BUILDERS = {
@@ -286,25 +265,24 @@ def _json_value(cell: str):
 def _render(emission: _Emission, output_format: str) -> str:
     names = list(emission.columns)
     if output_format == "json":
-        values = [list(map(int, cells)) if name in emission.int_columns
-                  else list(map(_json_value, cells))
+        # n, the level index, is the one integer column
+        values = [list(map(int if name == "n" else _json_value, cells))
                   for name, cells in emission.columns.items()]
         rows = [dict(zip(names, row)) for row in zip(*values)]
-        payload = {"rows": rows, "warnings": list(emission.warnings)}
-        payload.update(emission.json_extra)
+        payload = {"rows": rows, "warnings": emission.warnings, **emission.extra}
         return json.dumps(payload, separators=(",", ":")) + "\n"
     sep = "," if output_format == "csv" else "\t"
     lines = [sep.join(names)]
     lines.extend(map(sep.join, zip(*emission.columns.values())))
-    lines.extend(f"# {c}" for c in emission.comments)
+    lines.extend(f"# {key}: {json.dumps(value)}" for key, value in emission.extra.items())
     lines.extend(f"# {w}" for w in emission.warnings)
     return "\n".join(lines) + "\n"
 
 
-def run(cmd: Command) -> None:
-    """Execute a validated command, writing rows to standard output."""
-    emission = _BUILDERS[cmd.subcommand](cmd.options)
-    sys.stdout.write(_render(emission, cmd.output_format))
+def run(ns: argparse.Namespace) -> None:
+    """Execute parsed arguments, writing rows to standard output."""
+    emission = _BUILDERS[ns.subcommand](ns)
+    sys.stdout.write(_render(emission, ns.format))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

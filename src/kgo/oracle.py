@@ -79,15 +79,6 @@ class TridiagonalOperator:
         return hi
 
 
-@dataclass(frozen=True, eq=False)
-class EffectivePotentialProfile:
-    """Sampled vector-coupling effective potential (columns x, V_eff)."""
-
-    energy: float
-    samples: np.ndarray
-    unbounded_below_detected: bool
-
-
 def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     """Central-difference matrix of -psi'' + lam^2 x^2 psi on interior nodes.
 
@@ -184,15 +175,18 @@ def effective_potential(params: OscillatorParams, energy: float, x) -> float:
     """Vector-coupling effective potential (E m w^2 x^2 - m^2 w^4 x^4 / 4)/(c^2 hbar^2).
 
     This is the Schrodinger-form potential (2 E V - V^2)/(c^2 hbar^2) with
-    V = m w^2 x^2 / 2 substituted.  Accepts a scalar or an ndarray x.
+    V = m w^2 x^2 / 2 substituted.  Accepts a scalar or an ndarray x.  It is
+    evaluated in u = w x, so a tiny w with a huge x (or the reverse) neither
+    underflows w^4 nor overflows x^2.
     """
-    m, w = params.mass, params.omega
+    m = params.mass
 
     def v_eff():
-        # powers of x via products: multiplication is exactly sign-symmetric,
-        # so the profile of this even function mirrors bit for bit
-        x2 = x * x
-        numerator = energy * m * w**2 * x2 - 0.25 * m**2 * w**4 * x2 * x2
+        # powers via products: multiplication is exactly sign-symmetric, so
+        # the profile of this even function mirrors bit for bit
+        u = params.omega * x
+        u2 = u * u
+        numerator = energy * m * u2 - 0.25 * m**2 * u2 * u2
         return numerator / (params.c**2 * params.hbar**2)
     return evaluate_finite("effective potential V_eff", v_eff)
 
@@ -208,8 +202,8 @@ def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
 
 
 def profile_effective_potential(params: OscillatorParams, energy: float,
-                                grid: GridSpec) -> EffectivePotentialProfile:
-    """Sample the effective potential and flag unboundedness from below.
+                                grid: GridSpec) -> tuple[np.ndarray, bool]:
+    """(v_eff, unbounded_below): V_eff at grid.nodes() and a flag.
 
     The flag is set when, over the outermost tenth of the samples beyond the
     sign change at x* = 2 sqrt(E/m)/omega, the potential is negative and
@@ -228,7 +222,4 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
             f"{xstar:g}; at least 2 are needed")
     tail_len = max(2, math.ceil(TAIL_FRACTION * len(beyond)))
     tail = v[beyond[-min(tail_len, len(beyond)):]]
-    detected = bool(np.all(tail < 0.0) and np.all(np.diff(tail) < 0.0))
-    return EffectivePotentialProfile(energy=float(energy),
-                                     samples=np.column_stack([x, v]),
-                                     unbounded_below_detected=detected)
+    return v, bool(np.all(tail < 0.0) and np.all(np.diff(tail) < 0.0))

@@ -8,7 +8,6 @@ non-integer a exists for diagnostics and is capped at SERIES_MAX_TERMS.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import NonConvergence, PoleAtC
 
@@ -23,24 +22,6 @@ SERIES_MAX_TERMS = 500
 
 def _is_nonpositive_integer(v: float) -> bool:
     return abs(v - round(v)) <= INTEGER_TOL and round(v) <= 0
-
-
-@dataclass(frozen=True)
-class KummerParams:
-    """Parameters (a, c) of M(a, c, y) with the series-termination flag.
-
-    terminates is true iff a is a non-positive integer (within INTEGER_TOL),
-    in which case the series has exactly -round(a) + 1 nonzero terms.
-    """
-
-    a: float
-    c: float
-    terminates: bool = field(init=False)
-
-    def __post_init__(self):
-        if _is_nonpositive_integer(self.c):
-            raise PoleAtC(f"M(a, c, y) has a pole at c = {self.c!r}")
-        object.__setattr__(self, "terminates", _is_nonpositive_integer(self.a))
 
 
 def hermite(n: int, xi: float) -> float:
@@ -63,11 +44,13 @@ def kummer_m(a: float, c: float, y: float) -> float:
     Terminating case (a a non-positive integer): the sum runs over its
     -round(a) + 1 nonzero terms only.  Otherwise terms accumulate until two
     consecutive terms fall below SERIES_REL_TOL relative to the partial sum.
+    A non-positive integer c (within INTEGER_TOL) is a pole: PoleAtC.
     """
-    p = KummerParams(a=a, c=c)
+    if _is_nonpositive_integer(c):
+        raise PoleAtC(f"M(a, c, y) has a pole at c = {c!r}")
     s = 1.0
     term = 1.0
-    if p.terminates:
+    if _is_nonpositive_integer(a):
         for k in range(int(-round(a))):
             term *= (a + k) / (c + k) * y / (k + 1)
             s += term

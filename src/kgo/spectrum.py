@@ -2,14 +2,14 @@
 
 Two square-root laws coexist on purpose.  energy_combined implements the
 derived spectrum Ebar_n = sqrt(1 + 2 b (n + 1/2)), which the independent
-finite-difference oracle confirms.  table_row carries the alternative
-sqrt(1 + 2 b (n + 1)) law that the tabulated reference values follow; it
-is exposed (CLI formula "table") so the disagreement stays visible instead
-of being silently patched either way.  Both are the one function
-_energy_law at shift 1/2 or 1, evaluated on scalars or whole arrays.
+finite-difference oracle confirms.  generate_table's formula "table"
+carries the alternative sqrt(1 + 2 b (n + 1)) law that the tabulated
+reference values follow; it is exposed (CLI formula "table") so the
+disagreement stays visible instead of being silently patched either way.
+Both are the one function _energy_law at shift 1/2 or 1, evaluated on
+scalars or whole arrays.
 """
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -40,20 +40,6 @@ def _energy_law(n, b, shift: float):
     """sqrt(1 + 2 b (n + shift)), elementwise for array n and b."""
     return evaluate_finite(f"energy sqrt(1 + 2b(n + {shift:g}))",
                            lambda: np.sqrt(1.0 + 2.0 * b * (n + shift)))
-
-
-@dataclass(frozen=True)
-class SpectrumRow:
-    """Relativistic and first-order columns of the reference table.
-
-    One (n, b) entry from table_row; whole columns, as numpy arrays in
-    n-major then b-minor order, from generate_table.
-    """
-
-    n: int
-    b: float
-    e_rel: float
-    e_nr_plus_one: float
 
 
 def energy_combined(n: int, b: float) -> float:
@@ -91,26 +77,13 @@ def binding_energy(n: int, b: float) -> float:
     return energy_combined(n, b) - 1.0
 
 
-def table_row(n: int, b: float) -> SpectrumRow:
-    """Row of the reference table.
-
-    e_rel follows sqrt(1 + 2 b (n + 1)), the law the tabulated values
-    encode, which differs from energy_combined's (n + 1/2) law.
-    e_nr_plus_one is 1 + b (n + 1/2) exactly.
-    """
-    _check_levels(n)
-    b = check_positive("b", b)
-    return SpectrumRow(n=n, b=b, e_rel=float(_energy_law(n, b, 1.0)),
-                       e_nr_plus_one=1.0 + b * (n + 0.5))
-
-
 def generate_table(b_values: Iterable[float], n_values: Iterable[int],
-                   formula: str = "eq21") -> SpectrumRow:
-    """Columns for every (n, b) pair, n-major then b-minor.
+                   formula: str = "eq21") -> tuple[np.ndarray, np.ndarray]:
+    """(e_rel, e_nr_plus_one) columns for every (n, b) pair, n-major then b-minor.
 
-    formula selects what fills e_rel: "eq21" the derived (n + 1/2) law,
-    "table" the (n + 1) law of table_row.  Each entry equals the scalar
-    energy_combined or table_row value bit for bit.
+    formula selects the law of e_rel: "eq21" the derived sqrt(1 + 2b(n + 1/2)),
+    equal to energy_combined bit for bit, or "table" the tabulated
+    sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.
     """
     if formula not in FORMULA_CHOICES:
         raise ValueError(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
@@ -121,6 +94,5 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     _check_levels(n)
     n_col = np.repeat(n, b.size)
     b_col = np.tile(b, n.size)
-    return SpectrumRow(n=n_col, b=b_col,
-                       e_rel=_energy_law(n_col, b_col, _SHIFTS[formula]),
-                       e_nr_plus_one=1.0 + b_col * (n_col + 0.5))
+    return (_energy_law(n_col, b_col, _SHIFTS[formula]),
+            1.0 + b_col * (n_col + 0.5))

@@ -55,10 +55,8 @@ class GridSpec:
 class SampledWavefunction:
     """psi_n sampled at every node of a grid."""
 
-    n: int
     grid: GridSpec
     values: np.ndarray
-    lam: float
 
 
 def default_extent(n: int, lam: float) -> float:
@@ -120,8 +118,7 @@ def psi_general(x: float, a: float, coeff_even: float, coeff_odd: float,
 
 def sample(n: int, grid: GridSpec, lam: float) -> SampledWavefunction:
     """psi_n evaluated at every grid node."""
-    return SampledWavefunction(n=n, grid=grid, values=psi(n, grid.nodes(), lam),
-                               lam=lam)
+    return SampledWavefunction(grid=grid, values=psi(n, grid.nodes(), lam))
 
 
 def inner_product(f: SampledWavefunction, g: SampledWavefunction) -> float:

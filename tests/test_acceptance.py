@@ -17,7 +17,7 @@ from kgo.params import natural_units
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd)
 from kgo.spectrum import (binding_energy, energy_combined,
-                          energy_second_order, table_row)
+                          energy_second_order, generate_table)
 from kgo.wavefn import GridSpec, inner_product, sample
 
 # Reference table, transcribed cell by cell: n -> (e_rel, e_nr_plus_one)
@@ -102,7 +102,7 @@ def test_c1_anomalous_reference_row(capsys):
 def test_c2_discrepancy_documented(capsys):
     # the derived law and the tabulated law disagree visibly at n=0, b=0.1
     assert abs(energy_combined(0, 0.1) - 1.04881) <= 5e-6
-    assert f"{table_row(0, 0.1).e_rel:.5f}" == "1.09545"
+    assert f"{generate_table([0.1], [0], 'table')[0][0]:.5f}" == "1.09545"
 
     code = main(["table", "--b", "0.1", "--n-max", "0", "--formula", "table"])
     out = capsys.readouterr().out
@@ -189,7 +189,7 @@ def test_c8_expansion_remainder():
 
 def test_c9_unboundedness_demonstration():
     params = natural_units()
-    profile = profile_effective_potential(params, 1.0,
-                                          GridSpec(5.0, 501))
-    assert profile.unbounded_below_detected is True
+    _, unbounded_below = profile_effective_potential(params, 1.0,
+                                                     GridSpec(5.0, 501))
+    assert unbounded_below is True
     assert abs(effective_potential(params, 1.0, 3.0) - (-11.25)) <= 1e-12

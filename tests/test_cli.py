@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from kgo.cli import Command, main, parse_args
+from kgo.cli import main, parse_args
 from kgo.errors import UsageError
 
 
@@ -17,18 +17,18 @@ def _run(capsys, *argv):
 
 
 def test_parse_args_table_happy_path():
-    cmd = parse_args(["table", "--b", "0.1", "--n-max", "3"])
-    assert isinstance(cmd, Command)
-    assert cmd.subcommand == "table"
-    assert cmd.options["b"] == [0.1]
-    assert cmd.options["n_max"] == 3
-    assert cmd.options["formula"] == "eq21"
-    assert cmd.output_format == "csv"
+    ns = parse_args(["table", "--b", "0.1", "--n-max", "3"])
+    assert ns.subcommand == "table"
+    assert ns.b == [0.1]
+    assert ns.n_max == 3
+    assert ns.formula == "eq21"
+    assert ns.format == "csv"
+    assert ns.decimals is None
 
 
 def test_parse_args_b_list():
-    cmd = parse_args(["table", "--b", "0.1,0.001,0.0001", "--n-max", "1"])
-    assert cmd.options["b"] == [0.1, 0.001, 0.0001]
+    ns = parse_args(["table", "--b", "0.1,0.001,0.0001", "--n-max", "1"])
+    assert ns.b == [0.1, 0.001, 0.0001]
 
 
 def test_parse_args_rejects_bad_formula():
@@ -207,8 +207,6 @@ def _run_no_warnings(capsys, *argv):
     ("spectrum", "--b", "1e300", "--n", "3", "--expansion", "second-order"),
     ("wavefn", "--n", "4", "--lambda", "1", "--x-max", "1e308", "--points", "5"),
     ("oracle", "--b", "1e200", "--count", "1"),     # lam**2 overflows
-    ("veff", "--b", "1e300", "--energy", "1"),      # omega**2 overflows
-    ("veff", "--b", "1e-200", "--energy", "1"),     # x**2 overflows: nan profile
     ("veff", "--b", "1", "--energy", "1e300"),      # E x^2 overflows: nan profile
 ])
 def test_out_of_range_inputs_give_one_error_line(capsys, argv):
@@ -217,6 +215,36 @@ def test_out_of_range_inputs_give_one_error_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("kgo: error: ") and "floating-point range" in err
+
+
+@pytest.mark.parametrize("b", ["1e-85", "1e-200", "1e300"])
+def test_veff_extreme_b_prints_exact_rows(capsys, b):
+    # V_eff depends on x only through omega x, which the default grid spans
+    # over [-5, 5] for E = 1 at any b; each b breaks a product of unscaled
+    # factors: omega^4 underflows at 1e-85, x^2 overflows at 1e-200 and
+    # omega^2 at 1e300
+    code, out, err = _run_no_warnings(capsys, "veff", "--b", b, "--energy", "1",
+                                      "--points", "5")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    v_eff = [row.split(",")[1] for row in lines[1:6]]
+    assert v_eff[0] == v_eff[4] == "-131.25" and v_eff[2] == "0"
+    assert float(v_eff[1]) == float(v_eff[3]) == pytest.approx(-3.515625, rel=1e-5)
+    assert lines[6:] == ["# unbounded_below_detected: true"]
+
+
+def test_decimals_capped_at_exact_double_expansion(capsys):
+    argv = ["table", "--b", "0.1", "--n-max", "1", "--decimals"]
+    code, out, err = _run(capsys, *argv, "1075")
+    assert code == 2 and out == ""
+    assert err.startswith("kgo: error: ") and "1074" in err
+    code, out, _ = _run(capsys, *argv, "1074")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2
+    # 1 + 0.1 * 0.5 as a double, written out exactly, then zeros
+    assert rows[0].split(",")[3] == format(1.05, ".1074f")
+    assert len(rows[0].split(",")[3].split(".")[1]) == 1074
 
 
 def test_wavefn_far_tails_print_zero_rows(capsys):

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from kgo.errors import NonConvergence, PoleAtC
-from kgo.specfun import (KummerParams, hermite, hermite_from_kummer_even,
+from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd, kummer_m)
 
 XI_SAMPLE = (-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0)
@@ -87,12 +87,19 @@ def test_kummer_pole_at_nonpositive_integer_c():
             kummer_m(1.0, c, 0.5)
 
 
-def test_kummer_params_termination_flag():
-    assert KummerParams(a=0.0, c=0.5).terminates
-    assert KummerParams(a=-4.0, c=1.5).terminates
-    assert KummerParams(a=-7.0 + 4e-10, c=0.5).terminates
-    assert not KummerParams(a=-0.5, c=0.5).terminates
-    assert not KummerParams(a=1.2, c=1.5).terminates
+def test_kummer_m_terminates_exactly_on_nonpositive_integer_a():
+    # a non-positive integer a (within INTEGER_TOL) sums exactly -round(a)
+    # terms after the leading 1; any other a runs the convergent series
+    y = 2.3
+    for a, c, terms in ((0.0, 0.5, 0), (-4.0, 1.5, 4), (-7.0 + 4e-10, 0.5, 7)):
+        s, term = 1.0, 1.0
+        for k in range(terms):
+            term *= (a + k) / (c + k) * y / (k + 1)
+            s += term
+        assert kummer_m(a, c, y) == s, a
+    for a, c in ((-0.5, 0.5), (1.2, 1.5)):
+        want = float(mpmath.hyp1f1(a, c, y))
+        assert kummer_m(a, c, y) == pytest.approx(want, rel=1e-14), a
 
 
 def test_kummer_terminating_next_coefficient_is_exactly_zero():

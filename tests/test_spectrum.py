@@ -4,8 +4,7 @@ import pytest
 
 from kgo.errors import EmptyInput, NonPositiveParameter, OutOfRange
 from kgo.spectrum import (binding_energy, energy_combined, energy_even,
-                          energy_odd, energy_second_order, generate_table,
-                          table_row)
+                          energy_odd, energy_second_order, generate_table)
 
 
 def test_energy_even_direct_values():
@@ -80,61 +79,68 @@ def test_square_form_identity():
             assert abs(lhs - rhs) <= 1e-14 * rhs, (n, b)
 
 
+def _table_row(n, b):
+    """(e_rel, e_nr_plus_one) of the one-row table-law table at (n, b)."""
+    (e_rel,), (e_nr_plus_one,) = generate_table([b], [n], "table")
+    return e_rel, e_nr_plus_one
+
+
 def test_table_row_values():
-    row = table_row(0, 0.1)
-    assert row.e_rel == pytest.approx(math.sqrt(1.2), rel=1e-15)
-    assert f"{row.e_rel:.5f}" == "1.09545"
-    assert row.e_nr_plus_one == pytest.approx(1.05, rel=1e-15)
+    e_rel, e_nr_plus_one = _table_row(0, 0.1)
+    assert e_rel == pytest.approx(math.sqrt(1.2), rel=1e-15)
+    assert f"{e_rel:.5f}" == "1.09545"
+    assert e_nr_plus_one == pytest.approx(1.05, rel=1e-15)
 
-    row = table_row(3, 0.1)
-    assert f"{row.e_rel:.5f}" == "1.34164"
-    assert row.e_nr_plus_one == pytest.approx(1.35, rel=1e-15)
+    e_rel, e_nr_plus_one = _table_row(3, 0.1)
+    assert f"{e_rel:.5f}" == "1.34164"
+    assert e_nr_plus_one == pytest.approx(1.35, rel=1e-15)
 
-    row = table_row(100, 0.0001)
-    assert f"{row.e_rel:.5f}" == "1.01005"
-    assert f"{row.e_nr_plus_one:.5f}" == "1.01005"
+    e_rel, e_nr_plus_one = _table_row(100, 0.0001)
+    assert f"{e_rel:.5f}" == "1.01005"
+    assert f"{e_nr_plus_one:.5f}" == "1.01005"
 
 
 def test_table_row_first_order_column_identity():
     # e_nr_plus_one - 1 == b (n + 1/2) to within one rounding of the sum
     for b in (1e-4, 1e-3, 0.1, 1.0):
         for n in (0, 1, 5, 31, 100):
-            row = table_row(n, b)
+            _, e_nr_plus_one = _table_row(n, b)
             want = b * (n + 0.5)
-            assert abs((row.e_nr_plus_one - 1.0) - want) <= 2.3e-16 * (1.0 + want)
+            assert abs((e_nr_plus_one - 1.0) - want) <= 2.3e-16 * (1.0 + want)
 
 
 def test_generate_table_matches_reference_column():
     printed = ["1.001", "1.002", "1.003", "1.00399", "1.00499", "1.00598",
                "1.00698", "1.00797", "1.00896", "1.00995"]
-    table = generate_table([0.001], range(10), formula="table")
-    for n, e_rel, want in zip(table.n, table.e_rel, printed):
+    e_rel_column, _ = generate_table([0.001], range(10), formula="table")
+    for n, e_rel, want in zip(range(10), e_rel_column, printed):
         decimals = len(want.split(".")[1])
         assert f"{e_rel:.{decimals}f}" == want, n
 
 
 def test_generate_table_eq21_single_row():
-    table = generate_table([0.1], [0], formula="eq21")
-    assert len(table.e_rel) == 1
-    assert table.e_rel[0] == pytest.approx(1.048809, abs=1e-6)
+    e_rel, _ = generate_table([0.1], [0], formula="eq21")
+    assert len(e_rel) == 1
+    assert e_rel[0] == pytest.approx(1.048809, abs=1e-6)
 
 
 def test_generate_table_row_order_is_n_major():
-    table = generate_table([0.1, 0.001], [0, 1], formula="table")
-    assert list(zip(table.n.tolist(), table.b.tolist())) == [
-        (0, 0.1), (0, 0.001), (1, 0.1), (1, 0.001)]
+    e_rel, e_nr_plus_one = generate_table([0.1, 0.001], [0, 1], formula="table")
+    pairs = [(0, 0.1), (0, 0.001), (1, 0.1), (1, 0.001)]
+    assert e_rel.tolist() == [math.sqrt(1 + 2 * b * (n + 1)) for n, b in pairs]
+    assert e_nr_plus_one.tolist() == [1 + b * (n + 0.5) for n, b in pairs]
 
 
 def test_generate_table_columns_equal_scalar_values_bit_for_bit():
     b_values = [1e-8, 1e-4, 0.001, 0.37, 1.0, 3.5, 1e6]
     n_values = [0, 1, 2, 7, 31, 100, 999, 12345, 10**6]
-    eq21 = generate_table(b_values, n_values, formula="eq21")
-    table = generate_table(b_values, n_values, formula="table")
+    eq21_rel, eq21_first = generate_table(b_values, n_values, formula="eq21")
+    table_rel, table_first = generate_table(b_values, n_values, formula="table")
     pairs = [(n, b) for n in n_values for b in b_values]
-    assert eq21.e_rel.tolist() == [energy_combined(n, b) for n, b in pairs]
-    assert table.e_rel.tolist() == [table_row(n, b).e_rel for n, b in pairs]
-    firsts = [table_row(n, b).e_nr_plus_one for n, b in pairs]
-    assert eq21.e_nr_plus_one.tolist() == firsts == table.e_nr_plus_one.tolist()
+    assert eq21_rel.tolist() == [energy_combined(n, b) for n, b in pairs]
+    assert table_rel.tolist() == [math.sqrt(1.0 + 2.0 * b * (n + 1.0)) for n, b in pairs]
+    firsts = [1.0 + b * (n + 0.5) for n, b in pairs]
+    assert eq21_first.tolist() == firsts == table_first.tolist()
 
 
 def test_generate_table_rejects_empty_inputs():
@@ -172,7 +178,7 @@ def test_energy_law_guards_bound_state_range():
     with pytest.raises(OutOfRange):
         energy_even(0, 1e308)
     with pytest.raises(OutOfRange):
-        table_row(2, 1e308)
+        generate_table([1e308], [2], "table")
     with pytest.raises(OutOfRange):
         generate_table([0.1, 1e308], range(3))
     with pytest.raises(OutOfRange):
