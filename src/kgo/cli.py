@@ -169,7 +169,7 @@ def build_parser() -> _Parser:
                       help="total energy in units of m c^2")
     veff.add_argument("--x-max", type=_positive_float, default=None,
                       help="half extent of the symmetric grid "
-                           "(default: 2.5x the potential zero)")
+                           "(default: 2.5x the potential zero, or 5/b when E <= 0)")
     veff.add_argument("--points", type=_odd_points, default=201)
     _add_output_options(veff)
 
@@ -188,6 +188,7 @@ def _fmt(values, decimals: int | None) -> List[str]:
 
 
 def _build_table(ns: argparse.Namespace) -> _Emission:
+    spectrum.check_levels(ns.n_max)  # before any per-level array is built
     n_values = range(ns.n_max + 1)
     e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, n_values, ns.formula)
     # rows run n-major, b-minor: each n cell repeats len(b) times and the
@@ -200,12 +201,11 @@ def _build_table(ns: argparse.Namespace) -> _Emission:
 
 
 def _build_spectrum(ns: argparse.Namespace) -> _Emission:
-    # the parity families interleave into the combined index
-    combined_index = {"combined": ns.n, "even": 2 * ns.n, "odd": 2 * ns.n + 1}[ns.parity]
+    index = spectrum.combined_index(ns.n, ns.parity)
     if ns.expansion == "second-order":
-        energy = spectrum.energy_second_order(combined_index, ns.b)
+        energy = spectrum.energy_second_order(index, ns.b)
     else:
-        energy = spectrum.energy_combined(combined_index, ns.b)
+        energy = spectrum.energy_combined(index, ns.b)
     columns = {"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity],
                "energy": _fmt([energy], ns.decimals)}
     if ns.binding:
@@ -237,8 +237,10 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
     if ns.x_max is not None:
         extent = ns.x_max
     else:
-        xstar = oracle.veff_zero_crossing(params, ns.energy)
-        extent = VEFF_DEFAULT_EXTENT_FACTOR * xstar if xstar > 0 else 5.0
+        # no zero at E <= 0: take the one at E = m c^2, so u = omega x spans [-5, 5]
+        xstar = (oracle.veff_zero_crossing(params, ns.energy)
+                 or oracle.veff_zero_crossing(params, 1.0))
+        extent = VEFF_DEFAULT_EXTENT_FACTOR * xstar
     grid = wavefn.GridSpec(extent, ns.points)
     v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
     return _Emission({"x": _fmt(grid.nodes(), ns.decimals),

@@ -37,18 +37,20 @@ TAIL_FRACTION = 0.1
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix from a uniform three-point stencil.
 
-    Intended for positive-semidefinite discretisations: eigenvalue brackets
-    start at zero.
+    diagonal is the main diagonal; off_diagonal is the one coupling shared by
+    every pair of neighbouring rows.  Intended for positive-semidefinite
+    discretisations: eigenvalue brackets start at zero.
     """
 
     diagonal: np.ndarray
-    off_diagonal: np.ndarray
+    off_diagonal: float
 
     def __post_init__(self):
         if len(self.diagonal) < 1:
             raise InvalidGrid("operator must have at least one row")
-        if len(self.off_diagonal) != len(self.diagonal) - 1:
-            raise InvalidGrid("off-diagonal must be one entry shorter than diagonal")
+        # sturm_count divides this square by every pivot, so it must be finite
+        evaluate_finite("operator coupling squared",
+                        lambda: self.off_diagonal * self.off_diagonal)
 
     @property
     def dimension(self) -> int:
@@ -59,23 +61,10 @@ class TridiagonalOperator:
         return [float(v) for v in self.diagonal]
 
     @cached_property
-    def _offsq_list(self) -> list:
-        return [float(v) * float(v) for v in self.off_diagonal]
-
-    @cached_property
-    def norm_inf(self) -> float:
-        off = np.abs(self.off_diagonal)
-        rowsum = np.abs(self.diagonal).astype(float)
-        if self.dimension > 1:
-            rowsum[:-1] += off
-            rowsum[1:] += off
-        return float(rowsum.max())
-
-    @cached_property
     def gershgorin_upper(self) -> float:
         hi = float(np.max(self.diagonal))
         if self.dimension > 1:
-            hi += 2.0 * float(np.max(np.abs(self.off_diagonal)))
+            hi += 2.0 * abs(self.off_diagonal)
         return hi
 
 
@@ -92,27 +81,21 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     h = grid.spacing
     diagonal = evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2",
                                lambda: 2.0 / h**2 + lam**2 * x**2)
-    off_diagonal = np.full(len(x) - 1, -1.0 / h**2)
-    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal)
+    return TridiagonalOperator(diagonal=diagonal, off_diagonal=-1.0 / h**2)
 
 
 def sturm_count(op: TridiagonalOperator, shift: float) -> int:
     """Number of eigenvalues strictly below shift, from LDL^T pivot signs.
 
-    A zero pivot is replaced by +eps * ||op||_inf, which counts a boundary
-    hit as not-below; bisection is insensitive to that choice.
+    A zero pivot is replaced by +eps times the Gershgorin bound, which counts
+    a boundary hit as not-below; bisection is insensitive to that choice.
     """
-    pivmin = MACHINE_EPS * op.norm_inf
-    if pivmin == 0.0:
-        pivmin = MACHINE_EPS
-    diag = op._diag_list
-    offsq = op._offsq_list
-    d = diag[0] - shift
-    if d == 0.0:
-        d = pivmin
-    count = 1 if d < 0.0 else 0
-    for i in range(1, len(diag)):
-        d = (diag[i] - shift) - offsq[i - 1] / d
+    pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
+    offsq = op.off_diagonal * op.off_diagonal
+    count = 0
+    d = math.inf  # the first row has no predecessor: offsq / inf == 0.0
+    for a in op._diag_list:
+        d = (a - shift) - offsq / d
         if d == 0.0:
             d = pivmin
         if d < 0.0:

@@ -24,16 +24,29 @@ MAX_LEVEL = 10**6
 _SHIFTS = {"eq21": 0.5, "table": 1.0}
 FORMULA_CHOICES = tuple(_SHIFTS)
 
+# parity family -> offset k of its level n in the combined index 2n + k
+_PARITY_OFFSETS = {"even": 0, "odd": 1}
 
-def _check_levels(n) -> None:
-    """Raise unless n (an int or an array of ints) lies in [0, MAX_LEVEL]."""
+
+def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
+    """Raise unless n (an int or an array of ints) lies in [0, top]."""
     levels = np.asarray(n)
     if levels.dtype.kind not in "iu":
-        raise NonPositiveParameter(f"level index must be an integer, got {n!r}")
-    outside = levels[(levels < 0) | (levels > MAX_LEVEL)]
+        raise NonPositiveParameter(f"{what} must be an integer, got {n!r}")
+    outside = levels[(levels < 0) | (levels > top)]
     if outside.size:
         raise NonPositiveParameter(
-            f"level index must be in [0, {MAX_LEVEL}], got {outside.flat[0]}")
+            f"{what} must be in [0, {top}], got {outside.flat[0]}")
+
+
+def combined_index(n: int, parity: str) -> int:
+    """Index of level n of a parity family in the combined spectrum: n, 2n or 2n + 1."""
+    if parity == "combined":
+        check_levels(n)
+        return n
+    offset = _PARITY_OFFSETS[parity]
+    check_levels(n, (MAX_LEVEL - offset) // 2, f"{parity} level index")
+    return 2 * n + offset
 
 
 def _energy_law(n, b, shift: float):
@@ -44,25 +57,23 @@ def _energy_law(n, b, shift: float):
 
 def energy_combined(n: int, b: float) -> float:
     """Ebar_n = sqrt(1 + 2 b (n + 1/2)); even and odd states interleaved."""
-    _check_levels(n)
+    check_levels(n)
     return float(_energy_law(n, check_positive("b", b), 0.5))
 
 
 def energy_even(n: int, b: float) -> float:
     """n-th even state, sqrt(1 + 2 b (2n + 1/2)); equals energy_combined(2n, b)."""
-    _check_levels(n)
-    return energy_combined(2 * n, b)
+    return energy_combined(combined_index(n, "even"), b)
 
 
 def energy_odd(n: int, b: float) -> float:
     """n-th odd state, sqrt(1 + 2 b (2n + 3/2)); equals energy_combined(2n+1, b)."""
-    _check_levels(n)
-    return energy_combined(2 * n + 1, b)
+    return energy_combined(combined_index(n, "odd"), b)
 
 
 def energy_second_order(n: int, b: float) -> float:
     """Expansion 1 + b (n + 1/2) - b^2 (n + 1/2)^2 / 2 of the combined law."""
-    _check_levels(n)
+    check_levels(n)
     bs = check_positive("b", b) * (n + 0.5)
     return evaluate_finite("second-order energy 1 + b(n + 1/2) - b^2 (n + 1/2)^2 / 2",
                            lambda: 1.0 + bs - 0.5 * bs ** 2)
@@ -91,7 +102,7 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     n = np.array(list(n_values))
     if not b.size or not n.size:
         raise EmptyInput("b_values and n_values must both be non-empty")
-    _check_levels(n)
+    check_levels(n)
     n_col = np.repeat(n, b.size)
     b_col = np.tile(b, n.size)
     return (_energy_law(n_col, b_col, _SHIFTS[formula]),

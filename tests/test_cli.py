@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -210,6 +211,7 @@ def _run_no_warnings(capsys, *argv):
     ("veff", "--b", "1e300", "--energy", "1e300"),  # E m u^2 overflows
     ("table", "--b", "1e308", "--n-max", "2", "--formula", "table"),
     ("veff", "--b", "1", "--energy", "1e300"),      # E x^2 overflows: nan profile
+    ("oracle", "--b", "1e154", "--count", "1"),     # the coupling 1/h^4 overflows
 ])
 def test_out_of_range_inputs_give_one_error_line(capsys, argv):
     code, out, err = _run_no_warnings(capsys, *argv)
@@ -233,6 +235,41 @@ def test_veff_extreme_b_prints_exact_rows(capsys, b):
     assert v_eff[0] == v_eff[4] == "-131.25" and v_eff[2] == "0"
     assert float(v_eff[1]) == float(v_eff[3]) == pytest.approx(-3.515625, rel=1e-5)
     assert lines[6:] == ["# unbounded_below_detected: true"]
+
+
+@pytest.mark.parametrize("b", ["1e-85", "1", "1e10"])
+def test_veff_default_grid_below_rest_energy_scales_with_b(capsys, b):
+    # E <= 0 has no potential zero; the default grid still spans
+    # u = omega x over [-5, 5], so V_eff(u = 5) = -25 - 625/4 at every b
+    code, out, err = _run_no_warnings(capsys, "veff", "--b", b, "--energy", "-1",
+                                      "--points", "5")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:6]]
+    assert float(rows[0][0]) == pytest.approx(-5.0 / float(b), rel=1e-12)
+    for v in (rows[0][1], rows[4][1]):
+        assert float(v) == pytest.approx(-181.25, rel=1e-12)
+
+
+def test_table_level_range_checked_before_levels_are_built(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "table", "--b", "0.1", "--n-max", "2000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == "kgo: error: level index must be in [0, 1000000], got 2000000\n"
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("parity, n, top", [("odd", "600000", "499999"),
+                                            ("even", "500001", "500000")])
+def test_spectrum_parity_range_error_names_the_typed_index(capsys, parity, n, top):
+    code, out, err = _run(capsys, "spectrum", "--b", "0.1", "--n", n,
+                          "--parity", parity)
+    assert code == 1 and out == ""
+    assert err == (f"kgo: error: {parity} level index must be in [0, {top}], "
+                   f"got {n}\n")
 
 
 def test_decimals_capped_at_exact_double_expansion(capsys):

@@ -17,19 +17,19 @@ from kgo.wavefn import GridSpec
 def _toy_operator():
     # eigenvalues 2 - sqrt(2), 2, 2 + sqrt(2)
     return TridiagonalOperator(diagonal=np.array([2.0, 2.0, 2.0]),
-                               off_diagonal=np.array([-1.0, -1.0]))
+                               off_diagonal=-1.0)
 
 
 def test_discretize_weber_hand_assembly():
     op = discretize_weber(1.0, GridSpec(2.0, 5))
     assert np.array_equal(op.diagonal, [3.0, 2.0, 3.0])
-    assert np.array_equal(op.off_diagonal, [-1.0, -1.0])
+    assert op.off_diagonal == -1.0
 
 
 def test_discretize_weber_uniform_off_diagonal():
     g = GridSpec(4.0, 41)
     op = discretize_weber(0.7, g)
-    assert np.all(op.off_diagonal == -1.0 / g.spacing**2)
+    assert op.off_diagonal == -1.0 / g.spacing**2
     assert op.dimension == 39
 
 
@@ -40,6 +40,11 @@ def test_discretize_weber_validation():
         discretize_weber(1e200, GridSpec(2.0, 5))   # lam**2 overflows
     with pytest.raises(OutOfRange, match="2/h"):
         discretize_weber(1.0, GridSpec(1e-200, 5))  # h**2 underflows to 0
+
+
+def test_operator_rejects_a_coupling_whose_square_overflows():
+    with pytest.raises(OutOfRange, match="coupling"):
+        TridiagonalOperator(np.ones(3), 1e200)
 
 
 def test_sturm_count_analytic_3x3():
@@ -80,11 +85,16 @@ def test_lowest_eigenvalues_match_scipy_eigh_tridiagonal():
     op = discretize_weber(0.7, GridSpec(6.0, 401))
     tol = 1e-10
     got = lowest_eigenvalues(op, 10, tol)
-    want = linalg.eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
+    off_diagonal = np.full(op.dimension - 1, op.off_diagonal)
+    want = linalg.eigh_tridiagonal(op.diagonal, off_diagonal, eigvals_only=True,
                                    select="i", select_range=(0, 9))
     # bisection stops with the eigenvalue inside a bracket narrower than tol;
-    # both solvers also carry rounding of order eps * ||op||
-    slack = 16.0 * MACHINE_EPS * op.norm_inf
+    # both solvers also carry rounding of order eps * ||op||_inf, the largest
+    # absolute row sum (the end rows have one neighbour)
+    row_sums = np.abs(op.diagonal)
+    row_sums[:-1] += abs(op.off_diagonal)
+    row_sums[1:] += abs(op.off_diagonal)
+    slack = 16.0 * MACHINE_EPS * row_sums.max()
     assert np.all(np.diff(got) > 0.0)
     assert np.all(np.abs(got - want) <= tol + slack)
 
@@ -123,6 +133,32 @@ def test_weber_eigenvalue_convergence_is_second_order():
             tol=1e-12)[n]
         ratio = abs(coarse - exact) / abs(fine - exact)
         assert 3.5 < ratio < 4.5, n
+
+
+# k^2 of the default oracle run, pinned bit for bit: the Sturm loop and the
+# bisection must reproduce these exact doubles
+_PINNED_K_SQUARED = {
+    (1e-8, 5, 2001): [1.0006652078925807e-08, 3.0019956236777426e-08,
+                      5.003326039462903e-08, 6.996746058347728e-08,
+                      8.998076474132888e-08],
+    (1e-3, 5, 2001): [0.000999992439113234, 0.0029999621691034505,
+                      0.004999901662972704, 0.0069998109207209894,
+                      0.008999689942348316],
+    (0.37, 5, 2001): [0.36999720181769524, 1.1099860091539022,
+                      1.8499636236300616, 2.5899300449844933,
+                      3.3298852728682897],
+    (7.5, 5, 2001): [7.499943280834338, 22.499716402403713,
+                     37.49926264123279, 52.49858199223824, 67.49767445017105],
+    (0.01, 3, 20001): [0.009999999460116966, 0.02999999719241131,
+                       0.04999999270721844],
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_K_SQUARED))
+def test_oracle_k_squared_pinned_bit_for_bit(key):
+    b, count, points = key
+    k_squared, _ = oracle_energies(from_b(b), count, points=points)
+    assert k_squared.tolist() == _PINNED_K_SQUARED[key]
 
 
 def test_oracle_energies_natural_units():

@@ -34,6 +34,18 @@ def test_interleaving_is_exact():
             assert energy_odd(k, b) == energy_combined(2 * k + 1, b)
 
 
+def test_parity_families_bound_their_own_index():
+    # each family's last level is the combined law's last, MAX_LEVEL = 10**6
+    assert energy_even(500000, 0.1) == energy_combined(10**6, 0.1)
+    assert energy_odd(499999, 0.1) == energy_combined(10**6 - 1, 0.1)
+    with pytest.raises(NonPositiveParameter,
+                       match=r"^odd level index must be in \[0, 499999\], got 500000$"):
+        energy_odd(500000, 0.1)
+    with pytest.raises(NonPositiveParameter,
+                       match=r"^even level index must be in \[0, 500000\], got 500001$"):
+        energy_even(500001, 0.1)
+
+
 def test_monotone_compression():
     for b in (1e-4, 0.1, 1.0):
         energies = [energy_combined(n, b) for n in range(1002)]
