@@ -16,8 +16,7 @@ from .specfun import (hermite, hermite_from_kummer_even,
                       hermite_from_kummer_odd, kummer_m)
 from .spectrum import (binding_energy, energy_combined, energy_even,
                        energy_odd, energy_second_order, generate_table)
-from .wavefn import (GridSpec, SampledWavefunction, default_extent,
-                     inner_product, normalization_constant, psi, psi_general,
+from .wavefn import (GridSpec, default_extent, inner_product, psi, psi_general,
                      sample)
 
 __version__ = "0.1.0"
@@ -26,13 +25,12 @@ __all__ = [
     "BudgetExceeded", "EmptyInput", "GridMismatch", "GridSpec",
     "GridTooSmall", "InvalidGrid", "KgoError", "NonConvergence",
     "NonPositiveParameter", "OscillatorParams", "OutOfRange", "PoleAtC",
-    "SampledWavefunction", "TridiagonalOperator", "UsageError", "binding_energy",
-    "default_extent", "discretize_weber",
-    "effective_potential", "energy_combined", "energy_even", "energy_odd",
-    "energy_second_order", "from_b", "generate_table", "hermite",
-    "hermite_from_kummer_even", "hermite_from_kummer_odd", "inner_product",
-    "k_squared", "kummer_m", "lowest_eigenvalues", "natural_units",
-    "normalization_constant", "oracle_energies",
+    "TridiagonalOperator", "UsageError", "binding_energy", "default_extent",
+    "discretize_weber", "effective_potential", "energy_combined",
+    "energy_even", "energy_odd", "energy_second_order", "from_b",
+    "generate_table", "hermite", "hermite_from_kummer_even",
+    "hermite_from_kummer_odd", "inner_product", "k_squared", "kummer_m",
+    "lowest_eigenvalues", "natural_units", "oracle_energies",
     "profile_effective_potential", "psi", "psi_general", "sample",
     "sturm_count",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle, spectrum, wavefn
 from .errors import KgoError, UsageError
-from .params import check_positive, from_b
+from .params import check_levels, check_positive, from_b
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -188,7 +188,7 @@ def _fmt(values, decimals: int | None) -> List[str]:
 
 
 def _build_table(ns: argparse.Namespace) -> _Emission:
-    spectrum.check_levels(ns.n_max)  # before any per-level array is built
+    check_levels(ns.n_max)  # before any per-level array is built
     n_values = range(ns.n_max + 1)
     e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, n_values, ns.formula)
     # rows run n-major, b-minor: each n cell repeats len(b) times and the
@@ -214,11 +214,11 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
 
 
 def _build_wavefn(ns: argparse.Namespace) -> _Emission:
+    check_levels(ns.n)  # before the grid is built
     extent = ns.x_max if ns.x_max is not None else wavefn.default_extent(ns.n, ns.lam)
     grid = wavefn.GridSpec(extent, ns.points)
-    sampled = wavefn.sample(ns.n, grid, ns.lam)
     return _Emission({"x": _fmt(grid.nodes(), ns.decimals),
-                      "psi": _fmt(sampled.values, ns.decimals)})
+                      "psi": _fmt(wavefn.sample(ns.n, grid, ns.lam), ns.decimals)})
 
 
 def _build_oracle(ns: argparse.Namespace) -> _Emission:

@@ -22,7 +22,7 @@ class InvalidGrid(KgoError, ValueError):
 
 
 class GridMismatch(KgoError, ValueError):
-    """Two sampled functions do not share an identical grid."""
+    """A sampled function does not hold one value per node of its grid."""
 
 
 class GridTooSmall(KgoError, ValueError):

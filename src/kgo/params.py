@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import NonPositiveParameter, OutOfRange
 
+# plain machine integers for the level index
+MAX_LEVEL = 10**6
+
 
 def check_positive(name: str, value) -> float:
     """value as a float if it is a positive, finite real number.
@@ -22,6 +25,17 @@ def check_positive(name: str, value) -> float:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise NonPositiveParameter(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
+    """The one level validator: raise unless n (an int or int array) is in [0, top]."""
+    levels = np.asarray(n)
+    if levels.dtype.kind not in "iu":
+        raise NonPositiveParameter(f"{what} must be an integer, got {n!r}")
+    outside = levels[(levels < 0) | (levels > top)]
+    if outside.size:
+        raise NonPositiveParameter(
+            f"{what} must be in [0, {top}], got {outside.flat[0]}")
 
 
 def evaluate_finite(what: str, compute):

@@ -10,6 +10,7 @@ non-integer a exists for diagnostics and is capped at SERIES_MAX_TERMS.
 import math
 
 from .errors import NonConvergence, PoleAtC
+from .params import check_levels
 
 # |v - round(v)| below this counts as an integer.  The quantisation algebra
 # upstream produces exact non-positive integers; the tolerance only guards
@@ -26,8 +27,7 @@ def _is_nonpositive_integer(v: float) -> bool:
 
 def hermite(n: int, xi: float) -> float:
     """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
-    if n < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {n}")
+    check_levels(n, what="polynomial degree")
     if n == 0:
         return 1.0
     h_prev, h = 1.0, 2.0 * xi
@@ -85,8 +85,7 @@ def _rising_product(lo: int, hi: int) -> float:
 
 def hermite_from_kummer_even(n: int, xi: float) -> float:
     """H_{2n}(xi) through the identity (-1)^n (2n)!/n! M(-n, 1/2, xi^2)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_levels(n)
     prefactor = _rising_product(n + 1, 2 * n)  # (2n)!/n!
     return (-1.0) ** n * prefactor * kummer_m(-float(n), 0.5, xi * xi)
 
@@ -97,7 +96,6 @@ def hermite_from_kummer_odd(n: int, xi: float) -> float:
     The explicit xi factor is required: without it the right-hand side is
     an even function of xi and cannot equal an odd polynomial.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_levels(n)
     prefactor = 2.0 * _rising_product(n + 1, 2 * n + 1)  # 2 (2n+1)!/n!
     return (-1.0) ** n * prefactor * xi * kummer_m(-float(n), 1.5, xi * xi)

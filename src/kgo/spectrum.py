@@ -14,11 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInput, NonPositiveParameter
-from .params import check_positive, evaluate_finite
-
-# plain machine integers for the level index
-MAX_LEVEL = 10**6
+from .errors import EmptyInput
+from .params import MAX_LEVEL, check_levels, check_positive, evaluate_finite
 
 # formula -> shift s of the law sqrt(1 + 2 b (n + s))
 _SHIFTS = {"eq21": 0.5, "table": 1.0}
@@ -26,17 +23,6 @@ FORMULA_CHOICES = tuple(_SHIFTS)
 
 # parity family -> offset k of its level n in the combined index 2n + k
 _PARITY_OFFSETS = {"even": 0, "odd": 1}
-
-
-def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
-    """Raise unless n (an int or an array of ints) lies in [0, top]."""
-    levels = np.asarray(n)
-    if levels.dtype.kind not in "iu":
-        raise NonPositiveParameter(f"{what} must be an integer, got {n!r}")
-    outside = levels[(levels < 0) | (levels > top)]
-    if outside.size:
-        raise NonPositiveParameter(
-            f"{what} must be in [0, {top}], got {outside.flat[0]}")
 
 
 def combined_index(n: int, parity: str) -> int:

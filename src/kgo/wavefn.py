@@ -2,10 +2,13 @@
 
 psi_n(x) = N_n exp(-lam x^2 / 2) H_n(sqrt(lam) x) with the constant
 N_n = sqrt( sqrt(lam/pi) / (2^n n!) ).  psi evaluates the product N_n H_n
-exp(-xi^2/2) at every n through the normalised Hermite-function recurrence
-(Gil, Segura & Temme, Numerical Methods for Special Functions, 2007), so
-the factorially growing polynomial and the shrinking constant never appear
-separately; it works on whole arrays of x at once.
+exp(-xi^2/2) on whole arrays of x through the normalised Hermite-function
+recurrence (Gil, Segura & Temme, Numerical Methods for Special Functions,
+2007), so the factorially growing polynomial and the shrinking constant
+never appear separately.  A binary exponent, carried where the Gaussian
+underflows, keeps it accurate at every level n <= MAX_LEVEL (compare
+Townsend, Trogdon & Olver, IMA J. Numer. Anal. 2016).  sample and
+inner_product work on plain arrays.
 """
 
 import math
@@ -14,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InvalidGrid
-from .params import check_positive
+from .params import check_levels, check_positive
 from .specfun import kummer_m
-
-MAX_FACTORIAL_LEVEL = 170
 
 
 @dataclass(frozen=True)
@@ -51,29 +52,9 @@ class GridSpec:
         return offsets * self.spacing
 
 
-@dataclass(frozen=True, eq=False)
-class SampledWavefunction:
-    """psi_n sampled at every node of a grid."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-
 def default_extent(n: int, lam: float) -> float:
     """Twice the classical turning point of level n plus Gaussian tail padding."""
     return 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam)
-
-
-def normalization_constant(n: int, lam: float) -> float:
-    """N_n = sqrt( sqrt(lam/pi) / (2^n n!) ), evaluated in log space."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > MAX_FACTORIAL_LEVEL:
-        raise OverflowError(
-            f"n = {n} is beyond the factorial range (n <= {MAX_FACTORIAL_LEVEL})")
-    check_positive("lam", lam)
-    return math.exp(0.25 * math.log(lam / math.pi)
-                    - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)))
 
 
 def psi(n: int, x, lam: float):
@@ -81,23 +62,42 @@ def psi(n: int, x, lam: float):
 
     Runs phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1} from
     phi_0 = pi^(-1/4) exp(-xi^2/2), xi = sqrt(lam) x, keeping only the last
-    two arrays; psi_n = lam^(1/4) phi_n.
+    two arrays; psi_n = lam^(1/4) phi_n.  Where phi_0 is not a normal double
+    it runs on phi_k 2^-e and carries e, rescaling by exact powers of two;
+    elsewhere every step rounds as in the plain recurrence.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_levels(n)
     check_positive("lam", lam)
     with np.errstate(over="ignore"):
-        xi = math.sqrt(lam) * np.asarray(x, dtype=float)
-        phi = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    # where phi_0 underflows every phi_k is zero; zeroing xi there keeps an
-    # overflowed xi from turning 0 * inf into NaN
-    xi = np.where(phi == 0.0, 0.0, xi)
-    phi_prev = np.zeros_like(phi)
-    for k in range(n):
-        phi_prev, phi = phi, (math.sqrt(2.0 / (k + 1.0)) * xi * phi
-                              - math.sqrt(k / (k + 1.0)) * phi_prev)
-    values = lam ** 0.25 * phi
-    return float(values) if values.ndim == 0 else values
+        xi = math.sqrt(lam) * np.atleast_1d(np.asarray(x, dtype=float))
+        log_gauss = -0.5 * xi * xi
+        phi = math.pi ** -0.25 * np.exp(log_gauss)
+        # where phi_0 is not a normal double, start from pi^(-1/4) 2^f and
+        # carry the exponent e of exp(-xi^2/2) = 2^(f + e), f in (-1, 0]
+        fraction, exponent = np.modf(log_gauss / math.log(2.0))
+        finite = np.isfinite(exponent)
+        carried = finite & (phi < np.finfo(float).tiny)
+        phi = np.where(carried, math.pi ** -0.25 * np.exp2(fraction), phi)
+        exponent = np.where(carried, exponent, 0.0)
+        # where xi^2 overflows psi is zero; zeroing xi there keeps 0 * inf
+        # from turning into NaN
+        xi = np.where(finite, xi, 0.0)
+        phi_prev = np.zeros_like(phi)
+        rescale = carried.any()
+        for k in range(n):
+            phi_prev, phi = phi, (math.sqrt(2.0 / (k + 1.0)) * xi * phi
+                                  - math.sqrt(k / (k + 1.0)) * phi_prev)
+            # |phi_k| < 1 wherever phi_0 is normal, so only carried values
+            # are rescaled; |phi| stays <= 2^500, whose product with
+            # sqrt(2) |xi| + 1 is finite wherever xi^2 is
+            if rescale and np.vdot(phi, phi) > 2.0 ** 1000:
+                big = np.abs(phi) > 1.0
+                phi[big], shift = np.frexp(phi[big])
+                phi_prev[big] = np.ldexp(phi_prev[big], -shift)
+                exponent[big] += shift
+    # lam^(1/4) |phi| < 2^757, so clipping exponents at -2000 changes no result
+    values = np.ldexp(lam ** 0.25 * phi, np.maximum(exponent, -2000.0).astype(int))
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def psi_general(x: float, a: float, coeff_even: float, coeff_odd: float,
@@ -116,16 +116,16 @@ def psi_general(x: float, a: float, coeff_even: float, coeff_odd: float,
     return gauss * (even_part + odd_part)
 
 
-def sample(n: int, grid: GridSpec, lam: float) -> SampledWavefunction:
+def sample(n: int, grid: GridSpec, lam: float) -> np.ndarray:
     """psi_n evaluated at every grid node."""
-    return SampledWavefunction(grid=grid, values=psi(n, grid.nodes(), lam))
+    return psi(n, grid.nodes(), lam)
 
 
-def inner_product(f: SampledWavefunction, g: SampledWavefunction) -> float:
-    """Composite-Simpson quadrature of f*g over the shared grid."""
-    if f.grid != g.grid:
-        raise GridMismatch("sampled functions live on different grids")
-    w = np.ones(f.grid.points)
+def inner_product(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
+    """Composite-Simpson quadrature over grid of f*g, each sampled at its nodes."""
+    if np.shape(f) != (grid.points,) or np.shape(g) != (grid.points,):
+        raise GridMismatch(f"sampled functions must hold one value per node of {grid}")
+    w = np.ones(grid.points)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(f.grid.spacing / 3.0 * np.dot(w, f.values * g.values))
+    return float(grid.spacing / 3.0 * np.dot(w, f * g))

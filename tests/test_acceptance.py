@@ -149,7 +149,7 @@ def test_c5_orthonormality():
     for i in range(11):
         for j in range(11):
             want = 1.0 if i == j else 0.0
-            got = inner_product(states[i], states[j])
+            got = inner_product(grid, states[i], states[j])
             assert abs(got - want) <= 1e-7, (i, j)
 
 

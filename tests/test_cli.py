@@ -212,13 +212,17 @@ def _run_no_warnings(capsys, *argv):
     ("table", "--b", "1e308", "--n-max", "2", "--formula", "table"),
     ("veff", "--b", "1", "--energy", "1e300"),      # E x^2 overflows: nan profile
     ("oracle", "--b", "1e154", "--count", "1"),     # the coupling 1/h^4 overflows
+    ("wavefn", "--n", "1000001", "--lambda", "1", "--points", "3"),  # n > MAX_LEVEL
 ])
 def test_out_of_range_inputs_give_one_error_line(capsys, argv):
     code, out, err = _run_no_warnings(capsys, *argv)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("kgo: error: ") and "floating-point range" in err
+    if "1000001" in argv:
+        assert err == "kgo: error: level index must be in [0, 1000000], got 1000001\n"
+    else:
+        assert err.startswith("kgo: error: ") and "floating-point range" in err
 
 
 @pytest.mark.parametrize("b", ["1e-85", "1e-200", "1e300"])

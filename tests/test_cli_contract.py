@@ -56,7 +56,9 @@ def argvs(draw):
         opts["parity"] = draw(st.sampled_from(["combined", "even", "odd"]))
         opts["expansion"] = draw(st.sampled_from(["exact", "second-order"]))
     elif sub == "wavefn":
-        opts["n"], opts["lambda"] = draw(st.integers(0, 60)), draw(POSITIVE)
+        # 800 puts the turning point where exp(-xi^2/2) underflows
+        opts["n"] = draw(st.one_of(st.integers(0, 60), st.sampled_from([800, MAX_LEVEL + 1])))
+        opts["lambda"] = draw(POSITIVE)
         opts["points"] = draw(POINTS)
         if draw(st.booleans()):
             opts["x-max"] = draw(POSITIVE)

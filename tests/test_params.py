@@ -3,8 +3,12 @@ import math
 import pytest
 
 from kgo.errors import NonPositiveParameter
-from kgo.params import (OscillatorParams, check_positive, from_b, k_squared,
-                        natural_units)
+from kgo.params import (MAX_LEVEL, OscillatorParams, check_positive, from_b,
+                        k_squared, natural_units)
+from kgo.specfun import (hermite, hermite_from_kummer_even,
+                         hermite_from_kummer_odd)
+from kgo.spectrum import energy_combined, energy_second_order
+from kgo.wavefn import psi
 
 
 def test_natural_units_fields_and_ratios():
@@ -93,3 +97,18 @@ def test_params_are_immutable():
     p = natural_units()
     with pytest.raises(AttributeError):
         p.mass = 2.0
+
+
+@pytest.mark.parametrize("n", [-1, MAX_LEVEL + 1])
+@pytest.mark.parametrize("call", [
+    lambda n: energy_combined(n, 0.1),
+    lambda n: energy_second_order(n, 0.1),
+    lambda n: psi(n, 0.5, 1.0),
+    lambda n: hermite(n, 0.5),
+    lambda n: hermite_from_kummer_even(n, 0.5),
+    lambda n: hermite_from_kummer_odd(n, 0.5),
+], ids=["energy_combined", "energy_second_order", "psi", "hermite",
+        "hermite_from_kummer_even", "hermite_from_kummer_odd"])
+def test_every_level_taking_function_rejects_levels_outside_the_range(call, n):
+    with pytest.raises(NonPositiveParameter, match=rf"must be in \[0, {MAX_LEVEL}\], got {n}$"):
+        call(n)

@@ -5,10 +5,23 @@ import mpmath
 import numpy as np
 import pytest
 
-from kgo.errors import GridMismatch, InvalidGrid, NonPositiveParameter
+from kgo.errors import GridMismatch, InvalidGrid
 from kgo.specfun import hermite
-from kgo.wavefn import (GridSpec, default_extent, inner_product,
-                        normalization_constant, psi, psi_general, sample)
+from kgo.wavefn import (GridSpec, default_extent, inner_product, psi,
+                        psi_general, sample)
+
+MAX_FACTORIAL_LEVEL = 170  # n! is finite up to 170!
+
+
+def normalization_constant(n, lam):
+    """N_n = sqrt( sqrt(lam/pi) / (2^n n!) ), evaluated in log space.
+
+    The constant of the direct product N_n H_n exp(-xi^2/2) that the
+    reference checks of psi and psi_general build.
+    """
+    assert 0 <= n <= MAX_FACTORIAL_LEVEL
+    return math.exp(0.25 * math.log(lam / math.pi)
+                    - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)))
 
 
 def test_gridspec_validation():
@@ -43,15 +56,6 @@ def test_normalization_constant_values():
     for lam in (0.01, 0.5, 2.0, 7.3):
         assert normalization_constant(0, lam) == pytest.approx(
             (lam / math.pi) ** 0.25, rel=1e-12)
-
-
-def test_normalization_constant_bounds():
-    with pytest.raises(OverflowError):
-        normalization_constant(171, 1.0)
-    with pytest.raises(ValueError):
-        normalization_constant(-1, 1.0)
-    with pytest.raises(NonPositiveParameter):
-        normalization_constant(0, 0.0)
 
 
 def test_psi_point_values():
@@ -91,16 +95,38 @@ def _psi_mpmath(n, x, lam):
         return float(norm * mpmath.exp(-xi * xi / 2) * mpmath.hermite(n, xi))
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 30, 31, 60, 120, 200])
+@pytest.mark.parametrize("n", [0, 1, 5, 30, 31, 60, 120, 200, 700, 800, 1500])
 def test_psi_matches_mpmath_reference(n):
     # out to the classical turning point sqrt(2n + 1) and six units of tail
-    # beyond it, in xi = sqrt(lam) x; error relative to max |psi_n|
+    # beyond it, in xi = sqrt(lam) x; error relative to max |psi_n|.  From
+    # n ~ 700 the tail, and from n ~ 745 the turning point, lie where
+    # exp(-xi^2/2) underflows
     for lam in (1.0, 2.5):
         reach = math.sqrt(2.0 * n + 1.0) + 6.0
         x = np.linspace(-reach, reach, 61) / math.sqrt(lam)
         want = np.array([_psi_mpmath(n, v, lam) for v in x.tolist()])
         error = np.abs(psi(n, x, lam) - want).max() / np.abs(want).max()
         assert error < 1e-15 * (n + 5), (n, lam, error)
+
+
+def _psi_plain_recurrence(n, x, lam):
+    """The normalised recurrence without any rescaling."""
+    xi = math.sqrt(lam) * x
+    phi = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    phi_prev = np.zeros_like(phi)
+    for k in range(n):
+        phi_prev, phi = phi, (math.sqrt(2.0 / (k + 1.0)) * xi * phi
+                              - math.sqrt(k / (k + 1.0)) * phi_prev)
+    return lam ** 0.25 * phi
+
+
+@pytest.mark.parametrize("n", [0, 30, 120, 745])
+def test_psi_is_the_plain_recurrence_where_the_gaussian_is_normal(n):
+    # |xi| <= 37 keeps exp(-xi^2/2) a normal double, so nothing is rescaled
+    # and every value is bit for bit that of the plain recurrence
+    for lam in (0.3, 1.0, 7.0):
+        x = np.linspace(-37.0, 37.0, 2001) / math.sqrt(lam)
+        assert np.array_equal(psi(n, x, lam), _psi_plain_recurrence(n, x, lam))
 
 
 def test_psi_accepts_scalar_or_array():
@@ -175,24 +201,24 @@ def _sign_changes(values):
 def test_sample_ground_state_shape():
     g = GridSpec(6.0, 201)
     s = sample(0, g, 1.0)
-    assert np.all(s.values > 0.0)
-    assert s.values.argmax() == 100
+    assert np.all(s > 0.0)
+    assert s.argmax() == 100
 
 
 def test_sample_parity_and_node_counts():
     g = GridSpec(6.0, 401)
     s1 = sample(1, g, 1.0)
-    assert np.all(s1.values[::-1] == -s1.values)
-    assert _sign_changes(s1.values) == 1
+    assert np.all(s1[::-1] == -s1)
+    assert _sign_changes(s1) == 1
     s4 = sample(4, g, 1.0)
-    assert _sign_changes(s4.values) == 4
+    assert _sign_changes(s4) == 4
 
 
 def test_sample_node_count_matches_level():
     lam = 1.0
     for n in range(21):
         g = GridSpec(default_extent(n, lam), 1201)
-        assert _sign_changes(sample(n, g, lam).values) == n, n
+        assert _sign_changes(sample(n, g, lam)) == n, n
 
 
 def test_inner_product_norm_and_orthogonality():
@@ -201,16 +227,27 @@ def test_inner_product_norm_and_orthogonality():
     s1 = sample(1, g, 1.0)
     s3 = sample(3, g, 1.0)
     s5 = sample(5, g, 1.0)
-    assert inner_product(s0, s0) == pytest.approx(1.0, abs=1e-8)
-    assert inner_product(s0, s1) == pytest.approx(0.0, abs=1e-12)
-    assert inner_product(s3, s5) == pytest.approx(0.0, abs=1e-8)
+    assert inner_product(g, s0, s0) == pytest.approx(1.0, abs=1e-8)
+    assert inner_product(g, s0, s1) == pytest.approx(0.0, abs=1e-12)
+    assert inner_product(g, s3, s5) == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [800, 1500])
+def test_sample_norm_where_the_gaussian_underflows(n):
+    # on the default grid most of psi_n lies where exp(-xi^2/2) underflows
+    grid = GridSpec(default_extent(n, 1.0), 40001)
+    s = sample(n, grid, 1.0)
+    assert inner_product(grid, s, s) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_inner_product_grid_mismatch():
-    a = sample(0, GridSpec(8.0, 801), 1.0)
+    g = GridSpec(8.0, 801)
+    a = sample(0, g, 1.0)
     b = sample(0, GridSpec(8.0, 803), 1.0)
     with pytest.raises(GridMismatch):
-        inner_product(a, b)
+        inner_product(g, a, b)
+    with pytest.raises(GridMismatch):
+        inner_product(g, b, a)
 
 
 def test_gram_matrix_is_identity():
@@ -221,15 +258,14 @@ def test_gram_matrix_is_identity():
     for i in range(11):
         for j in range(11):
             want = 1.0 if i == j else 0.0
-            assert abs(inner_product(states[i], states[j]) - want) < 1e-7, (i, j)
+            assert abs(inner_product(g, states[i], states[j]) - want) < 1e-7, (i, j)
 
 
 def _max_weber_residual(n, lam, points):
     grid = GridSpec(default_extent(n, lam), points)
-    s = sample(n, grid, lam)
+    v = sample(n, grid, lam)
     x = grid.nodes()
     h = grid.spacing
-    v = s.values
     second = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
     ksq = (2.0 * n + 1.0) * lam
     residual = second + (ksq - lam**2 * x[1:-1] ** 2) * v[1:-1]
