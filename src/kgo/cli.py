@@ -97,11 +97,12 @@ def _decimals(text: str) -> int:
     return v
 
 
-def _odd_points(text: str) -> int:
-    v = _nonnegative_int(text)
-    if v < 3 or v % 2 == 0:
-        raise argparse.ArgumentTypeError(f"must be an odd integer >= 3, got {text!r}")
-    return v
+def _points(text: str) -> int:
+    try:
+        return wavefn.check_points(int(text))
+    except ValueError:  # int() and check_points both raise ValueErrors
+        raise argparse.ArgumentTypeError(
+            f"must be an odd integer in [3, {wavefn.MAX_POINTS}], got {text!r}")
 
 
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
@@ -150,7 +151,7 @@ def build_parser() -> _Parser:
     wf.add_argument("--x-max", type=_positive_float, default=None,
                     help="half extent of the symmetric grid "
                          "(default: twice the turning point plus tail padding)")
-    wf.add_argument("--points", type=_odd_points, default=801)
+    wf.add_argument("--points", type=_points, default=801)
     _add_output_options(wf)
 
     orc = sub.add_parser("oracle",
@@ -158,7 +159,7 @@ def build_parser() -> _Parser:
     orc.add_argument("--b", type=_positive_float, required=True)
     orc.add_argument("--count", type=_positive_int, required=True,
                      help="number of lowest levels to verify")
-    orc.add_argument("--points", type=_odd_points, default=oracle.DEFAULT_POINTS)
+    orc.add_argument("--points", type=_points, default=oracle.DEFAULT_POINTS)
     orc.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOL,
                      help=f"bisection bracket width on k^2 (default: {oracle.DEFAULT_TOL:g})")
     _add_output_options(orc)
@@ -170,7 +171,7 @@ def build_parser() -> _Parser:
     veff.add_argument("--x-max", type=_positive_float, default=None,
                       help="half extent of the symmetric grid "
                            "(default: 2.5x the potential zero, or 5/b when E <= 0)")
-    veff.add_argument("--points", type=_odd_points, default=201)
+    veff.add_argument("--points", type=_points, default=201)
     _add_output_options(veff)
 
     return parser
@@ -225,7 +226,7 @@ def _build_oracle(ns: argparse.Namespace) -> _Emission:
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
-    reference = np.array([spectrum.energy_combined(n, ns.b) for n in levels])
+    reference = spectrum.generate_table([ns.b], levels)[0]
     d = ns.decimals
     return _Emission({"n": [str(n) for n in levels], "k_squared": _fmt(k_squared, d),
                       "e_oracle": _fmt(e_oracle, d), "e_eq21": _fmt(reference, d),
@@ -294,7 +295,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"kgo: error: {exc}", file=sys.stderr)
         return 2
-    except (KgoError, OverflowError) as exc:
+    except KgoError as exc:
         print(f"kgo: error: {exc}", file=sys.stderr)
         return 1
     return 0

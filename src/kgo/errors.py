@@ -33,8 +33,8 @@ class EmptyInput(KgoError, ValueError):
     """An input collection that must be non-empty was empty."""
 
 
-class OutOfRange(KgoError, ArithmeticError):
-    """A closed-form result does not fit in double precision."""
+class OutOfRange(KgoError, OverflowError):
+    """A computed result does not fit in double precision (params.evaluate_finite)."""
 
 
 class BudgetExceeded(KgoError, ArithmeticError):

@@ -5,12 +5,13 @@ Only real arguments are supported.  The series for M terminates to a
 polynomial whenever a is a non-positive integer; that case is summed
 exactly over its finitely many nonzero terms.  The convergent branch for
 non-integer a exists for diagnostics and is capped at SERIES_MAX_TERMS.
+A result outside the double range raises OutOfRange (params.evaluate_finite).
 """
 
 import math
 
 from .errors import NonConvergence, PoleAtC
-from .params import check_levels
+from .params import check_levels, evaluate_finite
 
 # |v - round(v)| below this counts as an integer.  The quantisation algebra
 # upstream produces exact non-positive integers; the tolerance only guards
@@ -28,14 +29,10 @@ def _is_nonpositive_integer(v: float) -> bool:
 def hermite(n: int, xi: float) -> float:
     """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
     check_levels(n, what="polynomial degree")
-    if n == 0:
-        return 1.0
-    h_prev, h = 1.0, 2.0 * xi
-    for k in range(1, n):
+    h_prev, h = 0.0, 1.0
+    for k in range(n):
         h_prev, h = h, 2.0 * xi * h - 2.0 * k * h_prev
-    if not math.isfinite(h):
-        raise OverflowError(f"H_{n}({xi!r}) exceeds the floating-point range")
-    return h
+    return evaluate_finite(f"H_{n}({xi!r})", lambda: h)
 
 
 def kummer_m(a: float, c: float, y: float) -> float:
@@ -44,50 +41,39 @@ def kummer_m(a: float, c: float, y: float) -> float:
     Terminating case (a a non-positive integer): the sum runs over its
     -round(a) + 1 nonzero terms only.  Otherwise terms accumulate until two
     consecutive terms fall below SERIES_REL_TOL relative to the partial sum.
-    A non-positive integer c (within INTEGER_TOL) is a pole: PoleAtC.
+    A non-positive integer c (within INTEGER_TOL) is a pole: PoleAtC.  A sum
+    outside the double range is OutOfRange; NonConvergence means only that
+    SERIES_MAX_TERMS terms did not meet the tolerance.
     """
     if _is_nonpositive_integer(c):
         raise PoleAtC(f"M(a, c, y) has a pole at c = {c!r}")
-    s = 1.0
-    term = 1.0
+    what = f"M({a!r}, {c!r}, {y!r})"
+    s = term = 1.0
     if _is_nonpositive_integer(a):
         for k in range(int(-round(a))):
             term *= (a + k) / (c + k) * y / (k + 1)
             s += term
-        return s
+        return evaluate_finite(what, lambda: s)
     consecutive_small = 0
     for k in range(SERIES_MAX_TERMS):
         term *= (a + k) / (c + k) * y / (k + 1)
         s += term
-        if not math.isfinite(s):
-            raise NonConvergence(
-                f"M({a!r}, {c!r}, {y!r}) is not representable in double precision")
-        if abs(term) <= SERIES_REL_TOL * abs(s):
+        # an inf or nan partial sum stops here too, and evaluate_finite reports it
+        if not abs(term) > SERIES_REL_TOL * abs(s):
             consecutive_small += 1
             if consecutive_small >= 2:
-                return s
+                return evaluate_finite(what, lambda: s)
         else:
             consecutive_small = 0
-    raise NonConvergence(
-        f"M({a!r}, {c!r}, {y!r}) did not converge within {SERIES_MAX_TERMS} terms")
-
-
-def _rising_product(lo: int, hi: int) -> float:
-    """lo * (lo + 1) * ... * hi in floating point (1.0 for an empty range)."""
-    p = 1.0
-    for k in range(lo, hi + 1):
-        p *= k
-        if not math.isfinite(p):
-            raise OverflowError(
-                f"factorial prefactor {lo}*...*{hi} exceeds the floating-point range")
-    return p
+    raise NonConvergence(f"{what} did not converge within {SERIES_MAX_TERMS} terms")
 
 
 def hermite_from_kummer_even(n: int, xi: float) -> float:
     """H_{2n}(xi) through the identity (-1)^n (2n)!/n! M(-n, 1/2, xi^2)."""
     check_levels(n)
-    prefactor = _rising_product(n + 1, 2 * n)  # (2n)!/n!
-    return (-1.0) ** n * prefactor * kummer_m(-float(n), 0.5, xi * xi)
+    prefactor = math.prod(map(float, range(n + 1, 2 * n + 1)))  # (2n)!/n!
+    m = kummer_m(-float(n), 0.5, xi * xi)
+    return evaluate_finite(f"H_{2 * n}({xi!r})", lambda: (-1.0) ** n * prefactor * m)
 
 
 def hermite_from_kummer_odd(n: int, xi: float) -> float:
@@ -97,5 +83,7 @@ def hermite_from_kummer_odd(n: int, xi: float) -> float:
     an even function of xi and cannot equal an odd polynomial.
     """
     check_levels(n)
-    prefactor = 2.0 * _rising_product(n + 1, 2 * n + 1)  # 2 (2n+1)!/n!
-    return (-1.0) ** n * prefactor * xi * kummer_m(-float(n), 1.5, xi * xi)
+    prefactor = 2.0 * math.prod(map(float, range(n + 1, 2 * n + 2)))  # 2 (2n+1)!/n!
+    m = kummer_m(-float(n), 1.5, xi * xi)
+    return evaluate_finite(f"H_{2 * n + 1}({xi!r})",
+                           lambda: (-1.0) ** n * prefactor * xi * m)

@@ -17,8 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, InvalidGrid
-from .params import check_levels, check_positive
+from .params import check_levels, check_positive, evaluate_finite
 from .specfun import kummer_m
+
+# a 10^6 + 1 point grid and its formatted rows fit in 1 GiB of address space
+MAX_POINTS = 10**6 + 1
+
+
+def check_points(points) -> int:
+    """The one grid-size rule: points if it is an odd integer in [3, MAX_POINTS]."""
+    if not isinstance(points, int) or not 3 <= points <= MAX_POINTS or points % 2 == 0:
+        raise InvalidGrid(
+            f"points must be an odd integer in [3, {MAX_POINTS}], got {points!r}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -36,12 +47,9 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.extent) and self.extent > 0.0):
             raise InvalidGrid(f"grid extent must be positive and finite, got {self.extent!r}")
-        if not isinstance(self.points, int) or self.points < 3 or self.points % 2 == 0:
-            raise InvalidGrid(f"points must be an odd integer >= 3, got {self.points!r}")
-        if not math.isfinite(self.spacing):
-            raise InvalidGrid(
-                f"grid spacing over [-{self.extent!r}, {self.extent!r}] exceeds the "
-                "floating-point range")
+        check_points(self.points)
+        evaluate_finite(f"grid spacing over [-{self.extent!r}, {self.extent!r}]",
+                        lambda: self.spacing)
 
     @property
     def spacing(self) -> float:

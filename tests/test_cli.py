@@ -1,5 +1,6 @@
 import json
 import math
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -305,6 +306,23 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     assert "kgo" in proc.stdout
     assert "table" in proc.stdout
+
+
+def _limit_address_space_to_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [("wavefn", "--n", "0", "--lambda", "1"),
+                                  ("oracle", "--b", "1", "--count", "1")])
+def test_points_beyond_cap_is_a_usage_error_under_memory_limit(argv):
+    # uncapped, the 200000001-node grid needs 1.5 GiB for its offsets alone
+    proc = subprocess.run([sys.executable, "-m", "kgo", *argv, "--points", "200000001"],
+                          capture_output=True, text=True,
+                          preexec_fn=_limit_address_space_to_1_gib)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("kgo: error: ") and "1000001" in proc.stderr
 
 
 def test_module_entry_point_exit_codes():

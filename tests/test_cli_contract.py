@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from kgo.cli import MAX_DECIMALS, main
 from kgo.spectrum import MAX_LEVEL
+from kgo.wavefn import MAX_POINTS
 
 DOUBLE_MAX = 1.7976931348623157e308
 # extremes and a few texts the option parsers must reject, or any double
@@ -37,7 +38,8 @@ FINITE = st.one_of(
 TOL = st.sampled_from([5e-324, 1e-300, 1e-12, 1e-10, 1e-3, 1.0, 1e300]).map(repr)
 LEVEL = st.one_of(st.integers(0, 50),
                   st.sampled_from([MAX_LEVEL // 2, MAX_LEVEL - 1, MAX_LEVEL, MAX_LEVEL + 1]))
-POINTS = st.integers(1, 25).map(lambda k: 2 * k + 1)  # odd, 3..51
+# odd, 3..51, or the first odd count past the cap
+POINTS = st.one_of(st.integers(1, 25).map(lambda k: 2 * k + 1), st.just(MAX_POINTS + 2))
 DECIMALS = st.one_of(st.none(), st.integers(0, 40),
                      st.sampled_from([MAX_DECIMALS - 1, MAX_DECIMALS, MAX_DECIMALS + 1]))
 

@@ -3,8 +3,10 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgo.errors import NonConvergence, PoleAtC
+from kgo.errors import KgoError, NonConvergence, OutOfRange, PoleAtC
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd, kummer_m)
 
@@ -158,10 +160,34 @@ def test_kummer_matches_mpmath_hyp1f1(a_values):
 
 
 def test_kummer_nonconvergence_signalled():
+    # the term cap is hit while the sum is still finite
     with pytest.raises(NonConvergence):
         kummer_m(0.5, 1.5, 400.0)
-    with pytest.raises(NonConvergence):
+
+
+def test_kummer_overflow_signalled():
+    # the partial sum passes the double range before the term cap
+    with pytest.raises(OutOfRange):
         kummer_m(0.5, 1.5, 800.0)
+
+
+def test_kummer_terminating_overflow_signalled():
+    # the polynomial's terms pass the double range and cancel into nan
+    with pytest.raises(OutOfRange):
+        kummer_m(-400.0, 0.5, 900.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(0, 600), xi=st.floats(-1e3, 1e3),
+       a=st.one_of(st.integers(-60, 0).map(float), st.floats(-1e3, 1e3)),
+       c=st.sampled_from([0.5, 1.5, 3.2]), y=st.floats(-1e3, 1e3))
+def test_results_are_finite_or_a_kgo_error(n, xi, a, c, y):
+    for compute in (lambda: hermite(n, xi), lambda: kummer_m(a, c, y)):
+        try:
+            value = compute()
+        except KgoError:
+            continue
+        assert isinstance(value, float) and math.isfinite(value), (n, xi, a, c, y)
 
 
 def test_even_bridge_examples():

@@ -5,10 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from kgo.errors import GridMismatch, InvalidGrid
+from kgo.errors import GridMismatch, InvalidGrid, OutOfRange
 from kgo.specfun import hermite
-from kgo.wavefn import (GridSpec, default_extent, inner_product, psi,
-                        psi_general, sample)
+from kgo.wavefn import (MAX_POINTS, GridSpec, default_extent, inner_product,
+                        psi, psi_general, sample)
 
 MAX_FACTORIAL_LEVEL = 170  # n! is finite up to 170!
 
@@ -32,8 +32,15 @@ def test_gridspec_validation():
     for extent in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(InvalidGrid):
             GridSpec(extent, 5)
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(OutOfRange):
         GridSpec(1e308, 5)            # spacing overflows
+
+
+def test_gridspec_points_capped():
+    assert GridSpec(1.0, MAX_POINTS).points == MAX_POINTS
+    for points in (MAX_POINTS + 2, 200000001):
+        with pytest.raises(InvalidGrid):
+            GridSpec(1.0, points)
 
 
 def test_gridspec_nodes_symmetric_and_exact():
@@ -162,6 +169,12 @@ def test_psi_general_at_origin_is_even_coefficient():
 def test_psi_general_two_term_case():
     want = math.exp(-0.5) * (-1.0)
     assert psi_general(1.0, -1.0, 1.0, 0.0, 1.0) == pytest.approx(want, rel=1e-13)
+
+
+def test_psi_general_out_of_range_signalled():
+    # M(-400, 1/2, 900) sums past the double range
+    with pytest.raises(OutOfRange):
+        psi_general(30.0, -400.0, 1.0, 0.0, 1.0)
 
 
 def test_psi_general_reproduces_even_states():
