@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -48,22 +49,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_float(text: str) -> float:
-    try:
-        return check_positive("value", float(text))
-    except ValueError:  # float() and check_positive both raise ValueErrors
-        raise argparse.ArgumentTypeError(
-            f"must be a positive and finite number, got {text!r}")
+def _arg(convert, check, expected: str):
+    """An argparse type returning check(convert(text)).
+
+    Any ValueError, from the conversion or from the library's own check,
+    becomes the one usage-error form "must be <expected>, got '<text>'".
+    """
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+    return parse
 
 
-def _finite_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return v
+def _within(lo, hi):
+    """A check passing values in [lo, hi] and raising ValueError otherwise."""
+    def check(value):
+        if not lo <= value <= hi:
+            raise ValueError
+        return value
+    return check
+
+
+_positive_float = _arg(float, partial(check_positive, "value"),
+                       "a positive and finite number")
+_finite_float = _arg(float, _within(-sys.float_info.max, sys.float_info.max),
+                     "a finite number")
+_nonnegative_int = _arg(int, _within(0, math.inf), "an integer >= 0")
+_positive_int = _arg(int, _within(1, math.inf), "an integer >= 1")
+_decimals = _arg(int, _within(0, MAX_DECIMALS), f"an integer in [0, {MAX_DECIMALS}]")
+_points = _arg(int, wavefn.check_points,
+               f"an odd integer in [3, {wavefn.MAX_POINTS}]")
 
 
 def _positive_float_list(text: str) -> List[float]:
@@ -71,38 +88,6 @@ def _positive_float_list(text: str) -> List[float]:
     if not items:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     return [_positive_float(t) for t in items]
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return v
-
-
-def _positive_int(text: str) -> int:
-    v = _nonnegative_int(text)
-    if v == 0:
-        raise argparse.ArgumentTypeError("must be >= 1, got '0'")
-    return v
-
-
-def _decimals(text: str) -> int:
-    v = _nonnegative_int(text)
-    if v > MAX_DECIMALS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_DECIMALS}, got {text!r}")
-    return v
-
-
-def _points(text: str) -> int:
-    try:
-        return wavefn.check_points(int(text))
-    except ValueError:  # int() and check_points both raise ValueErrors
-        raise argparse.ArgumentTypeError(
-            f"must be an odd integer in [3, {wavefn.MAX_POINTS}], got {text!r}")
 
 
 def _add_output_options(sub: argparse.ArgumentParser) -> None:

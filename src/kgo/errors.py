@@ -6,7 +6,12 @@ class KgoError(Exception):
 
 
 class NonPositiveParameter(KgoError, ValueError):
-    """A parameter that must be positive was zero, negative or non-finite."""
+    """An input is outside its allowed range.
+
+    A positive quantity (b, lam, a tolerance, a grid extent) was zero,
+    negative or non-finite, or an integer (a level index, a count, a
+    polynomial degree) lies outside its bounds.
+    """
 
 
 class PoleAtC(KgoError, ValueError):

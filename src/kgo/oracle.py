@@ -190,19 +190,15 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
 
     The flag is set when, over the outermost tenth of the samples beyond the
     sign change at x* = 2 sqrt(E/m)/omega, the potential is negative and
-    still decreasing outward.  The grid must extend beyond x*.
+    still decreasing outward.  At least 2 grid nodes must lie beyond x*.
     """
     xstar = veff_zero_crossing(params, energy)
-    if grid.extent <= xstar:
-        raise GridTooSmall(
-            f"grid ends at {grid.extent!r}, inside the potential zero at {xstar:g}")
     x = grid.nodes()
-    v = effective_potential(params, energy, x)
-    beyond = np.where(x > xstar)[0]
+    beyond = np.flatnonzero(x > xstar)
     if len(beyond) < 2:
         raise GridTooSmall(
             f"grid has {len(beyond)} node(s) beyond the potential zero at "
             f"{xstar:g}; at least 2 are needed")
-    tail_len = max(2, math.ceil(TAIL_FRACTION * len(beyond)))
-    tail = v[beyond[-min(tail_len, len(beyond)):]]
+    v = effective_potential(params, energy, x)
+    tail = v[beyond[-max(2, math.ceil(TAIL_FRACTION * len(beyond))):]]
     return v, bool(np.all(tail < 0.0) and np.all(np.diff(tail) < 0.0))

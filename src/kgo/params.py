@@ -30,7 +30,10 @@ def check_positive(name: str, value) -> float:
 def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
     """The one level validator: raise unless n (an int or int array) is in [0, top]."""
     levels = np.asarray(n)
-    if levels.dtype.kind not in "iu":
+    # a Python int past the 64-bit range makes an object array
+    integral = levels.dtype.kind in "iu" or (
+        levels.dtype.kind == "O" and all(type(v) is int for v in levels.flat))
+    if not integral:
         raise NonPositiveParameter(f"{what} must be an integer, got {n!r}")
     outside = levels[(levels < 0) | (levels > top)]
     if outside.size:

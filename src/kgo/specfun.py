@@ -39,7 +39,8 @@ def kummer_m(a: float, c: float, y: float) -> float:
     """M(a, c, y) = sum_k (a)_k / (c)_k * y^k / k! by direct summation.
 
     Terminating case (a a non-positive integer): the sum runs over its
-    -round(a) + 1 nonzero terms only.  Otherwise terms accumulate until two
+    -round(a) + 1 nonzero terms only, and the degree -round(a) must be a
+    level (params.check_levels).  Otherwise terms accumulate until two
     consecutive terms fall below SERIES_REL_TOL relative to the partial sum.
     A non-positive integer c (within INTEGER_TOL) is a pole: PoleAtC.  A sum
     outside the double range is OutOfRange; NonConvergence means only that
@@ -50,7 +51,9 @@ def kummer_m(a: float, c: float, y: float) -> float:
     what = f"M({a!r}, {c!r}, {y!r})"
     s = term = 1.0
     if _is_nonpositive_integer(a):
-        for k in range(int(-round(a))):
+        degree = int(-round(a))
+        check_levels(degree, what="polynomial degree")  # bounds the loop
+        for k in range(degree):
             term *= (a + k) / (c + k) * y / (k + 1)
             s += term
         return evaluate_finite(what, lambda: s)

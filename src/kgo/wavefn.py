@@ -45,8 +45,7 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.extent) and self.extent > 0.0):
-            raise InvalidGrid(f"grid extent must be positive and finite, got {self.extent!r}")
+        check_positive("grid extent", self.extent)
         check_points(self.points)
         evaluate_finite(f"grid spacing over [-{self.extent!r}, {self.extent!r}]",
                         lambda: self.spacing)

@@ -300,6 +300,34 @@ def test_wavefn_far_tails_print_zero_rows(capsys):
     assert [v for _, v in rows] == ["0", "0", "0.459969", "0", "0"]
 
 
+POSITIVE = "must be a positive and finite number"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--n", "0", "--b", "0"), f"--b: {POSITIVE}, got '0'"),
+    (("spectrum", "--n", "0", "--b", ","), f"--b: {POSITIVE}, got ','"),
+    (("table", "--n-max", "1", "--b", "0.1,0"), f"--b: {POSITIVE}, got '0'"),  # the item
+    (("veff", "--b", "1", "--energy", "nan"), "--energy: must be a finite number, got 'nan'"),
+    (("spectrum", "--b", "0.1", "--n", "-1"), "--n: must be an integer >= 0, got '-1'"),
+    (("oracle", "--b", "1", "--count", "0"), "--count: must be an integer >= 1, got '0'"),
+    (("table", "--b", "0.1", "--n-max", "1", "--decimals", "1075"),
+     "--decimals: must be an integer in [0, 1074], got '1075'"),
+    (("wavefn", "--n", "0", "--lambda", "1", "--points", "4"),
+     "--points: must be an odd integer in [3, 1000001], got '4'"),
+    (("oracle", "--b", "1", "--count", "1", "--tol", "inf"), f"--tol: {POSITIVE}, got 'inf'"),
+])
+def test_usage_errors_name_the_option_the_rule_and_the_text(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"kgo: error: argument {message}\n"
+
+
+def test_level_index_past_64_bits_is_out_of_range(capsys):
+    code, out, err = _run(capsys, "spectrum", "--b", "0.1", "--n", str(10**20))
+    assert code == 1 and out == ""
+    assert err == f"kgo: error: level index must be in [0, 1000000], got {10**20}\n"
+
+
 def test_module_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "kgo", "--help"],
                           capture_output=True, text=True)

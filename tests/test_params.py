@@ -3,8 +3,8 @@ import math
 import pytest
 
 from kgo.errors import NonPositiveParameter
-from kgo.params import (MAX_LEVEL, OscillatorParams, check_positive, from_b,
-                        k_squared, natural_units)
+from kgo.params import (MAX_LEVEL, OscillatorParams, check_levels, check_positive,
+                        from_b, k_squared, natural_units)
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd)
 from kgo.spectrum import energy_combined, energy_second_order
@@ -99,7 +99,8 @@ def test_params_are_immutable():
         p.mass = 2.0
 
 
-@pytest.mark.parametrize("n", [-1, MAX_LEVEL + 1])
+# numpy holds an integer past 64 bits in an object array; it is still a level
+@pytest.mark.parametrize("n", [-1, MAX_LEVEL + 1, 10**20, -10**20])
 @pytest.mark.parametrize("call", [
     lambda n: energy_combined(n, 0.1),
     lambda n: energy_second_order(n, 0.1),
@@ -112,3 +113,15 @@ def test_params_are_immutable():
 def test_every_level_taking_function_rejects_levels_outside_the_range(call, n):
     with pytest.raises(NonPositiveParameter, match=rf"must be in \[0, {MAX_LEVEL}\], got {n}$"):
         call(n)
+
+
+def test_check_levels_reports_the_first_level_past_64_bits_in_an_array():
+    with pytest.raises(NonPositiveParameter,
+                       match=rf"^level index must be in \[0, {MAX_LEVEL}\], got {2**64}$"):
+        check_levels([3, 2**64, 10**20])
+
+
+@pytest.mark.parametrize("n", [1.0, True, None, "3", [1, 10**20, 2.5]])
+def test_check_levels_rejects_non_integers(n):
+    with pytest.raises(NonPositiveParameter, match="^level index must be an integer"):
+        check_levels(n)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgo.errors import KgoError, NonConvergence, OutOfRange, PoleAtC
+from kgo.errors import (KgoError, NonConvergence, NonPositiveParameter, OutOfRange,
+                        PoleAtC)
+from kgo.params import MAX_LEVEL
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd, kummer_m)
 
@@ -175,6 +177,16 @@ def test_kummer_terminating_overflow_signalled():
     # the polynomial's terms pass the double range and cancel into nan
     with pytest.raises(OutOfRange):
         kummer_m(-400.0, 0.5, 900.0)
+
+
+@pytest.mark.parametrize("a, degree", [(-(MAX_LEVEL + 1.0), MAX_LEVEL + 1),
+                                       (-1e300, int(1e300))])
+def test_kummer_terminating_degree_is_a_checked_level(a, degree):
+    # unchecked, the polynomial branch would run -a iterations before failing
+    with pytest.raises(NonPositiveParameter,
+                       match=rf"^polynomial degree must be in \[0, {MAX_LEVEL}\], "
+                             rf"got {degree}$"):
+        kummer_m(a, 0.5, 1.0)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kgo.errors import GridMismatch, InvalidGrid, OutOfRange
+from kgo.errors import GridMismatch, InvalidGrid, NonPositiveParameter, OutOfRange
 from kgo.specfun import hermite
 from kgo.wavefn import (MAX_POINTS, GridSpec, default_extent, inner_product,
                         psi, psi_general, sample)
@@ -30,7 +30,7 @@ def test_gridspec_validation():
     with pytest.raises(InvalidGrid):
         GridSpec(1.0, 1)              # too few
     for extent in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(NonPositiveParameter):
             GridSpec(extent, 5)
     with pytest.raises(OutOfRange):
         GridSpec(1e308, 5)            # spacing overflows
@@ -175,6 +175,12 @@ def test_psi_general_out_of_range_signalled():
     # M(-400, 1/2, 900) sums past the double range
     with pytest.raises(OutOfRange):
         psi_general(30.0, -400.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0), (0.0, 1.0)])
+def test_psi_general_rejects_a_huge_polynomial_degree(coeffs):
+    with pytest.raises(NonPositiveParameter, match="^polynomial degree"):
+        psi_general(1.0, -1e300, *coeffs, 1.0)
 
 
 def test_psi_general_reproduces_even_states():
