@@ -10,7 +10,7 @@ A result outside the double range raises OutOfRange (params.evaluate_finite).
 
 import math
 
-from .errors import NonConvergence, PoleAtC
+from .errors import NonConvergence, NonPositiveParameter, PoleAtC
 from .params import check_levels, evaluate_finite
 
 # |v - round(v)| below this counts as an integer.  The quantisation algebra
@@ -46,6 +46,8 @@ def kummer_m(a: float, c: float, y: float) -> float:
     outside the double range is OutOfRange; NonConvergence means only that
     SERIES_MAX_TERMS terms did not meet the tolerance.
     """
+    if not (math.isfinite(a) and math.isfinite(c)):  # round() needs finite values
+        raise NonPositiveParameter(f"M(a, c, y) needs finite a and c, got {a!r}, {c!r}")
     if _is_nonpositive_integer(c):
         raise PoleAtC(f"M(a, c, y) has a pole at c = {c!r}")
     what = f"M({a!r}, {c!r}, {y!r})"

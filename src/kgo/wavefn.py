@@ -61,6 +61,8 @@ class GridSpec:
 
 def default_extent(n: int, lam: float) -> float:
     """Twice the classical turning point of level n plus Gaussian tail padding."""
+    check_levels(n)
+    check_positive("lam", lam)
     return 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam)
 
 

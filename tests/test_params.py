@@ -8,7 +8,7 @@ from kgo.params import (MAX_LEVEL, OscillatorParams, check_levels, check_positiv
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd)
 from kgo.spectrum import energy_combined, energy_second_order
-from kgo.wavefn import psi
+from kgo.wavefn import default_extent, psi
 
 
 def test_natural_units_fields_and_ratios():
@@ -91,6 +91,9 @@ def test_check_positive_returns_float_or_names_the_parameter():
     for bad in (0.0, -1.0, float("inf"), float("nan"), "1.0", None):
         with pytest.raises(NonPositiveParameter, match="^tol must be positive"):
             check_positive("tol", bad)
+    for lam in (0.0, -1.0):  # a library caller names its own parameter
+        with pytest.raises(NonPositiveParameter, match="^lam must be positive"):
+            default_extent(0, lam)
 
 
 def test_params_are_immutable():
@@ -108,8 +111,9 @@ def test_params_are_immutable():
     lambda n: hermite(n, 0.5),
     lambda n: hermite_from_kummer_even(n, 0.5),
     lambda n: hermite_from_kummer_odd(n, 0.5),
+    lambda n: default_extent(n, 1.0),
 ], ids=["energy_combined", "energy_second_order", "psi", "hermite",
-        "hermite_from_kummer_even", "hermite_from_kummer_odd"])
+        "hermite_from_kummer_even", "hermite_from_kummer_odd", "default_extent"])
 def test_every_level_taking_function_rejects_levels_outside_the_range(call, n):
     with pytest.raises(NonPositiveParameter, match=rf"must be in \[0, {MAX_LEVEL}\], got {n}$"):
         call(n)

@@ -11,6 +11,7 @@ from kgo.errors import (KgoError, NonConvergence, NonPositiveParameter, OutOfRan
 from kgo.params import MAX_LEVEL
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd, kummer_m)
+from kgo.wavefn import psi_general
 
 XI_SAMPLE = (-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0)
 
@@ -187,6 +188,19 @@ def test_kummer_terminating_degree_is_a_checked_level(a, degree):
                        match=rf"^polynomial degree must be in \[0, {MAX_LEVEL}\], "
                              rf"got {degree}$"):
         kummer_m(a, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kummer_m(math.nan, 0.5, 1.0),
+    lambda: kummer_m(-math.inf, 0.5, 1.0),
+    lambda: kummer_m(0.5, math.nan, 1.0),
+    lambda: kummer_m(0.5, math.inf, 1.0),
+    lambda: psi_general(1.0, math.nan, 1.0, 0.0, 1.0),
+], ids=["a_nan", "a_minus_inf", "c_nan", "c_inf", "psi_general"])
+def test_kummer_rejects_non_finite_a_and_c(call):
+    # round() on a non-finite a or c would raise a bare ValueError or OverflowError
+    with pytest.raises(NonPositiveParameter, match="^M\\(a, c, y\\) needs finite a and c"):
+        call()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
