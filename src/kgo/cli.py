@@ -279,4 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KgoError as exc:
         print(f"kgo: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # rows are written only once all are built: stdout is empty
+        print("kgo: error: out of memory", file=sys.stderr)
+        return 1
     return 0

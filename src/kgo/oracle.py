@@ -20,10 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BudgetExceeded, GridTooSmall, InvalidGrid,
-                     NonPositiveParameter)
+from .errors import InvalidInput, NonConvergence
 from .params import OscillatorParams, check_positive, evaluate_finite
-from .wavefn import GridSpec, default_extent
+from .wavefn import GridSpec, check_points, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
@@ -47,7 +46,7 @@ class TridiagonalOperator:
 
     def __post_init__(self):
         if len(self.diagonal) < 1:
-            raise InvalidGrid("operator must have at least one row")
+            raise InvalidInput("operator must have at least one row")
         # sturm_count divides this square by every pivot, so it must be finite
         evaluate_finite("operator coupling squared",
                         lambda: self.off_diagonal * self.off_diagonal)
@@ -103,6 +102,13 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
     return count
 
 
+def _check_count(count: int, dimension: int) -> None:
+    if count < 1:
+        raise InvalidInput(f"count must be >= 1, got {count}")
+    if count > dimension:
+        raise InvalidInput(f"count = {count} exceeds the matrix dimension {dimension}")
+
+
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
                        tol: float) -> np.ndarray:
     """First `count` eigenvalues by Sturm bisection, as an ascending array.
@@ -111,11 +117,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     is bisected until the bracket is narrower than tol; the bracket midpoint
     is returned.
     """
-    if count < 1:
-        raise NonPositiveParameter(f"count must be >= 1, got {count}")
-    if count > op.dimension:
-        raise NonPositiveParameter(
-            f"count = {count} exceeds the matrix dimension {op.dimension}")
+    _check_count(count, op.dimension)
     check_positive("tol", tol)
     hi0 = op.gershgorin_upper
     k_squared = np.empty(count)
@@ -124,7 +126,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
         iterations = 0
         while hi - lo > tol:
             if iterations >= BISECTION_MAX_ITER:
-                raise BudgetExceeded(
+                raise NonConvergence(
                     f"eigenvalue {j}: bracket still {hi - lo:g} wide after "
                     f"{BISECTION_MAX_ITER} bisection steps (tol = {tol:g})")
             mid = 0.5 * (lo + hi)
@@ -147,8 +149,9 @@ def oracle_energies(params: OscillatorParams, count: int,
     Ebar = sqrt(1 + b k^2 / lam), the dimensionless inversion of
     k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).
     """
-    if count < 1:
-        raise NonPositiveParameter(f"count must be >= 1, got {count}")
+    # one operator row per interior node; checked before default_extent, which
+    # would report count - 1 as an out-of-range level
+    _check_count(count, check_points(points) - 2)
     grid = GridSpec(default_extent(count - 1, params.lam), points)
     k_squared = lowest_eigenvalues(discretize_weber(params.lam, grid), count, tol)
     return k_squared, np.sqrt(1.0 + params.b / params.lam * k_squared)
@@ -196,7 +199,7 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
     x = grid.nodes()
     beyond = np.flatnonzero(x > xstar)
     if len(beyond) < 2:
-        raise GridTooSmall(
+        raise InvalidInput(
             f"grid has {len(beyond)} node(s) beyond the potential zero at "
             f"{xstar:g}; at least 2 are needed")
     v = effective_potential(params, energy, x)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveParameter, OutOfRange
+from .errors import InvalidInput, OutOfRange
 
 # plain machine integers for the level index
 MAX_LEVEL = 10**6
@@ -20,10 +20,10 @@ def check_positive(name: str, value) -> float:
     """value as a float if it is a positive, finite real number.
 
     The one validator for strictly positive inputs; anything else raises
-    NonPositiveParameter naming the offending parameter.
+    InvalidInput naming the offending parameter.
     """
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise NonPositiveParameter(f"{name} must be positive and finite, got {value!r}")
+        raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 
 
@@ -34,11 +34,10 @@ def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
     integral = levels.dtype.kind in "iu" or (
         levels.dtype.kind == "O" and all(type(v) is int for v in levels.flat))
     if not integral:
-        raise NonPositiveParameter(f"{what} must be an integer, got {n!r}")
+        raise InvalidInput(f"{what} must be an integer, got {n!r}")
     outside = levels[(levels < 0) | (levels > top)]
     if outside.size:
-        raise NonPositiveParameter(
-            f"{what} must be in [0, {top}], got {outside.flat[0]}")
+        raise InvalidInput(f"{what} must be in [0, {top}], got {outside.flat[0]}")
 
 
 def evaluate_finite(what: str, compute):

@@ -10,7 +10,7 @@ A result outside the double range raises OutOfRange (params.evaluate_finite).
 
 import math
 
-from .errors import NonConvergence, NonPositiveParameter, PoleAtC
+from .errors import InvalidInput, NonConvergence
 from .params import check_levels, evaluate_finite
 
 # |v - round(v)| below this counts as an integer.  The quantisation algebra
@@ -42,14 +42,14 @@ def kummer_m(a: float, c: float, y: float) -> float:
     -round(a) + 1 nonzero terms only, and the degree -round(a) must be a
     level (params.check_levels).  Otherwise terms accumulate until two
     consecutive terms fall below SERIES_REL_TOL relative to the partial sum.
-    A non-positive integer c (within INTEGER_TOL) is a pole: PoleAtC.  A sum
-    outside the double range is OutOfRange; NonConvergence means only that
-    SERIES_MAX_TERMS terms did not meet the tolerance.
+    A non-positive integer c (within INTEGER_TOL) is a pole: InvalidInput.
+    A sum outside the double range is OutOfRange; NonConvergence means only
+    that SERIES_MAX_TERMS terms did not meet the tolerance.
     """
     if not (math.isfinite(a) and math.isfinite(c)):  # round() needs finite values
-        raise NonPositiveParameter(f"M(a, c, y) needs finite a and c, got {a!r}, {c!r}")
+        raise InvalidInput(f"M(a, c, y) needs finite a and c, got {a!r}, {c!r}")
     if _is_nonpositive_integer(c):
-        raise PoleAtC(f"M(a, c, y) has a pole at c = {c!r}")
+        raise InvalidInput(f"M(a, c, y) has a pole at c = {c!r}")
     what = f"M({a!r}, {c!r}, {y!r})"
     s = term = 1.0
     if _is_nonpositive_integer(a):

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import InvalidInput
 from .params import MAX_LEVEL, check_levels, check_positive, evaluate_finite
 
 # formula -> shift s of the law sqrt(1 + 2 b (n + s))
@@ -83,11 +83,11 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.
     """
     if formula not in FORMULA_CHOICES:
-        raise ValueError(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
+        raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
     b = np.array([check_positive("b", v) for v in b_values])
     n = np.array(list(n_values))
     if not b.size or not n.size:
-        raise EmptyInput("b_values and n_values must both be non-empty")
+        raise InvalidInput("b_values and n_values must both be non-empty")
     check_levels(n)
     n_col = np.repeat(n, b.size)
     b_col = np.tile(b, n.size)

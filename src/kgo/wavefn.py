@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid
+from .errors import InvalidInput
 from .params import check_levels, check_positive, evaluate_finite
 from .specfun import kummer_m
 
@@ -27,7 +27,7 @@ MAX_POINTS = 10**6 + 1
 def check_points(points) -> int:
     """The one grid-size rule: points if it is an odd integer in [3, MAX_POINTS]."""
     if not isinstance(points, int) or not 3 <= points <= MAX_POINTS or points % 2 == 0:
-        raise InvalidGrid(
+        raise InvalidInput(
             f"points must be an odd integer in [3, {MAX_POINTS}], got {points!r}")
     return points
 
@@ -133,7 +133,7 @@ def sample(n: int, grid: GridSpec, lam: float) -> np.ndarray:
 def inner_product(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
     """Composite-Simpson quadrature over grid of f*g, each sampled at its nodes."""
     if np.shape(f) != (grid.points,) or np.shape(g) != (grid.points,):
-        raise GridMismatch(f"sampled functions must hold one value per node of {grid}")
+        raise InvalidInput(f"sampled functions must hold one value per node of {grid}")
     w = np.ones(grid.points)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

@@ -214,14 +214,18 @@ def _run_no_warnings(capsys, *argv):
     ("veff", "--b", "1", "--energy", "1e300"),      # E x^2 overflows: nan profile
     ("oracle", "--b", "1e154", "--count", "1"),     # the coupling 1/h^4 overflows
     ("wavefn", "--n", "1000001", "--lambda", "1", "--points", "3"),  # n > MAX_LEVEL
+    ("oracle", "--b", "0.1", "--count", "1000002"),  # count > points - 2
 ])
 def test_out_of_range_inputs_give_one_error_line(capsys, argv):
     code, out, err = _run_no_warnings(capsys, *argv)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
+    # a range rule names the number typed, not one derived from it
     if "1000001" in argv:
         assert err == "kgo: error: level index must be in [0, 1000000], got 1000001\n"
+    elif "1000002" in argv:
+        assert err == "kgo: error: count = 1000002 exceeds the matrix dimension 1999\n"
     else:
         assert err.startswith("kgo: error: ") and "floating-point range" in err
 
@@ -351,6 +355,17 @@ def test_points_beyond_cap_is_a_usage_error_under_memory_limit(argv):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("kgo: error: ") and "1000001" in proc.stderr
+
+
+def test_out_of_memory_is_one_error_line_under_memory_limit():
+    # 10M rows: the formatted cells alone outgrow 1 GiB of address space
+    b = ",".join(f"{k / 10:g}" for k in range(1, 11))
+    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b,
+                           "--n-max", "1000000"], capture_output=True, text=True,
+                          preexec_fn=_limit_address_space_to_1_gib)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "kgo: error: out of memory\n"
 
 
 def test_module_entry_point_exit_codes():

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kgo.errors import (BudgetExceeded, GridTooSmall, NonPositiveParameter,
-                        OutOfRange)
+from kgo.errors import InvalidInput, NonConvergence, OutOfRange
 from kgo.oracle import (MACHINE_EPS, TridiagonalOperator, discretize_weber,
                         effective_potential, lowest_eigenvalues,
                         oracle_energies, profile_effective_potential,
@@ -34,7 +33,7 @@ def test_discretize_weber_uniform_off_diagonal():
 
 
 def test_discretize_weber_validation():
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^lam must be positive and finite, got 0.0$"):
         discretize_weber(0.0, GridSpec(2.0, 5))
     with pytest.raises(OutOfRange, match="lam"):
         discretize_weber(1e200, GridSpec(2.0, 5))   # lam**2 overflows
@@ -45,6 +44,11 @@ def test_discretize_weber_validation():
 def test_operator_rejects_a_coupling_whose_square_overflows():
     with pytest.raises(OutOfRange, match="coupling"):
         TridiagonalOperator(np.ones(3), 1e200)
+
+
+def test_operator_rejects_an_empty_diagonal():
+    with pytest.raises(InvalidInput, match="^operator must have at least one row$"):
+        TridiagonalOperator(np.array([]), 1.0)
 
 
 def test_sturm_count_analytic_3x3():
@@ -101,16 +105,17 @@ def test_lowest_eigenvalues_match_scipy_eigh_tridiagonal():
 
 def test_lowest_eigenvalues_validation():
     op = _toy_operator()
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
         lowest_eigenvalues(op, 0, 1e-10)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^count = 4 exceeds the matrix dimension 3$"):
         lowest_eigenvalues(op, 4, 1e-10)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^tol must be positive and finite, got 0.0$"):
         lowest_eigenvalues(op, 1, 0.0)
 
 
-def test_lowest_eigenvalues_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
+def test_lowest_eigenvalues_bisection_cap_signalled():
+    with pytest.raises(NonConvergence, match=r"^eigenvalue 0: bracket still .* wide "
+                                             r"after 200 bisection steps \(tol = 1e-300\)$"):
         lowest_eigenvalues(_toy_operator(), 1, tol=1e-300)
 
 
@@ -179,8 +184,17 @@ def test_oracle_energies_adjudicates_ground_state():
 
 
 def test_oracle_energies_validation():
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
         oracle_energies(natural_units(), 0)
+    # the count is checked against the operator's dimension before the box
+    # is built, so the error names the count and not a level derived from it
+    with pytest.raises(InvalidInput,
+                       match="^count = 1000002 exceeds the matrix dimension 1999$"):
+        oracle_energies(natural_units(), 1000002)
+    with pytest.raises(InvalidInput, match="^count = 4 exceeds the matrix dimension 3$"):
+        oracle_energies(natural_units(), 4, points=5)
+    with pytest.raises(InvalidInput, match=r"^points must be an odd integer in \[3, "):
+        oracle_energies(natural_units(), 1, points=4)
 
 
 def test_oracle_confirms_combined_law_across_b():
@@ -230,9 +244,11 @@ def test_profile_detects_unboundedness():
 
 
 def test_profile_requires_grid_beyond_zero():
-    with pytest.raises(GridTooSmall):
+    with pytest.raises(InvalidInput, match=r"^grid has 0 node\(s\) beyond the potential "
+                                           r"zero at 2; at least 2 are needed$"):
         profile_effective_potential(natural_units(), 1.0,
                                     GridSpec(1.0, 51))
-    with pytest.raises(GridTooSmall):
+    with pytest.raises(InvalidInput, match=r"^grid has 0 node\(s\) beyond the potential "
+                                           r"zero at 2; at least 2 are needed$"):
         profile_effective_potential(natural_units(), 1.0,
                                     GridSpec(2.0, 51))

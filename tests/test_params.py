@@ -2,7 +2,10 @@ import math
 
 import pytest
 
-from kgo.errors import NonPositiveParameter
+import kgo
+from kgo import errors
+from kgo.errors import (InvalidInput, KgoError, NonConvergence, OutOfRange,
+                        UsageError)
 from kgo.params import (MAX_LEVEL, OscillatorParams, check_levels, check_positive,
                         from_b, k_squared, natural_units)
 from kgo.specfun import (hermite, hermite_from_kummer_even,
@@ -33,18 +36,18 @@ def test_from_b_round_trip_machine_precision():
 
 def test_from_b_rejects_bad_values():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(InvalidInput, match="^b must be positive and finite"):
             from_b(bad)
 
 
 def test_params_validation_rejects_nonpositive_fields():
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^mass must be positive and finite"):
         OscillatorParams(mass=0.0, omega=1.0)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^omega must be positive and finite"):
         OscillatorParams(mass=1.0, omega=-2.0)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^hbar must be positive and finite"):
         OscillatorParams(mass=1.0, omega=1.0, hbar=float("nan"))
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^c must be positive and finite"):
         OscillatorParams(mass=1.0, omega=1.0, c=float("inf"))
 
 
@@ -89,11 +92,26 @@ def test_check_positive_returns_float_or_names_the_parameter():
     assert check_positive("lam", 2) == 2.0 and type(check_positive("lam", 2)) is float
     assert check_positive("b", 5e-324) == 5e-324
     for bad in (0.0, -1.0, float("inf"), float("nan"), "1.0", None):
-        with pytest.raises(NonPositiveParameter, match="^tol must be positive"):
+        with pytest.raises(InvalidInput, match="^tol must be positive"):
             check_positive("tol", bad)
     for lam in (0.0, -1.0):  # a library caller names its own parameter
-        with pytest.raises(NonPositiveParameter, match="^lam must be positive"):
+        with pytest.raises(InvalidInput, match="^lam must be positive"):
             default_extent(0, lam)
+
+
+def test_one_error_class_per_failure_kind():
+    kinds = {name: cls for name, cls in vars(errors).items() if isinstance(cls, type)}
+    assert kinds == {"KgoError": KgoError, "InvalidInput": InvalidInput,
+                     "OutOfRange": OutOfRange, "NonConvergence": NonConvergence,
+                     "UsageError": UsageError}
+    assert KgoError.__bases__ == (Exception,)
+    assert InvalidInput.__bases__ == (KgoError, ValueError)
+    assert OutOfRange.__bases__ == (KgoError, OverflowError)
+    assert NonConvergence.__bases__ == (KgoError, ArithmeticError)
+    assert UsageError.__bases__ == (KgoError,)
+    exported = {getattr(kgo, name) for name in kgo.__all__}
+    assert {cls for cls in exported if isinstance(cls, type)
+            and issubclass(cls, Exception)} == set(kinds.values())
 
 
 def test_params_are_immutable():
@@ -115,17 +133,17 @@ def test_params_are_immutable():
 ], ids=["energy_combined", "energy_second_order", "psi", "hermite",
         "hermite_from_kummer_even", "hermite_from_kummer_odd", "default_extent"])
 def test_every_level_taking_function_rejects_levels_outside_the_range(call, n):
-    with pytest.raises(NonPositiveParameter, match=rf"must be in \[0, {MAX_LEVEL}\], got {n}$"):
+    with pytest.raises(InvalidInput, match=rf"must be in \[0, {MAX_LEVEL}\], got {n}$"):
         call(n)
 
 
 def test_check_levels_reports_the_first_level_past_64_bits_in_an_array():
-    with pytest.raises(NonPositiveParameter,
+    with pytest.raises(InvalidInput,
                        match=rf"^level index must be in \[0, {MAX_LEVEL}\], got {2**64}$"):
         check_levels([3, 2**64, 10**20])
 
 
 @pytest.mark.parametrize("n", [1.0, True, None, "3", [1, 10**20, 2.5]])
 def test_check_levels_rejects_non_integers(n):
-    with pytest.raises(NonPositiveParameter, match="^level index must be an integer"):
+    with pytest.raises(InvalidInput, match="^level index must be an integer"):
         check_levels(n)

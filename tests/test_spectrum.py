@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kgo.errors import EmptyInput, NonPositiveParameter, OutOfRange
+from kgo.errors import InvalidInput, OutOfRange
 from kgo.spectrum import (binding_energy, energy_combined, energy_even,
                           energy_odd, energy_second_order, generate_table)
 
@@ -38,10 +38,10 @@ def test_parity_families_bound_their_own_index():
     # each family's last level is the combined law's last, MAX_LEVEL = 10**6
     assert energy_even(500000, 0.1) == energy_combined(10**6, 0.1)
     assert energy_odd(499999, 0.1) == energy_combined(10**6 - 1, 0.1)
-    with pytest.raises(NonPositiveParameter,
+    with pytest.raises(InvalidInput,
                        match=r"^odd level index must be in \[0, 499999\], got 500000$"):
         energy_odd(500000, 0.1)
-    with pytest.raises(NonPositiveParameter,
+    with pytest.raises(InvalidInput,
                        match=r"^even level index must be in \[0, 500000\], got 500001$"):
         energy_even(500001, 0.1)
 
@@ -156,27 +156,29 @@ def test_generate_table_columns_equal_scalar_values_bit_for_bit():
 
 
 def test_generate_table_rejects_empty_inputs():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InvalidInput, match="^b_values and n_values must both be non-empty$"):
         generate_table([], [0, 1])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InvalidInput, match="^b_values and n_values must both be non-empty$"):
         generate_table([0.1], [])
 
 
 def test_generate_table_rejects_unknown_formula():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput,
+                       match=r"^formula must be one of \('eq21', 'table'\), got 'bogus'$"):
         generate_table([0.1], [0], formula="bogus")
 
 
 def test_parameter_validation():
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^b must be positive and finite, got 0.0$"):
         energy_combined(0, 0.0)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^b must be positive and finite, got -0.5$"):
         energy_combined(0, -0.5)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match=r"^level index must be in \[0, 1000000\], got -1$"):
         energy_combined(-1, 0.1)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput,
+                       match=r"^level index must be in \[0, 1000000\], got 1000001$"):
         energy_combined(10**6 + 1, 0.1)
-    with pytest.raises(NonPositiveParameter):
+    with pytest.raises(InvalidInput, match="^b must be positive and finite, got nan$"):
         energy_second_order(0, float("nan"))
 
 

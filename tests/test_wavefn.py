@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kgo.errors import GridMismatch, InvalidGrid, NonPositiveParameter, OutOfRange
+from kgo.errors import InvalidInput, OutOfRange
 from kgo.specfun import hermite
 from kgo.wavefn import (MAX_POINTS, GridSpec, default_extent, inner_product,
                         psi, psi_general, sample)
@@ -24,13 +24,17 @@ def normalization_constant(n, lam):
                     - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)))
 
 
+POINTS_RULE = rf"^points must be an odd integer in \[3, {MAX_POINTS}\], got "
+
+
 def test_gridspec_validation():
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(InvalidInput, match=POINTS_RULE + "4$"):
         GridSpec(1.0, 4)              # even
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(InvalidInput, match=POINTS_RULE + "1$"):
         GridSpec(1.0, 1)              # too few
     for extent in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(InvalidInput,
+                           match=f"^grid extent must be positive and finite, got {extent!r}$"):
             GridSpec(extent, 5)
     with pytest.raises(OutOfRange):
         GridSpec(1e308, 5)            # spacing overflows
@@ -39,7 +43,7 @@ def test_gridspec_validation():
 def test_gridspec_points_capped():
     assert GridSpec(1.0, MAX_POINTS).points == MAX_POINTS
     for points in (MAX_POINTS + 2, 200000001):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidInput, match=f"{POINTS_RULE}{points}$"):
             GridSpec(1.0, points)
 
 
@@ -179,7 +183,7 @@ def test_psi_general_out_of_range_signalled():
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0), (0.0, 1.0)])
 def test_psi_general_rejects_a_huge_polynomial_degree(coeffs):
-    with pytest.raises(NonPositiveParameter, match="^polynomial degree"):
+    with pytest.raises(InvalidInput, match="^polynomial degree"):
         psi_general(1.0, -1e300, *coeffs, 1.0)
 
 
@@ -263,9 +267,9 @@ def test_inner_product_grid_mismatch():
     g = GridSpec(8.0, 801)
     a = sample(0, g, 1.0)
     b = sample(0, GridSpec(8.0, 803), 1.0)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(InvalidInput, match="^sampled functions must hold one value per node of "):
         inner_product(g, a, b)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(InvalidInput, match="^sampled functions must hold one value per node of "):
         inner_product(g, b, a)
 
 
