@@ -121,8 +121,7 @@ def build_parser() -> _Parser:
                       help="strength parameter")
     spec.add_argument("--n", type=_nonnegative_int, required=True,
                       help="level index within the chosen parity family")
-    spec.add_argument("--parity", choices=("even", "odd", "combined"),
-                      default="combined")
+    spec.add_argument("--parity", choices=spectrum.PARITY_CHOICES, default="combined")
     spec.add_argument("--expansion", choices=("exact", "second-order"),
                       default="exact")
     spec.add_argument("--binding", action="store_true",
@@ -190,12 +189,14 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
     index = spectrum.combined_index(ns.n, ns.parity)
     if ns.expansion == "second-order":
         energy = spectrum.energy_second_order(index, ns.b)
+        binding = energy - 1.0
     else:
         energy = spectrum.energy_combined(index, ns.b)
+        binding = spectrum.binding_energy(index, ns.b)
     columns = {"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity],
                "energy": _fmt([energy], ns.decimals)}
     if ns.binding:
-        columns["binding"] = _fmt([energy - 1.0], ns.decimals)
+        columns["binding"] = _fmt([binding], ns.decimals)
     return _Emission(columns)
 
 
@@ -247,9 +248,11 @@ def _render(emission: _Emission, output_format: str) -> str:
     row of cells is written and the frame (head, row separator, tail)."""
     names, cells = list(emission.columns), list(emission.columns.values())
     if output_format == "json":
-        # each cell as the literal json.dumps writes for its value; n cells are ints
+        # a number is its csv cell; an integral cell such as "1" gains ".0" so
+        # every value column loads as a float, while n cells stay ints
         cells = [column if name == "n" else map(json.dumps, column) if name == "parity"
-                 else map(repr, map(float, column)) for name, column in zip(names, cells)]
+                 else (c if "." in c or "e" in c else c + ".0" for c in column)
+                 for name, column in zip(names, cells)]
         row = ("{" + ",".join(f"{json.dumps(name)}:%s" for name in names) + "}").__mod__
         trailer = json.dumps({"warnings": emission.warnings, **emission.extra},
                              separators=(",", ":"))

@@ -23,10 +23,13 @@ FORMULA_CHOICES = tuple(_SHIFTS)
 
 # parity family -> offset k of its level n in the combined index 2n + k
 _PARITY_OFFSETS = {"even": 0, "odd": 1}
+PARITY_CHOICES = (*_PARITY_OFFSETS, "combined")
 
 
 def combined_index(n: int, parity: str) -> int:
     """Index of level n of a parity family in the combined spectrum: n, 2n or 2n + 1."""
+    if parity not in PARITY_CHOICES:
+        raise InvalidInput(f"parity must be one of {PARITY_CHOICES}, got {parity!r}")
     if parity == "combined":
         check_levels(n)
         return n
@@ -68,10 +71,13 @@ def energy_second_order(n: int, b: float) -> float:
 def binding_energy(n: int, b: float) -> float:
     """Binding energy Ebar_n - 1 in units of m c^2.
 
-    Dividing by b counts oscillator quanta: the ratio tends to n + 1/2 as
-    b -> 0, the non-relativistic level.
+    Evaluated as s / (Ebar_n + 1) with s = 2b(n + 1/2), exact algebra that
+    keeps full relative precision where Ebar_n - 1 would cancel.  Dividing
+    by b counts oscillator quanta: the ratio tends to n + 1/2 as b -> 0, the
+    non-relativistic level.
     """
-    return energy_combined(n, b) - 1.0
+    energy = energy_combined(n, b)  # validates n and b first
+    return 2.0 * b * (n + 0.5) / (energy + 1.0)
 
 
 def generate_table(b_values: Iterable[float], n_values: Iterable[int],

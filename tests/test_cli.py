@@ -116,20 +116,25 @@ def _numbers_from_csvish(text, sep):
 
 
 def test_format_equivalence(capsys):
-    base = ["table", "--b", "0.1,0.001", "--n-max", "4", "--formula", "table"]
-    _, csv_out, _ = _run(capsys, *base, "--format", "csv")
-    _, tsv_out, _ = _run(capsys, *base, "--format", "tsv")
-    _, json_out, _ = _run(capsys, *base, "--format", "json")
+    for decimals in ([], ["--decimals", "5"]):
+        base = ["table", "--b", "0.1,0.001", "--n-max", "4", "--formula", "table",
+                *decimals]
+        _, csv_out, _ = _run(capsys, *base, "--format", "csv")
+        _, tsv_out, _ = _run(capsys, *base, "--format", "tsv")
+        _, json_out, _ = _run(capsys, *base, "--format", "json")
 
-    csv_vals = _numbers_from_csvish(csv_out, ",")
-    tsv_vals = _numbers_from_csvish(tsv_out, "\t")
-    payload = json.loads(json_out)
-    json_vals = [float(row[c]) for row in payload["rows"]
-                 for c in ("n", "b", "e_rel", "e_nr_plus_one")]
+        csv_vals = _numbers_from_csvish(csv_out, ",")
+        tsv_vals = _numbers_from_csvish(tsv_out, "\t")
+        payload = json.loads(json_out)
+        json_vals = [float(row[c]) for row in payload["rows"]
+                     for c in ("n", "b", "e_rel", "e_nr_plus_one")]
 
-    canon = lambda vals: [repr(v) for v in vals]
-    assert canon(csv_vals) == canon(tsv_vals) == canon(json_vals)
-    assert payload["warnings"]  # formula=table carries the warning in json too
+        canon = lambda vals: [repr(v) for v in vals]
+        assert canon(csv_vals) == canon(tsv_vals) == canon(json_vals)
+        assert payload["warnings"]  # formula=table carries the warning in json too
+        for row in payload["rows"]:
+            assert type(row["n"]) is int
+            assert all(type(row[c]) is float for c in ("b", "e_rel", "e_nr_plus_one"))
 
 
 def test_wavefn_odd_state_vanishes_at_origin(capsys):
@@ -182,6 +187,12 @@ def test_spectrum_binding_column(capsys):
     assert header == "n,b,parity,energy,binding"
     cells = row.split(",")
     assert float(cells[4]) == pytest.approx(math.sqrt(1.1) - 1.0, rel=1e-5)
+
+
+def test_spectrum_binding_column_keeps_its_digits_at_small_b(capsys):
+    # Ebar - 1 would print 0 here; the binding energy is b (n + 1/2) to 6 digits
+    _, out, _ = _run(capsys, "spectrum", "--b", "1e-17", "--n", "1", "--binding")
+    assert out.splitlines()[1] == "1,1e-17,combined,1,1.5e-17"
 
 
 def test_veff_flag_in_comment_and_json(capsys):

@@ -121,17 +121,22 @@ def test_every_argv_ends_in_rows_or_one_error_line(argv):
     code_json, text, _ = _run(argv + ["--format=json"])
     assert code_json == 0
     payload = json.loads(text)
+    # the same document with every number kept as the text json holds
+    texts = json.loads(text, parse_float=str, parse_int=str)["rows"]
     assert len(payload["rows"]) == len(rows)
-    for row, obj in zip(rows, payload["rows"]):
+    for row, obj, obj_text in zip(rows, payload["rows"], texts):
         assert list(obj) == header
         for name, cell in zip(header, row):
             value = obj[name]
             if name == "n":
-                assert value == int(cell)
-            elif isinstance(value, float):
-                assert math.isfinite(value) and value == float(cell)
-            else:
+                assert type(value) is int and obj_text[name] == cell
+            elif name == "parity":
                 assert value == cell
+            else:
+                assert type(value) is float, (argv, name, value)
+                assert math.isfinite(value) and value == float(cell)
+                # a json number is its csv cell, with .0 on an integral cell
+                assert obj_text[name] in (cell, cell + ".0"), (argv, name, cell)
     extra = {k: v for k, v in payload.items() if k not in ("rows", "warnings")}
     assert comments == ([f"# {k}: {json.dumps(v)}" for k, v in extra.items()]
                         + [f"# {w}" for w in payload["warnings"]])

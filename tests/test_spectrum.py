@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import pytest
 
 from kgo.errors import InvalidInput, OutOfRange
-from kgo.spectrum import (binding_energy, energy_combined, energy_even,
-                          energy_odd, energy_second_order, generate_table)
+from kgo.spectrum import (binding_energy, combined_index, energy_combined,
+                          energy_even, energy_odd, energy_second_order,
+                          generate_table)
 
 
 def test_energy_even_direct_values():
@@ -46,6 +48,13 @@ def test_parity_families_bound_their_own_index():
         energy_even(500001, 0.1)
 
 
+def test_combined_index_rejects_an_unknown_parity():
+    with pytest.raises(InvalidInput, match=r"^parity must be one of \('even', 'odd', "
+                                           r"'combined'\), got 'bogus'$"):
+        combined_index(1, "bogus")
+    assert [combined_index(3, p) for p in ("even", "odd", "combined")] == [6, 7, 3]
+
+
 def test_monotone_compression():
     for b in (1e-4, 0.1, 1.0):
         energies = [energy_combined(n, b) for n in range(1002)]
@@ -72,7 +81,21 @@ def test_binding_energy_small_b_limit():
     assert binding_energy(0, 1e-6) / 1e-6 == pytest.approx(0.5, abs=1e-6)
     assert binding_energy(3, 1e-6) / 1e-6 == pytest.approx(3.5, abs=1e-5)
     assert binding_energy(5, 1e-12) == pytest.approx(0.0, abs=1e-11)
-    assert binding_energy(4, 0.01) == energy_combined(4, 0.01) - 1.0
+    assert _binding_rel_error(4, 0.01) <= 1e-15
+
+
+def _binding_rel_error(n, b):
+    """Relative error of binding_energy(n, b) against 50-digit mpmath."""
+    with mpmath.workdps(50):
+        want = mpmath.sqrt(1 + 2 * mpmath.mpf(b) * (n + mpmath.mpf(0.5))) - 1
+        return float(abs(binding_energy(n, b) - want) / want)
+
+
+@pytest.mark.parametrize("b", [1e-10, 1e-12, 1e-15, 1e-17])
+def test_binding_energy_has_no_cancellation_at_small_b(b):
+    # Ebar - 1 loses every digit as b -> 0; the binding energy must not
+    for n in (0, 1, 7, 100, 10**6):
+        assert _binding_rel_error(n, b) <= 1e-15, (n, b)
 
 
 def test_binding_energy_quanta_ratio_tends_to_half_integers():
