@@ -13,8 +13,8 @@ from .oracle import (TridiagonalOperator, discretize_weber, effective_potential,
 from .params import OscillatorParams, from_b, k_squared, natural_units
 from .specfun import (hermite, hermite_from_kummer_even,
                       hermite_from_kummer_odd, kummer_m)
-from .spectrum import (binding_energy, energy_combined, energy_even,
-                       energy_odd, energy_second_order, generate_table)
+from .spectrum import (binding_energy, binding_second_order, energy_combined,
+                       energy_even, energy_odd, energy_second_order, generate_table)
 from .wavefn import (GridSpec, default_extent, inner_product, psi, psi_general,
                      sample)
 
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec", "InvalidInput", "KgoError", "NonConvergence",
     "OscillatorParams", "OutOfRange", "TridiagonalOperator", "UsageError",
-    "binding_energy", "default_extent", "discretize_weber",
+    "binding_energy", "binding_second_order", "default_extent", "discretize_weber",
     "effective_potential", "energy_combined", "energy_even", "energy_odd",
     "energy_second_order", "from_b", "generate_table", "hermite",
     "hermite_from_kummer_even", "hermite_from_kummer_odd", "inner_product",

@@ -4,8 +4,8 @@ finite-difference cross-checks and effective-potential profiles.
 All data rows go to standard output in csv, tsv or json; diagnostics go to
 standard error.  Exit codes: 0 success, 1 runtime/numeric error, 2 usage
 error.  Runs are deterministic: identical argv produces identical bytes.
-Rows are fully computed before anything is printed, so a failing run emits
-no partial data.
+Rows are fully computed before anything is printed, so a failed build emits
+nothing, and a failed write (a full disk, a closed pipe) ends in one error line.
 """
 
 import argparse
@@ -90,14 +90,6 @@ def _positive_float_list(text: str) -> List[float]:
     return [_positive_float(t) for t in items]
 
 
-def _add_output_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="csv",
-                     help="output encoding (default: csv)")
-    sub.add_argument("--decimals", type=_decimals, default=None, metavar="K",
-                     help="fixed K-decimal rounding (half to even, K <= "
-                          f"{MAX_DECIMALS}) instead of the default 6 significant digits")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="kgo",
                      description="Spectral toolkit for the one-dimensional "
@@ -114,7 +106,7 @@ def build_parser() -> _Parser:
                        help="relativistic column law: derived 'eq21' "
                             "sqrt(1+2b(n+1/2)) or 'table' sqrt(1+2b(n+1)) "
                             "(default: eq21)")
-    _add_output_options(table)
+    table.set_defaults(build=_build_table)
 
     spec = sub.add_parser("spectrum", help="one energy level")
     spec.add_argument("--b", type=_positive_float, required=True,
@@ -126,7 +118,7 @@ def build_parser() -> _Parser:
                       default="exact")
     spec.add_argument("--binding", action="store_true",
                       help="also emit the binding energy (energy - 1)")
-    _add_output_options(spec)
+    spec.set_defaults(build=_build_spectrum)
 
     wf = sub.add_parser("wavefn", help="sample one stationary state")
     wf.add_argument("--n", type=_nonnegative_int, required=True)
@@ -136,7 +128,7 @@ def build_parser() -> _Parser:
                     help="half extent of the symmetric grid "
                          "(default: twice the turning point plus tail padding)")
     wf.add_argument("--points", type=_points, default=801)
-    _add_output_options(wf)
+    wf.set_defaults(build=_build_wavefn)
 
     orc = sub.add_parser("oracle",
                          help="finite-difference eigenvalues vs the closed form")
@@ -146,7 +138,7 @@ def build_parser() -> _Parser:
     orc.add_argument("--points", type=_points, default=oracle.DEFAULT_POINTS)
     orc.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOL,
                      help=f"bisection bracket width on k^2 (default: {oracle.DEFAULT_TOL:g})")
-    _add_output_options(orc)
+    orc.set_defaults(build=_build_oracle)
 
     veff = sub.add_parser("veff", help="vector-coupling effective potential profile")
     veff.add_argument("--b", type=_positive_float, required=True)
@@ -156,8 +148,14 @@ def build_parser() -> _Parser:
                       help="half extent of the symmetric grid "
                            "(default: 2.5x the potential zero, or 5/b when E <= 0)")
     veff.add_argument("--points", type=_points, default=201)
-    _add_output_options(veff)
+    veff.set_defaults(build=_build_veff)
 
+    for cmd in sub.choices.values():
+        cmd.add_argument("--format", choices=FORMATS, default="csv",
+                         help="output encoding (default: csv)")
+        cmd.add_argument("--decimals", type=_decimals, default=None, metavar="K",
+                         help="fixed K-decimal rounding (half to even, K <= "
+                              f"{MAX_DECIMALS}) instead of the default 6 significant digits")
     return parser
 
 
@@ -189,7 +187,7 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
     index = spectrum.combined_index(ns.n, ns.parity)
     if ns.expansion == "second-order":
         energy = spectrum.energy_second_order(index, ns.b)
-        binding = energy - 1.0
+        binding = spectrum.binding_second_order(index, ns.b)
     else:
         energy = spectrum.energy_combined(index, ns.b)
         binding = spectrum.binding_energy(index, ns.b)
@@ -234,15 +232,6 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
                      extra={"unbounded_below_detected": unbounded})
 
 
-_BUILDERS = {
-    "table": _build_table,
-    "spectrum": _build_spectrum,
-    "wavefn": _build_wavefn,
-    "oracle": _build_oracle,
-    "veff": _build_veff,
-}
-
-
 def _render(emission: _Emission, output_format: str) -> str:
     """One writer for all formats: a format sets how a cell is written, how a
     row of cells is written and the frame (head, row separator, tail)."""
@@ -268,21 +257,17 @@ def _render(emission: _Emission, output_format: str) -> str:
 
 def run(ns: argparse.Namespace) -> None:
     """Execute parsed arguments, writing rows to standard output."""
-    emission = _BUILDERS[ns.subcommand](ns)
-    sys.stdout.write(_render(emission, ns.format))
+    sys.stdout.write(_render(ns.build(ns), ns.format))
+    sys.stdout.flush()  # a full disk or a closed pipe fails here, inside main's try
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         run(parse_args(args))
-    except UsageError as exc:
-        print(f"kgo: error: {exc}", file=sys.stderr)
-        return 2
-    except KgoError as exc:
-        print(f"kgo: error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:  # rows are written only once all are built: stdout is empty
-        print("kgo: error: out of memory", file=sys.stderr)
-        return 1
+    except (KgoError, MemoryError, OSError) as exc:  # OSError: stdout refused the rows
+        message = (f"cannot write output: {exc.strerror}" if isinstance(exc, OSError)
+                   else "out of memory" if isinstance(exc, MemoryError) else exc)
+        print(f"kgo: error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
     return 0

@@ -60,12 +60,23 @@ def energy_odd(n: int, b: float) -> float:
     return energy_combined(combined_index(n, "odd"), b)
 
 
-def energy_second_order(n: int, b: float) -> float:
-    """Expansion 1 + b (n + 1/2) - b^2 (n + 1/2)^2 / 2 of the combined law."""
+def _second_order(n: int, b: float, rest: float) -> float:
+    """rest + b (n + 1/2) - b^2 (n + 1/2)^2 / 2; a rest of 0.0 adds nothing, exactly."""
     check_levels(n)
     bs = check_positive("b", b) * (n + 0.5)
-    return evaluate_finite("second-order energy 1 + b(n + 1/2) - b^2 (n + 1/2)^2 / 2",
-                           lambda: 1.0 + bs - 0.5 * bs ** 2)
+    return evaluate_finite(f"second-order energy {rest:g} + b(n + 1/2) - b^2 (n + 1/2)^2 / 2",
+                           lambda: rest + bs - 0.5 * bs ** 2)
+
+
+def energy_second_order(n: int, b: float) -> float:
+    """Expansion 1 + b (n + 1/2) - b^2 (n + 1/2)^2 / 2 of the combined law."""
+    return _second_order(n, b, 1.0)
+
+
+def binding_second_order(n: int, b: float) -> float:
+    """Binding energy b (n + 1/2) - b^2 (n + 1/2)^2 / 2 of the expansion, summed
+    without the rest energy: energy_second_order(n, b) - 1 cancels as b -> 0."""
+    return _second_order(n, b, 0.0)
 
 
 def binding_energy(n: int, b: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -189,9 +190,11 @@ def test_spectrum_binding_column(capsys):
     assert float(cells[4]) == pytest.approx(math.sqrt(1.1) - 1.0, rel=1e-5)
 
 
-def test_spectrum_binding_column_keeps_its_digits_at_small_b(capsys):
+@pytest.mark.parametrize("expansion", ["exact", "second-order"])
+def test_spectrum_binding_column_keeps_its_digits_at_small_b(capsys, expansion):
     # Ebar - 1 would print 0 here; the binding energy is b (n + 1/2) to 6 digits
-    _, out, _ = _run(capsys, "spectrum", "--b", "1e-17", "--n", "1", "--binding")
+    _, out, _ = _run(capsys, "spectrum", "--b", "1e-17", "--n", "1", "--binding",
+                     "--expansion", expansion)
     assert out.splitlines()[1] == "1,1e-17,combined,1,1.5e-17"
 
 
@@ -377,6 +380,31 @@ def test_out_of_memory_is_one_error_line_under_memory_limit():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "kgo: error: out of memory\n"
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first row is written
+    return os.fdopen(write_end, "w")
+
+
+def _full_disk():
+    return open("/dev/full", "w")
+
+
+@pytest.mark.parametrize("argv, open_stdout", [
+    (("spectrum", "--b", "0.1", "--n", "0"), _full_disk),
+    (("table", "--b", "0.1,0.2", "--n-max", "400000"), _full_disk),
+    (("table", "--b", "0.1,0.2", "--n-max", "400000"), _closed_pipe),
+])
+def test_failed_write_is_one_error_line(argv, open_stdout):
+    with open_stdout() as stdout:
+        proc = subprocess.run([sys.executable, "-m", "kgo", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("kgo: error: cannot write output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_module_entry_point_exit_codes():

@@ -4,9 +4,9 @@ import mpmath
 import pytest
 
 from kgo.errors import InvalidInput, OutOfRange
-from kgo.spectrum import (binding_energy, combined_index, energy_combined,
-                          energy_even, energy_odd, energy_second_order,
-                          generate_table)
+from kgo.spectrum import (binding_energy, binding_second_order, combined_index,
+                          energy_combined, energy_even, energy_odd,
+                          energy_second_order, generate_table)
 
 
 def test_energy_even_direct_values():
@@ -96,6 +96,17 @@ def test_binding_energy_has_no_cancellation_at_small_b(b):
     # Ebar - 1 loses every digit as b -> 0; the binding energy must not
     for n in (0, 1, 7, 100, 10**6):
         assert _binding_rel_error(n, b) <= 1e-15, (n, b)
+
+
+@pytest.mark.parametrize("b", [1e-10, 1e-12, 1e-15, 1e-17])
+def test_second_order_binding_has_no_cancellation_at_small_b(b):
+    # energy_second_order - 1 printed 0 at b = 1e-17; the direct sum keeps every digit
+    for n in (0, 3):
+        with mpmath.workdps(50):
+            bs = mpmath.mpf(b) * (n + mpmath.mpf(0.5))
+            want = bs - bs ** 2 / 2
+            error = float(abs(binding_second_order(n, b) - want) / want)
+        assert error <= 1.1e-16, (n, b, error)
 
 
 def test_binding_energy_quanta_ratio_tends_to_half_integers():
