@@ -4,14 +4,18 @@ finite-difference cross-checks and effective-potential profiles.
 All data rows go to standard output in csv, tsv or json; diagnostics go to
 standard error.  Exit codes: 0 success, 1 runtime/numeric error, 2 usage
 error.  Runs are deterministic: identical argv produces identical bytes.
-Rows are fully computed before anything is printed, so a failed build emits
-nothing, and a failed write (a full disk, a closed pipe) ends in one error line.
+Builders compute the rows, labels (n, b, parity) as text and values as numbers;
+the writer alone formats the values, under --decimals, and writes.  A failed
+build emits nothing, and a failed write ends in one error line.
 """
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Sequence
@@ -38,7 +42,8 @@ MAX_DECIMALS = 1074
 
 @dataclass
 class _Emission:
-    columns: Dict[str, List[str]]  # column name -> cells already formatted
+    labels: Dict[str, List[str]]  # n, b, parity: the first columns, as text
+    values: Dict[str, Sequence]  # every later column: numbers, then _render's cells
     warnings: List[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)  # json keys, "# key: value" lines
 
@@ -86,7 +91,8 @@ _points = _arg(int, wavefn.check_points,
 def _positive_float_list(text: str) -> List[float]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated list of numbers, got {text!r}")
     return [_positive_float(t) for t in items]
 
 
@@ -177,10 +183,9 @@ def _build_table(ns: argparse.Namespace) -> _Emission:
     # rows run n-major, b-minor: each n cell repeats len(b) times and the
     # b cells repeat once per n, formatted once and shared
     n_cells = [cell for n in n_values for cell in [str(n)] * len(ns.b)]
-    columns = {"n": n_cells, "b": _fmt(ns.b, None) * len(n_values),
-               "e_rel": _fmt(e_rel, ns.decimals),
-               "e_nr_plus_one": _fmt(e_nr_plus_one, ns.decimals)}
-    return _Emission(columns, [TABLE_FORMULA_WARNING] if ns.formula == "table" else [])
+    return _Emission({"n": n_cells, "b": _fmt(ns.b, None) * len(n_values)},
+                     {"e_rel": e_rel, "e_nr_plus_one": e_nr_plus_one},
+                     [TABLE_FORMULA_WARNING] if ns.formula == "table" else [])
 
 
 def _build_spectrum(ns: argparse.Namespace) -> _Emission:
@@ -191,18 +196,14 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
     else:
         energy = spectrum.energy_combined(index, ns.b)
         binding = spectrum.binding_energy(index, ns.b)
-    columns = {"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity],
-               "energy": _fmt([energy], ns.decimals)}
-    if ns.binding:
-        columns["binding"] = _fmt([binding], ns.decimals)
-    return _Emission(columns)
+    return _Emission({"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity]},
+                     {"energy": [energy], **({"binding": [binding]} if ns.binding else {})})
 
 
 def _build_wavefn(ns: argparse.Namespace) -> _Emission:
     extent = ns.x_max if ns.x_max is not None else wavefn.default_extent(ns.n, ns.lam)
     grid = wavefn.GridSpec(extent, ns.points)
-    return _Emission({"x": _fmt(grid.nodes(), ns.decimals),
-                      "psi": _fmt(wavefn.sample(ns.n, grid, ns.lam), ns.decimals)})
+    return _Emission({}, {"x": grid.nodes(), "psi": wavefn.sample(ns.n, grid, ns.lam)})
 
 
 def _build_oracle(ns: argparse.Namespace) -> _Emission:
@@ -210,10 +211,9 @@ def _build_oracle(ns: argparse.Namespace) -> _Emission:
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
     reference = spectrum.generate_table([ns.b], levels)[0]
-    d = ns.decimals
-    return _Emission({"n": [str(n) for n in levels], "k_squared": _fmt(k_squared, d),
-                      "e_oracle": _fmt(e_oracle, d), "e_eq21": _fmt(reference, d),
-                      "rel_diff": _fmt(np.abs(e_oracle - reference) / reference, d)})
+    return _Emission({"n": [str(n) for n in levels]},
+                     {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
+                      "rel_diff": np.abs(e_oracle - reference) / reference})
 
 
 def _build_veff(ns: argparse.Namespace) -> _Emission:
@@ -227,15 +227,17 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
         extent = VEFF_DEFAULT_EXTENT_FACTOR * xstar
     grid = wavefn.GridSpec(extent, ns.points)
     v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
-    return _Emission({"x": _fmt(grid.nodes(), ns.decimals),
-                      "v_eff": _fmt(v_eff, ns.decimals)},
+    return _Emission({}, {"x": grid.nodes(), "v_eff": v_eff},
                      extra={"unbounded_below_detected": unbounded})
 
 
-def _render(emission: _Emission, output_format: str) -> str:
-    """One writer for all formats: a format sets how a cell is written, how a
-    row of cells is written and the frame (head, row separator, tail)."""
-    names, cells = list(emission.columns), list(emission.columns.values())
+def _render(emission: _Emission, output_format: str, decimals: int | None) -> str:
+    """One writer for all formats: it formats the value columns, then a format
+    sets how cells, rows and the frame (head, row separator, tail) are written."""
+    # rebinding frees the value arrays before the rows are joined
+    emission.values = {name: _fmt(v, decimals) for name, v in emission.values.items()}
+    columns = {**emission.labels, **emission.values}
+    names, cells = list(columns), list(columns.values())
     if output_format == "json":
         # a number is its csv cell; an integral cell such as "1" gains ".0" so
         # every value column loads as a float, while n cells stay ints
@@ -257,7 +259,9 @@ def _render(emission: _Emission, output_format: str) -> str:
 
 def run(ns: argparse.Namespace) -> None:
     """Execute parsed arguments, writing rows to standard output."""
-    sys.stdout.write(_render(ns.build(ns), ns.format))
+    if sys.stdout is None:  # fd 1 was closed at start: nowhere to write rows
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.write(_render(ns.build(ns), ns.format, ns.decimals))
     sys.stdout.flush()  # a full disk or a closed pipe fails here, inside main's try
 
 
@@ -268,6 +272,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (KgoError, MemoryError, OSError) as exc:  # OSError: stdout refused the rows
         message = (f"cannot write output: {exc.strerror}" if isinstance(exc, OSError)
                    else "out of memory" if isinstance(exc, MemoryError) else exc)
-        print(f"kgo: error: {message}", file=sys.stderr)
+        # stderr is None (fd 2 closed at start) or refuses: only the exit code tells
+        with suppress(AttributeError, OSError):  # not print: file=None means stdout
+            sys.stderr.write(f"kgo: error: {message}\n")
         return 2 if isinstance(exc, UsageError) else 1
     return 0

@@ -319,12 +319,15 @@ def test_wavefn_far_tails_print_zero_rows(capsys):
 
 
 POSITIVE = "must be a positive and finite number"
+LIST = "must be a comma-separated list of numbers"
 
 
 @pytest.mark.parametrize("argv, message", [
     (("spectrum", "--n", "0", "--b", "0"), f"--b: {POSITIVE}, got '0'"),
     (("spectrum", "--n", "0", "--b", ","), f"--b: {POSITIVE}, got ','"),
     (("table", "--n-max", "1", "--b", "0.1,0"), f"--b: {POSITIVE}, got '0'"),  # the item
+    (("table", "--n-max", "1", "--b", ","), f"--b: {LIST}, got ','"),
+    (("table", "--n-max", "1", "--b", " , "), f"--b: {LIST}, got ' , '"),
     (("veff", "--b", "1", "--energy", "nan"), "--energy: must be a finite number, got 'nan'"),
     (("spectrum", "--b", "0.1", "--n", "-1"), "--n: must be an integer >= 0, got '-1'"),
     (("oracle", "--b", "1", "--count", "0"), "--count: must be an integer >= 1, got '0'"),
@@ -405,6 +408,32 @@ def test_failed_write_is_one_error_line(argv, open_stdout):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("kgo: error: cannot write output: ")
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_closed_stdout_is_one_error_line():
+    # fd 1 closed at exec: Python starts with sys.stdout set to None
+    proc = subprocess.run([sys.executable, "-m", "kgo", "spectrum", "--b", "0.1", "--n", "0"],
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == "kgo: error: cannot write output: Bad file descriptor\n"
+
+
+def _close_stderr():
+    os.close(2)  # Python starts with sys.stderr set to None
+
+
+def _fill_stderr():
+    os.dup2(os.open("/dev/full", os.O_WRONLY), 2)  # every write fails
+
+
+@pytest.mark.parametrize("argv, code", [(("spectrum", "--b", "-1", "--n", "0"), 2),
+                                        (("spectrum", "--b", "1e308", "--n", "1000000"), 1)])
+@pytest.mark.parametrize("kill_stderr", [_close_stderr, _fill_stderr])
+def test_dead_stderr_keeps_the_exit_code_and_an_empty_stdout(argv, code, kill_stderr):
+    # the error line has nowhere to go, and must not go to stdout instead
+    proc = subprocess.run([sys.executable, "-m", "kgo", *argv], stdout=subprocess.PIPE,
+                          text=True, preexec_fn=kill_stderr)
+    assert (proc.returncode, proc.stdout) == (code, "")
 
 
 def test_module_entry_point_exit_codes():

@@ -10,6 +10,7 @@ own parser.
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -42,6 +43,7 @@ LEVEL = st.one_of(st.integers(0, 50),
 POINTS = st.one_of(st.integers(1, 25).map(lambda k: 2 * k + 1), st.just(MAX_POINTS + 2))
 DECIMALS = st.one_of(st.none(), st.integers(0, 40),
                      st.sampled_from([MAX_DECIMALS - 1, MAX_DECIMALS, MAX_DECIMALS + 1]))
+LABELS = ("n", "b", "parity")  # every other column holds values
 
 
 @st.composite
@@ -114,6 +116,23 @@ def test_every_argv_ends_in_rows_or_one_error_line(argv):
         assert len(row) == len(header)
         for cell in row:
             assert cell.lower() not in ("nan", "inf", "-inf", "+inf"), (argv, cell)
+
+    decimals = [int(a.split("=")[1]) for a in argv if a.startswith("--decimals=")]
+    if decimals:
+        # --decimals K fixes K digits after the point in every value cell and
+        # leaves the label cells as they read without it
+        value_cell = re.compile(r"-?\d+" + (rf"\.\d{{{decimals[0]}}}" if decimals[0] else ""))
+        plain = [a for a in argv if not a.startswith("--decimals=")]
+        code_plain, out_plain, _ = _run(plain + ["--format=csv"])
+        assert code_plain == 0
+        header_plain, rows_plain, _ = _split(out_plain, ",")
+        assert header_plain == header and len(rows_plain) == len(rows)
+        for row, row_plain in zip(rows, rows_plain):
+            for name, cell, cell_plain in zip(header, row, row_plain):
+                if name in LABELS:
+                    assert cell == cell_plain, (argv, name)
+                else:
+                    assert value_cell.fullmatch(cell), (argv, name, cell)
 
     code_tsv, tsv, _ = _run(argv + ["--format=tsv"])
     assert code_tsv == 0 and _split(tsv, "\t") == (header, rows, comments)
