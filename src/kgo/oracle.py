@@ -2,7 +2,10 @@
 
 The operator -psi'' + lam^2 x^2 psi is discretised with the second-order
 central stencil under Dirichlet boundaries and its lowest eigenvalues k^2
-are located by bisection on Sturm pivot counts.  Nothing from the
+are located by bisection on Sturm pivot counts.  The grid mirrors exactly
+about x = 0, so the matrix folds into an even and an odd half-line block,
+and level n is bisected on the block of parity (-1)^n; all levels share one
+tree of bisection midpoints, each counted once per block.  Nothing from the
 closed-form spectrum module enters this path, so agreement between the two
 is evidence rather than construction.
 
@@ -15,7 +18,7 @@ profile_effective_potential detects.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,11 +41,14 @@ class TridiagonalOperator:
 
     diagonal is the main diagonal; off_diagonal is the one coupling shared by
     every pair of neighbouring rows.  Intended for positive-semidefinite
-    discretisations: eigenvalue brackets start at zero.
+    discretisations: eigenvalue brackets start at zero.  _mirror_row marks
+    the even block of a folded operator (see lowest_eigenvalues), whose row 0
+    couples to row 1 through sqrt(2) * off_diagonal.
     """
 
     diagonal: np.ndarray
     off_diagonal: float
+    _mirror_row: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if len(self.diagonal) < 1:
@@ -56,8 +62,9 @@ class TridiagonalOperator:
         return len(self.diagonal)
 
     @cached_property
-    def _diag_list(self) -> list:
-        return [float(v) for v in self.diagonal]
+    def _rows(self) -> tuple[float, list]:
+        first, *rest = np.asarray(self.diagonal, dtype=float).tolist()
+        return first, rest
 
     @cached_property
     def gershgorin_upper(self) -> float:
@@ -91,14 +98,19 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
     """
     pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
     offsq = op.off_diagonal * op.off_diagonal
-    count = 0
-    d = math.inf  # the first row has no predecessor: offsq / inf == 0.0
-    for a in op._diag_list:
+    first, rest = op._rows
+    d = (first - shift) or pivmin  # the first row has no predecessor
+    count = int(d < 0.0)
+    if op._mirror_row:
+        # the next row divides 2 offsq by this pivot; halving it is exact
+        d *= 0.5
+    for a in rest:
         d = (a - shift) - offsq / d
-        if d == 0.0:
-            d = pivmin
-        if d < 0.0:
-            count += 1
+        if d <= 0.0:  # most pivots are positive and pass this one test
+            if d:
+                count += 1
+            else:
+                d = pivmin
     return count
 
 
@@ -109,19 +121,56 @@ def _check_count(count: int, dimension: int) -> None:
         raise InvalidInput(f"count = {count} exceeds the matrix dimension {dimension}")
 
 
+def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
+    """[even block, odd block] of a mirror-symmetric operator, else [op].
+
+    An odd-dimension operator whose diagonal reads the same backwards
+    commutes with the reflection about its centre row m, so its spectrum is
+    that of the even (Neumann) block, rows m... with row m coupled through
+    sqrt(2) * off_diagonal, joined with the odd (Dirichlet) block, rows m+1....
+    """
+    diagonal = op.diagonal
+    if op.dimension < 3 or op.dimension % 2 == 0 or not np.array_equal(
+            diagonal, diagonal[::-1]):
+        return [op]
+    m = op.dimension // 2
+    return [TridiagonalOperator(diagonal[m:], op.off_diagonal, _mirror_row=True),
+            TridiagonalOperator(diagonal[m + 1:], op.off_diagonal)]
+
+
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
                        tol: float) -> np.ndarray:
     """First `count` eigenvalues by Sturm bisection, as an ascending array.
 
     Each eigenvalue starts from the bracket [0, Gershgorin upper bound] and
     is bisected until the bracket is narrower than tol; the bracket midpoint
-    is returned.
+    is returned.  An operator with an eigenvalue below 0 is refused.
+
+    A mirror-symmetric operator is folded into its even and odd half-line
+    blocks: by the discrete oscillation theorem level j has parity (-1)^j,
+    so it is level j // 2 of the even block for even j and of the odd block
+    for odd j, and each Sturm sweep runs over half the rows.  All levels
+    bisect one tree of midpoints from the same root, so each block counts a
+    midpoint once and later levels reuse the counts of earlier ones, as the
+    shared brackets of LAPACK dstebz do.  In exact arithmetic every decision
+    is the unfolded one; in floating point a midpoint within rounding of an
+    eigenvalue, where tol is below the rounding of a Sturm count, can go
+    either way.
     """
     _check_count(count, op.dimension)
     check_positive("tol", tol)
+    if float(np.min(op.diagonal)) - 2.0 * abs(op.off_diagonal) < 0.0:
+        below = sturm_count(op, 0.0)
+        if below:
+            raise InvalidInput(
+                f"{below} eigenvalue(s) lie below 0, where the brackets start")
+    # each block with its memo: midpoint -> Sturm count
+    blocks = [(block, {}) for block in _half_line_blocks(op)]
     hi0 = op.gershgorin_upper
     k_squared = np.empty(count)
     for j in range(count):
+        index, parity = divmod(j, len(blocks))
+        block, memo = blocks[parity]
         lo, hi = 0.0, hi0
         iterations = 0
         while hi - lo > tol:
@@ -130,7 +179,10 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
                     f"eigenvalue {j}: bracket still {hi - lo:g} wide after "
                     f"{BISECTION_MAX_ITER} bisection steps (tol = {tol:g})")
             mid = 0.5 * (lo + hi)
-            if sturm_count(op, mid) >= j + 1:
+            below = memo.get(mid)
+            if below is None:
+                below = memo[mid] = sturm_count(block, mid)
+            if below > index:
                 hi = mid
             else:
                 lo = mid

@@ -5,7 +5,9 @@ The default unit system is natural units (hbar = c = 1 with unit mass);
 user-facing energies are dimensionless, Ebar = E / (m c^2).
 """
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +19,20 @@ MAX_LEVEL = 10**6
 
 
 def check_positive(name: str, value) -> float:
-    """value as a float if it is a positive, finite real number.
+    """value as a Python float if it is a positive, finite real number.
 
-    The one validator for strictly positive inputs; anything else raises
-    InvalidInput naming the offending parameter.
+    The one validator for strictly positive inputs.  Any numbers.Real counts,
+    numpy scalars included, except a bool, which check_levels refuses too;
+    anything else, or an int too large for a float, raises InvalidInput
+    naming the offending parameter.
     """
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            number = float(value)
+    if not (math.isfinite(number) and number > 0):
         raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:

@@ -1,16 +1,21 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from kgo import oracle
 from kgo.errors import InvalidInput, NonConvergence, OutOfRange
-from kgo.oracle import (MACHINE_EPS, TridiagonalOperator, discretize_weber,
+from kgo.oracle import (BISECTION_MAX_ITER, DEFAULT_POINTS, DEFAULT_TOL,
+                        MACHINE_EPS, TridiagonalOperator, discretize_weber,
                         effective_potential, lowest_eigenvalues,
                         oracle_energies, profile_effective_potential,
                         sturm_count, veff_zero_crossing)
 from kgo.params import OscillatorParams, from_b, natural_units
 from kgo.spectrum import energy_combined, generate_table
-from kgo.wavefn import GridSpec
+from kgo.wavefn import GridSpec, default_extent
 
 
 def _toy_operator():
@@ -84,23 +89,114 @@ def test_lowest_eigenvalues_toy_matrix():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_lowest_eigenvalues_match_scipy_eigh_tridiagonal():
+def _scipy_lowest(op, count, eigvals_only=True):
     linalg = pytest.importorskip("scipy.linalg")
-    op = discretize_weber(0.7, GridSpec(6.0, 401))
-    tol = 1e-10
-    got = lowest_eigenvalues(op, 10, tol)
     off_diagonal = np.full(op.dimension - 1, op.off_diagonal)
-    want = linalg.eigh_tridiagonal(op.diagonal, off_diagonal, eigvals_only=True,
-                                   select="i", select_range=(0, 9))
+    return linalg.eigh_tridiagonal(op.diagonal, off_diagonal, eigvals_only=eigvals_only,
+                                   select="i", select_range=(0, count - 1))
+
+
+def _rounding_slack(op):
     # bisection stops with the eigenvalue inside a bracket narrower than tol;
     # both solvers also carry rounding of order eps * ||op||_inf, the largest
     # absolute row sum (the end rows have one neighbour)
     row_sums = np.abs(op.diagonal)
     row_sums[:-1] += abs(op.off_diagonal)
     row_sums[1:] += abs(op.off_diagonal)
-    slack = 16.0 * MACHINE_EPS * row_sums.max()
+    return 16.0 * MACHINE_EPS * row_sums.max()
+
+
+def test_lowest_eigenvalues_match_scipy_eigh_tridiagonal():
+    op = discretize_weber(0.7, GridSpec(6.0, 401))
+    tol = 1e-10
+    want = _scipy_lowest(op, 10)
+    got = lowest_eigenvalues(op, 10, tol)
     assert np.all(np.diff(got) > 0.0)
-    assert np.all(np.abs(got - want) <= tol + slack)
+    assert np.all(np.abs(got - want) <= tol + _rounding_slack(op))
+
+
+@st.composite
+def _dominant_operators(draw):
+    """(shape, operator): diagonally dominant, so every eigenvalue is >= 0.
+
+    shape "mirror" is odd-dimensional with a diagonal that reads the same
+    backwards, the case lowest_eigenvalues folds; "asymmetric" (odd, not
+    mirrored) and "even" (even dimension) must run on the whole matrix.
+    """
+    shape = draw(st.sampled_from(["mirror", "asymmetric", "even"]))
+    coupling = draw(st.floats(0.01, 100.0))
+    excess = st.floats(0.0, 1000.0)
+    if shape == "mirror":
+        half = draw(st.lists(excess, min_size=2, max_size=20))
+        excesses = half[:0:-1] + half
+    else:
+        size = draw(st.integers(1, 20)) * 2 + (shape == "asymmetric")
+        excesses = draw(st.lists(excess, min_size=size, max_size=size))
+        assume(excesses != excesses[::-1])
+    diagonal = 2.0 * coupling + np.array(excesses)
+    return shape, TridiagonalOperator(diagonal, -coupling)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(case=_dominant_operators(), count=st.integers(1, 41),
+       tol=st.sampled_from([1e-12, 1e-10, 1e-6]))
+def test_folded_and_whole_matrix_paths_match_scipy(case, count, tol):
+    shape, op = case
+    count = min(count, op.dimension)
+    dimensions = []
+
+    def counted(block, shift):
+        dimensions.append(block.dimension)
+        return sturm_count(block, shift)
+
+    with mock.patch.object(oracle, "sturm_count", counted):
+        got = lowest_eigenvalues(op, count, tol)
+    half = op.dimension // 2
+    folded = {half, half + 1} if count > 1 else {half + 1}
+    assert dimensions and set(dimensions) <= (folded if shape == "mirror" else {op.dimension})
+    assert np.all(np.abs(got - _scipy_lowest(op, count)) <= tol + _rounding_slack(op))
+
+
+def test_weber_eigenvectors_alternate_in_parity():
+    # the fold rests on this: level j of the mirror-symmetric operator is
+    # even about x = 0 for even j and odd for odd j, the paper's split into
+    # energy_even(n) = energy_combined(2n) and odd at 2n + 1
+    op = discretize_weber(1e-3, GridSpec(default_extent(49, 1e-3), DEFAULT_POINTS))
+    _, vectors = _scipy_lowest(op, 50, eigvals_only=False)
+    for j, v in enumerate(vectors.T):
+        assert np.max(np.abs(v[::-1] - (-1) ** j * v)) < 1e-9 * np.max(np.abs(v)), j
+
+
+def _unfolded_bisection(op, count, tol):
+    # the solver before the fold and the shared tree: every level bisects the
+    # whole matrix from the root and counts every midpoint afresh
+    k_squared = []
+    for j in range(count):
+        lo, hi = 0.0, op.gershgorin_upper
+        iterations = 0
+        while hi - lo > tol:
+            assert iterations < BISECTION_MAX_ITER
+            mid = 0.5 * (lo + hi)
+            if sturm_count(op, mid) >= j + 1:
+                hi = mid
+            else:
+                lo = mid
+            iterations += 1
+        k_squared.append(0.5 * (lo + hi))
+    return k_squared
+
+
+# oracle runs in the benchmark's bands of b, where tol exceeds the rounding
+# of a Sturm count, so the folded counts take every decision the whole
+# matrix takes; far above (b >~ 10 with tol 1e-10) a decision at a midpoint
+# within rounding of an eigenvalue can go either way, in both solvers
+@pytest.mark.parametrize("b, count, points", [
+    (3e-8, 12, 2001), (5e-4, 50, 2001), (0.02, 20, 4001), (0.37, 10, 1001),
+    (4.0, 8, 2001), (9.5, 5, 6001)])
+def test_folded_bisection_takes_the_unfolded_decisions_bit_for_bit(b, count, points):
+    op = discretize_weber(b, GridSpec(default_extent(count - 1, b), points))
+    assert lowest_eigenvalues(op, count, DEFAULT_TOL).tolist() == \
+        _unfolded_bisection(op, count, DEFAULT_TOL)
 
 
 def test_lowest_eigenvalues_validation():
@@ -111,6 +207,18 @@ def test_lowest_eigenvalues_validation():
         lowest_eigenvalues(op, 4, 1e-10)
     with pytest.raises(InvalidInput, match="^tol must be positive and finite, got 0.0$"):
         lowest_eigenvalues(op, 1, 0.0)
+
+
+def test_lowest_eigenvalues_refuses_eigenvalues_below_zero():
+    # eigenvalues -1 - 1/sqrt(2), -1, -1 + 1/sqrt(2): brackets start at 0, so
+    # these would all come back clamped to 0
+    op = TridiagonalOperator(np.array([-1.0, -1.0, -1.0]), 0.5)
+    assert sturm_count(op, 0.0) == 3
+    with pytest.raises(InvalidInput, match="^3 eigenvalue\\(s\\) lie below 0"):
+        lowest_eigenvalues(op, 2, 1e-10)
+    # a negative Gershgorin bound alone is no error: these are 0.5 and 3.5
+    op = TridiagonalOperator(np.array([2.0, 2.0]), -1.5)
+    assert lowest_eigenvalues(op, 2, 1e-12) == pytest.approx([0.5, 3.5], abs=1e-12)
 
 
 def test_lowest_eigenvalues_bisection_cap_signalled():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import kgo
@@ -97,6 +98,27 @@ def test_check_positive_returns_float_or_names_the_parameter():
     for lam in (0.0, -1.0):  # a library caller names its own parameter
         with pytest.raises(InvalidInput, match="^lam must be positive"):
             default_extent(0, lam)
+
+
+def test_check_positive_takes_numpy_scalars_as_python_floats():
+    for value, want in ((np.int64(2), 2.0), (np.float32(0.5), 0.5)):
+        got = check_positive("lam", value)
+        assert got == want and type(got) is float
+    assert from_b(np.float32(0.1)).b == float(np.float32(0.1))
+    assert type(from_b(np.float64(0.1)).omega) is float
+
+
+def test_check_positive_rejects_booleans_like_check_levels():
+    for flag in (True, False, np.True_):
+        with pytest.raises(InvalidInput, match="^lam must be positive and finite, got "):
+            check_positive("lam", flag)
+    with pytest.raises(InvalidInput, match="^level index must be an integer"):
+        check_levels(True)
+
+
+def test_check_positive_names_an_int_too_large_for_a_float():
+    with pytest.raises(InvalidInput, match="^tol must be positive and finite, got 1000"):
+        check_positive("tol", 10**400)
 
 
 def test_one_error_class_per_failure_kind():
