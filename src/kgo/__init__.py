@@ -3,31 +3,36 @@
 Closed-form bound-state energies and stationary states of the relativistic
 oscillator obtained from the momentum coupling p -> p - i m omega x, with
 an independent finite-difference eigenvalue oracle and a CLI front end.
+Each public name imports its submodule on first use (PEP 562), so
+`import kgo` does not load numpy.
 """
 
-from .errors import (InvalidInput, KgoError, NonConvergence, OutOfRange,
-                     UsageError)
-from .oracle import (TridiagonalOperator, discretize_weber, effective_potential,
-                     lowest_eigenvalues, oracle_energies,
-                     profile_effective_potential, sturm_count)
-from .params import OscillatorParams, from_b, k_squared, natural_units
-from .specfun import (hermite, hermite_from_kummer_even,
-                      hermite_from_kummer_odd, kummer_m)
-from .spectrum import (binding_energy, binding_second_order, energy_combined,
-                       energy_even, energy_odd, energy_second_order, generate_table)
-from .wavefn import (GridSpec, default_extent, inner_product, psi, psi_general,
-                     sample)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GridSpec", "InvalidInput", "KgoError", "NonConvergence",
-    "OscillatorParams", "OutOfRange", "TridiagonalOperator", "UsageError",
-    "binding_energy", "binding_second_order", "default_extent", "discretize_weber",
-    "effective_potential", "energy_combined", "energy_even", "energy_odd",
-    "energy_second_order", "from_b", "generate_table", "hermite",
-    "hermite_from_kummer_even", "hermite_from_kummer_odd", "inner_product",
-    "k_squared", "kummer_m", "lowest_eigenvalues", "natural_units",
-    "oracle_energies", "profile_effective_potential", "psi", "psi_general",
-    "sample", "sturm_count",
-]
+_EXPORTS = {  # submodule -> the public names it defines
+    "errors": ("InvalidInput", "KgoError", "NonConvergence", "OutOfRange", "UsageError"),
+    "oracle": ("TridiagonalOperator", "discretize_weber", "effective_potential",
+               "lowest_eigenvalues", "oracle_energies", "profile_effective_potential",
+               "sturm_count"),
+    "params": ("OscillatorParams", "from_b", "k_squared", "natural_units"),
+    "specfun": ("hermite", "hermite_from_kummer_even", "hermite_from_kummer_odd",
+                "kummer_m"),
+    "spectrum": ("binding_energy", "binding_second_order", "energy_combined",
+                 "energy_even", "energy_odd", "energy_second_order", "generate_table"),
+    "wavefn": ("GridSpec", "default_extent", "inner_product", "psi", "psi_general",
+               "sample"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule: `import kgo` used to import them all
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -6,7 +6,9 @@ standard error.  Exit codes: 0 success, 1 runtime/numeric error, 2 usage
 error.  Runs are deterministic: identical argv produces identical bytes.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers;
 the writer alone formats the values, under --decimals, and writes.  A failed
-build emits nothing, and a failed write ends in one error line.
+build emits nothing, and a failed write ends in one error line.  Only the
+array commands (table, wavefn, oracle, veff) load numpy: parsing, usage
+errors, --help and spectrum run without it.
 """
 
 import argparse
@@ -20,11 +22,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from . import oracle, spectrum, wavefn
+from . import spectrum
 from .errors import KgoError, UsageError
-from .params import check_levels, check_positive, from_b
+from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, check_levels, check_points,
+                     check_positive, from_b)
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -84,8 +85,7 @@ _finite_float = _arg(float, _within(-sys.float_info.max, sys.float_info.max),
 _nonnegative_int = _arg(int, _within(0, math.inf), "an integer >= 0")
 _positive_int = _arg(int, _within(1, math.inf), "an integer >= 1")
 _decimals = _arg(int, _within(0, MAX_DECIMALS), f"an integer in [0, {MAX_DECIMALS}]")
-_points = _arg(int, wavefn.check_points,
-               f"an odd integer in [3, {wavefn.MAX_POINTS}]")
+_points = _arg(int, check_points, f"an odd integer in [3, {MAX_POINTS}]")
 
 
 def _positive_float_list(text: str) -> List[float]:
@@ -141,9 +141,9 @@ def build_parser() -> _Parser:
     orc.add_argument("--b", type=_positive_float, required=True)
     orc.add_argument("--count", type=_positive_int, required=True,
                      help="number of lowest levels to verify")
-    orc.add_argument("--points", type=_points, default=oracle.DEFAULT_POINTS)
-    orc.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOL,
-                     help=f"bisection bracket width on k^2 (default: {oracle.DEFAULT_TOL:g})")
+    orc.add_argument("--points", type=_points, default=DEFAULT_POINTS)
+    orc.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
+                     help=f"bisection bracket width on k^2 (default: {DEFAULT_TOL:g})")
     orc.set_defaults(build=_build_oracle)
 
     veff = sub.add_parser("veff", help="vector-coupling effective potential profile")
@@ -170,10 +170,12 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _fmt(values, decimals: int | None) -> List[str]:
-    """Cells for a column of numbers: 6 significant digits or K fixed decimals."""
+    """Cells for a list or an array of numbers: 6 significant digits or K fixed decimals."""
     spec = ".6g" if decimals is None else f".{decimals}f"
-    # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"
-    return [format(v, spec) for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
+    # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"; arrays add it at once
+    numbers = ([v + 0.0 for v in values] if isinstance(values, list)
+               else (values + 0.0).tolist())
+    return [format(v, spec) for v in numbers]
 
 
 def _build_table(ns: argparse.Namespace) -> _Emission:
@@ -201,22 +203,25 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
 
 
 def _build_wavefn(ns: argparse.Namespace) -> _Emission:
+    from . import wavefn
     extent = ns.x_max if ns.x_max is not None else wavefn.default_extent(ns.n, ns.lam)
     grid = wavefn.GridSpec(extent, ns.points)
     return _Emission({}, {"x": grid.nodes(), "psi": wavefn.sample(ns.n, grid, ns.lam)})
 
 
 def _build_oracle(ns: argparse.Namespace) -> _Emission:
+    from . import oracle
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
     reference = spectrum.generate_table([ns.b], levels)[0]
     return _Emission({"n": [str(n) for n in levels]},
                      {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
-                      "rel_diff": np.abs(e_oracle - reference) / reference})
+                      "rel_diff": abs(e_oracle - reference) / reference})
 
 
 def _build_veff(ns: argparse.Namespace) -> _Emission:
+    from . import oracle, wavefn
     params = from_b(ns.b)
     if ns.x_max is not None:
         extent = ns.x_max

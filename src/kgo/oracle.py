@@ -24,13 +24,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, NonConvergence
-from .params import OscillatorParams, check_positive, evaluate_finite
-from .wavefn import GridSpec, check_points, default_extent
+from .params import (DEFAULT_POINTS, DEFAULT_TOL, OscillatorParams, check_points,
+                     check_positive, evaluate_finite)
+from .wavefn import GridSpec, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
-DEFAULT_POINTS = 2001
-DEFAULT_TOL = 1e-10  # bisection bracket width on k^2
 # fraction of the beyond-zero samples inspected for the unboundedness flag
 TAIL_FRACTION = 0.1
 
@@ -53,7 +52,9 @@ class TridiagonalOperator:
     def __post_init__(self):
         if len(self.diagonal) < 1:
             raise InvalidInput("operator must have at least one row")
-        # sturm_count divides this square by every pivot, so it must be finite
+        # a non-finite entry makes the bisection bracket non-finite, and
+        # sturm_count divides the coupling's square by every pivot
+        evaluate_finite("operator diagonal", lambda: self.diagonal)
         evaluate_finite("operator coupling squared",
                         lambda: self.off_diagonal * self.off_diagonal)
 

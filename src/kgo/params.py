@@ -2,20 +2,27 @@
 
 Every other module takes its dimensional inputs from OscillatorParams.
 The default unit system is natural units (hbar = c = 1 with unit mass);
-user-facing energies are dimensionless, Ebar = E / (m c^2).
+user-facing energies are dimensionless, Ebar = E / (m c^2).  The input
+rules and the overflow policy all modules share, and the grid defaults the
+CLI parser reads, live here too; they load numpy only for an array, so
+parsing and the scalar spectrum run without it.
 """
 
 import contextlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidInput, OutOfRange
 
 # plain machine integers for the level index
 MAX_LEVEL = 10**6
+# a 10^6 + 1 point grid and its formatted rows fit in 1 GiB of address space
+MAX_POINTS = 10**6 + 1
+# the oracle's default grid and bisection bracket width on k^2
+DEFAULT_POINTS = 2001
+DEFAULT_TOL = 1e-10
 
 
 def check_positive(name: str, value) -> float:
@@ -37,15 +44,19 @@ def check_positive(name: str, value) -> float:
 
 def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
     """The one level validator: raise unless n (an int or int array) is in [0, top]."""
-    levels = np.asarray(n)
-    # a Python int past the 64-bit range makes an object array
-    integral = levels.dtype.kind in "iu" or (
-        levels.dtype.kind == "O" and all(type(v) is int for v in levels.flat))
-    if not integral:
-        raise InvalidInput(f"{what} must be an integer, got {n!r}")
-    outside = levels[(levels < 0) | (levels > top)]
-    if outside.size:
-        raise InvalidInput(f"{what} must be in [0, {top}], got {outside.flat[0]}")
+    first = n  # the first level outside [0, top]; a plain int needs no numpy
+    if type(n) is not int:
+        import numpy as np
+        levels = np.asarray(n)
+        # a Python int past the 64-bit range makes an object array
+        integral = levels.dtype.kind in "iu" or (
+            levels.dtype.kind == "O" and all(type(v) is int for v in levels.flat))
+        if not integral:
+            raise InvalidInput(f"{what} must be an integer, got {n!r}")
+        outside = levels[(levels < 0) | (levels > top)]
+        first = outside.flat[0] if outside.size else 0
+    if not 0 <= first <= top:
+        raise InvalidInput(f"{what} must be in [0, {top}], got {first}")
 
 
 def evaluate_finite(what: str, compute):
@@ -54,16 +65,25 @@ def evaluate_finite(what: str, compute):
     The one overflow policy for computed results: numpy's floating-point
     warnings are silenced and the errors Python floats raise instead of
     giving inf are caught, and any non-finite entry raises OutOfRange naming
-    the quantity.
+    the quantity.  A float result is checked by math.isfinite, without numpy.
     """
-    with np.errstate(all="ignore"):
+    np = sys.modules.get("numpy")  # whoever made an array loaded it
+    with np.errstate(all="ignore") if np else contextlib.nullcontext():
         try:
             value = compute()
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-    if not np.all(np.isfinite(value)):
+    if not (math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))):
         raise OutOfRange(f"{what} exceeds the floating-point range")
     return value
+
+
+def check_points(points) -> int:
+    """The one grid-size rule: points if it is an odd integer in [3, MAX_POINTS]."""
+    if not isinstance(points, int) or not 3 <= points <= MAX_POINTS or points % 2 == 0:
+        raise InvalidInput(
+            f"points must be an odd integer in [3, {MAX_POINTS}], got {points!r}")
+    return points
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ carries the alternative sqrt(1 + 2 b (n + 1)) law that the tabulated
 reference values follow; it is exposed (CLI formula "table") so the
 disagreement stays visible instead of being silently patched either way.
 Both are the one function _energy_law at shift 1/2 or 1, evaluated on
-scalars or whole arrays.
+scalars with math.sqrt, without numpy, or on whole arrays with numpy.sqrt;
+both roots are correctly rounded, so a table cell is the scalar bit for bit.
 """
 
+import math
 from typing import Iterable
-
-import numpy as np
 
 from .errors import InvalidInput
 from .params import MAX_LEVEL, check_levels, check_positive, evaluate_finite
@@ -38,16 +38,16 @@ def combined_index(n: int, parity: str) -> int:
     return 2 * n + offset
 
 
-def _energy_law(n, b, shift: float):
-    """sqrt(1 + 2 b (n + shift)), elementwise for array n and b."""
+def _energy_law(n, b, shift: float, sqrt=math.sqrt):
+    """sqrt(1 + 2 b (n + shift)); pass numpy.sqrt for array n and b."""
     return evaluate_finite(f"energy sqrt(1 + 2b(n + {shift:g}))",
-                           lambda: np.sqrt(1.0 + 2.0 * b * (n + shift)))
+                           lambda: sqrt(1.0 + 2.0 * b * (n + shift)))
 
 
 def energy_combined(n: int, b: float) -> float:
     """Ebar_n = sqrt(1 + 2 b (n + 1/2)); even and odd states interleaved."""
     check_levels(n)
-    return float(_energy_law(n, check_positive("b", b), 0.5))
+    return _energy_law(n, check_positive("b", b), 0.5)
 
 
 def energy_even(n: int, b: float) -> float:
@@ -92,13 +92,15 @@ def binding_energy(n: int, b: float) -> float:
 
 
 def generate_table(b_values: Iterable[float], n_values: Iterable[int],
-                   formula: str = "eq21") -> tuple[np.ndarray, np.ndarray]:
+                   formula: str = "eq21") -> tuple:
     """(e_rel, e_nr_plus_one) columns for every (n, b) pair, n-major then b-minor.
 
     formula selects the law of e_rel: "eq21" the derived sqrt(1 + 2b(n + 1/2)),
     equal to energy_combined bit for bit, or "table" the tabulated
-    sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.
+    sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.  Both
+    columns are numpy arrays; this is the one function here that loads numpy.
     """
+    import numpy as np
     if formula not in FORMULA_CHOICES:
         raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
     b = np.array([check_positive("b", v) for v in b_values])
@@ -108,5 +110,5 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     check_levels(n)
     n_col = np.repeat(n, b.size)
     b_col = np.tile(b, n.size)
-    return (_energy_law(n_col, b_col, _SHIFTS[formula]),
+    return (_energy_law(n_col, b_col, _SHIFTS[formula], np.sqrt),
             1.0 + b_col * (n_col + 0.5))

@@ -17,19 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .params import check_levels, check_positive, evaluate_finite
+from .params import (MAX_POINTS, check_levels, check_points, check_positive,
+                     evaluate_finite)
 from .specfun import kummer_m
-
-# a 10^6 + 1 point grid and its formatted rows fit in 1 GiB of address space
-MAX_POINTS = 10**6 + 1
-
-
-def check_points(points) -> int:
-    """The one grid-size rule: points if it is an odd integer in [3, MAX_POINTS]."""
-    if not isinstance(points, int) or not 3 <= points <= MAX_POINTS or points % 2 == 0:
-        raise InvalidInput(
-            f"points must be an odd integer in [3, {MAX_POINTS}], got {points!r}")
-    return points
 
 
 @dataclass(frozen=True)

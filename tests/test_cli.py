@@ -441,3 +441,45 @@ def test_module_entry_point_exit_codes():
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+# Runs in a fresh interpreter: prints one json list of [argv, exit code,
+# whether numpy is loaded afterwards], the first entry for the imports alone.
+_NUMPY_PROBE = """
+import contextlib, io, itertools, json, sys
+import kgo, kgo.cli
+steps = [[[], None, "numpy" in sys.modules]]
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = kgo.cli.main(list(argv))
+        except SystemExit as exc:  # --help exits through argparse
+            code = exc.code
+    steps.append([list(argv), code, "numpy" in sys.modules])
+run("--help")
+for cmd in ("table", "spectrum", "wavefn", "oracle", "veff"):
+    run(cmd, "--help")
+run("spectrum", "--b", "-1", "--n", "0")
+run("wavefn", "--n", "1", "--lambda", "1", "--points", "4")
+run("spectrum", "--b", "1e308", "--n", "1000000")
+for parity, expansion, binding, fmt in itertools.product(
+        ("even", "odd", "combined"), ("exact", "second-order"),
+        ([], ["--binding"]), ("csv", "tsv", "json")):
+    run("spectrum", "--b", "0.01", "--n", "3", "--parity", parity,
+        "--expansion", expansion, *binding, "--format", fmt)
+run("table", "--b", "0.1", "--n-max", "1")
+print(json.dumps(steps))
+"""
+
+
+def test_parser_help_usage_errors_and_spectrum_run_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
+                          capture_output=True, text=True, check=True)
+    steps = json.loads(proc.stdout)
+    *numpy_free, array_command = steps
+    assert len(numpy_free) == 1 + 6 + 3 + 36
+    assert [code for _, code, _ in numpy_free[1:10]] == [0] * 6 + [2, 2, 1]
+    assert all(code == 0 for _, code, _ in numpy_free[10:])
+    assert [argv for argv, _, loaded in numpy_free if loaded] == []
+    # the probe can see numpy: an array command loads it
+    assert array_command == [["table", "--b", "0.1", "--n-max", "1"], 0, True]

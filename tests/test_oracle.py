@@ -40,8 +40,9 @@ def test_discretize_weber_uniform_off_diagonal():
 def test_discretize_weber_validation():
     with pytest.raises(InvalidInput, match="^lam must be positive and finite, got 0.0$"):
         discretize_weber(0.0, GridSpec(2.0, 5))
-    with pytest.raises(OutOfRange, match="lam"):
-        discretize_weber(1e200, GridSpec(2.0, 5))   # lam**2 overflows
+    # lam**2 overflows; the operator's own diagonal check does not mask this message
+    with pytest.raises(OutOfRange, match=r"^operator diagonal 2/h\^2 \+ lam\^2 x\^2 exceeds"):
+        discretize_weber(1e200, GridSpec(2.0, 5))
     with pytest.raises(OutOfRange, match="2/h"):
         discretize_weber(1.0, GridSpec(1e-200, 5))  # h**2 underflows to 0
 
@@ -49,6 +50,14 @@ def test_discretize_weber_validation():
 def test_operator_rejects_a_coupling_whose_square_overflows():
     with pytest.raises(OutOfRange, match="coupling"):
         TridiagonalOperator(np.ones(3), 1e200)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_operator_rejects_a_non_finite_diagonal(entry):
+    # a NaN diagonal made the Gershgorin bound NaN, so no bisection step ran
+    # and lowest_eigenvalues returned NaNs with no error
+    with pytest.raises(OutOfRange, match="^operator diagonal exceeds the floating-point range$"):
+        lowest_eigenvalues(TridiagonalOperator(np.array([1.0, entry, 1.0]), -0.1), 2, 1e-10)
 
 
 def test_operator_rejects_an_empty_diagonal():

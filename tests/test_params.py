@@ -1,4 +1,7 @@
+import importlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,3 +172,16 @@ def test_check_levels_reports_the_first_level_past_64_bits_in_an_array():
 def test_check_levels_rejects_non_integers(n):
     with pytest.raises(InvalidInput, match="^level index must be an integer"):
         check_levels(n)
+
+
+def test_package_names_resolve_to_their_submodule_objects():
+    for name in kgo.__all__:
+        value = getattr(kgo, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        kgo.no_such_name
+    # in a fresh interpreter a submodule is still an attribute after `import kgo`
+    probe = "import kgo; print(kgo.oracle.DEFAULT_TOL, kgo.wavefn.MAX_POINTS)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "1e-10 1000001\n"

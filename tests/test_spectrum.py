@@ -2,8 +2,11 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgo.errors import InvalidInput, OutOfRange
+from kgo.params import MAX_LEVEL
 from kgo.spectrum import (binding_energy, binding_second_order, combined_index,
                           energy_combined, energy_even, energy_odd,
                           energy_second_order, generate_table)
@@ -187,6 +190,17 @@ def test_generate_table_columns_equal_scalar_values_bit_for_bit():
     assert table_rel.tolist() == [math.sqrt(1.0 + 2.0 * b * (n + 1.0)) for n, b in pairs]
     firsts = [1.0 + b * (n + 0.5) for n, b in pairs]
     assert eq21_first.tolist() == firsts == table_first.tolist()
+
+
+# scalar energies take math.sqrt, table columns numpy.sqrt: both are the
+# correctly rounded square root, so the two must agree in every bit
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(0, MAX_LEVEL), log_b=st.floats(-300.0, 300.0))
+def test_scalar_energies_equal_their_table_cell_bit_for_bit(n, log_b):
+    b = 10.0 ** log_b
+    cell = generate_table([b], [n])[0][0]
+    family = energy_odd if n % 2 else energy_even
+    assert energy_combined(n, b).hex() == family(n // 2, b).hex() == float(cell).hex()
 
 
 def test_generate_table_rejects_empty_inputs():
