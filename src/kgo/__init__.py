@@ -16,13 +16,12 @@ _EXPORTS = {  # submodule -> the public names it defines
     "oracle": ("TridiagonalOperator", "discretize_weber", "effective_potential",
                "lowest_eigenvalues", "oracle_energies", "profile_effective_potential",
                "sturm_count"),
-    "params": ("OscillatorParams", "from_b", "k_squared", "natural_units"),
+    "params": ("OscillatorParams", "from_b", "natural_units"),
     "specfun": ("hermite", "hermite_from_kummer_even", "hermite_from_kummer_odd",
                 "kummer_m"),
     "spectrum": ("binding_energy", "binding_second_order", "energy_combined",
-                 "energy_even", "energy_odd", "energy_second_order", "generate_table"),
-    "wavefn": ("GridSpec", "default_extent", "inner_product", "psi", "psi_general",
-               "sample"),
+                 "energy_second_order", "generate_table"),
+    "wavefn": ("GridSpec", "default_extent", "inner_product", "psi", "sample"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)

@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 from . import spectrum
 from .errors import KgoError, UsageError
 from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, check_levels, check_points,
-                     check_positive, from_b)
+                     check_positive, evaluate_finite, from_b)
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -229,7 +229,8 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
         # no zero at E <= 0: take the one at E = m c^2, so u = omega x spans [-5, 5]
         xstar = (oracle.veff_zero_crossing(params, ns.energy)
                  or oracle.veff_zero_crossing(params, 1.0))
-        extent = VEFF_DEFAULT_EXTENT_FACTOR * xstar
+        extent = evaluate_finite(f"default grid extent {VEFF_DEFAULT_EXTENT_FACTOR} x*",
+                                 lambda: VEFF_DEFAULT_EXTENT_FACTOR * xstar)
     grid = wavefn.GridSpec(extent, ns.points)
     v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
     return _Emission({}, {"x": grid.nodes(), "v_eff": v_eff},

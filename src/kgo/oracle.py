@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, NonConvergence
-from .params import (DEFAULT_POINTS, DEFAULT_TOL, OscillatorParams, check_points,
-                     check_positive, evaluate_finite)
+from .params import (DEFAULT_POINTS, DEFAULT_TOL, OscillatorParams, check_integer,
+                     check_points, check_positive, evaluate_finite)
 from .wavefn import GridSpec, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
@@ -116,6 +116,7 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
 
 
 def _check_count(count: int, dimension: int) -> None:
+    check_integer(count, "count")
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count}")
     if count > dimension:
@@ -237,7 +238,8 @@ def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
     """
     if energy <= 0.0:
         return 0.0
-    return 2.0 * math.sqrt(energy / params.mass) / params.omega
+    return evaluate_finite("V_eff zero crossing 2 sqrt(E/m)/omega",
+                           lambda: 2.0 * math.sqrt(energy / params.mass) / params.omega)
 
 
 def profile_effective_potential(params: OscillatorParams, energy: float,

@@ -42,17 +42,24 @@ def check_positive(name: str, value) -> float:
     return number
 
 
+def check_integer(n, what: str):
+    """The one integer rule: n as a plain int or an int array, else InvalidInput.
+    A bool is not an integer here, as in check_positive."""
+    if type(n) is int:  # needs no numpy
+        return n
+    import numpy as np
+    levels = np.asarray(n)
+    # a Python int past the 64-bit range makes an object array
+    if levels.dtype.kind in "iu" or (
+            levels.dtype.kind == "O" and all(type(v) is int for v in levels.flat)):
+        return levels
+    raise InvalidInput(f"{what} must be an integer, got {n!r}")
+
+
 def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
     """The one level validator: raise unless n (an int or int array) is in [0, top]."""
-    first = n  # the first level outside [0, top]; a plain int needs no numpy
-    if type(n) is not int:
-        import numpy as np
-        levels = np.asarray(n)
-        # a Python int past the 64-bit range makes an object array
-        integral = levels.dtype.kind in "iu" or (
-            levels.dtype.kind == "O" and all(type(v) is int for v in levels.flat))
-        if not integral:
-            raise InvalidInput(f"{what} must be an integer, got {n!r}")
+    levels = first = check_integer(n, what)  # first: the first level outside [0, top]
+    if type(levels) is not int:
         outside = levels[(levels < 0) | (levels > top)]
         first = outside.flat[0] if outside.size else 0
     if not 0 <= first <= top:
@@ -122,12 +129,3 @@ def natural_units() -> OscillatorParams:
 def from_b(b: float) -> OscillatorParams:
     """Params with unit mass, hbar and c and omega = b, so that .b == b exactly."""
     return OscillatorParams(mass=1.0, omega=check_positive("b", b), hbar=1.0, c=1.0)
-
-
-def k_squared(params: OscillatorParams, energy: float) -> float:
-    """Squared wavenumber (E^2 - m^2 c^4) / (c^2 hbar^2).
-
-    Negative below the rest energy; zero exactly at E = m c^2.
-    """
-    m2c4 = (params.mass * params.c**2) ** 2
-    return (energy**2 - m2c4) / (params.c**2 * params.hbar**2)

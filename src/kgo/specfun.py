@@ -1,25 +1,22 @@
 """Special-function kernel: physicists' Hermite polynomials and the regular
 confluent hypergeometric function M(a, c, y).
 
-Only real arguments are supported.  The series for M terminates to a
-polynomial whenever a is a non-positive integer; that case is summed
-exactly over its finitely many nonzero terms.  The convergent branch for
-non-integer a exists for diagnostics and is capped at SERIES_MAX_TERMS.
+Only real arguments are supported.  M is summed only where its series
+terminates, at a non-positive integer a: there it is a polynomial in y,
+summed exactly over its finitely many nonzero terms, which is all the
+Hermite bridges and the quantised states need.  Any other a is refused.
 A result outside the double range raises OutOfRange (params.evaluate_finite).
 """
 
 import math
 
-from .errors import InvalidInput, NonConvergence
+from .errors import InvalidInput
 from .params import check_levels, evaluate_finite
 
 # |v - round(v)| below this counts as an integer.  The quantisation algebra
 # upstream produces exact non-positive integers; the tolerance only guards
 # float noise.
 INTEGER_TOL = 1e-9
-
-SERIES_REL_TOL = 1e-16
-SERIES_MAX_TERMS = 500
 
 
 def _is_nonpositive_integer(v: float) -> bool:
@@ -36,41 +33,26 @@ def hermite(n: int, xi: float) -> float:
 
 
 def kummer_m(a: float, c: float, y: float) -> float:
-    """M(a, c, y) = sum_k (a)_k / (c)_k * y^k / k! by direct summation.
+    """M(a, c, y) = sum_k (a)_k / (c)_k * y^k / k! for a non-positive integer a.
 
-    Terminating case (a a non-positive integer): the sum runs over its
+    There (within INTEGER_TOL) the series terminates: the sum runs over its
     -round(a) + 1 nonzero terms only, and the degree -round(a) must be a
-    level (params.check_levels).  Otherwise terms accumulate until two
-    consecutive terms fall below SERIES_REL_TOL relative to the partial sum.
-    A non-positive integer c (within INTEGER_TOL) is a pole: InvalidInput.
-    A sum outside the double range is OutOfRange; NonConvergence means only
-    that SERIES_MAX_TERMS terms did not meet the tolerance.
+    level (params.check_levels).  Any other a, and a non-positive integer c
+    (a pole), is InvalidInput.  A sum outside the double range is OutOfRange.
     """
     if not (math.isfinite(a) and math.isfinite(c)):  # round() needs finite values
         raise InvalidInput(f"M(a, c, y) needs finite a and c, got {a!r}, {c!r}")
     if _is_nonpositive_integer(c):
         raise InvalidInput(f"M(a, c, y) has a pole at c = {c!r}")
-    what = f"M({a!r}, {c!r}, {y!r})"
+    if not _is_nonpositive_integer(a):
+        raise InvalidInput(f"M(a, c, y) needs a non-positive integer a, got {a!r}")
+    degree = int(-round(a))
+    check_levels(degree, what="polynomial degree")  # bounds the loop
     s = term = 1.0
-    if _is_nonpositive_integer(a):
-        degree = int(-round(a))
-        check_levels(degree, what="polynomial degree")  # bounds the loop
-        for k in range(degree):
-            term *= (a + k) / (c + k) * y / (k + 1)
-            s += term
-        return evaluate_finite(what, lambda: s)
-    consecutive_small = 0
-    for k in range(SERIES_MAX_TERMS):
+    for k in range(degree):
         term *= (a + k) / (c + k) * y / (k + 1)
         s += term
-        # an inf or nan partial sum stops here too, and evaluate_finite reports it
-        if not abs(term) > SERIES_REL_TOL * abs(s):
-            consecutive_small += 1
-            if consecutive_small >= 2:
-                return evaluate_finite(what, lambda: s)
-        else:
-            consecutive_small = 0
-    raise NonConvergence(f"{what} did not converge within {SERIES_MAX_TERMS} terms")
+    return evaluate_finite(f"M({a!r}, {c!r}, {y!r})", lambda: s)
 
 
 def hermite_from_kummer_even(n: int, xi: float) -> float:

@@ -50,16 +50,6 @@ def energy_combined(n: int, b: float) -> float:
     return _energy_law(n, check_positive("b", b), 0.5)
 
 
-def energy_even(n: int, b: float) -> float:
-    """n-th even state, sqrt(1 + 2 b (2n + 1/2)); equals energy_combined(2n, b)."""
-    return energy_combined(combined_index(n, "even"), b)
-
-
-def energy_odd(n: int, b: float) -> float:
-    """n-th odd state, sqrt(1 + 2 b (2n + 3/2)); equals energy_combined(2n+1, b)."""
-    return energy_combined(combined_index(n, "odd"), b)
-
-
 def _second_order(n: int, b: float, rest: float) -> float:
     """rest + b (n + 1/2) - b^2 (n + 1/2)^2 / 2; a rest of 0.0 adds nothing, exactly."""
     check_levels(n)
@@ -105,6 +95,8 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
         raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
     b = np.array([check_positive("b", v) for v in b_values])
     n = np.array(list(n_values))
+    if n.ndim != 1:
+        raise InvalidInput(f"n_values must be one-dimensional, got shape {n.shape}")
     if not b.size or not n.size:
         raise InvalidInput("b_values and n_values must both be non-empty")
     check_levels(n)

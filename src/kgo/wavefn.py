@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InvalidInput
 from .params import (MAX_POINTS, check_levels, check_points, check_positive,
                      evaluate_finite)
-from .specfun import kummer_m
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,9 @@ class GridSpec:
 def default_extent(n: int, lam: float) -> float:
     """Twice the classical turning point of level n plus Gaussian tail padding."""
     check_levels(n)
-    check_positive("lam", lam)
-    return 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam)
+    lam = check_positive("lam", lam)
+    return evaluate_finite("default grid extent 2 sqrt((2n + 1)/lam) + 5/sqrt(lam)",
+                           lambda: 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam))
 
 
 def psi(n: int, x, lam: float):
@@ -97,22 +97,6 @@ def psi(n: int, x, lam: float):
     # lam^(1/4) |phi| < 2^757, so clipping exponents at -2000 changes no result
     values = np.ldexp(lam ** 0.25 * phi, np.maximum(exponent, -2000.0).astype(int))
     return float(values[0]) if np.ndim(x) == 0 else values
-
-
-def psi_general(x: float, a: float, coeff_even: float, coeff_odd: float,
-                lam: float) -> float:
-    """Even/odd superposition built directly from the hypergeometric kernel.
-
-    coeff_even * exp(-lam x^2/2) M(a, 1/2, lam x^2)
-      + coeff_odd * exp(-lam x^2/2) sqrt(lam) x M(a + 1/2, 3/2, lam x^2)
-    """
-    check_positive("lam", lam)
-    y = lam * x * x
-    gauss = math.exp(-0.5 * y)
-    even_part = coeff_even * kummer_m(a, 0.5, y) if coeff_even != 0.0 else 0.0
-    odd_part = (coeff_odd * math.sqrt(lam) * x * kummer_m(a + 0.5, 1.5, y)
-                if coeff_odd != 0.0 else 0.0)
-    return gauss * (even_part + odd_part)
 
 
 def sample(n: int, grid: GridSpec, lam: float) -> np.ndarray:

@@ -229,6 +229,11 @@ def _run_no_warnings(capsys, *argv):
     ("oracle", "--b", "1e154", "--count", "1"),     # the coupling 1/h^4 overflows
     ("wavefn", "--n", "1000001", "--lambda", "1", "--points", "3"),  # n > MAX_LEVEL
     ("oracle", "--b", "0.1", "--count", "1000002"),  # count > points - 2
+    # the default box overflows: the error names it, not a "grid extent inf"
+    ("wavefn", "--n", "0", "--lambda", "1e-320"),
+    ("oracle", "--b", "1e-320", "--count", "2"),
+    ("veff", "--b", "1e-320", "--energy", "1"),
+    ("veff", "--b", "2e-308", "--energy", "1"),  # x* is finite, 2.5 x* is not
 ])
 def test_out_of_range_inputs_give_one_error_line(capsys, argv):
     code, out, err = _run_no_warnings(capsys, *argv)

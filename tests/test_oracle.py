@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -141,8 +142,10 @@ def _dominant_operators(draw):
     else:
         size = draw(st.integers(1, 20)) * 2 + (shape == "asymmetric")
         excesses = draw(st.lists(excess, min_size=size, max_size=size))
-        assume(excesses != excesses[::-1])
     diagonal = 2.0 * coupling + np.array(excesses)
+    # checked after rounding: 2 * coupling + excess absorbs a tiny excess, so
+    # excesses that differ can still give a diagonal that reads the same backwards
+    assume(shape == "mirror" or not np.array_equal(diagonal, diagonal[::-1]))
     return shape, TridiagonalOperator(diagonal, -coupling)
 
 
@@ -169,7 +172,7 @@ def test_folded_and_whole_matrix_paths_match_scipy(case, count, tol):
 def test_weber_eigenvectors_alternate_in_parity():
     # the fold rests on this: level j of the mirror-symmetric operator is
     # even about x = 0 for even j and odd for odd j, the paper's split into
-    # energy_even(n) = energy_combined(2n) and odd at 2n + 1
+    # even level n at combined index 2n and odd level n at 2n + 1
     op = discretize_weber(1e-3, GridSpec(default_extent(49, 1e-3), DEFAULT_POINTS))
     _, vectors = _scipy_lowest(op, 50, eigvals_only=False)
     for j, v in enumerate(vectors.T):
@@ -216,6 +219,10 @@ def test_lowest_eigenvalues_validation():
         lowest_eigenvalues(op, 4, 1e-10)
     with pytest.raises(InvalidInput, match="^tol must be positive and finite, got 0.0$"):
         lowest_eigenvalues(op, 1, 0.0)
+    for count in (2.0, True, "2", None):
+        with pytest.raises(InvalidInput, match=f"^count must be an integer, got {count!r}$"):
+            lowest_eigenvalues(op, count, 1e-8)
+    assert lowest_eigenvalues(op, np.int64(1), 1e-12) == pytest.approx([2 - 2**0.5])
 
 
 def test_lowest_eigenvalues_refuses_eigenvalues_below_zero():
@@ -293,6 +300,33 @@ def test_oracle_energies_natural_units():
     assert energy**2 - 1.0 == pytest.approx(k_squared, rel=1e-12)
 
 
+def test_oracle_energies_invert_the_dimensional_k_squared():
+    # the paper's k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2) at E = Ebar m c^2, in
+    # units where no constant is 1
+    p = OscillatorParams(mass=2.0, omega=0.7, hbar=1.3, c=2.1)
+    k_squared, energy = oracle_energies(p, 4)
+    rest = p.mass * p.c**2
+    inverted = ((energy * rest) ** 2 - rest**2) / (p.c**2 * p.hbar**2)
+    assert inverted == pytest.approx(k_squared, rel=1e-12)
+    assert k_squared == pytest.approx([p.lam * (2 * n + 1) for n in range(4)], rel=1e-3)
+
+
+def test_oracle_energies_dimensionless_identity():
+    # k^2 c^2 hbar^2 / (2 m c^2 hbar w) = (Ebar^2 - 1) / (2 b)
+    p = OscillatorParams(mass=2.0, omega=0.7, hbar=1.3, c=2.1)
+    k_squared, energy = oracle_energies(p, 4)
+    lhs = k_squared * p.c**2 * p.hbar**2 / (2.0 * p.mass * p.c**2 * p.hbar * p.omega)
+    assert lhs == pytest.approx((energy**2 - 1.0) / (2.0 * p.b), rel=1e-12)
+
+
+def test_oracle_energies_rise_with_level_above_the_rest_energy():
+    # every bound k^2 is positive and grows with the level, so Ebar > 1 grows too
+    for b in (1e-3, 0.5):
+        k_squared, energy = oracle_energies(from_b(b), 6)
+        assert np.all(k_squared > 0.0) and np.all(np.diff(k_squared) > 0.0)
+        assert np.all(energy > 1.0) and np.all(np.diff(energy) > 0.0)
+
+
 def test_oracle_energies_adjudicates_ground_state():
     # the derived law gives sqrt(1.001) ~ 1.0005; the tabulated law 1.001
     _, (energy,) = oracle_energies(from_b(0.001), 1)
@@ -303,6 +337,8 @@ def test_oracle_energies_adjudicates_ground_state():
 def test_oracle_energies_validation():
     with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
         oracle_energies(natural_units(), 0)
+    with pytest.raises(InvalidInput, match="^count must be an integer, got True$"):
+        oracle_energies(from_b(0.1), True)
     # the count is checked against the operator's dimension before the box
     # is built, so the error names the count and not a level derived from it
     with pytest.raises(InvalidInput,
@@ -312,6 +348,13 @@ def test_oracle_energies_validation():
         oracle_energies(natural_units(), 4, points=5)
     with pytest.raises(InvalidInput, match=r"^points must be an odd integer in \[3, "):
         oracle_energies(natural_units(), 1, points=4)
+
+
+@pytest.mark.parametrize("count", [2.5, "2", None])
+def test_oracle_energies_refuse_a_count_that_is_not_an_integer(count):
+    with pytest.raises(InvalidInput,
+                       match=f"^count must be an integer, got {re.escape(repr(count))}$"):
+        oracle_energies(from_b(0.1), count)
 
 
 def test_oracle_confirms_combined_law_across_b():

@@ -1,7 +1,10 @@
+import ast
 import importlib
-import math
+import importlib.util
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from kgo import errors
 from kgo.errors import (InvalidInput, KgoError, NonConvergence, OutOfRange,
                         UsageError)
 from kgo.params import (MAX_LEVEL, OscillatorParams, check_levels, check_positive,
-                        from_b, k_squared, natural_units)
+                        from_b, natural_units)
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd)
 from kgo.spectrum import energy_combined, energy_second_order
@@ -53,43 +56,6 @@ def test_params_validation_rejects_nonpositive_fields():
         OscillatorParams(mass=1.0, omega=1.0, hbar=float("nan"))
     with pytest.raises(InvalidInput, match="^c must be positive and finite"):
         OscillatorParams(mass=1.0, omega=1.0, c=float("inf"))
-
-
-def test_k_squared_at_rest_energy_is_zero():
-    assert k_squared(natural_units(), 1.0) == 0.0
-
-
-def test_k_squared_direct_substitution():
-    assert math.isclose(k_squared(natural_units(), math.sqrt(3.0)), 2.0,
-                        rel_tol=1e-14)
-
-
-def test_k_squared_matches_table_ground_state():
-    # 1.09545 is the tabulated ground-state energy at b = 0.1
-    ksq = k_squared(from_b(0.1), 1.09545)
-    assert ksq == pytest.approx(1.09545**2 - 1.0, rel=1e-14)
-    assert ksq == pytest.approx(0.2, abs=3e-4)
-
-
-def test_k_squared_monotone_in_energy_magnitude():
-    p = from_b(0.5)
-    energies = [1.0, 1.1, 1.5, 2.0, 5.0]
-    values = [k_squared(p, e) for e in energies]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    # symmetric in E and negative below the rest energy
-    assert k_squared(p, -2.0) == k_squared(p, 2.0)
-    assert k_squared(p, 0.5) < 0.0
-
-
-def test_k_squared_dimensionless_identity():
-    # k^2 c^2 hbar^2 / (2 m c^2 hbar w) == (Ebar^2 - 1) / (2 b)
-    p = OscillatorParams(mass=2.0, omega=0.7, hbar=1.3, c=2.1)
-    for ebar in (1.0001, 1.2, 1.9, 4.0):
-        energy = ebar * p.mass * p.c**2
-        lhs = k_squared(p, energy) * p.c**2 * p.hbar**2 / (
-            2.0 * p.mass * p.c**2 * p.hbar * p.omega)
-        rhs = (ebar**2 - 1.0) / (2.0 * p.b)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_check_positive_returns_float_or_names_the_parameter():
@@ -185,3 +151,19 @@ def test_package_names_resolve_to_their_submodule_objects():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert proc.stdout == "1e-10 1000001\n"
+
+
+def test_readme_names_only_public_names():
+    # a trimmed name must leave the docs too: every `kgo.<name>` in README.md
+    # is a public name or a submodule, and the library example imports only
+    # public names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    written = set(re.findall(r"\bkgo\.(\w+)", readme))
+    assert {"KgoError", "spectrum"} <= written
+    for name in written:
+        assert name in kgo.__all__ or importlib.util.find_spec(f"kgo.{name}"), name
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    tree = ast.parse(example.split("```", 1)[0])
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "kgo" for alias in node.names}
+    assert imported and imported <= set(kgo.__all__)

@@ -8,22 +8,26 @@ from hypothesis import strategies as st
 from kgo.errors import InvalidInput, OutOfRange
 from kgo.params import MAX_LEVEL
 from kgo.spectrum import (binding_energy, binding_second_order, combined_index,
-                          energy_combined, energy_even, energy_odd,
-                          energy_second_order, generate_table)
+                          energy_combined, energy_second_order, generate_table)
 
 
-def test_energy_even_direct_values():
-    assert energy_even(0, 0.1) == pytest.approx(math.sqrt(1.1), rel=1e-15)
-    assert energy_even(0, 0.1) == pytest.approx(1.048809, abs=1e-6)
-    assert energy_even(1, 0.1) == pytest.approx(math.sqrt(1.5), rel=1e-15)
+def family_energy(n, parity, b):
+    """Level n of a parity family, by the CLI's path: combined_index, then the law."""
+    return energy_combined(combined_index(n, parity), b)
+
+
+def test_even_family_direct_values():
+    assert family_energy(0, "even", 0.1) == pytest.approx(math.sqrt(1.1), rel=1e-15)
+    assert family_energy(0, "even", 0.1) == pytest.approx(1.048809, abs=1e-6)
+    assert family_energy(1, "even", 0.1) == pytest.approx(math.sqrt(1.5), rel=1e-15)
     # rest-energy limit
-    assert energy_even(0, 1e-15) == pytest.approx(1.0, abs=1e-14)
+    assert family_energy(0, "even", 1e-15) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_energy_odd_direct_values():
-    assert energy_odd(0, 0.1) == pytest.approx(math.sqrt(1.3), rel=1e-15)
-    assert energy_odd(1, 0.1) == pytest.approx(math.sqrt(1.7), rel=1e-15)
-    assert energy_odd(3, 1e-15) == pytest.approx(1.0, abs=1e-13)
+def test_odd_family_direct_values():
+    assert family_energy(0, "odd", 0.1) == pytest.approx(math.sqrt(1.3), rel=1e-15)
+    assert family_energy(1, "odd", 0.1) == pytest.approx(math.sqrt(1.7), rel=1e-15)
+    assert family_energy(3, "odd", 1e-15) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_energy_combined_direct_values():
@@ -35,20 +39,20 @@ def test_energy_combined_direct_values():
 def test_interleaving_is_exact():
     for b in (1e-4, 1e-3, 0.1, 1.0):
         for k in range(51):
-            assert energy_even(k, b) == energy_combined(2 * k, b)
-            assert energy_odd(k, b) == energy_combined(2 * k + 1, b)
+            assert family_energy(k, "even", b) == energy_combined(2 * k, b)
+            assert family_energy(k, "odd", b) == energy_combined(2 * k + 1, b)
 
 
 def test_parity_families_bound_their_own_index():
     # each family's last level is the combined law's last, MAX_LEVEL = 10**6
-    assert energy_even(500000, 0.1) == energy_combined(10**6, 0.1)
-    assert energy_odd(499999, 0.1) == energy_combined(10**6 - 1, 0.1)
+    assert family_energy(500000, "even", 0.1) == energy_combined(10**6, 0.1)
+    assert family_energy(499999, "odd", 0.1) == energy_combined(10**6 - 1, 0.1)
     with pytest.raises(InvalidInput,
                        match=r"^odd level index must be in \[0, 499999\], got 500000$"):
-        energy_odd(500000, 0.1)
+        family_energy(500000, "odd", 0.1)
     with pytest.raises(InvalidInput,
                        match=r"^even level index must be in \[0, 500000\], got 500001$"):
-        energy_even(500001, 0.1)
+        family_energy(500001, "even", 0.1)
 
 
 def test_combined_index_rejects_an_unknown_parity():
@@ -199,8 +203,17 @@ def test_generate_table_columns_equal_scalar_values_bit_for_bit():
 def test_scalar_energies_equal_their_table_cell_bit_for_bit(n, log_b):
     b = 10.0 ** log_b
     cell = generate_table([b], [n])[0][0]
-    family = energy_odd if n % 2 else energy_even
-    assert energy_combined(n, b).hex() == family(n // 2, b).hex() == float(cell).hex()
+    family = family_energy(n // 2, "odd" if n % 2 else "even", b)
+    assert energy_combined(n, b).hex() == family.hex() == float(cell).hex()
+
+
+def test_generate_table_rejects_levels_that_are_not_one_dimensional():
+    # a nested list used to give one row per entry
+    for n_values, shape in (([[1, 2]], r"\(1, 2\)"), ([[0], [1]], r"\(2, 1\)"),
+                            ([[[0]]], r"\(1, 1, 1\)")):
+        with pytest.raises(InvalidInput,
+                           match=rf"^n_values must be one-dimensional, got shape {shape}$"):
+            generate_table([0.1], n_values)
 
 
 def test_generate_table_rejects_empty_inputs():
@@ -238,7 +251,7 @@ def test_energy_law_guards_bound_state_range():
     with pytest.raises(OutOfRange):
         energy_combined(10**6, 1e308)
     with pytest.raises(OutOfRange):
-        energy_even(0, 1e308)
+        family_energy(0, "even", 1e308)
     with pytest.raises(OutOfRange):
         generate_table([1e308], [2], "table")
     with pytest.raises(OutOfRange):

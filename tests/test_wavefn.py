@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from kgo.errors import InvalidInput, OutOfRange
-from kgo.specfun import hermite
+from kgo.specfun import hermite, kummer_m
 from kgo.wavefn import (MAX_POINTS, GridSpec, default_extent, inner_product,
-                        psi, psi_general, sample)
+                        psi, sample)
 
 MAX_FACTORIAL_LEVEL = 170  # n! is finite up to 170!
 
@@ -17,7 +17,7 @@ def normalization_constant(n, lam):
     """N_n = sqrt( sqrt(lam/pi) / (2^n n!) ), evaluated in log space.
 
     The constant of the direct product N_n H_n exp(-xi^2/2) that the
-    reference checks of psi and psi_general build.
+    reference checks of psi build.
     """
     assert 0 <= n <= MAX_FACTORIAL_LEVEL
     return math.exp(0.25 * math.log(lam / math.pi)
@@ -158,62 +158,48 @@ def test_psi_far_tails_are_zero_without_warnings():
     assert values[2] == psi(4, 0.0, 1.0)
 
 
-def test_psi_general_reduces_to_gaussian():
+def kummer_state(n, x, lam):
+    """psi_n in the paper's Kummer form, with M(-k, c, xi^2) summed by kummer_m.
+
+    N_n (-1)^k (2k)!/k! M(-k, 1/2, xi^2) e^(-xi^2/2) for n = 2k and
+    N_n (-1)^k 2 (2k+1)!/k! xi M(-k, 3/2, xi^2) e^(-xi^2/2) for n = 2k + 1.
+    """
+    k, odd = divmod(n, 2)
+    xi = math.sqrt(lam) * x
+    prefactor = (2.0 if odd else 1.0) * math.prod(map(float, range(k + 1, n + 1)))
+    m = kummer_m(-float(k), 1.5 if odd else 0.5, xi * xi)
+    return (normalization_constant(n, lam) * (-1.0) ** k * prefactor * xi**odd * m
+            * math.exp(-0.5 * xi * xi))
+
+
+def test_psi_ground_state_is_the_normalised_gaussian():
+    # M(0, 1/2, xi^2) = 1: psi_0 = (lam/pi)^(1/4) exp(-lam x^2 / 2)
     for lam in (0.5, 1.0, 3.0):
         for x in (-1.2, 0.0, 0.4, 2.0):
-            assert psi_general(x, 0.0, 1.0, 0.0, lam) == pytest.approx(
-                math.exp(-0.5 * lam * x * x), rel=1e-14)
+            assert psi(0, x, lam) == pytest.approx(
+                (lam / math.pi) ** 0.25 * math.exp(-0.5 * lam * x * x), rel=1e-14)
 
 
-def test_psi_general_at_origin_is_even_coefficient():
-    for a in (-2.0, -0.3, 1.1):
-        assert psi_general(0.0, a, 3.5, 2.2, 1.0) == 3.5
+def test_psi_at_origin_is_the_even_kummer_coefficient():
+    # M(-k, c, 0) = 1, so psi_2k(0) is N_2k (-1)^k (2k)!/k! and odd states vanish
+    for lam in (0.5, 2.0):
+        for k in range(8):
+            want = (normalization_constant(2 * k, lam) * (-1.0) ** k
+                    * math.prod(map(float, range(k + 1, 2 * k + 1))))
+            assert psi(2 * k, 0.0, lam) == pytest.approx(want, rel=1e-12), (k, lam)
+            assert psi(2 * k + 1, 0.0, lam) == 0.0
 
 
-def test_psi_general_two_term_case():
-    want = math.exp(-0.5) * (-1.0)
-    assert psi_general(1.0, -1.0, 1.0, 0.0, 1.0) == pytest.approx(want, rel=1e-13)
-
-
-def test_psi_general_out_of_range_signalled():
-    # M(-400, 1/2, 900) sums past the double range
-    with pytest.raises(OutOfRange):
-        psi_general(30.0, -400.0, 1.0, 0.0, 1.0)
-
-
-@pytest.mark.parametrize("coeffs", [(1.0, 0.0), (0.0, 1.0)])
-def test_psi_general_rejects_a_huge_polynomial_degree(coeffs):
-    with pytest.raises(InvalidInput, match="^polynomial degree"):
-        psi_general(1.0, -1e300, *coeffs, 1.0)
-
-
-def test_psi_general_reproduces_even_states():
-    # A carries the even Hermite prefactor (-1)^k (2k)!/k! times N_{2k}
-    lam = 1.0
-    for k in range(6):
-        prefactor = 1.0
-        for j in range(k + 1, 2 * k + 1):
-            prefactor *= j
-        coeff = normalization_constant(2 * k, lam) * (-1.0) ** k * prefactor
-        for x in (-2.6, -0.9, 0.37, 1.45):
-            want = psi(2 * k, x, lam)
-            got = psi_general(x, -float(k), coeff, 0.0, lam)
-            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-13), (k, x)
-
-
-def test_psi_general_reproduces_odd_states():
-    # B carries the odd prefactor (-1)^k 2 (2k+1)!/k! times N_{2k+1}; the
-    # explicit x factor lives inside psi_general's odd branch
-    lam = 1.0
-    for k in range(6):
-        prefactor = 2.0
-        for j in range(k + 1, 2 * k + 2):
-            prefactor *= j
-        coeff = normalization_constant(2 * k + 1, lam) * (-1.0) ** k * prefactor
-        for x in (-2.6, -0.9, 0.37, 1.45):
-            want = psi(2 * k + 1, x, lam)
-            got = psi_general(x, -float(k) - 0.5, 0.0, coeff, lam)
-            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-13), (k, x)
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+def test_psi_states_are_the_terminating_kummer_polynomials(parity):
+    # the quantised a = -k makes M(a, c, xi^2) a polynomial: psi's Hermite-
+    # function recurrence and the paper's Kummer form give the same state
+    for lam in (0.7, 1.0):
+        for k in range(6):
+            n = 2 * k + parity
+            for x in (-2.6, -0.9, 0.37, 1.45):
+                assert math.isclose(psi(n, x, lam), kummer_state(n, x, lam),
+                                    rel_tol=1e-9, abs_tol=1e-13), (n, lam, x)
 
 
 def _sign_changes(values):
