@@ -5,9 +5,12 @@ central stencil under Dirichlet boundaries and its lowest eigenvalues k^2
 are located by bisection on Sturm pivot counts.  The grid mirrors exactly
 about x = 0, so the matrix folds into an even and an odd half-line block,
 and level n is bisected on the block of parity (-1)^n; all levels share one
-tree of bisection midpoints, each counted once per block.  Nothing from the
-closed-form spectrum module enters this path, so agreement between the two
-is evidence rather than construction.
+tree of bisection midpoints, each counted once per block.  A block's rows run
+from x = 0 outward, and each sweep stops past the classical turning point of
+its shift once the pivots can no longer turn negative, with the full sweep's
+count bit for bit (see sturm_count).  Nothing from the closed-form spectrum
+module enters this path, so agreement between the two is evidence rather
+than construction.
 
 The module also profiles the effective potential that arises when the
 harmonic potential couples as a Lorentz vector instead of through the
@@ -18,14 +21,16 @@ profile_effective_potential detects.
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .errors import InvalidInput, NonConvergence
 from .params import (DEFAULT_POINTS, DEFAULT_TOL, OscillatorParams, check_integer,
-                     check_points, check_positive, evaluate_finite)
+                     check_points, check_positive, evaluate_finite, is_real)
 from .wavefn import GridSpec, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
@@ -50,8 +55,17 @@ class TridiagonalOperator:
     _mirror_row: bool = field(default=False, repr=False)
 
     def __post_init__(self):
+        if np.ndim(self.diagonal) != 1:
+            raise InvalidInput("operator diagonal must be one-dimensional, got "
+                               f"shape {np.shape(self.diagonal)}")
+        if not is_real(self.off_diagonal):
+            raise InvalidInput("operator coupling must be a real number, got "
+                               f"{self.off_diagonal!r}")
         if len(self.diagonal) < 1:
             raise InvalidInput("operator must have at least one row")
+        # a Python float, so every pivot is a double whatever the coupling's type
+        object.__setattr__(self, "off_diagonal", evaluate_finite(
+            "operator coupling", lambda: float(self.off_diagonal)))
         # a non-finite entry makes the bisection bracket non-finite, and
         # sturm_count divides the coupling's square by every pivot
         evaluate_finite("operator diagonal", lambda: self.diagonal)
@@ -63,9 +77,13 @@ class TridiagonalOperator:
         return len(self.diagonal)
 
     @cached_property
-    def _rows(self) -> tuple[float, list]:
+    def _rows(self) -> tuple[float, list, list]:
+        """(first, rest, floor): the diagonal as floats, split after row 0,
+        and floor[i] = min(rest[i:]), which never decreases (see sturm_count)."""
         first, *rest = np.asarray(self.diagonal, dtype=float).tolist()
-        return first, rest
+        floor = list(accumulate(reversed(rest), min))
+        floor.reverse()
+        return first, rest, floor
 
     @cached_property
     def gershgorin_upper(self) -> float:
@@ -96,22 +114,43 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
 
     A zero pivot is replaced by +eps times the Gershgorin bound, which counts
     a boundary hit as not-below; bisection is insensitive to that choice.
+
+    The sweep ends once no later row can add to the count.  With r the
+    coupling's magnitude, a pivot d >= r followed by a row whose a - shift is
+    at least r + off^2/r = 2r gives a pivot (a - shift) - off^2/d >= r again.
+    The cut is the first row from which every remaining diagonal entry clears
+    that bound, found by bisection on floor, the running minimum _rows keeps;
+    rows before the cut are swept in full, rows after it only while d < r.
+    The bound and the shift plus it are each rounded up one ulp, and every
+    rounded operation of the pivot update is monotone in a and d, so the
+    computed pivots past the stop are >= r > 0 as well: the count is the full
+    sweep's, bit for bit.  On an oscillator block those rows lie past the
+    classical turning point of the shift.
     """
     pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
     offsq = op.off_diagonal * op.off_diagonal
-    first, rest = op._rows
+    reach = abs(op.off_diagonal) or MACHINE_EPS  # r: any positive float keeps the proof
+    bound = math.nextafter(reach + offsq / reach, math.inf)
+    first, rest, floor = op._rows
+    cut = bisect_left(floor, math.nextafter(shift + bound, math.inf))
     d = (first - shift) or pivmin  # the first row has no predecessor
     count = int(d < 0.0)
     if op._mirror_row:
         # the next row divides 2 offsq by this pivot; halving it is exact
         d *= 0.5
-    for a in rest:
-        d = (a - shift) - offsq / d
-        if d <= 0.0:  # most pivots are positive and pass this one test
-            if d:
-                count += 1
-            else:
-                d = pivmin
+    rows = iter(rest)
+    past_cut = False
+    for part in (islice(rows, cut), rows):
+        for a in part:
+            if past_cut and d >= reach:
+                break
+            d = (a - shift) - offsq / d
+            if d <= 0.0:  # most pivots are positive and pass this one test
+                if d:
+                    count += 1
+                else:
+                    d = pivmin
+        past_cut = True
     return count
 
 
@@ -154,10 +193,12 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     for odd j, and each Sturm sweep runs over half the rows.  All levels
     bisect one tree of midpoints from the same root, so each block counts a
     midpoint once and later levels reuse the counts of earlier ones, as the
-    shared brackets of LAPACK dstebz do.  In exact arithmetic every decision
-    is the unfolded one; in floating point a midpoint within rounding of an
-    eigenvalue, where tol is below the rounding of a Sturm count, can go
-    either way.
+    shared brackets of LAPACK dstebz do.  Each sweep ends once its pivots
+    can no longer turn negative, past the turning point of the midpoint, and
+    gives the full sweep's count (see sturm_count).  In exact arithmetic
+    every decision is the unfolded one; in floating point a midpoint within
+    rounding of an eigenvalue, where tol is below the rounding of a Sturm
+    count, can go either way.
     """
     _check_count(count, op.dimension)
     check_positive("tol", tol)

@@ -25,16 +25,21 @@ DEFAULT_POINTS = 2001
 DEFAULT_TOL = 1e-10
 
 
+def is_real(value) -> bool:
+    """The one rule for a real-number input: any numbers.Real, numpy scalars
+    included, except a bool, which check_levels refuses too."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive(name: str, value) -> float:
     """value as a Python float if it is a positive, finite real number.
 
-    The one validator for strictly positive inputs.  Any numbers.Real counts,
-    numpy scalars included, except a bool, which check_levels refuses too;
-    anything else, or an int too large for a float, raises InvalidInput
-    naming the offending parameter.
+    The one validator for strictly positive inputs.  Anything is_real
+    refuses, or an int too large for a float, raises InvalidInput naming the
+    offending parameter.
     """
     number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if is_real(value):
         with contextlib.suppress(OverflowError):
             number = float(value)
     if not (math.isfinite(number) and number > 0):
@@ -113,12 +118,14 @@ class OscillatorParams:
     @property
     def lam(self) -> float:
         """Inverse squared width m*omega/hbar of the ground state."""
-        return self.mass * self.omega / self.hbar
+        return evaluate_finite("lam = m omega / hbar",
+                               lambda: self.mass * self.omega / self.hbar)
 
     @property
     def b(self) -> float:
         """Dimensionless strength parameter hbar*omega/(m c^2)."""
-        return self.hbar * self.omega / (self.mass * self.c**2)
+        return evaluate_finite("b = hbar omega / (m c^2)",
+                               lambda: self.hbar * self.omega / (self.mass * self.c**2))
 
 
 def natural_units() -> OscillatorParams:

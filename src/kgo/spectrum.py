@@ -94,7 +94,10 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     if formula not in FORMULA_CHOICES:
         raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
     b = np.array([check_positive("b", v) for v in b_values])
-    n = np.array(list(n_values))
+    try:
+        n = np.array(list(n_values))
+    except ValueError:  # numpy gives a ragged nesting no shape
+        raise InvalidInput("n_values must be one-dimensional, got a ragged nesting") from None
     if n.ndim != 1:
         raise InvalidInput(f"n_values must be one-dimensional, got shape {n.shape}")
     if not b.size or not n.size:

@@ -66,6 +66,31 @@ def test_operator_rejects_an_empty_diagonal():
         TridiagonalOperator(np.array([]), 1.0)
 
 
+def test_operator_rejects_a_diagonal_that_is_not_one_dimensional():
+    # a square diagonal used to pass, and _rows then raised a bare TypeError
+    with pytest.raises(InvalidInput,
+                       match=r"^operator diagonal must be one-dimensional, got shape \(3, 3\)$"):
+        lowest_eigenvalues(TridiagonalOperator(np.ones((3, 3)), -1.0), 1, 1e-10)
+    with pytest.raises(InvalidInput, match=r"got shape \(\)$"):
+        TridiagonalOperator(np.float64(1.0), -1.0)
+
+
+@pytest.mark.parametrize("coupling", ["a", True, 1j, None])
+def test_operator_rejects_a_coupling_that_is_not_a_real_number(coupling):
+    with pytest.raises(InvalidInput,
+                       match=rf"^operator coupling must be a real number, got {re.escape(repr(coupling))}$"):
+        TridiagonalOperator(np.ones(3), coupling)
+
+
+def test_operator_holds_its_coupling_as_a_python_float():
+    # a float32 coupling would otherwise turn pivots into float32 arithmetic
+    for coupling in (np.float32(-0.5), np.float64(-0.5), -1, -0.5):
+        op = TridiagonalOperator(np.ones(3), coupling)
+        assert type(op.off_diagonal) is float and op.off_diagonal == float(coupling)
+    with pytest.raises(OutOfRange, match="^operator coupling exceeds"):
+        TridiagonalOperator(np.ones(3), 10**400)
+
+
 def test_sturm_count_analytic_3x3():
     op = _toy_operator()
     assert sturm_count(op, 0.0) == 0
@@ -90,6 +115,80 @@ def test_sturm_count_brackets_give_interval_counts():
     for lo, hi in ((0.0, 1.0), (0.5, 2.5), (1.0, 4.0), (2.5, 3.0)):
         inside = sum(1 for e in eigs if lo <= e < hi)
         assert sturm_count(op, hi) - sturm_count(op, lo) == inside
+
+
+def _full_sweep_count(op, shift):
+    # sturm_count before the sweep ended early, verbatim: every row at every shift
+    pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
+    offsq = op.off_diagonal * op.off_diagonal
+    first, *rest = np.asarray(op.diagonal, dtype=float).tolist()
+    d = (first - shift) or pivmin  # the first row has no predecessor
+    count = int(d < 0.0)
+    if op._mirror_row:
+        # the next row divides 2 offsq by this pivot; halving it is exact
+        d *= 0.5
+    for a in rest:
+        d = (a - shift) - offsq / d
+        if d <= 0.0:  # most pivots are positive and pass this one test
+            if d:
+                count += 1
+            else:
+                d = pivmin
+    return count
+
+
+@st.composite
+def _operators_and_shifts(draw):
+    """(operator, shifts) with shifts where an early stop could go wrong.
+
+    Weber matrices (whole, which dips to the centre, or a half-line block),
+    increasing and unordered diagonals, of odd and even dimension, each with
+    and without the mirror row.  Shifts sit at and one ulp either side of
+    a - 2|coupling| for drawn rows a, the edge of the cut; within a few ulps
+    of eigenvalues, where the pivots past the turning point decide the
+    count; and at and far above the Gershgorin bound.
+    """
+    kind = draw(st.sampled_from(["weber", "increasing", "unordered"]))
+    if kind == "weber":
+        lam = 10.0 ** draw(st.floats(-8.0, 3.0))
+        level = draw(st.integers(0, 30))
+        whole = discretize_weber(lam, GridSpec(default_extent(level, lam),
+                                               draw(st.integers(2, 100)) * 2 + 1))
+        start = draw(st.sampled_from([0, whole.dimension // 2, whole.dimension // 2 + 1]))
+        diagonal, coupling = whole.diagonal[start:], whole.off_diagonal
+    else:
+        size = draw(st.integers(1, 40))
+        scale = 10.0 ** draw(st.floats(-2.0, 10.0))
+        entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        diagonal = scale * np.array(sorted(entries) if kind == "increasing" else entries)
+        # a coupling far below the diagonal's ulp puts every edge on a row
+        coupling = draw(st.sampled_from([0.0, -1.0, 1e-3, -1e-30, 1e-200])
+                        | st.floats(-1e3, 1e3))
+    op = TridiagonalOperator(diagonal, coupling, _mirror_row=draw(st.booleans()))
+    r = abs(op.off_diagonal)
+    shifts = [0.0, op.gershgorin_upper, 2.0 * op.gershgorin_upper + 1e3 * (r + 1.0)]
+    for a in draw(st.lists(st.sampled_from(op.diagonal.tolist()), min_size=1, max_size=4)):
+        edge = a - 2.0 * r
+        shifts += [a, edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    couplings = np.full(op.dimension - 1, op.off_diagonal)
+    couplings[:1] *= math.sqrt(2.0) if op._mirror_row else 1.0
+    matrix = np.diag(op.diagonal) + np.diag(couplings, 1) + np.diag(couplings, -1)
+    eigenvalues = np.linalg.eigvalsh(matrix).tolist()
+    for below in draw(st.lists(st.sampled_from(eigenvalues), min_size=1, max_size=3)):
+        shifts.append(below)
+        above = below
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            shifts += [below, above]
+    return op, shifts
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(case=_operators_and_shifts())
+def test_sturm_count_ends_early_with_the_full_sweep_count(case):
+    op, shifts = case
+    for shift in shifts:
+        assert sturm_count(op, shift) == _full_sweep_count(op, shift), shift
 
 
 def test_lowest_eigenvalues_toy_matrix():

@@ -58,6 +58,21 @@ def test_params_validation_rejects_nonpositive_fields():
         OscillatorParams(mass=1.0, omega=1.0, c=float("inf"))
 
 
+def test_lam_that_overflows_is_refused_under_its_own_name():
+    # lam read inf, and the oracle then blamed an input: "lam must be positive
+    # and finite, got inf"
+    p = OscillatorParams(mass=1e200, omega=1e200, hbar=1e-200, c=1e-200)
+    with pytest.raises(OutOfRange, match=r"^lam = m omega / hbar exceeds the floating-point range$"):
+        p.lam
+
+
+def test_b_that_overflows_is_refused_under_its_own_name():
+    # c**2 raised a bare OverflowError
+    p = OscillatorParams(mass=1e-200, omega=1e-200, hbar=1e-200, c=1e200)
+    with pytest.raises(OutOfRange, match=r"^b = hbar omega / \(m c\^2\) exceeds the floating-point range$"):
+        p.b
+
+
 def test_check_positive_returns_float_or_names_the_parameter():
     assert check_positive("lam", 2) == 2.0 and type(check_positive("lam", 2)) is float
     assert check_positive("b", 5e-324) == 5e-324

@@ -216,6 +216,13 @@ def test_generate_table_rejects_levels_that_are_not_one_dimensional():
             generate_table([0.1], n_values)
 
 
+def test_generate_table_rejects_ragged_levels():
+    # numpy's own ValueError ("inhomogeneous shape") escaped
+    with pytest.raises(InvalidInput,
+                       match="^n_values must be one-dimensional, got a ragged nesting$"):
+        generate_table([0.1], [[1], [2, 3]])
+
+
 def test_generate_table_rejects_empty_inputs():
     with pytest.raises(InvalidInput, match="^b_values and n_values must both be non-empty$"):
         generate_table([], [0, 1])
