@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence
 
 from . import spectrum
 from .errors import KgoError, UsageError
-from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, check_levels, check_points,
+from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, check_integer, check_points,
                      check_positive, evaluate_finite, from_b)
 
 FORMATS = ("csv", "tsv", "json")
@@ -179,7 +179,7 @@ def _fmt(values, decimals: int | None) -> List[str]:
 
 
 def _build_table(ns: argparse.Namespace) -> _Emission:
-    check_levels(ns.n_max)  # before any per-level array is built
+    check_integer(ns.n_max)  # before any per-level array is built
     n_values = range(ns.n_max + 1)
     e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, n_values, ns.formula)
     # rows run n-major, b-minor: each n cell repeats len(b) times and the

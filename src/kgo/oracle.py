@@ -137,7 +137,8 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
     count = int(d < 0.0)
     if op._mirror_row:
         # the next row divides 2 offsq by this pivot; halving it is exact
-        d *= 0.5
+        # unless it rounds the pivot to 0, which keeps it whole
+        d = 0.5 * d or d
     rows = iter(rest)
     past_cut = False
     for part in (islice(rows, cut), rows):
@@ -152,14 +153,6 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
                     d = pivmin
         past_cut = True
     return count
-
-
-def _check_count(count: int, dimension: int) -> None:
-    check_integer(count, "count")
-    if count < 1:
-        raise InvalidInput(f"count must be >= 1, got {count}")
-    if count > dimension:
-        raise InvalidInput(f"count = {count} exceeds the matrix dimension {dimension}")
 
 
 def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
@@ -200,7 +193,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     rounding of an eigenvalue, where tol is below the rounding of a Sturm
     count, can go either way.
     """
-    _check_count(count, op.dimension)
+    count = check_integer(count, "count", 1, op.dimension)
     check_positive("tol", tol)
     if float(np.min(op.diagonal)) - 2.0 * abs(op.off_diagonal) < 0.0:
         below = sturm_count(op, 0.0)
@@ -246,10 +239,11 @@ def oracle_energies(params: OscillatorParams, count: int,
     """
     # one operator row per interior node; checked before default_extent, which
     # would report count - 1 as an out-of-range level
-    _check_count(count, check_points(points) - 2)
+    count = check_integer(count, "count", 1, check_points(points) - 2)
     grid = GridSpec(default_extent(count - 1, params.lam), points)
     k_squared = lowest_eigenvalues(discretize_weber(params.lam, grid), count, tol)
-    return k_squared, np.sqrt(1.0 + params.b / params.lam * k_squared)
+    return k_squared, evaluate_finite("oracle energy sqrt(1 + b k^2 / lam)",
+                                      lambda: np.sqrt(1.0 + params.b / params.lam * k_squared))
 
 
 def effective_potential(params: OscillatorParams, energy: float, x) -> float:

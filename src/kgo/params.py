@@ -27,7 +27,7 @@ DEFAULT_TOL = 1e-10
 
 def is_real(value) -> bool:
     """The one rule for a real-number input: any numbers.Real, numpy scalars
-    included, except a bool, which check_levels refuses too."""
+    included, except a bool, which check_integer refuses too."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -47,28 +47,18 @@ def check_positive(name: str, value) -> float:
     return number
 
 
-def check_integer(n, what: str):
-    """The one integer rule: n as a plain int or an int array, else InvalidInput.
-    A bool is not an integer here, as in check_positive."""
-    if type(n) is int:  # needs no numpy
-        return n
-    import numpy as np
-    levels = np.asarray(n)
-    # a Python int past the 64-bit range makes an object array
-    if levels.dtype.kind in "iu" or (
-            levels.dtype.kind == "O" and all(type(v) is int for v in levels.flat)):
-        return levels
-    raise InvalidInput(f"{what} must be an integer, got {n!r}")
-
-
-def check_levels(n, top: int = MAX_LEVEL, what: str = "level index") -> None:
-    """The one level validator: raise unless n (an int or int array) is in [0, top]."""
-    levels = first = check_integer(n, what)  # first: the first level outside [0, top]
-    if type(levels) is not int:
-        outside = levels[(levels < 0) | (levels > top)]
-        first = outside.flat[0] if outside.size else 0
-    if not 0 <= first <= top:
-        raise InvalidInput(f"{what} must be in [0, {top}], got {first}")
+def check_integer(n, what: str = "level index", low: int = 0, high: int = MAX_LEVEL) -> int:
+    """The one integer rule, for a level (the defaults), a degree, a count or a
+    point count: n as a plain int if it is a Python or numpy integer in
+    [low, high], else InvalidInput.  A bool is not an integer here, as in
+    check_positive, and neither is an array, even a 0-d or a 1-element one."""
+    if type(n) is not int:  # needs no numpy
+        if not (is_real(n) and isinstance(n, numbers.Integral)):
+            raise InvalidInput(f"{what} must be an integer, got {n!r}")
+        n = int(n)
+    if not low <= n <= high:
+        raise InvalidInput(f"{what} must be in [{low}, {high}], got {n}")
+    return n
 
 
 def evaluate_finite(what: str, compute):
@@ -91,10 +81,11 @@ def evaluate_finite(what: str, compute):
 
 
 def check_points(points) -> int:
-    """The one grid-size rule: points if it is an odd integer in [3, MAX_POINTS]."""
-    if not isinstance(points, int) or not 3 <= points <= MAX_POINTS or points % 2 == 0:
-        raise InvalidInput(
-            f"points must be an odd integer in [3, {MAX_POINTS}], got {points!r}")
+    """The one grid-size rule: points as a plain int if it is an odd integer
+    in [3, MAX_POINTS]."""
+    points = check_integer(points, "points", 3, MAX_POINTS)
+    if points % 2 == 0:
+        raise InvalidInput(f"points must be odd, got {points}")
     return points
 
 
@@ -118,14 +109,19 @@ class OscillatorParams:
     @property
     def lam(self) -> float:
         """Inverse squared width m*omega/hbar of the ground state."""
-        return evaluate_finite("lam = m omega / hbar",
-                               lambda: self.mass * self.omega / self.hbar)
+        return _derived("lam = m omega / hbar", lambda: self.mass * self.omega / self.hbar)
 
     @property
     def b(self) -> float:
         """Dimensionless strength parameter hbar*omega/(m c^2)."""
-        return evaluate_finite("b = hbar omega / (m c^2)",
-                               lambda: self.hbar * self.omega / (self.mass * self.c**2))
+        return _derived("b = hbar omega / (m c^2)",
+                        lambda: self.hbar * self.omega / (self.mass * self.c**2))
+
+
+def _derived(what: str, compute) -> float:
+    """A ratio of positive constants, refused under its own name both where it
+    overflows (OutOfRange) and where it underflows to 0 (InvalidInput)."""
+    return check_positive(what, evaluate_finite(what, compute))
 
 
 def natural_units() -> OscillatorParams:

@@ -11,11 +11,12 @@ A result outside the double range raises OutOfRange (params.evaluate_finite).
 import math
 
 from .errors import InvalidInput
-from .params import check_levels, evaluate_finite
+from .params import check_integer, evaluate_finite
 
-# |v - round(v)| below this counts as an integer.  The quantisation algebra
-# upstream produces exact non-positive integers; the tolerance only guards
-# float noise.
+# |v - round(v)| up to this counts as an integer, for kummer_m's a (a
+# terminating series) and c (a pole).  The Hermite bridges pass exact
+# integers; the tolerance lets an a or c that a caller computed in floating
+# point, with rounding noise, count as the integer it stands for.
 INTEGER_TOL = 1e-9
 
 
@@ -25,7 +26,7 @@ def _is_nonpositive_integer(v: float) -> bool:
 
 def hermite(n: int, xi: float) -> float:
     """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
-    check_levels(n, what="polynomial degree")
+    n = check_integer(n, "polynomial degree")
     h_prev, h = 0.0, 1.0
     for k in range(n):
         h_prev, h = h, 2.0 * xi * h - 2.0 * k * h_prev
@@ -37,7 +38,7 @@ def kummer_m(a: float, c: float, y: float) -> float:
 
     There (within INTEGER_TOL) the series terminates: the sum runs over its
     -round(a) + 1 nonzero terms only, and the degree -round(a) must be a
-    level (params.check_levels).  Any other a, and a non-positive integer c
+    level (params.check_integer).  Any other a, and a non-positive integer c
     (a pole), is InvalidInput.  A sum outside the double range is OutOfRange.
     """
     if not (math.isfinite(a) and math.isfinite(c)):  # round() needs finite values
@@ -46,8 +47,7 @@ def kummer_m(a: float, c: float, y: float) -> float:
         raise InvalidInput(f"M(a, c, y) has a pole at c = {c!r}")
     if not _is_nonpositive_integer(a):
         raise InvalidInput(f"M(a, c, y) needs a non-positive integer a, got {a!r}")
-    degree = int(-round(a))
-    check_levels(degree, what="polynomial degree")  # bounds the loop
+    degree = check_integer(-round(a), "polynomial degree")  # bounds the loop
     s = term = 1.0
     for k in range(degree):
         term *= (a + k) / (c + k) * y / (k + 1)
@@ -57,7 +57,7 @@ def kummer_m(a: float, c: float, y: float) -> float:
 
 def hermite_from_kummer_even(n: int, xi: float) -> float:
     """H_{2n}(xi) through the identity (-1)^n (2n)!/n! M(-n, 1/2, xi^2)."""
-    check_levels(n)
+    n = check_integer(n)
     prefactor = math.prod(map(float, range(n + 1, 2 * n + 1)))  # (2n)!/n!
     m = kummer_m(-float(n), 0.5, xi * xi)
     return evaluate_finite(f"H_{2 * n}({xi!r})", lambda: (-1.0) ** n * prefactor * m)
@@ -69,7 +69,7 @@ def hermite_from_kummer_odd(n: int, xi: float) -> float:
     The explicit xi factor is required: without it the right-hand side is
     an even function of xi and cannot equal an odd polynomial.
     """
-    check_levels(n)
+    n = check_integer(n)
     prefactor = 2.0 * math.prod(map(float, range(n + 1, 2 * n + 2)))  # 2 (2n+1)!/n!
     m = kummer_m(-float(n), 1.5, xi * xi)
     return evaluate_finite(f"H_{2 * n + 1}({xi!r})",

@@ -15,7 +15,7 @@ import math
 from typing import Iterable
 
 from .errors import InvalidInput
-from .params import MAX_LEVEL, check_levels, check_positive, evaluate_finite
+from .params import MAX_LEVEL, check_integer, check_positive, evaluate_finite
 
 # formula -> shift s of the law sqrt(1 + 2 b (n + s))
 _SHIFTS = {"eq21": 0.5, "table": 1.0}
@@ -31,11 +31,9 @@ def combined_index(n: int, parity: str) -> int:
     if parity not in PARITY_CHOICES:
         raise InvalidInput(f"parity must be one of {PARITY_CHOICES}, got {parity!r}")
     if parity == "combined":
-        check_levels(n)
-        return n
+        return check_integer(n)
     offset = _PARITY_OFFSETS[parity]
-    check_levels(n, (MAX_LEVEL - offset) // 2, f"{parity} level index")
-    return 2 * n + offset
+    return 2 * check_integer(n, f"{parity} level index", 0, (MAX_LEVEL - offset) // 2) + offset
 
 
 def _energy_law(n, b, shift: float, sqrt=math.sqrt):
@@ -46,13 +44,13 @@ def _energy_law(n, b, shift: float, sqrt=math.sqrt):
 
 def energy_combined(n: int, b: float) -> float:
     """Ebar_n = sqrt(1 + 2 b (n + 1/2)); even and odd states interleaved."""
-    check_levels(n)
+    n = check_integer(n)
     return _energy_law(n, check_positive("b", b), 0.5)
 
 
 def _second_order(n: int, b: float, rest: float) -> float:
     """rest + b (n + 1/2) - b^2 (n + 1/2)^2 / 2; a rest of 0.0 adds nothing, exactly."""
-    check_levels(n)
+    n = check_integer(n)
     bs = check_positive("b", b) * (n + 0.5)
     return evaluate_finite(f"second-order energy {rest:g} + b(n + 1/2) - b^2 (n + 1/2)^2 / 2",
                            lambda: rest + bs - 0.5 * bs ** 2)
@@ -102,7 +100,11 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
         raise InvalidInput(f"n_values must be one-dimensional, got shape {n.shape}")
     if not b.size or not n.size:
         raise InvalidInput("b_values and n_values must both be non-empty")
-    check_levels(n)
+    if n.dtype.kind not in "iu" or n.min() < 0 or n.max() > MAX_LEVEL:
+        if n.dtype.kind not in "iuO":  # numpy coerced the levels: name them all
+            raise InvalidInput(f"level index must be an integer, got {n!r}")
+        # the scalar rule names the first bad level, even one past 64 bits
+        n = np.array([check_integer(v) for v in n.tolist()])
     n_col = np.repeat(n, b.size)
     b_col = np.tile(b, n.size)
     return (_energy_law(n_col, b_col, _SHIFTS[formula], np.sqrt),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .params import (MAX_POINTS, check_levels, check_points, check_positive,
+from .params import (MAX_POINTS, check_integer, check_points, check_positive,
                      evaluate_finite)
 
 
@@ -35,7 +35,7 @@ class GridSpec:
 
     def __post_init__(self):
         check_positive("grid extent", self.extent)
-        check_points(self.points)
+        object.__setattr__(self, "points", check_points(self.points))
         evaluate_finite(f"grid spacing over [-{self.extent!r}, {self.extent!r}]",
                         lambda: self.spacing)
 
@@ -50,7 +50,7 @@ class GridSpec:
 
 def default_extent(n: int, lam: float) -> float:
     """Twice the classical turning point of level n plus Gaussian tail padding."""
-    check_levels(n)
+    n = check_integer(n)
     lam = check_positive("lam", lam)
     return evaluate_finite("default grid extent 2 sqrt((2n + 1)/lam) + 5/sqrt(lam)",
                            lambda: 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam))
@@ -65,7 +65,7 @@ def psi(n: int, x, lam: float):
     it runs on phi_k 2^-e and carries e, rescaling by exact powers of two;
     elsewhere every step rounds as in the plain recurrence.
     """
-    check_levels(n)
+    n = check_integer(n)
     check_positive("lam", lam)
     with np.errstate(over="ignore"):
         xi = math.sqrt(lam) * np.atleast_1d(np.asarray(x, dtype=float))

@@ -244,7 +244,7 @@ def test_out_of_range_inputs_give_one_error_line(capsys, argv):
     if "1000001" in argv:
         assert err == "kgo: error: level index must be in [0, 1000000], got 1000001\n"
     elif "1000002" in argv:
-        assert err == "kgo: error: count = 1000002 exceeds the matrix dimension 1999\n"
+        assert err == "kgo: error: count must be in [1, 1999], got 1000002\n"
     else:
         assert err.startswith("kgo: error: ") and "floating-point range" in err
 

@@ -98,6 +98,18 @@ def test_sturm_count_analytic_3x3():
     assert sturm_count(op, 4.0) == 3
     assert sturm_count(op, 2.0 - math.sqrt(2.0) + 1e-9) == 1
     assert sturm_count(op, 2.0 + math.sqrt(2.0) + 1e-9) == 3
+    # a mirror block [[0, sqrt(2) c], [sqrt(2) c, 0]] at a shift one subnormal
+    # below 0: its first pivot, halved, rounded to 0 and the sweep divided by it
+    for c, below in ((0.0, 0), (1.0, 1)):
+        assert sturm_count(TridiagonalOperator(np.zeros(2), c, _mirror_row=True),
+                           -5e-324) == below
+    # the even block [[3, sqrt(2)], [sqrt(2), 3]] 1e154 of a 3x3 operator whose
+    # squared coupling doubled would overflow: eigenvalues (3 -+ sqrt(2)) 1e154
+    even, _ = oracle._half_line_blocks(TridiagonalOperator(np.full(3, 3e154), 1e154))
+    for shift, below in ((1e154, 0), (2e154, 1), (4e154, 1), (5e154, 2)):
+        assert sturm_count(even, shift) == _full_sweep_count(even, shift) == below
+    assert lowest_eigenvalues(TridiagonalOperator(np.full(3, 3e154), 1e154), 1, 1e140) \
+        == pytest.approx([(3.0 - math.sqrt(2.0)) * 1e154])
 
 
 def test_sturm_count_monotone_and_saturating():
@@ -312,14 +324,15 @@ def test_folded_bisection_takes_the_unfolded_decisions_bit_for_bit(b, count, poi
 
 def test_lowest_eigenvalues_validation():
     op = _toy_operator()
-    with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
+    with pytest.raises(InvalidInput, match=r"^count must be in \[1, 3\], got 0$"):
         lowest_eigenvalues(op, 0, 1e-10)
-    with pytest.raises(InvalidInput, match="^count = 4 exceeds the matrix dimension 3$"):
+    with pytest.raises(InvalidInput, match=r"^count must be in \[1, 3\], got 4$"):
         lowest_eigenvalues(op, 4, 1e-10)
     with pytest.raises(InvalidInput, match="^tol must be positive and finite, got 0.0$"):
         lowest_eigenvalues(op, 1, 0.0)
-    for count in (2.0, True, "2", None):
-        with pytest.raises(InvalidInput, match=f"^count must be an integer, got {count!r}$"):
+    for count in (2.0, True, "2", None, np.array([2]), np.array(2), np.True_):
+        with pytest.raises(InvalidInput,
+                           match=f"^count must be an integer, got {re.escape(repr(count))}$"):
             lowest_eigenvalues(op, count, 1e-8)
     assert lowest_eigenvalues(op, np.int64(1), 1e-12) == pytest.approx([2 - 2**0.5])
 
@@ -434,22 +447,33 @@ def test_oracle_energies_adjudicates_ground_state():
 
 
 def test_oracle_energies_validation():
-    with pytest.raises(InvalidInput, match="^count must be >= 1, got 0$"):
+    with pytest.raises(InvalidInput, match=r"^count must be in \[1, 1999\], got 0$"):
         oracle_energies(natural_units(), 0)
     with pytest.raises(InvalidInput, match="^count must be an integer, got True$"):
         oracle_energies(from_b(0.1), True)
     # the count is checked against the operator's dimension before the box
     # is built, so the error names the count and not a level derived from it
-    with pytest.raises(InvalidInput,
-                       match="^count = 1000002 exceeds the matrix dimension 1999$"):
+    with pytest.raises(InvalidInput, match=r"^count must be in \[1, 1999\], got 1000002$"):
         oracle_energies(natural_units(), 1000002)
-    with pytest.raises(InvalidInput, match="^count = 4 exceeds the matrix dimension 3$"):
+    with pytest.raises(InvalidInput, match=r"^count must be in \[1, 3\], got 4$"):
         oracle_energies(natural_units(), 4, points=5)
-    with pytest.raises(InvalidInput, match=r"^points must be an odd integer in \[3, "):
+    with pytest.raises(InvalidInput, match="^points must be odd, got 4$"):
         oracle_energies(natural_units(), 1, points=4)
+    for points in (np.array([11]), np.array(11), np.True_):
+        with pytest.raises(InvalidInput,
+                           match=f"^points must be an integer, got {re.escape(repr(points))}$"):
+            oracle_energies(natural_units(), 1, points=points)
+    assert np.array_equal(oracle_energies(natural_units(), 2, points=np.int64(11)),
+                          oracle_energies(natural_units(), 2, points=11))
 
 
-@pytest.mark.parametrize("count", [2.5, "2", None])
+def test_oracle_energies_refuse_an_energy_past_the_double_range():
+    # b = 1e308 with lam = 1: sqrt(1 + b k^2 / lam) read inf, with a numpy warning
+    with pytest.raises(OutOfRange, match=r"^oracle energy sqrt\(1 \+ b k\^2 / lam\) exceeds"):
+        oracle_energies(OscillatorParams(1.0, 1.0, 1.0, 1e-154), 5, 201)
+
+
+@pytest.mark.parametrize("count", [2.5, "2", None, np.array([2]), np.array(2), np.True_])
 def test_oracle_energies_refuse_a_count_that_is_not_an_integer(count):
     with pytest.raises(InvalidInput,
                        match=f"^count must be an integer, got {re.escape(repr(count))}$"):

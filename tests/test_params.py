@@ -13,11 +13,13 @@ import kgo
 from kgo import errors
 from kgo.errors import (InvalidInput, KgoError, NonConvergence, OutOfRange,
                         UsageError)
-from kgo.params import (MAX_LEVEL, OscillatorParams, check_levels, check_positive,
+from kgo.oracle import oracle_energies
+from kgo.params import (MAX_LEVEL, OscillatorParams, check_integer, check_positive,
                         from_b, natural_units)
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd)
-from kgo.spectrum import energy_combined, energy_second_order
+from kgo.spectrum import (combined_index, energy_combined, energy_second_order,
+                          generate_table)
 from kgo.wavefn import default_extent, psi
 
 
@@ -73,6 +75,19 @@ def test_b_that_overflows_is_refused_under_its_own_name():
         p.b
 
 
+@pytest.mark.parametrize("params, name, what", [
+    (OscillatorParams(1e-200, 1e-200), "lam", r"lam = m omega / hbar"),
+    (OscillatorParams(1e200, 1e-200), "b", r"b = hbar omega / \(m c\^2\)"),
+], ids=["lam", "b"])
+def test_a_ratio_that_underflows_is_refused_under_its_own_name(params, name, what):
+    # it read 0.0, and the oracle then blamed an input: "lam must be positive
+    # and finite, got 0.0"
+    with pytest.raises(InvalidInput, match=rf"^{what} must be positive and finite, got 0.0$"):
+        getattr(params, name)
+    with pytest.raises(InvalidInput, match=rf"^{what} must be positive and finite"):
+        oracle_energies(params, 1)
+
+
 def test_check_positive_returns_float_or_names_the_parameter():
     assert check_positive("lam", 2) == 2.0 and type(check_positive("lam", 2)) is float
     assert check_positive("b", 5e-324) == 5e-324
@@ -92,12 +107,12 @@ def test_check_positive_takes_numpy_scalars_as_python_floats():
     assert type(from_b(np.float64(0.1)).omega) is float
 
 
-def test_check_positive_rejects_booleans_like_check_levels():
+def test_check_positive_rejects_booleans_like_check_integer():
     for flag in (True, False, np.True_):
         with pytest.raises(InvalidInput, match="^lam must be positive and finite, got "):
             check_positive("lam", flag)
-    with pytest.raises(InvalidInput, match="^level index must be an integer"):
-        check_levels(True)
+        with pytest.raises(InvalidInput, match="^level index must be an integer"):
+            check_integer(flag, "level index", 0, MAX_LEVEL)
 
 
 def test_check_positive_names_an_int_too_large_for_a_float():
@@ -126,8 +141,16 @@ def test_params_are_immutable():
         p.mass = 2.0
 
 
-# numpy holds an integer past 64 bits in an object array; it is still a level
-@pytest.mark.parametrize("n", [-1, MAX_LEVEL + 1, 10**20, -10**20])
+# numpy holds an integer past 64 bits in an object array; it is still a level.
+# An array, even a 0-d or a 1-element one, and a numpy bool are no integer.
+_OUTSIDE = (-1, MAX_LEVEL + 1, 10**20, -10**20)
+
+
+@pytest.mark.parametrize("n, rule", [
+    *((n, rf"must be in \[0, {MAX_LEVEL}\], got {n}$") for n in _OUTSIDE),
+    *((n, rf"must be an integer, got {re.escape(repr(n))}$")
+      for n in (np.array([2]), np.array(2), np.True_)),
+], ids=[*map(str, _OUTSIDE), "array", "0d-array", "np.True_"])
 @pytest.mark.parametrize("call", [
     lambda n: energy_combined(n, 0.1),
     lambda n: energy_second_order(n, 0.1),
@@ -136,23 +159,26 @@ def test_params_are_immutable():
     lambda n: hermite_from_kummer_even(n, 0.5),
     lambda n: hermite_from_kummer_odd(n, 0.5),
     lambda n: default_extent(n, 1.0),
+    lambda n: combined_index(n, "combined"),
 ], ids=["energy_combined", "energy_second_order", "psi", "hermite",
-        "hermite_from_kummer_even", "hermite_from_kummer_odd", "default_extent"])
-def test_every_level_taking_function_rejects_levels_outside_the_range(call, n):
-    with pytest.raises(InvalidInput, match=rf"must be in \[0, {MAX_LEVEL}\], got {n}$"):
+        "hermite_from_kummer_even", "hermite_from_kummer_odd", "default_extent",
+        "combined_index"])
+def test_every_level_taking_function_rejects_levels_outside_the_range(call, n, rule):
+    with pytest.raises(InvalidInput, match=rule):
         call(n)
 
 
-def test_check_levels_reports_the_first_level_past_64_bits_in_an_array():
+def test_generate_table_reports_the_first_level_past_64_bits():
     with pytest.raises(InvalidInput,
                        match=rf"^level index must be in \[0, {MAX_LEVEL}\], got {2**64}$"):
-        check_levels([3, 2**64, 10**20])
+        generate_table([0.1], [3, 2**64, 10**20])
 
 
-@pytest.mark.parametrize("n", [1.0, True, None, "3", [1, 10**20, 2.5]])
-def test_check_levels_rejects_non_integers(n):
+@pytest.mark.parametrize("n", [1.0, True, None, "3", [1, 10**20, 2.5], np.array([2]),
+                               np.array(2), np.True_])
+def test_check_integer_rejects_non_integers(n):
     with pytest.raises(InvalidInput, match="^level index must be an integer"):
-        check_levels(n)
+        check_integer(n, "level index", 0, MAX_LEVEL)
 
 
 def test_package_names_resolve_to_their_submodule_objects():

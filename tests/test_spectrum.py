@@ -1,6 +1,8 @@
 import math
+import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,10 @@ def test_parity_families_bound_their_own_index():
     with pytest.raises(InvalidInput,
                        match=r"^even level index must be in \[0, 500000\], got 500001$"):
         family_energy(500001, "even", 0.1)
+    # an array is no level: this one used to come back as array([4])
+    with pytest.raises(InvalidInput,
+                       match=r"^even level index must be an integer, got array\(\[2\]\)$"):
+        combined_index(np.array([2]), "even")
 
 
 def test_combined_index_rejects_an_unknown_parity():
@@ -248,6 +254,19 @@ def test_parameter_validation():
         energy_combined(10**6 + 1, 0.1)
     with pytest.raises(InvalidInput, match="^b must be positive and finite, got nan$"):
         energy_second_order(0, float("nan"))
+    # a table checks its levels in numpy and names the first that breaks the
+    # rule; levels numpy coerced to floats are no longer the caller's, so all
+    # of them are named
+    for levels in ([2.5, 0], [0, 2.5]):
+        with pytest.raises(InvalidInput, match=r"^level index must be an integer, got "
+                           + re.escape(repr(np.array(levels))) + "$"):
+            generate_table([0.1], levels)
+    with pytest.raises(InvalidInput, match="^level index must be an integer, got None$"):
+        generate_table([0.1], [0, None])
+    with pytest.raises(InvalidInput, match=r"^level index must be in \[0, 1000000\], got -1$"):
+        generate_table([0.1], np.array([0, -1, 10**7]))
+    assert np.array_equal(generate_table([0.1], np.array([2, 0], dtype=object))[0],
+                          generate_table([0.1], [2, 0])[0])
 
 
 def test_energy_law_guards_bound_state_range():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -24,14 +25,20 @@ def normalization_constant(n, lam):
                     - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0)))
 
 
-POINTS_RULE = rf"^points must be an odd integer in \[3, {MAX_POINTS}\], got "
+POINTS_RULE = rf"^points must be in \[3, {MAX_POINTS}\], got "
 
 
 def test_gridspec_validation():
-    with pytest.raises(InvalidInput, match=POINTS_RULE + "4$"):
+    with pytest.raises(InvalidInput, match="^points must be odd, got 4$"):
         GridSpec(1.0, 4)              # even
     with pytest.raises(InvalidInput, match=POINTS_RULE + "1$"):
         GridSpec(1.0, 1)              # too few
+    for points in (11.0, np.array([11]), np.array(11), np.True_):
+        with pytest.raises(InvalidInput,
+                           match=f"^points must be an integer, got {re.escape(repr(points))}$"):
+            GridSpec(1.0, points)
+    grid = GridSpec(1.0, np.int64(11))  # a numpy count is taken as a plain int
+    assert grid.points == 11 and type(grid.points) is int
     for extent in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(InvalidInput,
                            match=f"^grid extent must be positive and finite, got {extent!r}$"):
