@@ -4,7 +4,9 @@ Closed-form bound-state energies and stationary states of the relativistic
 oscillator obtained from the momentum coupling p -> p - i m omega x, with
 an independent finite-difference eigenvalue oracle and a CLI front end.
 Each public name imports its submodule on first use (PEP 562), so
-`import kgo` does not load numpy.
+`import kgo` does not load numpy.  Neither do the params, spectrum, specfun
+and oracle modules: numpy is loaded by kgo.wavefn and by the functions that
+build arrays (generate_table, GridSpec.nodes, profile_effective_potential).
 """
 
 import importlib
@@ -16,12 +18,12 @@ _EXPORTS = {  # submodule -> the public names it defines
     "oracle": ("TridiagonalOperator", "discretize_weber", "effective_potential",
                "lowest_eigenvalues", "oracle_energies", "profile_effective_potential",
                "sturm_count"),
-    "params": ("OscillatorParams", "from_b", "natural_units"),
+    "params": ("GridSpec", "OscillatorParams", "default_extent", "from_b", "natural_units"),
     "specfun": ("hermite", "hermite_from_kummer_even", "hermite_from_kummer_odd",
                 "kummer_m"),
     "spectrum": ("binding_energy", "binding_second_order", "energy_combined",
                  "energy_second_order", "generate_table"),
-    "wavefn": ("GridSpec", "default_extent", "inner_product", "psi", "sample"),
+    "wavefn": ("inner_product", "psi", "sample"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)

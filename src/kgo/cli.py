@@ -7,8 +7,9 @@ error.  Runs are deterministic: identical argv produces identical bytes.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers;
 the writer alone formats the values, under --decimals, and writes.  A failed
 build emits nothing, and a failed write ends in one error line.  Only the
-array commands (table, wavefn, oracle, veff) load numpy: parsing, usage
-errors, --help and spectrum run without it.
+array commands (table, wavefn, veff) load numpy: parsing, usage errors,
+--help, spectrum and the oracle, whose solver runs on Python floats, run
+without it.
 """
 
 import argparse
@@ -24,8 +25,8 @@ from typing import Dict, List, Sequence
 
 from . import spectrum
 from .errors import KgoError, UsageError
-from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, check_integer, check_points,
-                     check_positive, evaluate_finite, from_b)
+from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, GridSpec, check_integer,
+                     check_points, check_positive, default_extent, evaluate_finite, from_b)
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -204,8 +205,8 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
 
 def _build_wavefn(ns: argparse.Namespace) -> _Emission:
     from . import wavefn
-    extent = ns.x_max if ns.x_max is not None else wavefn.default_extent(ns.n, ns.lam)
-    grid = wavefn.GridSpec(extent, ns.points)
+    extent = ns.x_max if ns.x_max is not None else default_extent(ns.n, ns.lam)
+    grid = GridSpec(extent, ns.points)
     return _Emission({}, {"x": grid.nodes(), "psi": wavefn.sample(ns.n, grid, ns.lam)})
 
 
@@ -214,14 +215,14 @@ def _build_oracle(ns: argparse.Namespace) -> _Emission:
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
-    reference = spectrum.generate_table([ns.b], levels)[0]
+    reference = [spectrum.energy_combined(n, ns.b) for n in levels]
     return _Emission({"n": [str(n) for n in levels]},
                      {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
-                      "rel_diff": abs(e_oracle - reference) / reference})
+                      "rel_diff": [abs(e - r) / r for e, r in zip(e_oracle, reference)]})
 
 
 def _build_veff(ns: argparse.Namespace) -> _Emission:
-    from . import oracle, wavefn
+    from . import oracle
     params = from_b(ns.b)
     if ns.x_max is not None:
         extent = ns.x_max
@@ -231,7 +232,7 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
                  or oracle.veff_zero_crossing(params, 1.0))
         extent = evaluate_finite(f"default grid extent {VEFF_DEFAULT_EXTENT_FACTOR} x*",
                                  lambda: VEFF_DEFAULT_EXTENT_FACTOR * xstar)
-    grid = wavefn.GridSpec(extent, ns.points)
+    grid = GridSpec(extent, ns.points)
     v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
     return _Emission({}, {"x": grid.nodes(), "v_eff": v_eff},
                      extra={"unbounded_below_detected": unbounded})

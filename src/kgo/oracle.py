@@ -10,7 +10,9 @@ from x = 0 outward, and each sweep stops past the classical turning point of
 its shift once the pivots can no longer turn negative, with the full sweep's
 count bit for bit (see sturm_count).  Nothing from the closed-form spectrum
 module enters this path, so agreement between the two is evidence rather
-than construction.
+than construction.  The path runs on lists of Python floats and never loads
+numpy: the operator holds its diagonal as floats, and the energies come
+back as lists.
 
 The module also profiles the effective potential that arises when the
 harmonic potential couples as a Lorentz vector instead of through the
@@ -25,13 +27,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
-
-import numpy as np
+from typing import Sequence
 
 from .errors import InvalidInput, NonConvergence
-from .params import (DEFAULT_POINTS, DEFAULT_TOL, OscillatorParams, check_integer,
-                     check_points, check_positive, evaluate_finite, is_real)
-from .wavefn import GridSpec, default_extent
+from .params import (DEFAULT_POINTS, DEFAULT_TOL, GridSpec, OscillatorParams, check_integer,
+                     check_points, check_positive, default_extent, evaluate_finite, is_real)
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
@@ -43,32 +43,43 @@ TAIL_FRACTION = 0.1
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix from a uniform three-point stencil.
 
-    diagonal is the main diagonal; off_diagonal is the one coupling shared by
-    every pair of neighbouring rows.  Intended for positive-semidefinite
-    discretisations: eigenvalue brackets start at zero.  _mirror_row marks
-    the even block of a folded operator (see lowest_eigenvalues), whose row 0
-    couples to row 1 through sqrt(2) * off_diagonal.
+    diagonal is the main diagonal, any one-dimensional sequence of real
+    numbers, held as a list of Python floats; off_diagonal is the one
+    coupling shared by every pair of neighbouring rows.  Intended for
+    positive-semidefinite discretisations: eigenvalue brackets start at zero.
+    _mirror_row marks the even block of a folded operator (see
+    lowest_eigenvalues), whose row 0 couples to row 1 through
+    sqrt(2) * off_diagonal.
     """
 
-    diagonal: np.ndarray
+    diagonal: Sequence[float]
     off_diagonal: float
     _mirror_row: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        if np.ndim(self.diagonal) != 1:
-            raise InvalidInput("operator diagonal must be one-dimensional, got "
-                               f"shape {np.shape(self.diagonal)}")
+        try:
+            entries = list(self.diagonal)
+        except TypeError:  # a scalar, refused below as shape ()
+            entries = [None]
+        # is_real depends on an entry's type alone: test one entry of each type
+        if not all(map(is_real, dict(zip(map(type, entries), entries)).values())):
+            import numpy as np  # names the refused shape; no operator the oracle builds gets here
+            if np.ndim(self.diagonal) != 1:
+                raise InvalidInput("operator diagonal must be one-dimensional, got "
+                                   f"shape {np.shape(self.diagonal)}")
+            raise InvalidInput(f"operator diagonal must hold real numbers, got {self.diagonal!r}")
         if not is_real(self.off_diagonal):
             raise InvalidInput("operator coupling must be a real number, got "
                                f"{self.off_diagonal!r}")
-        if len(self.diagonal) < 1:
+        if not entries:
             raise InvalidInput("operator must have at least one row")
-        # a Python float, so every pivot is a double whatever the coupling's type
+        # Python floats, so every pivot is a double whatever the input types; a
+        # non-finite entry makes the bisection bracket non-finite, and
+        # sturm_count divides the coupling's square by every pivot
         object.__setattr__(self, "off_diagonal", evaluate_finite(
             "operator coupling", lambda: float(self.off_diagonal)))
-        # a non-finite entry makes the bisection bracket non-finite, and
-        # sturm_count divides the coupling's square by every pivot
-        evaluate_finite("operator diagonal", lambda: self.diagonal)
+        object.__setattr__(self, "diagonal", evaluate_finite(
+            "operator diagonal", lambda: list(map(float, entries))))
         evaluate_finite("operator coupling squared",
                         lambda: self.off_diagonal * self.off_diagonal)
 
@@ -78,16 +89,16 @@ class TridiagonalOperator:
 
     @cached_property
     def _rows(self) -> tuple[float, list, list]:
-        """(first, rest, floor): the diagonal as floats, split after row 0,
-        and floor[i] = min(rest[i:]), which never decreases (see sturm_count)."""
-        first, *rest = np.asarray(self.diagonal, dtype=float).tolist()
+        """(first, rest, floor): the diagonal split after row 0, and
+        floor[i] = min(rest[i:]), which never decreases (see sturm_count)."""
+        first, *rest = self.diagonal
         floor = list(accumulate(reversed(rest), min))
         floor.reverse()
         return first, rest, floor
 
     @cached_property
     def gershgorin_upper(self) -> float:
-        hi = float(np.max(self.diagonal))
+        hi = max(self.diagonal)
         if self.dimension > 1:
             hi += 2.0 * abs(self.off_diagonal)
         return hi
@@ -99,14 +110,20 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     Dirichlet psi = 0 at both grid ends; eigenvalues approximate k^2 with
     O(h^2) error.  The momentum-coupled relativistic oscillator is this
     operator with lam = m omega / hbar, acting on the eigenvalue
-    k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).
+    k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).  The interior nodes are x = i h, the
+    rule of GridSpec.nodes, and x * x rounds as numpy's square does.
     """
-    check_positive("lam", lam)
-    x = grid.nodes()[1:-1]
+    lam = check_positive("lam", lam)
     h = grid.spacing
-    diagonal = evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2",
-                               lambda: 2.0 / h**2 + lam**2 * x**2)
-    return TridiagonalOperator(diagonal=diagonal, off_diagonal=-1.0 / h**2)
+    half = (grid.points - 1) // 2
+
+    def diagonal():
+        centre, lam_squared = 2.0 / h**2, lam**2
+        return [centre + lam_squared * (x * x)
+                for x in (i * h for i in range(1 - half, half))]
+    return TridiagonalOperator(
+        diagonal=evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2", diagonal),
+        off_diagonal=-1.0 / h**2)
 
 
 def sturm_count(op: TridiagonalOperator, shift: float) -> int:
@@ -164,8 +181,7 @@ def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
     sqrt(2) * off_diagonal, joined with the odd (Dirichlet) block, rows m+1....
     """
     diagonal = op.diagonal
-    if op.dimension < 3 or op.dimension % 2 == 0 or not np.array_equal(
-            diagonal, diagonal[::-1]):
+    if op.dimension < 3 or op.dimension % 2 == 0 or diagonal != diagonal[::-1]:
         return [op]
     m = op.dimension // 2
     return [TridiagonalOperator(diagonal[m:], op.off_diagonal, _mirror_row=True),
@@ -173,8 +189,8 @@ def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
 
 
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
-                       tol: float) -> np.ndarray:
-    """First `count` eigenvalues by Sturm bisection, as an ascending array.
+                       tol: float) -> list[float]:
+    """First `count` eigenvalues by Sturm bisection, as an ascending list.
 
     Each eigenvalue starts from the bracket [0, Gershgorin upper bound] and
     is bisected until the bracket is narrower than tol; the bracket midpoint
@@ -195,7 +211,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     """
     count = check_integer(count, "count", 1, op.dimension)
     check_positive("tol", tol)
-    if float(np.min(op.diagonal)) - 2.0 * abs(op.off_diagonal) < 0.0:
+    if min(op.diagonal) - 2.0 * abs(op.off_diagonal) < 0.0:
         below = sturm_count(op, 0.0)
         if below:
             raise InvalidInput(
@@ -203,7 +219,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     # each block with its memo: midpoint -> Sturm count
     blocks = [(block, {}) for block in _half_line_blocks(op)]
     hi0 = op.gershgorin_upper
-    k_squared = np.empty(count)
+    k_squared = []
     for j in range(count):
         index, parity = divmod(j, len(blocks))
         block, memo = blocks[parity]
@@ -223,14 +239,14 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
             else:
                 lo = mid
             iterations += 1
-        k_squared[j] = 0.5 * (lo + hi)
+        k_squared.append(0.5 * (lo + hi))
     return k_squared
 
 
 def oracle_energies(params: OscillatorParams, count: int,
                     points: int = DEFAULT_POINTS,
-                    tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` finite-difference k^2 and their dimensionless energies.
+                    tol: float = DEFAULT_TOL) -> tuple[list[float], list[float]]:
+    """Lowest `count` finite-difference k^2 and their dimensionless energies, as lists.
 
     The box is twice the turning point of the highest requested level plus
     tail padding, sampled at `points` nodes.  Each k^2 maps through
@@ -242,8 +258,9 @@ def oracle_energies(params: OscillatorParams, count: int,
     count = check_integer(count, "count", 1, check_points(points) - 2)
     grid = GridSpec(default_extent(count - 1, params.lam), points)
     k_squared = lowest_eigenvalues(discretize_weber(params.lam, grid), count, tol)
+    ratio = params.b / params.lam
     return k_squared, evaluate_finite("oracle energy sqrt(1 + b k^2 / lam)",
-                                      lambda: np.sqrt(1.0 + params.b / params.lam * k_squared))
+                                      lambda: [math.sqrt(1.0 + ratio * k) for k in k_squared])
 
 
 def effective_potential(params: OscillatorParams, energy: float, x) -> float:
@@ -278,13 +295,14 @@ def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
 
 
 def profile_effective_potential(params: OscillatorParams, energy: float,
-                                grid: GridSpec) -> tuple[np.ndarray, bool]:
+                                grid: GridSpec) -> tuple:
     """(v_eff, unbounded_below): V_eff at grid.nodes() and a flag.
 
     The flag is set when, over the outermost tenth of the samples beyond the
     sign change at x* = 2 sqrt(E/m)/omega, the potential is negative and
     still decreasing outward.  At least 2 grid nodes must lie beyond x*.
     """
+    import numpy as np  # the one array routine here: veff is an array command
     xstar = veff_zero_crossing(params, energy)
     x = grid.nodes()
     beyond = np.flatnonzero(x > xstar)

@@ -3,9 +3,10 @@
 Every other module takes its dimensional inputs from OscillatorParams.
 The default unit system is natural units (hbar = c = 1 with unit mass);
 user-facing energies are dimensionless, Ebar = E / (m c^2).  The input
-rules and the overflow policy all modules share, and the grid defaults the
-CLI parser reads, live here too; they load numpy only for an array, so
-parsing and the scalar spectrum run without it.
+rules and the overflow policy all modules share, the grid defaults the CLI
+parser reads and the grid rule itself (GridSpec, default_extent) live here
+too; they load numpy only for an array, so parsing, the scalar spectrum and
+the finite-difference oracle run without it.
 """
 
 import contextlib
@@ -67,7 +68,8 @@ def evaluate_finite(what: str, compute):
     The one overflow policy for computed results: numpy's floating-point
     warnings are silenced and the errors Python floats raise instead of
     giving inf are caught, and any non-finite entry raises OutOfRange naming
-    the quantity.  A float result is checked by math.isfinite, without numpy.
+    the quantity.  A float, or a list of floats, is checked by math.isfinite,
+    without numpy.
     """
     np = sys.modules.get("numpy")  # whoever made an array loaded it
     with np.errstate(all="ignore") if np else contextlib.nullcontext():
@@ -75,7 +77,9 @@ def evaluate_finite(what: str, compute):
             value = compute()
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-    if not (math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))):
+    if not (math.isfinite(value) if isinstance(value, float)
+            else all(map(math.isfinite, value)) if isinstance(value, list)
+            else np.all(np.isfinite(value))):
         raise OutOfRange(f"{what} exceeds the floating-point range")
     return value
 
@@ -87,6 +91,43 @@ def check_points(points) -> int:
     if points % 2 == 0:
         raise InvalidInput(f"points must be odd, got {points}")
     return points
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform grid over [-extent, extent] with an odd number of points.
+
+    Odd counts keep x = 0 on the grid and make the point count usable for
+    composite Simpson quadrature.  Nodes are built from signed integer
+    offsets so that x = 0 is exact and x_{-i} = -x_i bit for bit.
+    """
+
+    extent: float
+    points: int
+
+    def __post_init__(self):
+        check_positive("grid extent", self.extent)
+        object.__setattr__(self, "points", check_points(self.points))
+        evaluate_finite(f"grid spacing over [-{self.extent!r}, {self.extent!r}]",
+                        lambda: self.spacing)
+
+    @property
+    def spacing(self) -> float:
+        return (self.extent + self.extent) / (self.points - 1)
+
+    def nodes(self):
+        """The nodes i * spacing, i = -(points - 1)/2 ... (points - 1)/2, as an array."""
+        import numpy as np
+        offsets = np.arange(self.points) - (self.points - 1) // 2
+        return offsets * self.spacing
+
+
+def default_extent(n: int, lam: float) -> float:
+    """Twice the classical turning point of level n plus Gaussian tail padding."""
+    n = check_integer(n)
+    lam = check_positive("lam", lam)
+    return evaluate_finite("default grid extent 2 sqrt((2n + 1)/lam) + 5/sqrt(lam)",
+                           lambda: 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Special-function kernel: physicists' Hermite polynomials and the regular
 confluent hypergeometric function M(a, c, y).
 
-Only real arguments are supported.  M is summed only where its series
+Only real arguments are supported: each is a params.is_real number, taken
+as a Python float, so numpy scalars of any width are computed in double;
+anything else is InvalidInput.  M is summed only where its series
 terminates, at a non-positive integer a: there it is a polynomial in y,
 summed exactly over its finitely many nonzero terms, which is all the
 Hermite bridges and the quantised states need.  Any other a is refused.
@@ -11,7 +13,7 @@ A result outside the double range raises OutOfRange (params.evaluate_finite).
 import math
 
 from .errors import InvalidInput
-from .params import check_integer, evaluate_finite
+from .params import check_integer, evaluate_finite, is_real
 
 # |v - round(v)| up to this counts as an integer, for kummer_m's a (a
 # terminating series) and c (a pole).  The Hermite bridges pass exact
@@ -27,6 +29,9 @@ def _is_nonpositive_integer(v: float) -> bool:
 def hermite(n: int, xi: float) -> float:
     """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
     n = check_integer(n, "polynomial degree")
+    if not is_real(xi):
+        raise InvalidInput(f"H_n(xi) needs a real xi, got {xi!r}")
+    xi = float(xi)
     h_prev, h = 0.0, 1.0
     for k in range(n):
         h_prev, h = h, 2.0 * xi * h - 2.0 * k * h_prev
@@ -41,6 +46,9 @@ def kummer_m(a: float, c: float, y: float) -> float:
     level (params.check_integer).  Any other a, and a non-positive integer c
     (a pole), is InvalidInput.  A sum outside the double range is OutOfRange.
     """
+    if not all(map(is_real, (a, c, y))):
+        raise InvalidInput(f"M(a, c, y) needs real a, c and y, got {a!r}, {c!r}, {y!r}")
+    a, c, y = float(a), float(c), float(y)
     if not (math.isfinite(a) and math.isfinite(c)):  # round() needs finite values
         raise InvalidInput(f"M(a, c, y) needs finite a and c, got {a!r}, {c!r}")
     if _is_nonpositive_integer(c):

@@ -73,10 +73,11 @@ def binding_energy(n: int, b: float) -> float:
     Evaluated as s / (Ebar_n + 1) with s = 2b(n + 1/2), exact algebra that
     keeps full relative precision where Ebar_n - 1 would cancel.  Dividing
     by b counts oscillator quanta: the ratio tends to n + 1/2 as b -> 0, the
-    non-relativistic level.
+    non-relativistic level.  Like energy_combined it computes with the int and
+    the float that check_integer and check_positive return.
     """
-    energy = energy_combined(n, b)  # validates n and b first
-    return 2.0 * b * (n + 0.5) / (energy + 1.0)
+    n, b = check_integer(n), check_positive("b", b)
+    return 2.0 * b * (n + 0.5) / (energy_combined(n, b) + 1.0)
 
 
 def generate_table(b_values: Iterable[float], n_values: Iterable[int],

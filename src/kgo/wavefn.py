@@ -12,48 +12,14 @@ inner_product work on plain arrays.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .params import (MAX_POINTS, check_integer, check_points, check_positive,
-                     evaluate_finite)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid over [-extent, extent] with an odd number of points.
-
-    Odd counts keep x = 0 on the grid and make the point count usable for
-    composite Simpson quadrature.  Nodes are built from signed integer
-    offsets so that x = 0 is exact and x_{-i} = -x_i bit for bit.
-    """
-
-    extent: float
-    points: int
-
-    def __post_init__(self):
-        check_positive("grid extent", self.extent)
-        object.__setattr__(self, "points", check_points(self.points))
-        evaluate_finite(f"grid spacing over [-{self.extent!r}, {self.extent!r}]",
-                        lambda: self.spacing)
-
-    @property
-    def spacing(self) -> float:
-        return (self.extent + self.extent) / (self.points - 1)
-
-    def nodes(self) -> np.ndarray:
-        offsets = np.arange(self.points) - (self.points - 1) // 2
-        return offsets * self.spacing
-
-
-def default_extent(n: int, lam: float) -> float:
-    """Twice the classical turning point of level n plus Gaussian tail padding."""
-    n = check_integer(n)
-    lam = check_positive("lam", lam)
-    return evaluate_finite("default grid extent 2 sqrt((2n + 1)/lam) + 5/sqrt(lam)",
-                           lambda: 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam))
+# GridSpec, default_extent and MAX_POINTS live in params, which the oracle
+# imports without numpy; they are re-exported here, beside the grid functions
+from .params import (MAX_POINTS, GridSpec, check_integer, check_positive,
+                     default_extent, evaluate_finite)
 
 
 def psi(n: int, x, lam: float):
@@ -63,12 +29,19 @@ def psi(n: int, x, lam: float):
     phi_0 = pi^(-1/4) exp(-xi^2/2), xi = sqrt(lam) x, keeping only the last
     two arrays; psi_n = lam^(1/4) phi_n.  Where phi_0 is not a normal double
     it runs on phi_k 2^-e and carries e, rescaling by exact powers of two;
-    elsewhere every step rounds as in the plain recurrence.
+    elsewhere every step rounds as in the plain recurrence.  An x that is not
+    a real number, or that holds a NaN, is InvalidInput; psi is 0 at +-inf.
     """
     n = check_integer(n)
     check_positive("lam", lam)
+    try:
+        x_values = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError, OverflowError):  # not numbers, or an int past a double
+        x_values = None
+    if x_values is None or np.isnan(x_values).any():
+        raise InvalidInput(f"x must be real numbers other than NaN, got {x!r}")
     with np.errstate(over="ignore"):
-        xi = math.sqrt(lam) * np.atleast_1d(np.asarray(x, dtype=float))
+        xi = math.sqrt(lam) * x_values
         log_gauss = -0.5 * xi * xi
         phi = math.pi ** -0.25 * np.exp(log_gauss)
         # where phi_0 is not a normal double, start from pi^(-1/4) 2^f and
@@ -105,10 +78,16 @@ def sample(n: int, grid: GridSpec, lam: float) -> np.ndarray:
 
 
 def inner_product(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
-    """Composite-Simpson quadrature over grid of f*g, each sampled at its nodes."""
+    """Composite-Simpson quadrature over grid of f*g, each sampled at its nodes.
+
+    Samples that hold a NaN are InvalidInput; a sum past the double range,
+    from samples that hold an inf or overflow in f*g, is OutOfRange.
+    """
     if np.shape(f) != (grid.points,) or np.shape(g) != (grid.points,):
         raise InvalidInput(f"sampled functions must hold one value per node of {grid}")
+    if np.isnan(f).any() or np.isnan(g).any():
+        raise InvalidInput("sampled functions must not hold NaN")
     w = np.ones(grid.points)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(grid.spacing / 3.0 * np.dot(w, f * g))
+    return evaluate_finite("inner product", lambda: float(grid.spacing / 3.0 * np.dot(w, f * g)))

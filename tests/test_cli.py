@@ -449,18 +449,23 @@ def test_module_entry_point_exit_codes():
 
 
 # Runs in a fresh interpreter: prints one json list of [argv, exit code,
-# whether numpy is loaded afterwards], the first entry for the imports alone.
+# stderr, whether numpy is loaded afterwards], the first entry for the
+# imports alone and the second for the oracle module and a grid.
 _NUMPY_PROBE = """
 import contextlib, io, itertools, json, sys
 import kgo, kgo.cli
-steps = [[[], None, "numpy" in sys.modules]]
+steps = [[[], None, "", "numpy" in sys.modules]]
+import kgo.oracle
+kgo.GridSpec(1.0, 3)
+steps.append([["import kgo.oracle", "kgo.GridSpec(1.0, 3)"], None, "", "numpy" in sys.modules])
 def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = kgo.cli.main(list(argv))
         except SystemExit as exc:  # --help exits through argparse
             code = exc.code
-    steps.append([list(argv), code, "numpy" in sys.modules])
+    steps.append([list(argv), code, err.getvalue(), "numpy" in sys.modules])
 run("--help")
 for cmd in ("table", "spectrum", "wavefn", "oracle", "veff"):
     run(cmd, "--help")
@@ -472,19 +477,30 @@ for parity, expansion, binding, fmt in itertools.product(
         ([], ["--binding"]), ("csv", "tsv", "json")):
     run("spectrum", "--b", "0.01", "--n", "3", "--parity", parity,
         "--expansion", expansion, *binding, "--format", fmt)
+for fmt in ("csv", "tsv", "json"):  # the README oracle command
+    run("oracle", "--b", "0.001", "--count", "5", "--points", "2001", "--tol", "1e-10",
+        "--format", fmt)
+run("oracle", "--b", "1e5", "--count", "5")
+run("oracle", "--b", "1e200", "--count", "3")
+run("oracle", "--b", "0.1", "--count", "1000002")
 run("table", "--b", "0.1", "--n-max", "1")
 print(json.dumps(steps))
 """
 
 
 def test_parser_help_usage_errors_and_spectrum_run_without_numpy():
+    # so do the oracle's rows and its errors: its solver runs on Python floats
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
                           capture_output=True, text=True, check=True)
     steps = json.loads(proc.stdout)
     *numpy_free, array_command = steps
-    assert len(numpy_free) == 1 + 6 + 3 + 36
-    assert [code for _, code, _ in numpy_free[1:10]] == [0] * 6 + [2, 2, 1]
-    assert all(code == 0 for _, code, _ in numpy_free[10:])
-    assert [argv for argv, _, loaded in numpy_free if loaded] == []
+    assert len(numpy_free) == 2 + 6 + 3 + 36 + 3 + 3
+    assert [code for _, code, _, _ in numpy_free[2:11]] == [0] * 6 + [2, 2, 1]
+    assert all(code == 0 and err == "" for _, code, err, _ in numpy_free[11:50])
+    assert [(code, err.split(":")[0]) for _, code, err, _ in numpy_free[50:]] == [(1, "kgo")] * 3
+    assert "after 200 bisection steps" in numpy_free[50][2]  # NonConvergence
+    assert "exceeds the floating-point range" in numpy_free[51][2]  # OutOfRange
+    assert "count must be in [1, 1999], got 1000002" in numpy_free[52][2]
+    assert [argv for argv, _, _, loaded in numpy_free if loaded] == []
     # the probe can see numpy: an array command loads it
-    assert array_command == [["table", "--b", "0.1", "--n-max", "1"], 0, True]
+    assert array_command == [["table", "--b", "0.1", "--n-max", "1"], 0, "", True]

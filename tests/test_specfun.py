@@ -3,6 +3,7 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,32 @@ def test_kummer_terminating_degree_is_a_checked_level(a, degree):
 def test_kummer_rejects_non_finite_a_and_c(call):
     # round() on a non-finite a or c would raise a bare ValueError or OverflowError
     with pytest.raises(InvalidInput, match="^M\\(a, c, y\\) needs finite a and c"):
+        call()
+
+
+def test_numpy_scalar_arguments_are_computed_in_double():
+    # a float32 xi, a or y used to keep the recurrence in single precision:
+    # hermite(3, np.float32(0.3)) was np.float32(-3.384)
+    xi = np.float32(0.3)
+    assert type(hermite(3, xi)) is float and hermite(3, xi) == hermite(3, float(xi))
+    got = kummer_m(np.float32(-3.0), np.float32(0.5), xi)
+    assert type(got) is float and got == kummer_m(-3.0, 0.5, float(xi))
+    assert hermite(np.int64(2), np.float64(1.5)) == 7.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hermite(3, "a"), r"^H_n\(xi\) needs a real xi, got 'a'$"),
+    (lambda: hermite(3, None), r"^H_n\(xi\) needs a real xi, got None$"),
+    (lambda: hermite(3, 1j), r"^H_n\(xi\) needs a real xi, got 1j$"),
+    (lambda: hermite(3, True), r"^H_n\(xi\) needs a real xi, got True$"),
+    (lambda: kummer_m("a", 0.5, 1.0), r"^M\(a, c, y\) needs real a, c and y, got 'a', 0.5, 1.0$"),
+    (lambda: kummer_m(-1.0, None, 1.0), r"^M\(a, c, y\) needs real a, c and y, got -1.0, None, 1.0$"),
+    (lambda: kummer_m(-1.0, 0.5, np.array([1.0])), r"^M\(a, c, y\) needs real a, c and y, got "),
+    (lambda: kummer_m(False, 0.5, 1.0), r"^M\(a, c, y\) needs real a, c and y, got False, "),
+], ids=["xi_str", "xi_none", "xi_complex", "xi_bool", "a_str", "c_none", "y_array", "a_bool"])
+def test_arguments_that_are_not_real_numbers_are_invalid_input(call, message):
+    # kummer_m("a", 0.5, 1.0) raised a bare TypeError from math.isfinite
+    with pytest.raises(InvalidInput, match=message):
         call()
 
 

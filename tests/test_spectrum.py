@@ -90,6 +90,15 @@ def test_second_order_remainder_bound():
             assert diff <= 0.5 * (b * (n + 0.5)) ** 3, (n, b)
 
 
+def test_binding_energy_of_numpy_scalars_is_a_python_float_computed_in_double():
+    # a float32 b used to be used as given: binding_energy(3, np.float32(0.1))
+    # was np.float32(0.3038405), while energy_combined gave a float
+    for n, b in ((3, np.float32(0.1)), (np.int64(3), np.float64(0.1)), (3, np.float16(1e-3))):
+        got = binding_energy(n, b)
+        assert type(got) is float and type(energy_combined(n, b)) is float
+        assert got == binding_energy(3, float(b))
+
+
 def test_binding_energy_small_b_limit():
     assert binding_energy(0, 1e-6) / 1e-6 == pytest.approx(0.5, abs=1e-6)
     assert binding_energy(3, 1e-6) / 1e-6 == pytest.approx(3.5, abs=1e-5)

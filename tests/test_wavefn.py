@@ -156,11 +156,23 @@ def test_psi_accepts_scalar_or_array():
         assert isinstance(got, float) and got == v
 
 
+@pytest.mark.parametrize("x", ["a", None, 1j, math.nan, [0.0, math.nan], np.array([math.nan]),
+                               [0.0, None], 10**400],
+                         ids=["str", "none", "complex", "nan", "nan_in_list", "nan_array",
+                              "none_in_list", "int_past_a_double"])
+def test_psi_refuses_an_x_that_is_not_real_or_is_nan(x):
+    # "a" raised a bare ValueError, and a NaN x returned nan
+    with pytest.raises(InvalidInput,
+                       match=f"^x must be real numbers other than NaN, got {re.escape(repr(x))}$"):
+        psi(3, x, 1.0)
+
+
 def test_psi_far_tails_are_zero_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = psi(4, np.array([-1e300, -5e299, 0.0, 5e299, 1e300]), 1.0)
         assert psi(3, 1e200, 1e308) == 0.0    # sqrt(lam) x overflows to inf
+        assert psi(3, math.inf, 1.0) == psi(3, -math.inf, 1.0) == 0.0
     assert values[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert values[2] == psi(4, 0.0, 1.0)
 
@@ -264,6 +276,21 @@ def test_inner_product_grid_mismatch():
         inner_product(g, a, b)
     with pytest.raises(InvalidInput, match="^sampled functions must hold one value per node of "):
         inner_product(g, b, a)
+
+
+def test_inner_product_refuses_nan_samples_and_names_an_overflowing_sum():
+    g = GridSpec(8.0, 801)
+    s = sample(1, g, 1.0)
+    bad = s.copy()
+    bad[400] = math.nan
+    for f, h in ((bad, s), (s, bad)):
+        with pytest.raises(InvalidInput, match="^sampled functions must not hold NaN$"):
+            inner_product(g, f, h)
+    bad[400] = math.inf
+    with pytest.raises(OutOfRange, match="^inner product exceeds the floating-point range$"):
+        inner_product(g, bad, bad)
+    with pytest.raises(OutOfRange, match="^inner product exceeds the floating-point range$"):
+        inner_product(g, np.full(801, 1e200), np.full(801, 1e200))
 
 
 def test_gram_matrix_is_identity():
