@@ -6,10 +6,9 @@ standard error.  Exit codes: 0 success, 1 runtime/numeric error, 2 usage
 error.  Runs are deterministic: identical argv produces identical bytes.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers;
 the writer alone formats the values, under --decimals, and writes.  A failed
-build emits nothing, and a failed write ends in one error line.  Only the
-array commands (table, wavefn, veff) load numpy: parsing, usage errors,
---help, spectrum and the oracle, whose solver runs on Python floats, run
-without it.
+build emits nothing, and a failed write ends in one error line.  Builders
+hand the writer lists of Python floats, and only wavefn, whose states
+kgo.wavefn samples on arrays, loads numpy.
 """
 
 import argparse
@@ -171,16 +170,14 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _fmt(values, decimals: int | None) -> List[str]:
-    """Cells for a list or an array of numbers: 6 significant digits or K fixed decimals."""
+    """Cells for a list of numbers: 6 significant digits or K fixed decimals."""
     spec = ".6g" if decimals is None else f".{decimals}f"
-    # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"; arrays add it at once
-    numbers = ([v + 0.0 for v in values] if isinstance(values, list)
-               else (values + 0.0).tolist())
-    return [format(v, spec) for v in numbers]
+    # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"
+    return [format(v + 0.0, spec) for v in values]
 
 
 def _build_table(ns: argparse.Namespace) -> _Emission:
-    check_integer(ns.n_max)  # before any per-level array is built
+    check_integer(ns.n_max)  # before the list of levels is built
     n_values = range(ns.n_max + 1)
     e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, n_values, ns.formula)
     # rows run n-major, b-minor: each n cell repeats len(b) times and the
@@ -206,8 +203,8 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
 def _build_wavefn(ns: argparse.Namespace) -> _Emission:
     from . import wavefn
     extent = ns.x_max if ns.x_max is not None else default_extent(ns.n, ns.lam)
-    grid = GridSpec(extent, ns.points)
-    return _Emission({}, {"x": grid.nodes(), "psi": wavefn.sample(ns.n, grid, ns.lam)})
+    x = GridSpec(extent, ns.points).nodes()
+    return _Emission({}, {"x": x, "psi": wavefn.psi(ns.n, x, ns.lam).tolist()})
 
 
 def _build_oracle(ns: argparse.Namespace) -> _Emission:
@@ -241,7 +238,7 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
 def _render(emission: _Emission, output_format: str, decimals: int | None) -> str:
     """One writer for all formats: it formats the value columns, then a format
     sets how cells, rows and the frame (head, row separator, tail) are written."""
-    # rebinding frees the value arrays before the rows are joined
+    # rebinding frees the value lists before the rows are joined
     emission.values = {name: _fmt(v, decimals) for name, v in emission.values.items()}
     columns = {**emission.labels, **emission.values}
     names, cells = list(columns), list(columns.values())

@@ -10,9 +10,9 @@ from x = 0 outward, and each sweep stops past the classical turning point of
 its shift once the pivots can no longer turn negative, with the full sweep's
 count bit for bit (see sturm_count).  Nothing from the closed-form spectrum
 module enters this path, so agreement between the two is evidence rather
-than construction.  The path runs on lists of Python floats and never loads
-numpy: the operator holds its diagonal as floats, and the energies come
-back as lists.
+than construction.  The module runs on lists of Python floats and never
+loads numpy: the operator holds its diagonal as floats, and the energies
+and the potential profile come back as lists.
 
 The module also profiles the effective potential that arises when the
 harmonic potential couples as a Lorentz vector instead of through the
@@ -23,7 +23,7 @@ profile_effective_potential detects.
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
@@ -59,15 +59,16 @@ class TridiagonalOperator:
     def __post_init__(self):
         try:
             entries = list(self.diagonal)
-        except TypeError:  # a scalar, refused below as shape ()
-            entries = [None]
+        except TypeError:  # a scalar
+            entries = None
         # is_real depends on an entry's type alone: test one entry of each type
-        if not all(map(is_real, dict(zip(map(type, entries), entries)).values())):
-            import numpy as np  # names the refused shape; no operator the oracle builds gets here
-            if np.ndim(self.diagonal) != 1:
-                raise InvalidInput("operator diagonal must be one-dimensional, got "
-                                   f"shape {np.shape(self.diagonal)}")
-            raise InvalidInput(f"operator diagonal must hold real numbers, got {self.diagonal!r}")
+        if entries is None or not all(map(is_real, dict(zip(map(type, entries),
+                                                            entries)).values())):
+            # a nested list or an array row; numbers and 0-d arrays have ndim 0
+            rule = ("be one-dimensional" if entries is None or any(
+                isinstance(e, (list, tuple)) or getattr(e, "ndim", 0) for e in entries)
+                else "hold real numbers")
+            raise InvalidInput(f"operator diagonal must {rule}, got {self.diagonal!r}")
         if not is_real(self.off_diagonal):
             raise InvalidInput("operator coupling must be a real number, got "
                                f"{self.off_diagonal!r}")
@@ -110,17 +111,15 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     Dirichlet psi = 0 at both grid ends; eigenvalues approximate k^2 with
     O(h^2) error.  The momentum-coupled relativistic oscillator is this
     operator with lam = m omega / hbar, acting on the eigenvalue
-    k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).  The interior nodes are x = i h, the
-    rule of GridSpec.nodes, and x * x rounds as numpy's square does.
+    k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).  The rows are the interior nodes of
+    grid.nodes().
     """
     lam = check_positive("lam", lam)
     h = grid.spacing
-    half = (grid.points - 1) // 2
 
     def diagonal():
         centre, lam_squared = 2.0 / h**2, lam**2
-        return [centre + lam_squared * (x * x)
-                for x in (i * h for i in range(1 - half, half))]
+        return [centre + lam_squared * (x * x) for x in grid.nodes()[1:-1]]
     return TridiagonalOperator(
         diagonal=evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2", diagonal),
         off_diagonal=-1.0 / h**2)
@@ -263,20 +262,22 @@ def oracle_energies(params: OscillatorParams, count: int,
                                       lambda: [math.sqrt(1.0 + ratio * k) for k in k_squared])
 
 
-def effective_potential(params: OscillatorParams, energy: float, x) -> float:
+def effective_potential(params: OscillatorParams, energy: float, x: float) -> float:
     """Vector-coupling effective potential (E m w^2 x^2 - m^2 w^4 x^4 / 4)/(c^2 hbar^2).
 
     This is the Schrodinger-form potential (2 E V - V^2)/(c^2 hbar^2) with
-    V = m w^2 x^2 / 2 substituted.  Accepts a scalar or an ndarray x.  It is
+    V = m w^2 x^2 / 2 substituted, at one real x (params.is_real).  It is
     evaluated in u = w x, so a tiny w with a huge x (or the reverse) neither
     underflows w^4 nor overflows x^2.
     """
+    if not is_real(x):
+        raise InvalidInput(f"x must be a real number, got {x!r}")
     m = params.mass
 
     def v_eff():
         # powers via products: multiplication is exactly sign-symmetric, so
         # the profile of this even function mirrors bit for bit
-        u = params.omega * x
+        u = params.omega * float(x)
         u2 = u * u
         numerator = energy * m * u2 - 0.25 * m**2 * u2 * u2
         return numerator / (params.c**2 * params.hbar**2)
@@ -296,20 +297,19 @@ def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
 
 def profile_effective_potential(params: OscillatorParams, energy: float,
                                 grid: GridSpec) -> tuple:
-    """(v_eff, unbounded_below): V_eff at grid.nodes() and a flag.
+    """(v_eff, unbounded_below): V_eff at grid.nodes(), as a list, and a flag.
 
     The flag is set when, over the outermost tenth of the samples beyond the
     sign change at x* = 2 sqrt(E/m)/omega, the potential is negative and
     still decreasing outward.  At least 2 grid nodes must lie beyond x*.
     """
-    import numpy as np  # the one array routine here: veff is an array command
     xstar = veff_zero_crossing(params, energy)
     x = grid.nodes()
-    beyond = np.flatnonzero(x > xstar)
-    if len(beyond) < 2:
+    beyond = len(x) - bisect_right(x, xstar)  # the nodes ascend
+    if beyond < 2:
         raise InvalidInput(
-            f"grid has {len(beyond)} node(s) beyond the potential zero at "
+            f"grid has {beyond} node(s) beyond the potential zero at "
             f"{xstar:g}; at least 2 are needed")
-    v = effective_potential(params, energy, x)
-    tail = v[beyond[-max(2, math.ceil(TAIL_FRACTION * len(beyond))):]]
-    return v, bool(np.all(tail < 0.0) and np.all(np.diff(tail) < 0.0))
+    v = [effective_potential(params, energy, node) for node in x]
+    tail = v[-max(2, math.ceil(TAIL_FRACTION * beyond)):]
+    return v, all(a < 0.0 for a in tail) and all(b < a for a, b in zip(tail, tail[1:]))

@@ -5,14 +5,13 @@ The default unit system is natural units (hbar = c = 1 with unit mass);
 user-facing energies are dimensionless, Ebar = E / (m c^2).  The input
 rules and the overflow policy all modules share, the grid defaults the CLI
 parser reads and the grid rule itself (GridSpec, default_extent) live here
-too; they load numpy only for an array, so parsing, the scalar spectrum and
-the finite-difference oracle run without it.
+too.  Like every module but kgo.wavefn they run on Python floats and lists
+of them, without numpy.
 """
 
 import contextlib
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 from .errors import InvalidInput, OutOfRange
@@ -63,23 +62,17 @@ def check_integer(n, what: str = "level index", low: int = 0, high: int = MAX_LE
 
 
 def evaluate_finite(what: str, compute):
-    """compute() if its value (a float or an array) is finite everywhere.
+    """compute() if its value, a float or a list of floats, is finite everywhere.
 
-    The one overflow policy for computed results: numpy's floating-point
-    warnings are silenced and the errors Python floats raise instead of
-    giving inf are caught, and any non-finite entry raises OutOfRange naming
-    the quantity.  A float, or a list of floats, is checked by math.isfinite,
-    without numpy.
+    The one overflow policy for computed results: the errors Python floats
+    raise instead of giving inf are caught, and any non-finite entry raises
+    OutOfRange naming the quantity.
     """
-    np = sys.modules.get("numpy")  # whoever made an array loaded it
-    with np.errstate(all="ignore") if np else contextlib.nullcontext():
-        try:
-            value = compute()
-        except (OverflowError, ZeroDivisionError):
-            value = math.inf
-    if not (math.isfinite(value) if isinstance(value, float)
-            else all(map(math.isfinite, value)) if isinstance(value, list)
-            else np.all(np.isfinite(value))):
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
         raise OutOfRange(f"{what} exceeds the floating-point range")
     return value
 
@@ -115,11 +108,10 @@ class GridSpec:
     def spacing(self) -> float:
         return (self.extent + self.extent) / (self.points - 1)
 
-    def nodes(self):
-        """The nodes i * spacing, i = -(points - 1)/2 ... (points - 1)/2, as an array."""
-        import numpy as np
-        offsets = np.arange(self.points) - (self.points - 1) // 2
-        return offsets * self.spacing
+    def nodes(self) -> list[float]:
+        """The nodes i * spacing, i = -(points - 1)/2 ... (points - 1)/2, as a list."""
+        half, h = (self.points - 1) // 2, self.spacing
+        return [i * h for i in range(-half, half + 1)]
 
 
 def default_extent(n: int, lam: float) -> float:

@@ -7,7 +7,8 @@ anything else is InvalidInput.  M is summed only where its series
 terminates, at a non-positive integer a: there it is a polynomial in y,
 summed exactly over its finitely many nonzero terms, which is all the
 Hermite bridges and the quantised states need.  Any other a is refused.
-A result outside the double range raises OutOfRange (params.evaluate_finite).
+A non-finite xi or y, an int past the double range, or a result outside
+it raises OutOfRange (params.evaluate_finite).
 """
 
 import math
@@ -31,7 +32,7 @@ def hermite(n: int, xi: float) -> float:
     n = check_integer(n, "polynomial degree")
     if not is_real(xi):
         raise InvalidInput(f"H_n(xi) needs a real xi, got {xi!r}")
-    xi = float(xi)
+    xi = evaluate_finite("H_n(xi) argument xi", lambda: float(xi))
     h_prev, h = 0.0, 1.0
     for k in range(n):
         h_prev, h = h, 2.0 * xi * h - 2.0 * k * h_prev
@@ -48,9 +49,9 @@ def kummer_m(a: float, c: float, y: float) -> float:
     """
     if not all(map(is_real, (a, c, y))):
         raise InvalidInput(f"M(a, c, y) needs real a, c and y, got {a!r}, {c!r}, {y!r}")
-    a, c, y = float(a), float(c), float(y)
-    if not (math.isfinite(a) and math.isfinite(c)):  # round() needs finite values
+    if any(v != v or abs(v) == math.inf for v in (a, c)):  # round() needs finite values
         raise InvalidInput(f"M(a, c, y) needs finite a and c, got {a!r}, {c!r}")
+    a, c, y = evaluate_finite("M(a, c, y) argument", lambda: [float(a), float(c), float(y)])
     if _is_nonpositive_integer(c):
         raise InvalidInput(f"M(a, c, y) has a pole at c = {c!r}")
     if not _is_nonpositive_integer(a):

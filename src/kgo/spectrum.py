@@ -6,9 +6,8 @@ finite-difference oracle confirms.  generate_table's formula "table"
 carries the alternative sqrt(1 + 2 b (n + 1)) law that the tabulated
 reference values follow; it is exposed (CLI formula "table") so the
 disagreement stays visible instead of being silently patched either way.
-Both are the one function _energy_law at shift 1/2 or 1, evaluated on
-scalars with math.sqrt, without numpy, or on whole arrays with numpy.sqrt;
-both roots are correctly rounded, so a table cell is the scalar bit for bit.
+Both are the one function _energy_law, at shift 1/2 or 1, on Python
+floats: a table cell is the scalar energy bit for bit.
 """
 
 import math
@@ -36,16 +35,17 @@ def combined_index(n: int, parity: str) -> int:
     return 2 * check_integer(n, f"{parity} level index", 0, (MAX_LEVEL - offset) // 2) + offset
 
 
-def _energy_law(n, b, shift: float, sqrt=math.sqrt):
-    """sqrt(1 + 2 b (n + shift)); pass numpy.sqrt for array n and b."""
+def _energy_law(levels: list[int], strengths: list[float], shift: float) -> list[float]:
+    """sqrt(1 + 2 b (n + shift)) for every level n, then every strength b."""
     return evaluate_finite(f"energy sqrt(1 + 2b(n + {shift:g}))",
-                           lambda: sqrt(1.0 + 2.0 * b * (n + shift)))
+                           lambda: [math.sqrt(1.0 + 2.0 * b * (n + shift))
+                                    for n in levels for b in strengths])
 
 
 def energy_combined(n: int, b: float) -> float:
     """Ebar_n = sqrt(1 + 2 b (n + 1/2)); even and odd states interleaved."""
     n = check_integer(n)
-    return _energy_law(n, check_positive("b", b), 0.5)
+    return _energy_law([n], [check_positive("b", b)], 0.5)[0]
 
 
 def _second_order(n: int, b: float, rest: float) -> float:
@@ -81,32 +81,19 @@ def binding_energy(n: int, b: float) -> float:
 
 
 def generate_table(b_values: Iterable[float], n_values: Iterable[int],
-                   formula: str = "eq21") -> tuple:
+                   formula: str = "eq21") -> tuple[list[float], list[float]]:
     """(e_rel, e_nr_plus_one) columns for every (n, b) pair, n-major then b-minor.
 
     formula selects the law of e_rel: "eq21" the derived sqrt(1 + 2b(n + 1/2)),
     equal to energy_combined bit for bit, or "table" the tabulated
     sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.  Both
-    columns are numpy arrays; this is the one function here that loads numpy.
+    columns are lists of floats; each level passes check_integer.
     """
-    import numpy as np
     if formula not in FORMULA_CHOICES:
         raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
-    b = np.array([check_positive("b", v) for v in b_values])
-    try:
-        n = np.array(list(n_values))
-    except ValueError:  # numpy gives a ragged nesting no shape
-        raise InvalidInput("n_values must be one-dimensional, got a ragged nesting") from None
-    if n.ndim != 1:
-        raise InvalidInput(f"n_values must be one-dimensional, got shape {n.shape}")
-    if not b.size or not n.size:
+    b = [check_positive("b", v) for v in b_values]
+    n = [check_integer(v) for v in n_values]
+    if not b or not n:
         raise InvalidInput("b_values and n_values must both be non-empty")
-    if n.dtype.kind not in "iu" or n.min() < 0 or n.max() > MAX_LEVEL:
-        if n.dtype.kind not in "iuO":  # numpy coerced the levels: name them all
-            raise InvalidInput(f"level index must be an integer, got {n!r}")
-        # the scalar rule names the first bad level, even one past 64 bits
-        n = np.array([check_integer(v) for v in n.tolist()])
-    n_col = np.repeat(n, b.size)
-    b_col = np.tile(b, n.size)
-    return (_energy_law(n_col, b_col, _SHIFTS[formula], np.sqrt),
-            1.0 + b_col * (n_col + 0.5))
+    return (_energy_law(n, b, _SHIFTS[formula]),
+            [1.0 + v * (k + 0.5) for k in n for v in b])

@@ -7,8 +7,9 @@ recurrence (Gil, Segura & Temme, Numerical Methods for Special Functions,
 2007), so the factorially growing polynomial and the shrinking constant
 never appear separately.  A binary exponent, carried where the Gaussian
 underflows, keeps it accurate at every level n <= MAX_LEVEL (compare
-Townsend, Trogdon & Olver, IMA J. Numer. Anal. 2016).  sample and
-inner_product work on plain arrays.
+Townsend, Trogdon & Olver, IMA J. Numer. Anal. 2016).  This is the one
+module that loads numpy: psi and sample return arrays, and inner_product
+takes arrays or lists of floats.
 """
 
 import math
@@ -16,8 +17,8 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
-# GridSpec, default_extent and MAX_POINTS live in params, which the oracle
-# imports without numpy; they are re-exported here, beside the grid functions
+# GridSpec, default_extent and MAX_POINTS live in params, which runs without
+# numpy; they are re-exported here, beside the grid functions
 from .params import (MAX_POINTS, GridSpec, check_integer, check_positive,
                      default_extent, evaluate_finite)
 
@@ -77,17 +78,24 @@ def sample(n: int, grid: GridSpec, lam: float) -> np.ndarray:
     return psi(n, grid.nodes(), lam)
 
 
-def inner_product(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
+def inner_product(grid: GridSpec, f, g) -> float:
     """Composite-Simpson quadrature over grid of f*g, each sampled at its nodes.
 
-    Samples that hold a NaN are InvalidInput; a sum past the double range,
+    f and g are arrays or lists of real numbers.  Samples that are not real
+    numbers or that hold a NaN are InvalidInput; a sum past the double range,
     from samples that hold an inf or overflow in f*g, is OutOfRange.
     """
-    if np.shape(f) != (grid.points,) or np.shape(g) != (grid.points,):
+    try:
+        f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # as in psi
+        raise InvalidInput("sampled functions must hold real numbers") from None
+    if f.shape != (grid.points,) or g.shape != (grid.points,):
         raise InvalidInput(f"sampled functions must hold one value per node of {grid}")
     if np.isnan(f).any() or np.isnan(g).any():
         raise InvalidInput("sampled functions must not hold NaN")
     w = np.ones(grid.points)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return evaluate_finite("inner product", lambda: float(grid.spacing / 3.0 * np.dot(w, f * g)))
+    with np.errstate(all="ignore"):  # an overflowing sum is OutOfRange, not a warning
+        return evaluate_finite("inner product",
+                               lambda: float(grid.spacing / 3.0 * np.dot(w, f * g)))

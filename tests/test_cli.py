@@ -483,24 +483,31 @@ for fmt in ("csv", "tsv", "json"):  # the README oracle command
 run("oracle", "--b", "1e5", "--count", "5")
 run("oracle", "--b", "1e200", "--count", "3")
 run("oracle", "--b", "0.1", "--count", "1000002")
-run("table", "--b", "0.1", "--n-max", "1")
+run("table", "--b", "0.1,0.001,0.0001", "--n-max", "100", "--formula", "table", "--decimals", "5")
+run("table", "--b", "0.1", "--n-max", "3", "--formula", "eq21")
+run("veff", "--b", "1", "--energy", "1", "--x-max", "5", "--points", "201")
+run("wavefn", "--n", "4", "--lambda", "1", "--x-max", "6", "--points", "241")
 print(json.dumps(steps))
 """
 
 
 def test_parser_help_usage_errors_and_spectrum_run_without_numpy():
-    # so do the oracle's rows and its errors: its solver runs on Python floats
+    # so do the oracle's rows and its errors, and the README table and veff
+    # commands: everything but wavefn runs on Python floats
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
                           capture_output=True, text=True, check=True)
     steps = json.loads(proc.stdout)
     *numpy_free, array_command = steps
-    assert len(numpy_free) == 2 + 6 + 3 + 36 + 3 + 3
+    assert len(numpy_free) == 2 + 6 + 3 + 36 + 3 + 3 + 3
     assert [code for _, code, _, _ in numpy_free[2:11]] == [0] * 6 + [2, 2, 1]
     assert all(code == 0 and err == "" for _, code, err, _ in numpy_free[11:50])
-    assert [(code, err.split(":")[0]) for _, code, err, _ in numpy_free[50:]] == [(1, "kgo")] * 3
+    assert [(code, err.split(":")[0]) for _, code, err, _ in numpy_free[50:53]] == [(1, "kgo")] * 3
     assert "after 200 bisection steps" in numpy_free[50][2]  # NonConvergence
     assert "exceeds the floating-point range" in numpy_free[51][2]  # OutOfRange
     assert "count must be in [1, 1999], got 1000002" in numpy_free[52][2]
+    assert [argv[0] for argv, code, err, _ in numpy_free[53:] if code == 0 and err == ""] == [
+        "table", "table", "veff"]
     assert [argv for argv, _, _, loaded in numpy_free if loaded] == []
-    # the probe can see numpy: an array command loads it
-    assert array_command == [["table", "--b", "0.1", "--n-max", "1"], 0, "", True]
+    # the probe can see numpy: wavefn loads it
+    assert array_command == [["wavefn", "--n", "4", "--lambda", "1", "--x-max", "6",
+                              "--points", "241"], 0, "", True]

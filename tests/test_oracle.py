@@ -68,11 +68,11 @@ def test_operator_rejects_an_empty_diagonal():
 
 def test_operator_rejects_a_diagonal_that_is_not_one_dimensional():
     # a square diagonal used to pass, and _rows then raised a bare TypeError
-    with pytest.raises(InvalidInput,
-                       match=r"^operator diagonal must be one-dimensional, got shape \(3, 3\)$"):
-        lowest_eigenvalues(TridiagonalOperator(np.ones((3, 3)), -1.0), 1, 1e-10)
-    with pytest.raises(InvalidInput, match=r"got shape \(\)$"):
-        TridiagonalOperator(np.float64(1.0), -1.0)
+    # a ragged one raised numpy's bare ValueError
+    for diagonal in (np.ones((3, 3)), np.float64(1.0), [[1.0], 2.0]):
+        with pytest.raises(InvalidInput, match="^operator diagonal must be one-dimensional, "
+                                               f"got {re.escape(repr(diagonal))}$"):
+            lowest_eigenvalues(TridiagonalOperator(diagonal, -1.0), 1, 1e-10)
 
 
 @pytest.mark.parametrize("coupling", ["a", True, 1j, None])
@@ -508,6 +508,14 @@ def test_effective_potential_values():
     assert effective_potential(p, 1.0, 3.0) == -11.25
     assert effective_potential(p, 1.0, 0.0) == 0.0
     assert effective_potential(p, 7.3, 0.0) == 0.0
+    # one real x: an array is mapped over by profile_effective_potential
+    for x in (np.array([2.0, 3.0]), [2.0], "2", None):
+        with pytest.raises(InvalidInput,
+                           match=f"^x must be a real number, got {re.escape(repr(x))}$"):
+            effective_potential(p, 1.0, x)
+    assert effective_potential(p, 1.0, np.float32(3.0)) == -11.25
+    with pytest.raises(OutOfRange, match="^effective potential V_eff exceeds"):
+        effective_potential(p, 1.0, 10**400)
 
 
 def test_effective_potential_unit_bookkeeping():
@@ -528,7 +536,7 @@ def test_profile_detects_unboundedness():
     grid = GridSpec(5.0, 201)
     v, unbounded_below = profile_effective_potential(natural_units(), 1.0, grid)
     assert unbounded_below
-    x = grid.nodes()
+    v, x = np.asarray(v), np.asarray(grid.nodes())
     # even function: mirrored samples agree exactly
     assert np.all(v[::-1] == v)
     idx = int(np.argmin(np.abs(x - 3.0)))

@@ -66,6 +66,9 @@ def test_hermite_rejects_negative_degree():
 def test_hermite_overflow_signalled():
     with pytest.raises(OverflowError):
         hermite(500, 10.0)
+    # an int past the double range raised a bare OverflowError from float()
+    with pytest.raises(OutOfRange, match=r"^H_n\(xi\) argument xi exceeds the floating-point range$"):
+        hermite(3, 10**400)
 
 
 def test_kummer_at_origin_is_one():
@@ -168,6 +171,10 @@ def test_kummer_terminating_overflow_signalled():
     # the polynomial's terms pass the double range and cancel into nan
     with pytest.raises(OutOfRange):
         kummer_m(-400.0, 0.5, 900.0)
+    # an int past the double range raised a bare OverflowError from float()
+    with pytest.raises(OutOfRange,
+                       match=r"^M\(a, c, y\) argument exceeds the floating-point range$"):
+        kummer_m(-1, 0.5, 10**400)
 
 
 @pytest.mark.parametrize("a, degree", [(-(MAX_LEVEL + 1.0), MAX_LEVEL + 1),

@@ -57,13 +57,21 @@ def test_gridspec_points_capped():
 def test_gridspec_nodes_symmetric_and_exact():
     g = GridSpec(8.0, 801)
     assert g.spacing == pytest.approx(0.02, rel=1e-15)
-    x = g.nodes()
+    x = np.asarray(g.nodes())
     assert len(x) == 801
     assert x[400] == 0.0
     # bitwise antisymmetry of the node set
     assert np.all(x[::-1] == -x)
     assert x[0] == pytest.approx(-8.0, abs=1e-14)
     assert x[-1] == pytest.approx(8.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("extent, points", [(8.0, 801), (1.0, 3), (0.3, 1001), (37.5, 69001),
+                                            (1e-3, MAX_POINTS), (1e300, MAX_POINTS)])
+def test_gridspec_nodes_are_the_signed_offsets_times_the_spacing_bit_for_bit(extent, points):
+    grid = GridSpec(extent, points)
+    offsets = np.arange(points) - (points - 1) // 2
+    assert grid.nodes() == (offsets * grid.spacing).tolist()
 
 
 def test_normalization_constant_values():
@@ -293,6 +301,19 @@ def test_inner_product_refuses_nan_samples_and_names_an_overflowing_sum():
         inner_product(g, np.full(801, 1e200), np.full(801, 1e200))
 
 
+def test_inner_product_takes_lists_and_refuses_non_numbers():
+    # a list of floats raised a bare TypeError
+    grid = GridSpec(1.0, 3)
+    assert inner_product(grid, [1.0] * 3, [1.0] * 3) == 2.0
+    assert inner_product(grid, grid.nodes(), [1, 2, 3]) == inner_product(
+        grid, np.array(grid.nodes()), np.array([1.0, 2.0, 3.0]))
+    for f in (["a"] * 3, [1.0, [1.0], 1.0], [10**400] * 3):
+        with pytest.raises(InvalidInput, match="^sampled functions must hold real numbers$"):
+            inner_product(grid, f, [1.0] * 3)
+        with pytest.raises(InvalidInput, match="^sampled functions must hold real numbers$"):
+            inner_product(grid, [1.0] * 3, f)
+
+
 def test_gram_matrix_is_identity():
     lam = 1.0
     extent = 2.0 * math.sqrt(2.0 * 10 + 1.0) / math.sqrt(lam)
@@ -307,7 +328,7 @@ def test_gram_matrix_is_identity():
 def _max_weber_residual(n, lam, points):
     grid = GridSpec(default_extent(n, lam), points)
     v = sample(n, grid, lam)
-    x = grid.nodes()
+    x = np.asarray(grid.nodes())
     h = grid.spacing
     second = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
     ksq = (2.0 * n + 1.0) * lam
