@@ -3,9 +3,9 @@
 Closed-form bound-state energies and stationary states of the relativistic
 oscillator obtained from the momentum coupling p -> p - i m omega x, with
 an independent finite-difference eigenvalue oracle and a CLI front end.
-Each public name imports its submodule on first use (PEP 562), so
-`import kgo` does not load numpy.  kgo.wavefn is the one module that does:
-every other module passes Python floats, and lists of them, between modules.
+Each public name imports its submodule on first use (PEP 562).  No module
+loads numpy: every module passes Python floats, and lists of them, between
+modules.
 """
 
 import importlib

@@ -7,8 +7,7 @@ error.  Runs are deterministic: identical argv produces identical bytes.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers;
 the writer alone formats the values, under --decimals, and writes.  A failed
 build emits nothing, and a failed write ends in one error line.  Builders
-hand the writer lists of Python floats, and only wavefn, whose states
-kgo.wavefn samples on arrays, loads numpy.
+hand the writer lists of Python floats, and no command loads numpy.
 """
 
 import argparse
@@ -23,7 +22,7 @@ from functools import partial
 from typing import Dict, List, Sequence
 
 from . import spectrum
-from .errors import KgoError, UsageError
+from .errors import InvalidInput, KgoError, UsageError
 from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, GridSpec, check_integer,
                      check_points, check_positive, default_extent, evaluate_finite, from_b)
 
@@ -36,6 +35,9 @@ TABLE_FORMULA_WARNING = (
 )
 
 VEFF_DEFAULT_EXTENT_FACTOR = 2.5  # default x_max as a multiple of the V_eff zero
+# a wavefn run takes up to n x points / 2 recurrence steps; this cap keeps
+# the slowest accepted one below 15 s (2-vCPU Xeon VM, Python 3.11)
+WAVEFN_BUDGET = 3 * 10**8
 # a double's exact decimal expansion has at most 1074 fractional digits, so
 # more decimals only add zeros (and a huge K exhausts memory)
 MAX_DECIMALS = 1074
@@ -133,7 +135,9 @@ def build_parser() -> _Parser:
     wf.add_argument("--x-max", type=_positive_float, default=None,
                     help="half extent of the symmetric grid "
                          "(default: twice the turning point plus tail padding)")
-    wf.add_argument("--points", type=_points, default=801)
+    wf.add_argument("--points", type=_points, default=801,
+                    help=f"odd grid size in [3, {MAX_POINTS}] (default: 801); the work "
+                         f"budget refuses n x points above {WAVEFN_BUDGET} with exit 1")
     wf.set_defaults(build=_build_wavefn)
 
     orc = sub.add_parser("oracle",
@@ -202,9 +206,13 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
 
 def _build_wavefn(ns: argparse.Namespace) -> _Emission:
     from . import wavefn
+    # checked before any compute; a level past MAX_LEVEL is refused as such
+    if check_integer(ns.n) * ns.points > WAVEFN_BUDGET:
+        raise InvalidInput(f"n x points must be at most {WAVEFN_BUDGET}, "
+                           f"got {ns.n} x {ns.points} = {ns.n * ns.points}")
     extent = ns.x_max if ns.x_max is not None else default_extent(ns.n, ns.lam)
-    x = GridSpec(extent, ns.points).nodes()
-    return _Emission({}, {"x": x, "psi": wavefn.psi(ns.n, x, ns.lam).tolist()})
+    grid = GridSpec(extent, ns.points)
+    return _Emission({}, {"x": grid.nodes(), "psi": wavefn.sample(ns.n, grid, ns.lam)})
 
 
 def _build_oracle(ns: argparse.Namespace) -> _Emission:

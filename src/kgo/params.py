@@ -5,8 +5,8 @@ The default unit system is natural units (hbar = c = 1 with unit mass);
 user-facing energies are dimensionless, Ebar = E / (m c^2).  The input
 rules and the overflow policy all modules share, the grid defaults the CLI
 parser reads and the grid rule itself (GridSpec, default_extent) live here
-too.  Like every module but kgo.wavefn they run on Python floats and lists
-of them, without numpy.
+too.  Like every module they run on Python floats and lists of them,
+without numpy.
 """
 
 import contextlib

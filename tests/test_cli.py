@@ -9,8 +9,9 @@ import warnings
 
 import pytest
 
-from kgo.cli import main, parse_args
+from kgo.cli import WAVEFN_BUDGET, main, parse_args
 from kgo.errors import UsageError
+from kgo.wavefn import psi
 
 
 def _run(capsys, *argv):
@@ -155,6 +156,30 @@ def test_wavefn_respects_extent_and_points(capsys):
     assert len(lines) == 6
     assert lines[1].split(",")[0] == "-4"
     assert lines[-1].split(",")[0] == "4"
+
+
+def test_wavefn_work_budget_refuses_a_larger_product_before_any_compute(capsys):
+    # 10^6 levels on 10^6 + 1 points would run for hours; one product past the
+    # budget is refused too
+    for n, points in ((1000000, 1000001), (WAVEFN_BUDGET // 3125 + 1, 3125)):
+        code, out, err = _run(capsys, "wavefn", "--n", str(n), "--lambda", "1",
+                              "--points", str(points))
+        assert code == 1 and out == ""
+        assert err == (f"kgo: error: n x points must be at most {WAVEFN_BUDGET}, "
+                       f"got {n} x {points} = {n * points}\n")
+
+
+def test_wavefn_work_budget_accepts_its_largest_product(capsys):
+    # so wide a grid puts every node but x = 0 past the underflow bound, where
+    # psi is 0 without running the recurrence, so the run is fast
+    n, points = WAVEFN_BUDGET // 3125, 3125
+    assert n * points == WAVEFN_BUDGET
+    code, out, err = _run(capsys, "wavefn", "--n", str(n), "--lambda", "1",
+                          "--x-max", "1e6", "--points", str(points))
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == points
+    assert [row for row in rows if row.split(",")[1] != "0"] == [f"0,{psi(n, 0.0, 1.0):.6g}"]
 
 
 def test_oracle_reports_small_relative_difference(capsys):
@@ -492,13 +517,12 @@ print(json.dumps(steps))
 
 
 def test_parser_help_usage_errors_and_spectrum_run_without_numpy():
-    # so do the oracle's rows and its errors, and the README table and veff
-    # commands: everything but wavefn runs on Python floats
+    # so do the oracle's rows and its errors, and the README table, veff and
+    # wavefn commands: no command loads numpy
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
                           capture_output=True, text=True, check=True)
-    steps = json.loads(proc.stdout)
-    *numpy_free, array_command = steps
-    assert len(numpy_free) == 2 + 6 + 3 + 36 + 3 + 3 + 3
+    numpy_free = json.loads(proc.stdout)
+    assert len(numpy_free) == 2 + 6 + 3 + 36 + 3 + 3 + 4
     assert [code for _, code, _, _ in numpy_free[2:11]] == [0] * 6 + [2, 2, 1]
     assert all(code == 0 and err == "" for _, code, err, _ in numpy_free[11:50])
     assert [(code, err.split(":")[0]) for _, code, err, _ in numpy_free[50:53]] == [(1, "kgo")] * 3
@@ -506,8 +530,5 @@ def test_parser_help_usage_errors_and_spectrum_run_without_numpy():
     assert "exceeds the floating-point range" in numpy_free[51][2]  # OutOfRange
     assert "count must be in [1, 1999], got 1000002" in numpy_free[52][2]
     assert [argv[0] for argv, code, err, _ in numpy_free[53:] if code == 0 and err == ""] == [
-        "table", "table", "veff"]
+        "table", "table", "veff", "wavefn"]
     assert [argv for argv, _, _, loaded in numpy_free if loaded] == []
-    # the probe can see numpy: wavefn loads it
-    assert array_command == [["wavefn", "--n", "4", "--lambda", "1", "--x-max", "6",
-                              "--points", "241"], 0, "", True]

@@ -8,8 +8,8 @@ import pytest
 
 from kgo.errors import InvalidInput, OutOfRange
 from kgo.specfun import hermite, kummer_m
-from kgo.wavefn import (MAX_POINTS, GridSpec, default_extent, inner_product,
-                        psi, sample)
+from kgo.wavefn import (MAX_POINTS, GridSpec, _underflow_start, default_extent,
+                        inner_product, psi, sample)
 
 MAX_FACTORIAL_LEVEL = 170  # n! is finite up to 170!
 
@@ -136,14 +136,16 @@ def test_psi_matches_mpmath_reference(n):
 
 
 def _psi_plain_recurrence(n, x, lam):
-    """The normalised recurrence without any rescaling."""
-    xi = math.sqrt(lam) * x
-    phi = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    phi_prev = np.zeros_like(phi)
-    for k in range(n):
-        phi_prev, phi = phi, (math.sqrt(2.0 / (k + 1.0)) * xi * phi
-                              - math.sqrt(k / (k + 1.0)) * phi_prev)
-    return lam ** 0.25 * phi
+    """The normalised recurrence without any rescaling, at each float of x."""
+    values = []
+    for point in x:
+        xi = math.sqrt(lam) * point
+        phi, phi_prev = math.pi ** -0.25 * math.exp(-0.5 * xi * xi), 0.0
+        for k in range(n):
+            phi_prev, phi = phi, (math.sqrt(2.0 / (k + 1.0)) * xi * phi
+                                  - math.sqrt(k / (k + 1.0)) * phi_prev)
+        values.append(lam ** 0.25 * phi)
+    return values
 
 
 @pytest.mark.parametrize("n", [0, 30, 120, 745])
@@ -155,21 +157,75 @@ def test_psi_is_the_plain_recurrence_where_the_gaussian_is_normal(n):
         assert np.array_equal(psi(n, x, lam), _psi_plain_recurrence(n, x, lam))
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 31, 120, 3000])
+def test_sample_mirrors_psi_bit_for_bit(n):
+    # sample runs psi on the nodes x >= 0 only and mirrors them; float == is
+    # bitwise equality apart from the sign of zero
+    lam = 1.3
+    grid = GridSpec(default_extent(n, lam), 801)
+    values = sample(n, grid, lam)
+    assert all(v == (-1) ** n * w for v, w in zip(values, reversed(values)))
+    assert values == psi(n, grid.nodes(), lam)
+
+
+def _psi_never_skipped(n, x, lam):
+    """psi_n at each float of x by the normalised recurrence on phi_k 2^-e, with
+    e carried from phi_0 on, phi_k rescaled after every step and no point
+    skipped."""
+    steps = [(math.sqrt(2.0 / (k + 1.0)), math.sqrt(k / (k + 1.0))) for k in range(n)]
+    values = []
+    for point in x:
+        xi = math.sqrt(lam) * point
+        log2_gauss = -0.5 * xi * xi / math.log(2.0)
+        exponent = math.floor(log2_gauss)
+        phi, phi_prev = math.pi ** -0.25 * 2.0 ** (log2_gauss - exponent), 0.0
+        for a, b in steps:
+            phi_prev, phi = phi, a * xi * phi - b * phi_prev
+            phi, shift = math.frexp(phi)
+            phi_prev = math.ldexp(phi_prev, -shift)
+            exponent += shift
+        values.append(math.ldexp(lam ** 0.25 * phi, exponent))
+    return values
+
+
+@pytest.mark.parametrize("n", [745, 3000, 20000])
+def test_psi_skips_only_cells_that_underflow(n):
+    # psi writes 0 without running the recurrence from the bound's underflow
+    # point on, which must lie past the largest zero of H_n, below sqrt(2n + 1);
+    # on the default grid every skipped cell is 0 in the reference too, and the
+    # cells just inside agree with it
+    grid = GridSpec(default_extent(n, 1.0), 2001)
+    skip = _underflow_start(n, 1.0)
+    assert skip > math.sqrt(2.0 * n + 1.0)
+    right = grid.nodes()[grid.points // 2:]
+    first = next(i for i, x in enumerate(right) if x >= skip)
+    checked = right[first - 5:]
+    assert len(checked) > 100
+    got, want = psi(n, checked, 1.0), _psi_never_skipped(n, checked, 1.0)
+    assert got[5:] == [0.0] * len(got[5:]) == want[5:]
+    assert all(math.isclose(g, w, rel_tol=1e-9) for g, w in zip(got[:5], want[:5]))
+
+
 def test_psi_accepts_scalar_or_array():
-    x = np.array([-2.0, -0.3, 0.0, 1.1])
+    # a sequence of reals, a list or an array, gives a list of floats
+    x = [-2.0, -0.3, 0.0, 1.1]
     values = psi(7, x, 1.7)
-    assert isinstance(values, np.ndarray) and values.shape == x.shape
-    for xv, v in zip(x.tolist(), values.tolist()):
+    assert type(values) is list and len(values) == len(x)
+    assert psi(7, np.array(x), 1.7) == psi(7, tuple(x), 1.7) == values
+    for xv, v in zip(x, values):
         got = psi(7, xv, 1.7)
         assert isinstance(got, float) and got == v
 
 
 @pytest.mark.parametrize("x", ["a", None, 1j, math.nan, [0.0, math.nan], np.array([math.nan]),
-                               [0.0, None], 10**400],
+                               [0.0, None], 10**400, "1.5", True, [0.0, True],
+                               np.array([[0.0]])],
                          ids=["str", "none", "complex", "nan", "nan_in_list", "nan_array",
-                              "none_in_list", "int_past_a_double"])
+                              "none_in_list", "int_past_a_double", "numeric_str", "bool",
+                              "bool_in_list", "2d_array"])
 def test_psi_refuses_an_x_that_is_not_real_or_is_nan(x):
-    # "a" raised a bare ValueError, and a NaN x returned nan
+    # "a" raised a bare ValueError, and a NaN x returned nan; "1.5" and True
+    # were taken as the numbers 1.5 and 1
     with pytest.raises(InvalidInput,
                        match=f"^x must be real numbers other than NaN, got {re.escape(repr(x))}$"):
         psi(3, x, 1.0)
@@ -178,10 +234,10 @@ def test_psi_refuses_an_x_that_is_not_real_or_is_nan(x):
 def test_psi_far_tails_are_zero_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = psi(4, np.array([-1e300, -5e299, 0.0, 5e299, 1e300]), 1.0)
+        values = psi(4, [-1e300, -5e299, 0.0, 5e299, 1e300], 1.0)
         assert psi(3, 1e200, 1e308) == 0.0    # sqrt(lam) x overflows to inf
         assert psi(3, math.inf, 1.0) == psi(3, -math.inf, 1.0) == 0.0
-    assert values[[0, 1, 3, 4]].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert [values[i] for i in (0, 1, 3, 4)] == [0.0, 0.0, 0.0, 0.0]
     assert values[2] == psi(4, 0.0, 1.0)
 
 
@@ -237,14 +293,14 @@ def _sign_changes(values):
 def test_sample_ground_state_shape():
     g = GridSpec(6.0, 201)
     s = sample(0, g, 1.0)
-    assert np.all(s > 0.0)
-    assert s.argmax() == 100
+    assert min(s) > 0.0
+    assert s.index(max(s)) == 100
 
 
 def test_sample_parity_and_node_counts():
     g = GridSpec(6.0, 401)
     s1 = sample(1, g, 1.0)
-    assert np.all(s1[::-1] == -s1)
+    assert s1[::-1] == [-v for v in s1]
     assert _sign_changes(s1) == 1
     s4 = sample(4, g, 1.0)
     assert _sign_changes(s4) == 4
@@ -299,6 +355,18 @@ def test_inner_product_refuses_nan_samples_and_names_an_overflowing_sum():
         inner_product(g, bad, bad)
     with pytest.raises(OutOfRange, match="^inner product exceeds the floating-point range$"):
         inner_product(g, np.full(801, 1e200), np.full(801, 1e200))
+    # finite terms whose sum overflows, and opposite infinities
+    for f, h in (([1e154, 1e153, 1e154], [1e154, 1e153, 1e154]),
+                 ([math.inf, 0.0, -math.inf], [1.0] * 3)):
+        with pytest.raises(OutOfRange, match="^inner product exceeds the floating-point range$"):
+            inner_product(GridSpec(1.0, 3), f, h)
+
+
+def test_inner_product_is_the_exact_sum_of_the_simpson_terms():
+    # terms 1e16, 1, -1e16, 1, 0: summed in order they give 1, exactly 2
+    grid = GridSpec(1.5, 5)  # h/3 = 0.25
+    f = [1e16, 0.25, -0.5e16, 0.25, 0.0]
+    assert inner_product(grid, f, [1.0] * 5) == 0.5
 
 
 def test_inner_product_takes_lists_and_refuses_non_numbers():
@@ -307,7 +375,9 @@ def test_inner_product_takes_lists_and_refuses_non_numbers():
     assert inner_product(grid, [1.0] * 3, [1.0] * 3) == 2.0
     assert inner_product(grid, grid.nodes(), [1, 2, 3]) == inner_product(
         grid, np.array(grid.nodes()), np.array([1.0, 2.0, 3.0]))
-    for f in (["a"] * 3, [1.0, [1.0], 1.0], [10**400] * 3):
+    # "1", True and None were taken as 1.0, 1.0 and NaN
+    for f in (["a"] * 3, [1.0, [1.0], 1.0], [10**400] * 3, ["1"] * 3, [True] * 3,
+              [1.0, None, 1.0], "abc", None):
         with pytest.raises(InvalidInput, match="^sampled functions must hold real numbers$"):
             inner_product(grid, f, [1.0] * 3)
         with pytest.raises(InvalidInput, match="^sampled functions must hold real numbers$"):
@@ -327,7 +397,7 @@ def test_gram_matrix_is_identity():
 
 def _max_weber_residual(n, lam, points):
     grid = GridSpec(default_extent(n, lam), points)
-    v = sample(n, grid, lam)
+    v = np.asarray(sample(n, grid, lam))
     x = np.asarray(grid.nodes())
     h = grid.spacing
     second = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
