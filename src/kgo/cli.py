@@ -12,19 +12,19 @@ hand the writer lists of Python floats, and no command loads numpy.
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from . import spectrum
 from .errors import InvalidInput, KgoError, UsageError
 from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, GridSpec, check_integer,
-                     check_points, check_positive, default_extent, evaluate_finite, from_b)
+                     check_points, check_positive, check_real, default_extent,
+                     evaluate_finite, from_b)
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -43,12 +43,8 @@ WAVEFN_BUDGET = 3 * 10**8
 MAX_DECIMALS = 1074
 
 
-@dataclass
-class _Emission:
-    labels: Dict[str, List[str]]  # n, b, parity: the first columns, as text
-    values: Dict[str, Sequence]  # every later column: numbers, then _render's cells
-    warnings: List[str] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)  # json keys, "# key: value" lines
+# labels (n, b, parity) as text, values as numbers then cells, warnings, json extra
+_Emission = namedtuple("_Emission", "labels values warnings extra", defaults=((), {}))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,22 +67,12 @@ def _arg(convert, check, expected: str):
     return parse
 
 
-def _within(lo, hi):
-    """A check passing values in [lo, hi] and raising ValueError otherwise."""
-    def check(value):
-        if not lo <= value <= hi:
-            raise ValueError
-        return value
-    return check
-
-
-_positive_float = _arg(float, partial(check_positive, "value"),
-                       "a positive and finite number")
-_finite_float = _arg(float, _within(-sys.float_info.max, sys.float_info.max),
-                     "a finite number")
-_nonnegative_int = _arg(int, _within(0, math.inf), "an integer >= 0")
-_positive_int = _arg(int, _within(1, math.inf), "an integer >= 1")
-_decimals = _arg(int, _within(0, MAX_DECIMALS), f"an integer in [0, {MAX_DECIMALS}]")
+_positive_float = _arg(float, partial(check_positive, "value"), "a positive and finite number")
+_finite_float = _arg(float, partial(check_real, "value"), "a finite number")
+_nonnegative_int = _arg(int, partial(check_integer, high=math.inf), "an integer >= 0")
+_positive_int = _arg(int, partial(check_integer, low=1, high=math.inf), "an integer >= 1")
+_decimals = _arg(int, partial(check_integer, high=MAX_DECIMALS),
+                 f"an integer in [0, {MAX_DECIMALS}]")
 _points = _arg(int, check_points, f"an odd integer in [3, {MAX_POINTS}]")
 
 
@@ -212,7 +198,8 @@ def _build_wavefn(ns: argparse.Namespace) -> _Emission:
                            f"got {ns.n} x {ns.points} = {ns.n * ns.points}")
     extent = ns.x_max if ns.x_max is not None else default_extent(ns.n, ns.lam)
     grid = GridSpec(extent, ns.points)
-    return _Emission({}, {"x": grid.nodes(), "psi": wavefn.sample(ns.n, grid, ns.lam)})
+    nodes = grid.nodes()  # built once: the x column, and the points psi runs on
+    return _Emission({}, {"x": nodes, "psi": wavefn.sample(ns.n, grid, ns.lam, _nodes=nodes)})
 
 
 def _build_oracle(ns: argparse.Namespace) -> _Emission:
@@ -246,10 +233,13 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
 def _render(emission: _Emission, output_format: str, decimals: int | None) -> str:
     """One writer for all formats: it formats the value columns, then a format
     sets how cells, rows and the frame (head, row separator, tail) are written."""
-    # rebinding frees the value lists before the rows are joined
-    emission.values = {name: _fmt(v, decimals) for name, v in emission.values.items()}
-    columns = {**emission.labels, **emission.values}
+    values = emission.values
+    for name, column in values.items():  # frees each value list once its cells exist
+        values[name] = _fmt(column, decimals)
+    columns = {**emission.labels, **values}
     names, cells = list(columns), list(columns.values())
+    if output_format == "json" or emission.extra:  # csv and tsv rows alone need no json
+        import json
     if output_format == "json":
         # a number is its csv cell; an integral cell such as "1" gains ".0" so
         # every value column loads as a float, while n cells stay ints
@@ -265,7 +255,7 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
         row = sep.join  # half the time of a "%s,%s" template
         notes = [f"{key}: {json.dumps(value)}" for key, value in emission.extra.items()]
         head, row_sep = sep.join(names) + "\n", "\n"
-        tail = "".join(f"\n# {note}" for note in notes + emission.warnings)
+        tail = "".join(f"\n# {note}" for note in [*notes, *emission.warnings])
     return head + row_sep.join(map(row, zip(*cells))) + tail + "\n"
 
 

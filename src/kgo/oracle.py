@@ -2,17 +2,12 @@
 
 The operator -psi'' + lam^2 x^2 psi is discretised with the second-order
 central stencil under Dirichlet boundaries and its lowest eigenvalues k^2
-are located by bisection on Sturm pivot counts.  The grid mirrors exactly
-about x = 0, so the matrix folds into an even and an odd half-line block,
-and level n is bisected on the block of parity (-1)^n; all levels share one
-tree of bisection midpoints, each counted once per block.  A block's rows run
-from x = 0 outward, and each sweep stops past the classical turning point of
-its shift once the pivots can no longer turn negative, with the full sweep's
-count bit for bit (see sturm_count).  Nothing from the closed-form spectrum
-module enters this path, so agreement between the two is evidence rather
-than construction.  The module runs on lists of Python floats and never
-loads numpy: the operator holds its diagonal as floats, and the energies
-and the potential profile come back as lists.
+are located by bisection on Sturm pivot counts, on the even and odd
+half-line blocks of the mirror-symmetric matrix (lowest_eigenvalues), with
+sweeps that end past the classical turning point of their shift
+(sturm_count).  Nothing from the closed-form spectrum module enters this
+path, so agreement between the two is evidence rather than construction.
+The module runs on lists of Python floats and never loads numpy.
 
 The module also profiles the effective potential that arises when the
 harmonic potential couples as a Lorentz vector instead of through the
@@ -24,14 +19,13 @@ profile_effective_potential detects.
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Sequence
 
 from .errors import InvalidInput, NonConvergence
-from .params import (DEFAULT_POINTS, DEFAULT_TOL, GridSpec, OscillatorParams, check_integer,
-                     check_points, check_positive, default_extent, evaluate_finite, is_real)
+from .params import (DEFAULT_POINTS, DEFAULT_TOL, GridSpec, OscillatorParams, check_grid,
+                     check_integer, check_points, check_positive, check_real,
+                     default_extent, evaluate_finite, is_real)
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
@@ -39,7 +33,6 @@ BISECTION_MAX_ITER = 200
 TAIL_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix from a uniform three-point stencil.
 
@@ -52,13 +45,9 @@ class TridiagonalOperator:
     sqrt(2) * off_diagonal.
     """
 
-    diagonal: Sequence[float]
-    off_diagonal: float
-    _mirror_row: bool = field(default=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, diagonal, off_diagonal: float, _mirror_row: bool = False):
         try:
-            entries = list(self.diagonal)
+            entries = list(diagonal)
         except TypeError:  # a scalar
             entries = None
         # is_real depends on an entry's type alone: test one entry of each type
@@ -68,21 +57,17 @@ class TridiagonalOperator:
             rule = ("be one-dimensional" if entries is None or any(
                 isinstance(e, (list, tuple)) or getattr(e, "ndim", 0) for e in entries)
                 else "hold real numbers")
-            raise InvalidInput(f"operator diagonal must {rule}, got {self.diagonal!r}")
-        if not is_real(self.off_diagonal):
-            raise InvalidInput("operator coupling must be a real number, got "
-                               f"{self.off_diagonal!r}")
+            raise InvalidInput(f"operator diagonal must {rule}, got {diagonal!r}")
+        check_real("operator coupling", off_diagonal)
         if not entries:
             raise InvalidInput("operator must have at least one row")
         # Python floats, so every pivot is a double whatever the input types; a
         # non-finite entry makes the bisection bracket non-finite, and
         # sturm_count divides the coupling's square by every pivot
-        object.__setattr__(self, "off_diagonal", evaluate_finite(
-            "operator coupling", lambda: float(self.off_diagonal)))
-        object.__setattr__(self, "diagonal", evaluate_finite(
-            "operator diagonal", lambda: list(map(float, entries))))
-        evaluate_finite("operator coupling squared",
-                        lambda: self.off_diagonal * self.off_diagonal)
+        self.off_diagonal = evaluate_finite("operator coupling", lambda: float(off_diagonal))
+        self.diagonal = evaluate_finite("operator diagonal", lambda: list(map(float, entries)))
+        evaluate_finite("operator coupling squared", lambda: self.off_diagonal ** 2)
+        self._mirror_row = _mirror_row
 
     @property
     def dimension(self) -> int:
@@ -114,8 +99,7 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).  The rows are the interior nodes of
     grid.nodes().
     """
-    lam = check_positive("lam", lam)
-    h = grid.spacing
+    lam, h = check_positive("lam", lam), check_grid(grid).spacing
 
     def diagonal():
         centre, lam_squared = 2.0 / h**2, lam**2
@@ -213,8 +197,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     if min(op.diagonal) - 2.0 * abs(op.off_diagonal) < 0.0:
         below = sturm_count(op, 0.0)
         if below:
-            raise InvalidInput(
-                f"{below} eigenvalue(s) lie below 0, where the brackets start")
+            raise InvalidInput(f"{below} eigenvalue(s) lie below 0, where the brackets start")
     # each block with its memo: midpoint -> Sturm count
     blocks = [(block, {}) for block in _half_line_blocks(op)]
     hi0 = op.gershgorin_upper
@@ -266,13 +249,11 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
     """Vector-coupling effective potential (E m w^2 x^2 - m^2 w^4 x^4 / 4)/(c^2 hbar^2).
 
     This is the Schrodinger-form potential (2 E V - V^2)/(c^2 hbar^2) with
-    V = m w^2 x^2 / 2 substituted, at one real x (params.is_real).  It is
-    evaluated in u = w x, so a tiny w with a huge x (or the reverse) neither
-    underflows w^4 nor overflows x^2.
+    V = m w^2 x^2 / 2 substituted, at a real energy and a real x
+    (params.check_real).  It is evaluated in u = w x, so a tiny w with a huge
+    x (or the reverse) neither underflows w^4 nor overflows x^2.
     """
-    if not is_real(x):
-        raise InvalidInput(f"x must be a real number, got {x!r}")
-    m = params.mass
+    energy, x, m = check_real("energy", energy), check_real("x", x), params.mass
 
     def v_eff():
         # powers via products: multiplication is exactly sign-symmetric, so
@@ -287,9 +268,9 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
 def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
     """Positive root of the effective potential, x* = 2 sqrt(E/m) / omega.
 
-    Zero for non-positive energies, where the potential is nowhere positive.
+    Zero for a real energy <= 0 (params.check_real), where V_eff is nowhere positive.
     """
-    if energy <= 0.0:
+    if check_real("energy", energy) <= 0.0:
         return 0.0
     return evaluate_finite("V_eff zero crossing 2 sqrt(E/m)/omega",
                            lambda: 2.0 * math.sqrt(energy / params.mass) / params.omega)
@@ -304,7 +285,7 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
     still decreasing outward.  At least 2 grid nodes must lie beyond x*.
     """
     xstar = veff_zero_crossing(params, energy)
-    x = grid.nodes()
+    x = check_grid(grid).nodes()
     beyond = len(x) - bisect_right(x, xstar)  # the nodes ascend
     if beyond < 2:
         raise InvalidInput(

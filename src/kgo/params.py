@@ -6,13 +6,14 @@ user-facing energies are dimensionless, Ebar = E / (m c^2).  The input
 rules and the overflow policy all modules share, the grid defaults the CLI
 parser reads and the grid rule itself (GridSpec, default_extent) live here
 too.  Like every module they run on Python floats and lists of them,
-without numpy.
+without numpy.  GridSpec and OscillatorParams are immutable namedtuples, not
+dataclasses (a slow import), and every path that constructs one checks it.
 """
 
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInput, OutOfRange
 
@@ -29,6 +30,13 @@ def is_real(value) -> bool:
     """The one rule for a real-number input: any numbers.Real, numpy scalars
     included, except a bool, which check_integer refuses too."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(name: str, value):
+    """value if is_real takes it and it is finite (an int past a double is), else InvalidInput."""
+    if not (is_real(value) and -math.inf < value < math.inf):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def check_positive(name: str, value) -> float:
@@ -86,23 +94,29 @@ def check_points(points) -> int:
     return points
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _Checked:
+    """Mixin for a namedtuple: _make (so _replace), copy and pickle call cls()."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+    __reduce__ = lambda self: (type(self), tuple(self))
+
+
+class GridSpec(_Checked, namedtuple("GridSpec", "extent points")):
     """Uniform grid over [-extent, extent] with an odd number of points.
 
     Odd counts keep x = 0 on the grid and make the point count usable for
     composite Simpson quadrature.  Nodes are built from signed integer
-    offsets so that x = 0 is exact and x_{-i} = -x_i bit for bit.
+    offsets so that x = 0 is exact and x_{-i} = -x_i bit for bit.  A namedtuple:
+    keyword, positional, _make, _replace, copy and pickle all check both fields.
     """
 
-    extent: float
-    points: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_positive("grid extent", self.extent)
-        object.__setattr__(self, "points", check_points(self.points))
-        evaluate_finite(f"grid spacing over [-{self.extent!r}, {self.extent!r}]",
-                        lambda: self.spacing)
+    def __new__(cls, extent: float, points: int):
+        check_positive("grid extent", extent)
+        self = super().__new__(cls, extent, check_points(points))
+        evaluate_finite(f"grid spacing over [-{extent!r}, {extent!r}]", lambda: self.spacing)
+        return self
 
     @property
     def spacing(self) -> float:
@@ -114,6 +128,13 @@ class GridSpec:
         return [i * h for i in range(-half, half + 1)]
 
 
+def check_grid(grid) -> GridSpec:
+    """grid if it is a GridSpec, else InvalidInput: the one rule for a grid argument."""
+    if not isinstance(grid, GridSpec):
+        raise InvalidInput(f"grid must be a GridSpec, got {grid!r}")
+    return grid
+
+
 def default_extent(n: int, lam: float) -> float:
     """Twice the classical turning point of level n plus Gaussian tail padding."""
     n = check_integer(n)
@@ -122,22 +143,21 @@ def default_extent(n: int, lam: float) -> float:
                            lambda: 2.0 * math.sqrt((2.0 * n + 1.0) / lam) + 5.0 / math.sqrt(lam))
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(_Checked, namedtuple("OscillatorParams", "mass omega hbar c")):
     """Oscillator constants m, omega, hbar, c and their derived ratios.
 
     lam = m*omega/hbar sets the Gaussian width of the stationary states;
-    b = hbar*omega/(m c^2) measures how relativistic the oscillator is.
+    b = hbar*omega/(m c^2) measures how relativistic the oscillator is.  A namedtuple:
+    keyword, positional, _make, _replace, copy and pickle all check every constant.
     """
 
-    mass: float
-    omega: float
-    hbar: float = 1.0
-    c: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("mass", "omega", "hbar", "c"):
-            check_positive(name, getattr(self, name))
+    def __new__(cls, mass: float, omega: float, hbar: float = 1.0, c: float = 1.0):
+        self = super().__new__(cls, mass, omega, hbar, c)
+        for name, value in zip(self._fields, self):
+            check_positive(name, value)
+        return self
 
     @property
     def lam(self) -> float:

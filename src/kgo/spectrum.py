@@ -91,9 +91,12 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     """
     if formula not in FORMULA_CHOICES:
         raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
-    b = [check_positive("b", v) for v in b_values]
-    n = [check_integer(v) for v in n_values]
+    try:
+        b = [check_positive("b", v) for v in b_values]
+        n = [check_integer(v) for v in n_values]
+    except TypeError:  # a bare number is no sequence, so it holds no value
+        b = n = []
     if not b or not n:
-        raise InvalidInput("b_values and n_values must both be non-empty")
+        raise InvalidInput("b_values and n_values must both be non-empty sequences")
     return (_energy_law(n, b, _SHIFTS[formula]),
             [1.0 + v * (k + 0.5) for k in n for v in b])

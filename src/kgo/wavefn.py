@@ -17,9 +17,8 @@ import math
 import sys
 
 from .errors import InvalidInput
-# GridSpec, default_extent and MAX_POINTS live in params; they are
-# re-exported here, beside the grid functions
-from .params import (MAX_POINTS, GridSpec, check_integer, check_positive,
+# re-exported from params beside the grid functions: GridSpec, default_extent, MAX_POINTS
+from .params import (MAX_POINTS, GridSpec, check_grid, check_integer, check_positive,
                      default_extent, evaluate_finite, is_real)
 
 _LN2 = math.log(2.0)
@@ -40,12 +39,16 @@ def psi(n: int, x, lam: float):
     a sequence.  An x that is_real refuses, or a NaN, is InvalidInput; psi
     is 0 at +-inf.
     """
-    n = check_integer(n)
-    lam = check_positive("lam", lam)
-    scalar = is_real(x)
+    n, lam, scalar = check_integer(n), check_positive("lam", lam), is_real(x)
     xs = _floats([x] if scalar else x)
     if xs is None or any(map(math.isnan, xs)):
         raise InvalidInput(f"x must be real numbers other than NaN, got {x!r}")
+    values = _recurrence(n, xs, lam)
+    return values[0] if scalar else values
+
+
+def _recurrence(n: int, xs: list, lam: float) -> list:
+    """psi's values at xs, a list of floats other than NaN, for a checked n and lam."""
     steps = [(math.sqrt(2.0 / (k + 1.0)), math.sqrt(k / (k + 1.0))) for k in range(n)]
     skip = _underflow_start(n, lam)
     # a step grows max(|phi_k|, |phi_{k-1}|) by at most sqrt(2) |xi| + 1, so
@@ -79,7 +82,7 @@ def psi(n: int, x, lam: float):
                 phi, phi_prev = math.ldexp(phi, -shift), math.ldexp(phi_prev, -shift)
                 exponent += shift
         values.append(math.ldexp(scale * phi, exponent))
-    return values[0] if scalar else values
+    return values
 
 
 def _floats(values) -> list | None:
@@ -116,13 +119,16 @@ def _underflow_start(n: int, lam: float) -> float:
     return high
 
 
-def sample(n: int, grid: GridSpec, lam: float) -> list:
+def sample(n: int, grid: GridSpec, lam: float, _nodes: list | None = None) -> list:
     """psi_n evaluated at every grid node, as a list.
 
     The nodes are odd and psi_n has parity (-1)^n, both bit for bit, so psi
-    runs on the nodes x >= 0 and the rest is their mirror image.
+    runs on the nodes x >= 0, unchecked, and the rest is their mirror image.
+    _nodes, if given, is grid.nodes(), built by the caller (kgo wavefn).
     """
-    right = psi(n, grid.nodes()[grid.points // 2:], lam)
+    n, lam, grid = check_integer(n), check_positive("lam", lam), check_grid(grid)
+    nodes = grid.nodes() if _nodes is None else _nodes
+    right = _recurrence(n, nodes[grid.points // 2:], lam)
     left = right[:0:-1]
     return (left if n % 2 == 0 else [-v for v in left]) + right
 
@@ -135,7 +141,7 @@ def inner_product(grid: GridSpec, f, g) -> float:
     or that hold a NaN are InvalidInput; a sum past the double range, from
     samples that hold an inf or overflow in f*g, is OutOfRange.
     """
-    f, g = _floats(f), _floats(g)
+    grid, f, g = check_grid(grid), _floats(f), _floats(g)
     if f is None or g is None:
         raise InvalidInput("sampled functions must hold real numbers")
     if len(f) != grid.points or len(g) != grid.points:

@@ -9,8 +9,10 @@ import warnings
 
 import pytest
 
+from kgo import wavefn
 from kgo.cli import WAVEFN_BUDGET, main, parse_args
 from kgo.errors import UsageError
+from kgo.params import GridSpec
 from kgo.wavefn import psi
 
 
@@ -156,6 +158,18 @@ def test_wavefn_respects_extent_and_points(capsys):
     assert len(lines) == 6
     assert lines[1].split(",")[0] == "-4"
     assert lines[-1].split(",")[0] == "4"
+
+
+def test_wavefn_builds_its_nodes_once_and_does_not_check_them_again(capsys, monkeypatch):
+    # the x column and the half psi runs on were two node lists, and psi
+    # checked the grid's own floats once more
+    argv = ("wavefn", "--n", "3", "--lambda", "1", "--x-max", "4", "--points", "9")
+    rows = _run(capsys, *argv)
+    grids, nodes = [], GridSpec.nodes
+    monkeypatch.setattr(GridSpec, "nodes", lambda grid: grids.append(grid) or nodes(grid))
+    monkeypatch.setattr(wavefn, "_floats", lambda values: pytest.fail("x checked again"))
+    assert _run(capsys, *argv) == rows and rows[0] == 0
+    assert grids == [GridSpec(4.0, 9)]
 
 
 def test_wavefn_work_budget_refuses_a_larger_product_before_any_compute(capsys):

@@ -5,11 +5,15 @@ with tests/golden/readme_<i>_<subcommand>.txt.  The same command with
 `--format json` and `--format tsv` appended is compared with the .json and
 .tsv file of that name.  A change that alters this output on purpose
 re-records the file and says so in CHANGES.md.  The Python block under
-"Library example" is executed as written.
+"Library example" is executed as written.  Each README command and each
+`--help` also runs as `python -m kgo` in a fresh interpreter, which must not
+import the modules kept off the start-up path.
 """
 
 import contextlib
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,35 @@ def test_readme_library_example_runs():
     section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md library example", "exec"), {})
+
+
+# Runs `python -m kgo <argv>` and prints the exit code, then whether
+# dataclasses, inspect and json were loaded; it imports none of them itself.
+_STARTUP_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("kgo", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *(name in sys.modules for name in ("dataclasses", "inspect", "json")))
+"""
+
+
+def test_startup_path_imports_no_dataclasses_inspect_or_unneeded_json():
+    # each cost a kgo process milliseconds before it did any work; json is
+    # needed only for --format json and for "# key: value" notes
+    helps = [["--help"]] + [[command, "--help"]
+                            for command in ("table", "spectrum", "wavefn", "oracle", "veff")]
+    runs = helps + [argv + extra for argv in README_COMMANDS for extra, _ in FORMATS.values()]
+    loaded = {}
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv],
+                              capture_output=True, text=True, check=True)
+        code, dataclasses, inspect, json = proc.stdout.splitlines()[-1].split()
+        json_free = argv[0] in ("spectrum", "table") and "json" not in argv
+        found = [name for name, flag in (("dataclasses", dataclasses), ("inspect", inspect),
+                                         ("json", json if json_free else "False"))
+                 if flag == "True"]
+        if code != "0" or found:
+            loaded[" ".join(argv)] = (code, found)
+    assert len(runs) == 6 + 18 and loaded == {}

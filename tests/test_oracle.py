@@ -508,14 +508,35 @@ def test_effective_potential_values():
     assert effective_potential(p, 1.0, 3.0) == -11.25
     assert effective_potential(p, 1.0, 0.0) == 0.0
     assert effective_potential(p, 7.3, 0.0) == 0.0
-    # one real x: an array is mapped over by profile_effective_potential
-    for x in (np.array([2.0, 3.0]), [2.0], "2", None):
+    # one real x: an array is mapped over by profile_effective_potential; NaN
+    # and inf were OutOfRange
+    for x in (np.array([2.0, 3.0]), [2.0], "2", None, math.nan, math.inf):
         with pytest.raises(InvalidInput,
                            match=f"^x must be a real number, got {re.escape(repr(x))}$"):
             effective_potential(p, 1.0, x)
     assert effective_potential(p, 1.0, np.float32(3.0)) == -11.25
     with pytest.raises(OutOfRange, match="^effective potential V_eff exceeds"):
         effective_potential(p, 1.0, 10**400)
+
+
+@pytest.mark.parametrize("energy", ["a", None, True, [1.0], np.array([1.0]), float("nan"),
+                                    np.float64("nan"), float("inf"), -np.inf])
+def test_energy_is_a_real_number(energy):
+    # a string or None raised a bare TypeError, a NaN was reported as OutOfRange
+    rule = f"^energy must be a real number, got {re.escape(repr(energy))}$"
+    for call in (lambda: effective_potential(natural_units(), energy, 1.0),
+                 lambda: veff_zero_crossing(natural_units(), energy),
+                 lambda: profile_effective_potential(natural_units(), energy,
+                                                     GridSpec(5.0, 201))):
+        with pytest.raises(InvalidInput, match=rule):
+            call()
+
+
+def test_energy_takes_any_real_number():
+    p = natural_units()
+    assert effective_potential(p, 1, 3.0) == effective_potential(p, np.float32(1.0), 3.0) == -11.25
+    with pytest.raises(OutOfRange, match="^effective potential V_eff exceeds"):
+        effective_potential(p, 10**400, 1.0)  # a real number, past the double range
 
 
 def test_effective_potential_unit_bookkeeping():

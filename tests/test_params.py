@@ -1,6 +1,8 @@
 import ast
+import copy
 import importlib
 import importlib.util
+import pickle
 import re
 import subprocess
 import sys
@@ -13,14 +15,14 @@ import kgo
 from kgo import errors
 from kgo.errors import (InvalidInput, KgoError, NonConvergence, OutOfRange,
                         UsageError)
-from kgo.oracle import oracle_energies
-from kgo.params import (MAX_LEVEL, OscillatorParams, check_integer, check_positive,
+from kgo.oracle import discretize_weber, oracle_energies, profile_effective_potential
+from kgo.params import (MAX_LEVEL, GridSpec, OscillatorParams, check_integer, check_positive,
                         from_b, natural_units)
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd)
 from kgo.spectrum import (combined_index, energy_combined, energy_second_order,
                           generate_table)
-from kgo.wavefn import default_extent, psi
+from kgo.wavefn import default_extent, inner_product, psi, sample
 
 
 def test_natural_units_fields_and_ratios():
@@ -139,6 +141,57 @@ def test_params_are_immutable():
     p = natural_units()
     with pytest.raises(AttributeError):
         p.mass = 2.0
+    with pytest.raises(AttributeError):
+        p.spin = 0.5
+    with pytest.raises(AttributeError):
+        GridSpec(1.0, 3).points = 5
+
+
+def test_grid_and_params_keep_their_reprs_and_construction():
+    grid = GridSpec(extent=1.0, points=3)
+    assert repr(grid) == "GridSpec(extent=1.0, points=3)" and grid == GridSpec(1.0, 3)
+    params = OscillatorParams(2.0, 0.5)
+    assert repr(params) == "OscillatorParams(mass=2.0, omega=0.5, hbar=1.0, c=1.0)"
+    assert params == OscillatorParams(mass=2.0, omega=0.5, hbar=1.0, c=1.0)
+    assert (params.lam, params.b) == (1.0, 0.25)
+    assert hash(grid) == hash(GridSpec(1.0, 3))
+    for value in (grid, params):
+        assert copy.copy(value) == copy.deepcopy(value) == value
+        assert all(pickle.loads(pickle.dumps(value, protocol)) == value
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+        assert value._make(value) == value._replace() == value
+
+
+@pytest.mark.parametrize("build, rule", [
+    (lambda: GridSpec(1.0, 3)._replace(points=4), "^points must be odd, got 4$"),
+    (lambda: GridSpec._make([1.0, 4]), "^points must be odd, got 4$"),
+    (lambda: GridSpec(1.0, 3)._replace(extent=-1.0),
+     r"^grid extent must be positive and finite, got -1.0$"),
+    (lambda: natural_units()._replace(c=0.0), "^c must be positive and finite, got 0.0$"),
+    (lambda: OscillatorParams._make([1.0, float("nan"), 1.0, 1.0]),
+     "^omega must be positive and finite, got nan$"),
+    (lambda: copy.copy(tuple.__new__(GridSpec, (1.0, 4))), "^points must be odd, got 4$"),
+    (lambda: pickle.loads(pickle.dumps(tuple.__new__(OscillatorParams, (1.0, 1.0, -1.0, 1.0)))),
+     "^hbar must be positive and finite, got -1.0$"),
+], ids=["grid _replace", "grid _make", "grid extent", "params _replace", "params _make",
+        "copy", "pickle"])
+def test_every_construction_path_checks_its_fields(build, rule):
+    # a namedtuple's _make and _replace skip __new__; these construct through it
+    with pytest.raises(InvalidInput, match=rule):
+        build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: discretize_weber(1.0, grid),
+    lambda grid: sample(0, grid, 1.0),
+    lambda grid: inner_product(grid, [1.0] * 3, [1.0] * 3),
+    lambda grid: profile_effective_potential(natural_units(), 1.0, grid),
+], ids=["discretize_weber", "sample", "inner_product", "profile_effective_potential"])
+@pytest.mark.parametrize("grid", ["g", None, (1.0, 3)])
+def test_every_grid_taking_function_refuses_a_non_grid(call, grid):
+    # discretize_weber raised a bare AttributeError
+    with pytest.raises(InvalidInput, match=f"^grid must be a GridSpec, got {re.escape(repr(grid))}$"):
+        call(grid)
 
 
 # numpy holds an integer past 64 bits in an object array; it is still a level.

@@ -241,10 +241,12 @@ def test_generate_table_rejects_ragged_levels():
 
 
 def test_generate_table_rejects_empty_inputs():
-    with pytest.raises(InvalidInput, match="^b_values and n_values must both be non-empty$"):
-        generate_table([], [0, 1])
-    with pytest.raises(InvalidInput, match="^b_values and n_values must both be non-empty$"):
-        generate_table([0.1], [])
+    # a bare number in place of a sequence raised a bare TypeError
+    for b_values, n_values in (([], [0, 1]), ([0.1], []), ([0.1], 5), (0.1, [1]), (None, [1]),
+                               ([0.1], np.array(3)), (0.1, 5)):
+        with pytest.raises(InvalidInput,
+                           match="^b_values and n_values must both be non-empty sequences$"):
+            generate_table(b_values, n_values)
 
 
 def test_generate_table_rejects_unknown_formula():
