@@ -4,10 +4,11 @@ finite-difference cross-checks and effective-potential profiles.
 All data rows go to standard output in csv, tsv or json; diagnostics go to
 standard error.  Exit codes: 0 success, 1 runtime/numeric error, 2 usage
 error.  Runs are deterministic: identical argv produces identical bytes.
-Builders compute the rows, labels (n, b, parity) as text and values as numbers;
-the writer alone formats the values, under --decimals, and writes.  A failed
-build emits nothing, and a failed write ends in one error line.  Builders
-hand the writer lists of Python floats, and no command loads numpy.
+Builders compute the rows, labels (n, b, parity) as text and values as numbers,
+the table's in blocks of levels, each computed when the writer reaches it;
+the writer alone formats the values, under --decimals, and writes once.  A
+failed build emits nothing, and a failed write ends in one error line.
+Builders hand the writer lists of Python floats, and no command loads numpy.
 """
 
 import argparse
@@ -18,6 +19,8 @@ import sys
 from collections import namedtuple
 from contextlib import suppress
 from functools import partial
+from itertools import repeat
+from operator import add
 from typing import List, Sequence
 
 from . import spectrum
@@ -43,8 +46,15 @@ WAVEFN_BUDGET = 3 * 10**8
 MAX_DECIMALS = 1074
 
 
-# labels (n, b, parity) as text, values as numbers then cells, warnings, json extra
-_Emission = namedtuple("_Emission", "labels values warnings extra", defaults=((), {}))
+# levels per generate_table call: one block of table rows is computed, then formatted
+TABLE_BLOCK = 4096
+
+# blocks: (labels, values) pairs of columns.  Rows come in groups of one
+# template each (see _render): a label (n, b, parity) holds one text cell per
+# group and a value one number per row.  A label named in fixed holds instead
+# the cells of a group row by row, the same in every group (the table's b);
+# without one a group is a single row.
+_Emission = namedtuple("_Emission", "blocks warnings extra fixed", defaults=((), {}, ()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,15 +177,17 @@ def _fmt(values, decimals: int | None) -> List[str]:
 
 
 def _build_table(ns: argparse.Namespace) -> _Emission:
-    check_integer(ns.n_max)  # before the list of levels is built
-    n_values = range(ns.n_max + 1)
-    e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, n_values, ns.formula)
-    # rows run n-major, b-minor: each n cell repeats len(b) times and the
-    # b cells repeat once per n, formatted once and shared
-    n_cells = [cell for n in n_values for cell in [str(n)] * len(ns.b)]
-    return _Emission({"n": n_cells, "b": _fmt(ns.b, None) * len(n_values)},
-                     {"e_rel": e_rel, "e_nr_plus_one": e_nr_plus_one},
-                     [TABLE_FORMULA_WARNING] if ns.formula == "table" else [])
+    levels = range(check_integer(ns.n_max) + 1)
+    b_cells = _fmt(ns.b, None)  # formatted once: each level's group of rows repeats them
+
+    def blocks():  # rows run n-major, b-minor: a group of rows is a level
+        for start in range(0, len(levels), TABLE_BLOCK):
+            part = levels[start:start + TABLE_BLOCK]
+            e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, part, ns.formula)
+            yield ({"n": list(map(str, part)), "b": b_cells},
+                   {"e_rel": e_rel, "e_nr_plus_one": e_nr_plus_one})
+    return _Emission(blocks(), [TABLE_FORMULA_WARNING] if ns.formula == "table" else [],
+                     fixed=("b",))
 
 
 def _build_spectrum(ns: argparse.Namespace) -> _Emission:
@@ -186,8 +198,8 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
     else:
         energy = spectrum.energy_combined(index, ns.b)
         binding = spectrum.binding_energy(index, ns.b)
-    return _Emission({"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity]},
-                     {"energy": [energy], **({"binding": [binding]} if ns.binding else {})})
+    return _Emission([({"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity]},
+                       {"energy": [energy], **({"binding": [binding]} if ns.binding else {})})])
 
 
 def _build_wavefn(ns: argparse.Namespace) -> _Emission:
@@ -199,7 +211,7 @@ def _build_wavefn(ns: argparse.Namespace) -> _Emission:
     extent = ns.x_max if ns.x_max is not None else default_extent(ns.n, ns.lam)
     grid = GridSpec(extent, ns.points)
     nodes = grid.nodes()  # built once: the x column, and the points psi runs on
-    return _Emission({}, {"x": nodes, "psi": wavefn.sample(ns.n, grid, ns.lam, _nodes=nodes)})
+    return _Emission([({}, {"x": nodes, "psi": wavefn.sample(ns.n, grid, ns.lam, _nodes=nodes)})])
 
 
 def _build_oracle(ns: argparse.Namespace) -> _Emission:
@@ -208,9 +220,9 @@ def _build_oracle(ns: argparse.Namespace) -> _Emission:
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
     reference = [spectrum.energy_combined(n, ns.b) for n in levels]
-    return _Emission({"n": [str(n) for n in levels]},
-                     {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
-                      "rel_diff": [abs(e - r) / r for e, r in zip(e_oracle, reference)]})
+    return _Emission([({"n": [str(n) for n in levels]},
+                       {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
+                        "rel_diff": [abs(e - r) / r for e, r in zip(e_oracle, reference)]})])
 
 
 def _build_veff(ns: argparse.Namespace) -> _Emission:
@@ -226,37 +238,71 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
                                  lambda: VEFF_DEFAULT_EXTENT_FACTOR * xstar)
     grid = GridSpec(extent, ns.points)
     v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
-    return _Emission({}, {"x": grid.nodes(), "v_eff": v_eff},
+    return _Emission([({}, {"x": grid.nodes(), "v_eff": v_eff})],
                      extra={"unbounded_below_detected": unbounded})
 
 
+def _integral(cell: str) -> str:
+    """A json number cell that loads as a float: an integral cell such as "1" gains ".0"."""
+    return cell if "." in cell or "e" in cell else cell + ".0"
+
+
 def _render(emission: _Emission, output_format: str, decimals: int | None) -> str:
-    """One writer for all formats: it formats the value columns, then a format
-    sets how cells, rows and the frame (head, row separator, tail) are written."""
-    values = emission.values
-    for name, column in values.items():  # frees each value list once its cells exist
-        values[name] = _fmt(column, decimals)
-    columns = {**emission.labels, **values}
-    names, cells = list(columns), list(columns.values())
+    """One writer for all formats.  Each group of rows is one `%` template:
+    a fixed label's cells, the separators and the json keys are literal text
+    in it, every other label is a `%s` and every value a `%.6g` or `%.Kf`.  A
+    block fills one template per group, from its columns interleaved row by
+    row; a format sets how cells, rows and the frame (head, row separator,
+    tail) are written."""
+    value = "%.6g" if decimals is None else f"%.{decimals}f"
+    numbers = partial(map, add, repeat(0.0))  # 0.0 + -0.0 is 0.0: no cell reads "-0"
+    texts = {}  # label -> the form its cells take in the output, where it differs
     if output_format == "json" or emission.extra:  # csv and tsv rows alone need no json
         import json
     if output_format == "json":
-        # a number is its csv cell; an integral cell such as "1" gains ".0" so
-        # every value column loads as a float, while n cells stay ints
-        cells = [column if name == "n" else map(json.dumps, column) if name == "parity"
-                 else (c if "." in c or "e" in c else c + ".0" for c in column)
-                 for name, column in zip(names, cells)]
-        row = ("{" + ",".join(f"{json.dumps(name)}:%s" for name in names) + "}").__mod__
+        # n cells stay ints and parity cells strings; every other cell loads as a float
+        texts = {"b": _integral, "parity": json.dumps}
+        if decimals is None:  # a .6g cell may be integral: it goes in as text
+            value, numbers = "%s", lambda column: map(_integral, _fmt(column, None))
+        elif decimals == 0:  # a .0f cell is always integral, a .Kf one never
+            value += ".0"
+        row = lambda names, cells: "{" + ",".join(map("%s:%s".__mod__, zip(
+            map(json.dumps, names), cells))) + "}"
         trailer = json.dumps({"warnings": emission.warnings, **emission.extra},
                              separators=(",", ":"))
-        head, row_sep, tail = '{"rows":[', ",", "]," + trailer[1:]
+        row_sep, tail = ",", "]," + trailer[1:]
     else:
         sep = "," if output_format == "csv" else "\t"
-        row = sep.join  # half the time of a "%s,%s" template
+        row = lambda names, cells: sep.join(cells)
         notes = [f"{key}: {json.dumps(value)}" for key, value in emission.extra.items()]
-        head, row_sep = sep.join(names) + "\n", "\n"
+        row_sep = "\n"
         tail = "".join(f"\n# {note}" for note in [*notes, *emission.warnings])
-    return head + row_sep.join(map(row, zip(*cells))) + tail + "\n"
+    bodies = []
+    for labels, values in emission.blocks:
+        labels = {name: list(map(texts[name], cells)) if name in texts else cells
+                  for name, cells in labels.items()}
+        if not bodies:  # every block has the first one's columns and fixed cells
+            names = [*labels, *values]
+            group = len(labels[emission.fixed[0]]) if emission.fixed else 1
+            template = row_sep.join(row(names, [
+                labels[name][r].replace("%", "%%") if name in emission.fixed
+                else "%s" if name in labels else value for name in names]) for r in range(group))
+            head = '{"rows":[' if output_format == "json" else sep.join(names) + "\n"
+        columns = [cells for name, cells in labels.items() if name not in emission.fixed]
+        width = len(columns) + len(values)
+        flat = [None] * (width * len(next(iter(values.values()))))
+        # flat holds every group's cells in template order: column i of row r at
+        # r * width + i, from a label's one cell per group or a value's one per row
+        for i, cells in enumerate(columns):
+            for r in range(group):
+                flat[r * width + i::width * group] = cells
+        for i, column in enumerate(values.values(), len(columns)):
+            flat[i::width] = numbers(column)
+        bodies.append(row_sep.join(map(template.__mod__, zip(*[iter(flat)] * (width * group)))))
+    # the frame joins the end blocks, so the rows are copied once, by the join
+    bodies[0] = head + bodies[0]
+    bodies[-1] += tail + "\n"
+    return row_sep.join(bodies)
 
 
 def run(ns: argparse.Namespace) -> None:

@@ -69,6 +69,13 @@ class TridiagonalOperator:
         evaluate_finite("operator coupling squared", lambda: self.off_diagonal ** 2)
         self._mirror_row = _mirror_row
 
+    @classmethod
+    def _block(cls, diagonal: list, off_diagonal: float, mirror_row: bool):
+        """An operator on entries that a checked operator holds: a fold block."""
+        self = cls.__new__(cls)
+        self.diagonal, self.off_diagonal, self._mirror_row = diagonal, off_diagonal, mirror_row
+        return self
+
     @property
     def dimension(self) -> int:
         return len(self.diagonal)
@@ -109,8 +116,12 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
         off_diagonal=-1.0 / h**2)
 
 
-def sturm_count(op: TridiagonalOperator, shift: float) -> int:
-    """Number of eigenvalues strictly below shift, from LDL^T pivot signs.
+def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None) -> int:
+    """Number of eigenvalues strictly below shift, from LDL^T pivot signs, or
+    limit, a count >= 1, once that many are found: min(count, limit).
+
+    shift is a finite real number (params.check_real).  The count only grows
+    along the rows, so the sweep returns when it reaches limit.
 
     A zero pivot is replaced by +eps times the Gershgorin bound, which counts
     a boundary hit as not-below; bisection is insensitive to that choice.
@@ -127,6 +138,8 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
     sweep's, bit for bit.  On an oscillator block those rows lie past the
     classical turning point of the shift.
     """
+    shift = evaluate_finite("Sturm shift", lambda: float(check_real("shift", shift)))
+    limit = op.dimension if limit is None else check_integer(limit, "limit", 1, math.inf)
     pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
     offsq = op.off_diagonal * op.off_diagonal
     reach = abs(op.off_diagonal) or MACHINE_EPS  # r: any positive float keeps the proof
@@ -135,6 +148,8 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
     cut = bisect_left(floor, math.nextafter(shift + bound, math.inf))
     d = (first - shift) or pivmin  # the first row has no predecessor
     count = int(d < 0.0)
+    if count == limit:
+        return count
     if op._mirror_row:
         # the next row divides 2 offsq by this pivot; halving it is exact
         # unless it rounds the pivot to 0, which keeps it whole
@@ -149,6 +164,8 @@ def sturm_count(op: TridiagonalOperator, shift: float) -> int:
             if d <= 0.0:  # most pivots are positive and pass this one test
                 if d:
                     count += 1
+                    if count == limit:
+                        return count
                 else:
                     d = pivmin
         past_cut = True
@@ -167,8 +184,8 @@ def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
     if op.dimension < 3 or op.dimension % 2 == 0 or diagonal != diagonal[::-1]:
         return [op]
     m = op.dimension // 2
-    return [TridiagonalOperator(diagonal[m:], op.off_diagonal, _mirror_row=True),
-            TridiagonalOperator(diagonal[m + 1:], op.off_diagonal)]
+    return [TridiagonalOperator._block(diagonal[m:], op.off_diagonal, True),
+            TridiagonalOperator._block(diagonal[m + 1:], op.off_diagonal, False)]
 
 
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
@@ -187,7 +204,10 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     midpoint once and later levels reuse the counts of earlier ones, as the
     shared brackets of LAPACK dstebz do.  Each sweep ends once its pivots
     can no longer turn negative, past the turning point of the midpoint, and
-    gives the full sweep's count (see sturm_count).  In exact arithmetic
+    gives the full sweep's count (see sturm_count), or once it has counted
+    as many eigenvalues as the levels taken from its block: every index
+    bisected there is below that number, so each decision is the one the
+    full count gives, and the memo holds the capped count.  In exact arithmetic
     every decision is the unfolded one; in floating point a midpoint within
     rounding of an eigenvalue, where tol is below the rounding of a Sturm
     count, can go either way.
@@ -198,13 +218,16 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
         below = sturm_count(op, 0.0)
         if below:
             raise InvalidInput(f"{below} eigenvalue(s) lie below 0, where the brackets start")
-    # each block with its memo: midpoint -> Sturm count
-    blocks = [(block, {}) for block in _half_line_blocks(op)]
+    # each block with the number of levels taken from it, and its memo:
+    # midpoint -> Sturm count, up to that number, which no index reaches
+    folds = _half_line_blocks(op)
+    blocks = [(block, len(range(parity, count, len(folds))), {})
+              for parity, block in enumerate(folds)]
     hi0 = op.gershgorin_upper
     k_squared = []
     for j in range(count):
         index, parity = divmod(j, len(blocks))
-        block, memo = blocks[parity]
+        block, levels, memo = blocks[parity]
         lo, hi = 0.0, hi0
         iterations = 0
         while hi - lo > tol:
@@ -215,7 +238,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
             mid = 0.5 * (lo + hi)
             below = memo.get(mid)
             if below is None:
-                below = memo[mid] = sturm_count(block, mid)
+                below = memo[mid] = sturm_count(block, mid, levels)
             if below > index:
                 hi = mid
             else:

@@ -27,12 +27,16 @@ def _is_nonpositive_integer(v: float) -> bool:
     return abs(v - round(v)) <= INTEGER_TOL and round(v) <= 0
 
 
-def hermite(n: int, xi: float) -> float:
-    """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
-    n = check_integer(n, "polynomial degree")
+def _real_xi(xi) -> float:
+    """xi as a Python float: the one argument rule of the Hermite functions."""
     if not is_real(xi):
         raise InvalidInput(f"H_n(xi) needs a real xi, got {xi!r}")
-    xi = evaluate_finite("H_n(xi) argument xi", lambda: float(xi))
+    return evaluate_finite("H_n(xi) argument xi", lambda: float(xi))
+
+
+def hermite(n: int, xi: float) -> float:
+    """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
+    n, xi = check_integer(n, "polynomial degree"), _real_xi(xi)
     h_prev, h = 0.0, 1.0
     for k in range(n):
         h_prev, h = h, 2.0 * xi * h - 2.0 * k * h_prev
@@ -66,7 +70,7 @@ def kummer_m(a: float, c: float, y: float) -> float:
 
 def hermite_from_kummer_even(n: int, xi: float) -> float:
     """H_{2n}(xi) through the identity (-1)^n (2n)!/n! M(-n, 1/2, xi^2)."""
-    n = check_integer(n)
+    n, xi = check_integer(n), _real_xi(xi)
     prefactor = math.prod(map(float, range(n + 1, 2 * n + 1)))  # (2n)!/n!
     m = kummer_m(-float(n), 0.5, xi * xi)
     return evaluate_finite(f"H_{2 * n}({xi!r})", lambda: (-1.0) ** n * prefactor * m)
@@ -78,7 +82,7 @@ def hermite_from_kummer_odd(n: int, xi: float) -> float:
     The explicit xi factor is required: without it the right-hand side is
     an even function of xi and cannot equal an odd polynomial.
     """
-    n = check_integer(n)
+    n, xi = check_integer(n), _real_xi(xi)
     prefactor = 2.0 * math.prod(map(float, range(n + 1, 2 * n + 2)))  # 2 (2n+1)!/n!
     m = kummer_m(-float(n), 1.5, xi * xi)
     return evaluate_finite(f"H_{2 * n + 1}({xi!r})",

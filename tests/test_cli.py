@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,9 +11,10 @@ import warnings
 import pytest
 
 from kgo import wavefn
-from kgo.cli import WAVEFN_BUDGET, main, parse_args
+from kgo.cli import TABLE_BLOCK, WAVEFN_BUDGET, main, parse_args
 from kgo.errors import UsageError
 from kgo.params import GridSpec
+from kgo.spectrum import generate_table
 from kgo.wavefn import psi
 
 
@@ -362,6 +364,91 @@ def test_wavefn_far_tails_print_zero_rows(capsys):
     assert [v for _, v in rows] == ["0", "0", "0.459969", "0", "0"]
 
 
+def _value_rows(text, output_format):
+    """The rows of an output as lists of cells, as written."""
+    if output_format == "json":
+        rows = json.loads(text, parse_float=str, parse_int=str)["rows"]
+        return [list(row.values()) for row in rows]
+    sep = "," if output_format == "csv" else "\t"
+    return [line.split(sep) for line in text.splitlines()[1:] if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("decimals", [[], ["--decimals", "3"]])
+@pytest.mark.parametrize("output_format", ["csv", "tsv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("veff", "--b", "1", "--energy", "-0.5"),
+    ("wavefn", "--n", "3", "--lambda", "1", "--points", "2001", "--x-max", "60"),
+    ("wavefn", "--n", "1", "--lambda", "1", "--points", "801", "--x-max", "80"),
+], ids=["veff", "wavefn-3", "wavefn-1"])
+def test_negative_zero_values_print_as_zero(capsys, argv, output_format, decimals):
+    # V_eff at x = 0 and the left tails of the odd states hold -0.0
+    ns = parse_args(argv)
+    (_, values), = ns.build(ns).blocks
+    zero = "0.000" if decimals else "0.0" if output_format == "json" else "0"
+    expected = [[zero if v == 0 else None for v in row] for row in zip(*values.values())]
+    assert any(math.copysign(1.0, v) < 0 for row in zip(*values.values()) for v in row
+               if v == 0)
+    code, out, _ = _run(capsys, *argv, "--format", output_format, *decimals)
+    rows = _value_rows(out, output_format)
+    assert code == 0 and len(rows) == len(expected)
+    assert [[c if e else None for c, e in zip(row, want)] for row, want in zip(rows, expected)] \
+        == expected
+
+
+@pytest.mark.parametrize("decimals, cell", [([], "1.0"), (["--decimals", "0"], "1.0"),
+                                            (["--decimals", "2"], "1.00")])
+def test_json_integral_value_cells_keep_their_point(capsys, decimals, cell):
+    code, out, _ = _run(capsys, "table", "--b", "1e-9", "--n-max", "3", "--format", "json",
+                        *decimals)
+    rows = json.loads(out, parse_float=str)["rows"]
+    assert code == 0 and len(rows) == 4
+    assert {(row["e_rel"], row["e_nr_plus_one"]) for row in rows} == {(cell, cell)}
+
+
+def _reference_table(b, n_max, output_format, decimals):
+    """The table written cell by cell with format(), as the writer did before blocks."""
+    e_rel, e_nr = generate_table(b, range(n_max + 1))
+    spec = ".6g" if decimals is None else f".{decimals}f"
+    labels = [(str(n), format(v, ".6g")) for n in range(n_max + 1) for v in b]
+    rows = [(n, bc, format(e + 0.0, spec), format(f + 0.0, spec))
+            for (n, bc), e, f in zip(labels, e_rel, e_nr)]
+    if output_format == "json":
+        num = lambda c: c if "." in c or "e" in c else c + ".0"
+        return '{"rows":[' + ",".join(
+            f'{{"n":{n},"b":{num(bc)},"e_rel":{num(e)},"e_nr_plus_one":{num(f)}}}'
+            for n, bc, e, f in rows) + '],"warnings":[]}\n'
+    sep = "," if output_format == "csv" else "\t"
+    return "\n".join(map(sep.join, [("n", "b", "e_rel", "e_nr_plus_one"), *rows])) + "\n"
+
+
+@pytest.mark.parametrize("decimals", [None, 0, 3])
+@pytest.mark.parametrize("output_format", ["csv", "tsv", "json"])
+def test_table_over_several_blocks_matches_a_per_cell_rendering(capsys, output_format,
+                                                                decimals):
+    b, n_max = [0.1, 1.0, 1e-9], 2 * TABLE_BLOCK + 5
+    argv = ["table", "--b", "0.1,1,1e-9", "--n-max", str(n_max), "--format", output_format]
+    code, out, _ = _run(capsys, *argv, *(["--decimals", str(decimals)] if decimals is not None
+                                         else []))
+    want = _reference_table(b, n_max, output_format, decimals)
+    same = out == want  # apart from the assert: pytest's diff of long strings takes minutes
+    at = next((i for i, (c, w) in enumerate(zip(out, want)) if c != w), min(len(out), len(want)))
+    assert code == 0 and same, (out[at - 80:at + 80], want[at - 80:at + 80])
+
+
+# sha256 of the two table-bulk outputs of bench/workloads.py at seed 1, recorded
+# when the writer formatted each cell with format()
+@pytest.mark.parametrize("argv, digest", [
+    (("table", "--b", "0.000123,0.000702,0.00806,0.0436", "--n-max", "49999"),
+     "6e0324e94d1612c4a202d4cb2d595b5eb8e2c7a10b4194275cca808dfd56414c"),
+    (("table", "--b", "0.000123,0.000702,0.00806,0.0436", "--n-max", "49999",
+      "--formula", "table", "--decimals", "5", "--format", "json"),
+     "d523cb088fe3d67a955e5d55a5d85438251795c93a81c1ef8e6c99f0385a796b"),
+], ids=["csv", "json"])
+def test_bulk_tables_are_byte_identical_to_the_per_cell_writer(capsys, argv, digest):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 POSITIVE = "must be a positive and finite number"
 LIST = "must be a comma-separated list of numbers"
 
@@ -419,14 +506,25 @@ def test_points_beyond_cap_is_a_usage_error_under_memory_limit(argv):
 
 
 def test_out_of_memory_is_one_error_line_under_memory_limit():
-    # 10M rows: the formatted cells alone outgrow 1 GiB of address space
-    b = ",".join(f"{k / 10:g}" for k in range(1, 11))
-    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b,
-                           "--n-max", "1000000"], capture_output=True, text=True,
+    # 2M cells of 1076 characters each: the rows alone outgrow 1 GiB of address space
+    proc = subprocess.run([sys.executable, "-m", "kgo", "wavefn", "--n", "0", "--lambda", "1",
+                           "--points", "1000001", "--decimals", "1074"],
+                          capture_output=True, text=True,
                           preexec_fn=_limit_address_space_to_1_gib)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "kgo: error: out of memory\n"
+
+
+def test_ten_million_row_table_prints_under_memory_limit():
+    # computed and formatted in blocks of levels, the rows are held once as
+    # text before the one write
+    b = ",".join(f"{k / 10:g}" for k in range(1, 11))
+    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b,
+                           "--n-max", "1000000"], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True,
+                          preexec_fn=_limit_address_space_to_1_gib)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _closed_pipe():

@@ -131,6 +131,46 @@ def test_sturm_count_monotone_and_saturating():
     assert counts[-1] == op.dimension
 
 
+def test_sturm_count_stops_at_its_limit_with_the_capped_count():
+    op = discretize_weber(1.0, GridSpec(6.0, 61))
+    for block in (op, *oracle._half_line_blocks(op)):
+        for shift in np.linspace(0.0, block.gershgorin_upper * 1.1, 25):
+            full = sturm_count(block, shift)
+            for limit in (1, 2, 5, block.dimension, 10**6):
+                assert sturm_count(block, shift, limit) == min(full, limit), (shift, limit)
+
+
+@pytest.mark.parametrize("shift, error, message", [
+    ("a", InvalidInput, "^shift must be a real number, got 'a'$"),
+    (None, InvalidInput, "^shift must be a real number, got None$"),
+    (math.nan, InvalidInput, "^shift must be a real number, got nan$"),
+    (math.inf, InvalidInput, "^shift must be a real number, got inf$"),
+    (True, InvalidInput, "^shift must be a real number, got True$"),
+    (10**400, OutOfRange, "^Sturm shift exceeds the floating-point range$"),
+], ids=["str", "none", "nan", "inf", "bool", "huge-int"])
+def test_sturm_count_takes_a_finite_real_shift(shift, error, message):
+    # "a" and None raised a bare TypeError, nan counted 0 and True counted 1
+    with pytest.raises(error, match=message):
+        sturm_count(_toy_operator(), shift)
+    assert sturm_count(_toy_operator(), np.float64(2.5)) == sturm_count(_toy_operator(), 2) + 1
+
+
+@pytest.mark.parametrize("limit", [0, -1, 1.5, True, "a"])
+def test_sturm_count_limit_is_a_count_of_at_least_one(limit):
+    with pytest.raises(InvalidInput, match="^limit must be "):
+        sturm_count(_toy_operator(), 1.0, limit)
+
+
+def test_fold_blocks_slice_the_checked_diagonal_without_checking_it_again():
+    op = discretize_weber(1e-3, GridSpec(default_extent(9, 1e-3), 2001))
+    with mock.patch.object(oracle, "evaluate_finite", side_effect=AssertionError("checked")):
+        even, odd = oracle._half_line_blocks(op)
+    m = op.dimension // 2
+    assert (even.diagonal, odd.diagonal) == (op.diagonal[m:], op.diagonal[m + 1:])
+    assert (even.off_diagonal, odd.off_diagonal) == (op.off_diagonal,) * 2
+    assert (even._mirror_row, odd._mirror_row) == (True, False)
+
+
 def test_sturm_count_brackets_give_interval_counts():
     op = _toy_operator()
     eigs = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
@@ -278,9 +318,9 @@ def test_folded_and_whole_matrix_paths_match_scipy(case, count, tol):
     count = min(count, op.dimension)
     dimensions = []
 
-    def counted(block, shift):
+    def counted(block, shift, *limit):
         dimensions.append(block.dimension)
-        return sturm_count(block, shift)
+        return sturm_count(block, shift, *limit)
 
     with mock.patch.object(oracle, "sturm_count", counted):
         got = lowest_eigenvalues(op, count, tol)

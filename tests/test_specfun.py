@@ -220,9 +220,14 @@ def test_numpy_scalar_arguments_are_computed_in_double():
     (lambda: kummer_m(-1.0, None, 1.0), r"^M\(a, c, y\) needs real a, c and y, got -1.0, None, 1.0$"),
     (lambda: kummer_m(-1.0, 0.5, np.array([1.0])), r"^M\(a, c, y\) needs real a, c and y, got "),
     (lambda: kummer_m(False, 0.5, 1.0), r"^M\(a, c, y\) needs real a, c and y, got False, "),
-], ids=["xi_str", "xi_none", "xi_complex", "xi_bool", "a_str", "c_none", "y_array", "a_bool"])
+    (lambda: hermite_from_kummer_even(3, "a"), r"^H_n\(xi\) needs a real xi, got 'a'$"),
+    (lambda: hermite_from_kummer_even(3, True), r"^H_n\(xi\) needs a real xi, got True$"),
+    (lambda: hermite_from_kummer_odd(3, None), r"^H_n\(xi\) needs a real xi, got None$"),
+], ids=["xi_str", "xi_none", "xi_complex", "xi_bool", "a_str", "c_none", "y_array", "a_bool",
+        "even_xi_str", "even_xi_bool", "odd_xi_none"])
 def test_arguments_that_are_not_real_numbers_are_invalid_input(call, message):
-    # kummer_m("a", 0.5, 1.0) raised a bare TypeError from math.isfinite
+    # kummer_m("a", 0.5, 1.0) raised a bare TypeError from math.isfinite, and
+    # hermite_from_kummer_even(3, "a") one from xi * xi
     with pytest.raises(InvalidInput, match=message):
         call()
 
