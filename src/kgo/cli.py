@@ -4,14 +4,18 @@ finite-difference cross-checks and effective-potential profiles.
 All data rows go to standard output in csv, tsv or json; diagnostics go to
 standard error.  Exit codes: 0 success, 1 runtime/numeric error, 2 usage
 error.  Runs are deterministic: identical argv produces identical bytes.
+Each subcommand's options are declared once, in COMMANDS.  parse_args reads
+an argv of exact `--option value` pairs straight from that table; --help,
+usage errors and every other argv go to the argparse parser built from the
+same table, so argparse is imported only for them.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers,
 the table's in blocks of levels, each computed when the writer reaches it;
 the writer alone formats the values, under --decimals, and writes once.  A
 failed build emits nothing, and a failed write ends in one error line.
-Builders hand the writer lists of Python floats, and no command loads numpy.
+Builders hand the writer lists of Python floats, and no command loads numpy
+or json.
 """
 
-import argparse
 import errno
 import math
 import os
@@ -21,6 +25,7 @@ from contextlib import suppress
 from functools import partial
 from itertools import repeat
 from operator import add
+from types import SimpleNamespace
 from typing import List, Sequence
 
 from . import spectrum
@@ -53,27 +58,21 @@ TABLE_BLOCK = 4096
 # template each (see _render): a label (n, b, parity) holds one text cell per
 # group and a value one number per row.  A label named in fixed holds instead
 # the cells of a group row by row, the same in every group (the table's b);
-# without one a group is a single row.
+# without one a group is a single row.  extra holds bools.
 _Emission = namedtuple("_Emission", "blocks warnings extra fixed", defaults=((), {}, ()))
 
 
-class _Parser(argparse.ArgumentParser):
-    # raise instead of sys.exit so parse_args stays an ordinary function
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _arg(convert, check, expected: str):
-    """An argparse type returning check(convert(text)).
+    """An option converter returning check(convert(text)).
 
     Any ValueError, from the conversion or from the library's own check,
-    becomes the one usage-error form "must be <expected>, got '<text>'".
+    becomes the one usage-error text "must be <expected>, got '<text>'".
     """
     def parse(text: str):
         try:
             return check(convert(text))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+            raise ValueError(f"must be {expected}, got {text!r}") from None
     return parse
 
 
@@ -89,84 +88,8 @@ _points = _arg(int, check_points, f"an odd integer in [3, {MAX_POINTS}]")
 def _positive_float_list(text: str) -> List[float]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
-        raise argparse.ArgumentTypeError(
-            f"must be a comma-separated list of numbers, got {text!r}")
+        raise ValueError(f"must be a comma-separated list of numbers, got {text!r}")
     return [_positive_float(t) for t in items]
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kgo",
-                     description="Spectral toolkit for the one-dimensional "
-                                 "Klein-Gordon oscillator.")
-    sub = parser.add_subparsers(dest="subcommand", metavar="command")
-    sub.required = True
-
-    table = sub.add_parser("table", help="dimensionless energy table over n and b")
-    table.add_argument("--b", type=_positive_float_list, required=True, metavar="LIST",
-                       help="comma-separated strength parameters, e.g. 0.1,0.001")
-    table.add_argument("--n-max", type=_nonnegative_int, required=True, metavar="N",
-                       help="emit levels n = 0..N")
-    table.add_argument("--formula", choices=spectrum.FORMULA_CHOICES, default="eq21",
-                       help="relativistic column law: derived 'eq21' "
-                            "sqrt(1+2b(n+1/2)) or 'table' sqrt(1+2b(n+1)) "
-                            "(default: eq21)")
-    table.set_defaults(build=_build_table)
-
-    spec = sub.add_parser("spectrum", help="one energy level")
-    spec.add_argument("--b", type=_positive_float, required=True,
-                      help="strength parameter")
-    spec.add_argument("--n", type=_nonnegative_int, required=True,
-                      help="level index within the chosen parity family")
-    spec.add_argument("--parity", choices=spectrum.PARITY_CHOICES, default="combined")
-    spec.add_argument("--expansion", choices=("exact", "second-order"),
-                      default="exact")
-    spec.add_argument("--binding", action="store_true",
-                      help="also emit the binding energy (energy - 1)")
-    spec.set_defaults(build=_build_spectrum)
-
-    wf = sub.add_parser("wavefn", help="sample one stationary state")
-    wf.add_argument("--n", type=_nonnegative_int, required=True)
-    wf.add_argument("--lambda", dest="lam", type=_positive_float, required=True,
-                    help="width parameter m*omega/hbar")
-    wf.add_argument("--x-max", type=_positive_float, default=None,
-                    help="half extent of the symmetric grid "
-                         "(default: twice the turning point plus tail padding)")
-    wf.add_argument("--points", type=_points, default=801,
-                    help=f"odd grid size in [3, {MAX_POINTS}] (default: 801); the work "
-                         f"budget refuses n x points above {WAVEFN_BUDGET} with exit 1")
-    wf.set_defaults(build=_build_wavefn)
-
-    orc = sub.add_parser("oracle",
-                         help="finite-difference eigenvalues vs the closed form")
-    orc.add_argument("--b", type=_positive_float, required=True)
-    orc.add_argument("--count", type=_positive_int, required=True,
-                     help="number of lowest levels to verify")
-    orc.add_argument("--points", type=_points, default=DEFAULT_POINTS)
-    orc.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
-                     help=f"bisection bracket width on k^2 (default: {DEFAULT_TOL:g})")
-    orc.set_defaults(build=_build_oracle)
-
-    veff = sub.add_parser("veff", help="vector-coupling effective potential profile")
-    veff.add_argument("--b", type=_positive_float, required=True)
-    veff.add_argument("--energy", type=_finite_float, required=True,
-                      help="total energy in units of m c^2")
-    veff.add_argument("--x-max", type=_positive_float, default=None,
-                      help="half extent of the symmetric grid "
-                           "(default: 2.5x the potential zero, or 5/b when E <= 0)")
-    veff.add_argument("--points", type=_points, default=201)
-    veff.set_defaults(build=_build_veff)
-
-    for cmd in sub.choices.values():
-        cmd.add_argument("--format", choices=FORMATS, default="csv",
-                         help="output encoding (default: csv)")
-        cmd.add_argument("--decimals", type=_decimals, default=None, metavar="K",
-                         help="fixed K-decimal rounding (half to even, K <= "
-                              f"{MAX_DECIMALS}) instead of the default 6 significant digits")
-    return parser
-
-
-def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    return build_parser().parse_args(list(argv))
 
 
 def _fmt(values, decimals: int | None) -> List[str]:
@@ -176,7 +99,7 @@ def _fmt(values, decimals: int | None) -> List[str]:
     return [format(v + 0.0, spec) for v in values]
 
 
-def _build_table(ns: argparse.Namespace) -> _Emission:
+def _build_table(ns: SimpleNamespace) -> _Emission:
     levels = range(check_integer(ns.n_max) + 1)
     b_cells = _fmt(ns.b, None)  # formatted once: each level's group of rows repeats them
 
@@ -190,7 +113,7 @@ def _build_table(ns: argparse.Namespace) -> _Emission:
                      fixed=("b",))
 
 
-def _build_spectrum(ns: argparse.Namespace) -> _Emission:
+def _build_spectrum(ns: SimpleNamespace) -> _Emission:
     index = spectrum.combined_index(ns.n, ns.parity)
     if ns.expansion == "second-order":
         energy = spectrum.energy_second_order(index, ns.b)
@@ -202,7 +125,7 @@ def _build_spectrum(ns: argparse.Namespace) -> _Emission:
                        {"energy": [energy], **({"binding": [binding]} if ns.binding else {})})])
 
 
-def _build_wavefn(ns: argparse.Namespace) -> _Emission:
+def _build_wavefn(ns: SimpleNamespace) -> _Emission:
     from . import wavefn
     # checked before any compute; a level past MAX_LEVEL is refused as such
     if check_integer(ns.n) * ns.points > WAVEFN_BUDGET:
@@ -214,7 +137,7 @@ def _build_wavefn(ns: argparse.Namespace) -> _Emission:
     return _Emission([({}, {"x": nodes, "psi": wavefn.sample(ns.n, grid, ns.lam, _nodes=nodes)})])
 
 
-def _build_oracle(ns: argparse.Namespace) -> _Emission:
+def _build_oracle(ns: SimpleNamespace) -> _Emission:
     from . import oracle
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
@@ -225,7 +148,7 @@ def _build_oracle(ns: argparse.Namespace) -> _Emission:
                         "rel_diff": [abs(e - r) / r for e, r in zip(e_oracle, reference)]})])
 
 
-def _build_veff(ns: argparse.Namespace) -> _Emission:
+def _build_veff(ns: SimpleNamespace) -> _Emission:
     from . import oracle
     params = from_b(ns.b)
     if ns.x_max is not None:
@@ -240,6 +163,164 @@ def _build_veff(ns: argparse.Namespace) -> _Emission:
     v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
     return _Emission([({}, {"x": grid.nodes(), "v_eff": v_eff})],
                      extra={"unbounded_below_detected": unbounded})
+
+
+# One option of a subcommand, as argparse's add_argument takes it.  convert
+# turns the option's text into its value, or raises ValueError with the
+# usage message; None marks a flag that takes no value (store_true).
+Option = namedtuple("Option", "flag dest convert default required choices help metavar",
+                    defaults=(None, False, None, None, None))
+
+_COMMON = (
+    Option("--format", "format", str, "csv", choices=FORMATS,
+           help="output encoding (default: csv)"),
+    Option("--decimals", "decimals", _decimals, metavar="K",
+           help=f"fixed K-decimal rounding (half to even, K <= {MAX_DECIMALS}) "
+                "instead of the default 6 significant digits"),
+)
+
+# subcommand -> (help, builder, options): the one declaration of the command line
+COMMANDS = {
+    "table": ("dimensionless energy table over n and b", _build_table, (
+        Option("--b", "b", _positive_float_list, required=True, metavar="LIST",
+               help="comma-separated strength parameters, e.g. 0.1,0.001"),
+        Option("--n-max", "n_max", _nonnegative_int, required=True, metavar="N",
+               help="emit levels n = 0..N"),
+        Option("--formula", "formula", str, "eq21", choices=spectrum.FORMULA_CHOICES,
+               help="relativistic column law: derived 'eq21' sqrt(1+2b(n+1/2)) or "
+                    "'table' sqrt(1+2b(n+1)) (default: eq21)"),
+    ) + _COMMON),
+    "spectrum": ("one energy level", _build_spectrum, (
+        Option("--b", "b", _positive_float, required=True, help="strength parameter"),
+        Option("--n", "n", _nonnegative_int, required=True,
+               help="level index within the chosen parity family"),
+        Option("--parity", "parity", str, "combined", choices=spectrum.PARITY_CHOICES),
+        Option("--expansion", "expansion", str, "exact", choices=("exact", "second-order")),
+        Option("--binding", "binding", None, False,
+               help="also emit the binding energy (energy - 1)"),
+    ) + _COMMON),
+    "wavefn": ("sample one stationary state", _build_wavefn, (
+        Option("--n", "n", _nonnegative_int, required=True),
+        Option("--lambda", "lam", _positive_float, required=True,
+               help="width parameter m*omega/hbar"),
+        Option("--x-max", "x_max", _positive_float,
+               help="half extent of the symmetric grid "
+                    "(default: twice the turning point plus tail padding)"),
+        Option("--points", "points", _points, 801,
+               help=f"odd grid size in [3, {MAX_POINTS}] (default: 801); the work budget "
+                    f"refuses n x points above {WAVEFN_BUDGET} with exit 1"),
+    ) + _COMMON),
+    "oracle": ("finite-difference eigenvalues vs the closed form", _build_oracle, (
+        Option("--b", "b", _positive_float, required=True),
+        Option("--count", "count", _positive_int, required=True,
+               help="number of lowest levels to verify"),
+        Option("--points", "points", _points, DEFAULT_POINTS),
+        Option("--tol", "tol", _positive_float, DEFAULT_TOL,
+               help=f"bisection bracket width on k^2 (default: {DEFAULT_TOL:g})"),
+    ) + _COMMON),
+    "veff": ("vector-coupling effective potential profile", _build_veff, (
+        Option("--b", "b", _positive_float, required=True),
+        Option("--energy", "energy", _finite_float, required=True,
+               help="total energy in units of m c^2"),
+        Option("--x-max", "x_max", _positive_float,
+               help="half extent of the symmetric grid "
+                    "(default: 2.5x the potential zero, or 5/b when E <= 0)"),
+        Option("--points", "points", _points, 201),
+    ) + _COMMON),
+}
+
+
+def _read(argv: List[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for argv, read from COMMANDS alone, or None.
+
+    Only a subcommand followed by exact `--option value` pairs and flags is
+    read, with every value converted and in its choices and every required
+    option given; any other argv is None, for argparse to read.  A value
+    that starts with '-' is None too: argparse reads some as values and
+    others as options.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, build, options = COMMANDS[argv[0]]
+    by_flag = {option.flag: option for option in options}
+    values = {option.dest: option.default for option in options}
+    required = {option.flag for option in options if option.required}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = by_flag.get(token)
+        if option is None:
+            return None
+        if option.convert is None:
+            values[option.dest] = True
+            continue
+        text = next(tokens, "-")  # a missing value is None, as an option-like one
+        if text.startswith("-"):
+            return None
+        try:
+            value = option.convert(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+        required.discard(token)
+    if required:
+        return None
+    return SimpleNamespace(subcommand=argv[0], build=build, **values)
+
+
+def build_parser():
+    """The argparse parser of COMMANDS, which raises UsageError for a usage error."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # raise instead of sys.exit so parse_args stays an ordinary function
+        def error(self, message):
+            raise UsageError(message)
+
+    def typed(convert):  # argparse prints an ArgumentTypeError's text as it is
+        def parse(text: str):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return parse
+
+    parser = Parser(prog="kgo",
+                    description="Spectral toolkit for the one-dimensional "
+                                "Klein-Gordon oscillator.")
+    sub = parser.add_subparsers(dest="subcommand", metavar="command")
+    sub.required = True
+    for name, (help_text, build, options) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for option in options:
+            if option.convert is None:
+                cmd.add_argument(option.flag, dest=option.dest, action="store_true",
+                                 help=option.help)
+            else:
+                cmd.add_argument(option.flag, dest=option.dest, type=typed(option.convert),
+                                 default=option.default, required=option.required,
+                                 choices=option.choices, help=option.help,
+                                 metavar=option.metavar)
+        cmd.set_defaults(build=build)
+    return parser
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The options of argv, read from COMMANDS, or by argparse where it must
+    write help or a usage error."""
+    args = list(argv)
+    ns = _read(args)
+    return build_parser().parse_args(args, SimpleNamespace()) if ns is None else ns
+
+
+def _quoted(text: str) -> str:
+    """The json string of one of the program's own texts (a column name, a
+    parity, a warning), none of which holds a character that json escapes."""
+    return '"' + text + '"'
+
+
+_JSON_BOOL = {False: "false", True: "true"}  # an extra value, in json
 
 
 def _integral(cell: str) -> str:
@@ -257,24 +338,22 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
     value = "%.6g" if decimals is None else f"%.{decimals}f"
     numbers = partial(map, add, repeat(0.0))  # 0.0 + -0.0 is 0.0: no cell reads "-0"
     texts = {}  # label -> the form its cells take in the output, where it differs
-    if output_format == "json" or emission.extra:  # csv and tsv rows alone need no json
-        import json
     if output_format == "json":
         # n cells stay ints and parity cells strings; every other cell loads as a float
-        texts = {"b": _integral, "parity": json.dumps}
+        texts = {"b": _integral, "parity": _quoted}
         if decimals is None:  # a .6g cell may be integral: it goes in as text
             value, numbers = "%s", lambda column: map(_integral, _fmt(column, None))
         elif decimals == 0:  # a .0f cell is always integral, a .Kf one never
             value += ".0"
         row = lambda names, cells: "{" + ",".join(map("%s:%s".__mod__, zip(
-            map(json.dumps, names), cells))) + "}"
-        trailer = json.dumps({"warnings": emission.warnings, **emission.extra},
-                             separators=(",", ":"))
-        row_sep, tail = ",", "]," + trailer[1:]
+            map(_quoted, names), cells))) + "}"
+        fields = [f'"warnings":[{",".join(map(_quoted, emission.warnings))}]',
+                  *(f"{_quoted(key)}:{_JSON_BOOL[flag]}" for key, flag in emission.extra.items())]
+        row_sep, tail = ",", "]," + ",".join(fields) + "}"
     else:
         sep = "," if output_format == "csv" else "\t"
         row = lambda names, cells: sep.join(cells)
-        notes = [f"{key}: {json.dumps(value)}" for key, value in emission.extra.items()]
+        notes = [f"{key}: {_JSON_BOOL[flag]}" for key, flag in emission.extra.items()]
         row_sep = "\n"
         tail = "".join(f"\n# {note}" for note in [*notes, *emission.warnings])
     bodies = []
@@ -305,7 +384,7 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
     return row_sep.join(bodies)
 
 
-def run(ns: argparse.Namespace) -> None:
+def run(ns: SimpleNamespace) -> None:
     """Execute parsed arguments, writing rows to standard output."""
     if sys.stdout is None:  # fd 1 was closed at start: nowhere to write rows
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))

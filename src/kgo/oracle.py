@@ -116,6 +116,13 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
         off_diagonal=-1.0 / h**2)
 
 
+def _check_operator(op) -> TridiagonalOperator:
+    """op if it is a TridiagonalOperator, else InvalidInput: the one rule for an operator."""
+    if not isinstance(op, TridiagonalOperator):
+        raise InvalidInput(f"operator must be a TridiagonalOperator, got {op!r}")
+    return op
+
+
 def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None) -> int:
     """Number of eigenvalues strictly below shift, from LDL^T pivot signs, or
     limit, a count >= 1, once that many are found: min(count, limit).
@@ -138,6 +145,7 @@ def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None)
     sweep's, bit for bit.  On an oscillator block those rows lie past the
     classical turning point of the shift.
     """
+    op = _check_operator(op)
     shift = evaluate_finite("Sturm shift", lambda: float(check_real("shift", shift)))
     limit = op.dimension if limit is None else check_integer(limit, "limit", 1, math.inf)
     pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
@@ -212,6 +220,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     rounding of an eigenvalue, where tol is below the rounding of a Sturm
     count, can go either way.
     """
+    op = _check_operator(op)
     count = check_integer(count, "count", 1, op.dimension)
     check_positive("tol", tol)
     if min(op.diagonal) - 2.0 * abs(op.off_diagonal) < 0.0:

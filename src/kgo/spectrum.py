@@ -11,7 +11,7 @@ floats: a table cell is the scalar energy bit for bit.
 """
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 from .params import MAX_LEVEL, check_integer, check_positive, evaluate_finite
@@ -80,6 +80,16 @@ def binding_energy(n: int, b: float) -> float:
     return 2.0 * b * (n + 0.5) / (energy_combined(n, b) + 1.0)
 
 
+def _levels(n_values: Iterable[int]) -> Sequence[int]:
+    """n_values with each level checked by check_integer.  A range holds ints
+    between its ends, so only they are checked; any other iterable, and a range
+    past [0, MAX_LEVEL], is checked level by level, for the same message."""
+    if isinstance(n_values, range) and n_values and all(
+            0 <= end <= MAX_LEVEL for end in (n_values[0], n_values[-1])):
+        return n_values
+    return [check_integer(v) for v in n_values]
+
+
 def generate_table(b_values: Iterable[float], n_values: Iterable[int],
                    formula: str = "eq21") -> tuple[list[float], list[float]]:
     """(e_rel, e_nr_plus_one) columns for every (n, b) pair, n-major then b-minor.
@@ -87,13 +97,13 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     formula selects the law of e_rel: "eq21" the derived sqrt(1 + 2b(n + 1/2)),
     equal to energy_combined bit for bit, or "table" the tabulated
     sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.  Both
-    columns are lists of floats; each level passes check_integer.
+    columns are lists of floats; each level passes check_integer (a range's ends do).
     """
     if formula not in FORMULA_CHOICES:
         raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
     try:
         b = [check_positive("b", v) for v in b_values]
-        n = [check_integer(v) for v in n_values]
+        n = _levels(n_values)
     except TypeError:  # a bare number is no sequence, so it holds no value
         b = n = []
     if not b or not n:

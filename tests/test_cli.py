@@ -11,10 +11,11 @@ import warnings
 import pytest
 
 from kgo import wavefn
-from kgo.cli import TABLE_BLOCK, WAVEFN_BUDGET, main, parse_args
+from kgo.cli import (_JSON_BOOL, TABLE_BLOCK, TABLE_FORMULA_WARNING, WAVEFN_BUDGET, main,
+                     parse_args)
 from kgo.errors import UsageError
 from kgo.params import GridSpec
-from kgo.spectrum import generate_table
+from kgo.spectrum import PARITY_CHOICES, generate_table
 from kgo.wavefn import psi
 
 
@@ -250,6 +251,28 @@ def test_veff_flag_in_comment_and_json(capsys):
     payload = json.loads(out)
     assert payload["unbounded_below_detected"] is True
     assert {"x", "v_eff"} == set(payload["rows"][0])
+
+
+def test_json_texts_are_quoted_as_json_dumps_quotes_them(capsys):
+    # the json writer quotes its column names, parities, warnings and note
+    # keys by hand, and writes its note values (bools) by hand
+    argvs = [("table", "--b", "0.1", "--n-max", "1", "--formula", "table"),
+             *(("spectrum", "--b", "0.1", "--n", "1", "--parity", parity, "--binding")
+               for parity in PARITY_CHOICES),
+             ("wavefn", "--n", "1", "--lambda", "1", "--points", "5"),
+             ("oracle", "--b", "0.1", "--count", "1", "--points", "51"),
+             ("veff", "--b", "1", "--energy", "1", "--x-max", "5", "--points", "5")]
+    texts = set()
+    for argv in argvs:
+        code, out, _ = _run(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        texts |= set(payload) | set(payload["warnings"])
+        for row in payload["rows"]:
+            texts |= set(row) | {cell for cell in row.values() if isinstance(cell, str)}
+    assert {*PARITY_CHOICES, TABLE_FORMULA_WARNING, "unbounded_below_detected"} <= texts
+    assert [text for text in texts if json.dumps(text) != '"' + text + '"'] == []
+    assert all(json.dumps(flag) == text for flag, text in _JSON_BOOL.items())
 
 
 def _run_no_warnings(capsys, *argv):

@@ -6,8 +6,9 @@ with tests/golden/readme_<i>_<subcommand>.txt.  The same command with
 .tsv file of that name.  A change that alters this output on purpose
 re-records the file and says so in CHANGES.md.  The Python block under
 "Library example" is executed as written.  Each README command and each
-`--help` also runs as `python -m kgo` in a fresh interpreter, which must not
-import the modules kept off the start-up path.
+`--help`, and each command of a round of the oracle-sweep and lookups
+benchmark workloads, also runs as `python -m kgo` in a fresh interpreter,
+which must not import the modules kept off the start-up path.
 """
 
 import contextlib
@@ -52,32 +53,42 @@ def test_readme_library_example_runs():
 
 
 # Runs `python -m kgo <argv>` and prints the exit code, then whether
-# dataclasses, inspect and json were loaded; it imports none of them itself.
+# dataclasses, inspect, json and argparse were loaded; it imports none of them.
 _STARTUP_PROBE = """
 import runpy, sys
 try:
     runpy.run_module("kgo", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(code, *(name in sys.modules for name in ("dataclasses", "inspect", "json")))
+print(code, *(name in sys.modules for name in ("dataclasses", "inspect", "json", "argparse")))
 """
 
 
+def _bench_argvs(workload, seed):
+    """The argvs of one round of a workload of the benchmark (bench/workloads.py)."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return [list(invocation.argv) for invocation in workloads.make_round(workload, seed)]
+
+
 def test_startup_path_imports_no_dataclasses_inspect_or_unneeded_json():
-    # each cost a kgo process milliseconds before it did any work; json is
-    # needed only for --format json and for "# key: value" notes
+    # each cost a kgo process milliseconds before it did any work; the json
+    # writer quotes its own texts, and argparse is built only to write --help
+    # or a usage error
     helps = [["--help"]] + [[command, "--help"]
                             for command in ("table", "spectrum", "wavefn", "oracle", "veff")]
-    runs = helps + [argv + extra for argv in README_COMMANDS for extra, _ in FORMATS.values()]
+    runs = (helps + [argv + extra for argv in README_COMMANDS for extra, _ in FORMATS.values()]
+            + _bench_argvs("oracle-sweep", 1) + _bench_argvs("lookups", 1))
     loaded = {}
     for argv in runs:
         proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv],
                               capture_output=True, text=True, check=True)
-        code, dataclasses, inspect, json = proc.stdout.splitlines()[-1].split()
-        json_free = argv[0] in ("spectrum", "table") and "json" not in argv
-        found = [name for name, flag in (("dataclasses", dataclasses), ("inspect", inspect),
-                                         ("json", json if json_free else "False"))
-                 if flag == "True"]
+        code, *flags = proc.stdout.splitlines()[-1].split()
+        found = [name for name, flag in zip(("dataclasses", "inspect", "json", "argparse"), flags)
+                 if flag == "True" and not (name == "argparse" and "--help" in argv)]
         if code != "0" or found:
             loaded[" ".join(argv)] = (code, found)
-    assert len(runs) == 6 + 18 and loaded == {}
+    assert len(runs) == 6 + 18 + 12 + 16 and loaded == {}

@@ -387,6 +387,16 @@ def test_lowest_eigenvalues_validation():
     assert lowest_eigenvalues(op, np.int64(1), 1e-12) == pytest.approx([2 - 2**0.5])
 
 
+@pytest.mark.parametrize("op", ["x", None, [1.0, 2.0], np.array([2.0, 2.0]), 3.0])
+def test_sturm_count_and_lowest_eigenvalues_take_only_an_operator(op):
+    # each ended in a bare AttributeError (no attribute 'dimension')
+    message = f"^operator must be a TridiagonalOperator, got {re.escape(repr(op))}$"
+    with pytest.raises(InvalidInput, match=message):
+        sturm_count(op, 1.0)
+    with pytest.raises(InvalidInput, match=message):
+        lowest_eigenvalues(op, 1, 1e-8)
+
+
 def test_lowest_eigenvalues_refuses_eigenvalues_below_zero():
     # eigenvalues -1 - 1/sqrt(2), -1, -1 + 1/sqrt(2): brackets start at 0, so
     # these would all come back clamped to 0

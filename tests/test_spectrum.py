@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgo import spectrum
 from kgo.errors import InvalidInput, OutOfRange
-from kgo.params import MAX_LEVEL
+from kgo.params import MAX_LEVEL, check_integer
 from kgo.spectrum import (binding_energy, binding_second_order, combined_index,
                           energy_combined, energy_second_order, generate_table)
 
@@ -247,6 +249,34 @@ def test_generate_table_rejects_empty_inputs():
         with pytest.raises(InvalidInput,
                            match="^b_values and n_values must both be non-empty sequences$"):
             generate_table(b_values, n_values)
+
+
+def test_generate_table_checks_a_range_by_its_ends():
+    # a range of levels, as kgo table passes, was checked one level at a time
+    for levels in (range(4096), range(MAX_LEVEL - 3, MAX_LEVEL + 1), range(9, -1, -3)):
+        expected = generate_table([0.1, 1e-3], list(levels))
+        with mock.patch.object(spectrum, "check_integer", side_effect=check_integer) as check:
+            assert generate_table([0.1, 1e-3], levels) == expected
+        assert check.call_count == 0
+
+
+@pytest.mark.parametrize("levels, got", [
+    (range(MAX_LEVEL - 2, MAX_LEVEL + 3), MAX_LEVEL + 1),
+    (range(0, MAX_LEVEL + 10, 7), 7 * (MAX_LEVEL // 7 + 1)),
+    (range(-2, 3), -2),
+    (range(3, -2, -1), -1),
+])
+def test_generate_table_refuses_a_range_past_its_levels_at_its_first_bad_level(levels, got):
+    with pytest.raises(InvalidInput, match=rf"^level index must be in \[0, {MAX_LEVEL}\], "
+                                           rf"got {got}$"):
+        generate_table([0.1], levels)
+
+
+@pytest.mark.parametrize("levels", [range(0), range(5, 5), range(3, 0)])
+def test_generate_table_refuses_an_empty_range(levels):
+    with pytest.raises(InvalidInput,
+                       match="^b_values and n_values must both be non-empty sequences$"):
+        generate_table([0.1], levels)
 
 
 def test_generate_table_rejects_unknown_formula():
