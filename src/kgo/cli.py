@@ -4,10 +4,9 @@ finite-difference cross-checks and effective-potential profiles.
 All data rows go to standard output in csv, tsv or json; diagnostics go to
 standard error.  Exit codes: 0 success, 1 runtime/numeric error, 2 usage
 error.  Runs are deterministic: identical argv produces identical bytes.
-Each subcommand's options are declared once, in COMMANDS.  parse_args reads
-an argv of exact `--option value` pairs straight from that table; --help,
-usage errors and every other argv go to the argparse parser built from the
-same table, so argparse is imported only for them.
+Each subcommand's options are declared once, in COMMANDS, and parse_args
+reads every argv, writes every usage error and builds every help text from
+that table alone.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers,
 the table's in blocks of levels, each computed when the writer reaches it;
 the writer alone formats the values, under --decimals, and writes once.  A
@@ -165,9 +164,9 @@ def _build_veff(ns: SimpleNamespace) -> _Emission:
                      extra={"unbounded_below_detected": unbounded})
 
 
-# One option of a subcommand, as argparse's add_argument takes it.  convert
-# turns the option's text into its value, or raises ValueError with the
-# usage message; None marks a flag that takes no value (store_true).
+# One option of a subcommand.  convert turns the option's text into its
+# value, or raises ValueError with the usage message; None marks a flag that
+# takes no value and sets True.  choices, metavar and help write its help line.
 Option = namedtuple("Option", "flag dest convert default required choices help metavar",
                     defaults=(None, False, None, None, None))
 
@@ -230,88 +229,87 @@ COMMANDS = {
 }
 
 
-def _read(argv: List[str]) -> SimpleNamespace | None:
-    """The namespace argparse gives for argv, read from COMMANDS alone, or None.
-
-    Only a subcommand followed by exact `--option value` pairs and flags is
-    read, with every value converted and in its choices and every required
-    option given; any other argv is None, for argparse to read.  A value
-    that starts with '-' is None too: argparse reads some as values and
-    others as options.
-    """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    _, build, options = COMMANDS[argv[0]]
-    by_flag = {option.flag: option for option in options}
-    values = {option.dest: option.default for option in options}
-    required = {option.flag for option in options if option.required}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        option = by_flag.get(token)
-        if option is None:
-            return None
-        if option.convert is None:
-            values[option.dest] = True
-            continue
-        text = next(tokens, "-")  # a missing value is None, as an option-like one
-        if text.startswith("-"):
-            return None
-        try:
-            value = option.convert(text)
-        except ValueError:
-            return None
-        if option.choices is not None and value not in option.choices:
-            return None
-        values[option.dest] = value
-        required.discard(token)
-    if required:
-        return None
-    return SimpleNamespace(subcommand=argv[0], build=build, **values)
+def _spelled(option: Option) -> str:
+    """An option as its help writes it: the flag, then what its value is."""
+    if option.convert is None:
+        return option.flag
+    braced = option.choices and "{" + ",".join(option.choices) + "}"
+    return f"{option.flag} {option.metavar or braced or option.dest.upper()}"
 
 
-def build_parser():
-    """The argparse parser of COMMANDS, which raises UsageError for a usage error."""
-    import argparse
+def _help(name: str | None) -> str:
+    """The help text of a subcommand, or of kgo for None: one line per entry,
+    never wrapped, so it is the same at every terminal width."""
+    if name is None:
+        usage, heading = "kgo [-h] command ...", "commands"
+        about = "Spectral toolkit for the one-dimensional Klein-Gordon oscillator."
+        entries = [(command, text) for command, (text, _, _) in COMMANDS.items()]
+    else:
+        about, _, options = COMMANDS[name]
+        usage = " ".join([f"kgo {name} [-h]", *(_spelled(option) if option.required
+                                                 else f"[{_spelled(option)}]"
+                                                 for option in options)])
+        heading = "options"
+        entries = [("-h, --help", "show this help message and exit"),
+                   *((_spelled(option), option.help or "") for option in options)]
+    width = max(len(left) for left, _ in entries) + 2
+    rows = [f"  {left:<{width}}{text}".rstrip() for left, text in entries]
+    return "\n".join([f"usage: {usage}", "", about, "", f"{heading}:", *rows]) + "\n"
 
-    class Parser(argparse.ArgumentParser):
-        # raise instead of sys.exit so parse_args stays an ordinary function
-        def error(self, message):
-            raise UsageError(message)
 
-    def typed(convert):  # argparse prints an ArgumentTypeError's text as it is
-        def parse(text: str):
-            try:
-                return convert(text)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(str(exc)) from None
-        return parse
-
-    parser = Parser(prog="kgo",
-                    description="Spectral toolkit for the one-dimensional "
-                                "Klein-Gordon oscillator.")
-    sub = parser.add_subparsers(dest="subcommand", metavar="command")
-    sub.required = True
-    for name, (help_text, build, options) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        for option in options:
-            if option.convert is None:
-                cmd.add_argument(option.flag, dest=option.dest, action="store_true",
-                                 help=option.help)
-            else:
-                cmd.add_argument(option.flag, dest=option.dest, type=typed(option.convert),
-                                 default=option.default, required=option.required,
-                                 choices=option.choices, help=option.help,
-                                 metavar=option.metavar)
-        cmd.set_defaults(build=build)
-    return parser
+def _invalid_choice(argument: str, value, choices) -> UsageError:
+    return UsageError(f"argument {argument}: invalid choice: {value!r} "
+                      f"(choose from {', '.join(map(repr, choices))})")
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """The options of argv, read from COMMANDS, or by argparse where it must
-    write help or a usage error."""
-    args = list(argv)
-    ns = _read(args)
-    return build_parser().parse_args(args, SimpleNamespace()) if ns is None else ns
+    """The namespace of argv, read from COMMANDS: the subcommand's name,
+    builder and options, or for -h or --help the help text alone.
+
+    argv is a subcommand, then flags and `--option value` or `--option=value`
+    in any order, a later one replacing an earlier one; the token after a
+    value option is its value, whatever it starts with.  The first token at
+    fault raises UsageError, with the message argparse gives for it.
+    """
+    tokens = iter(argv)
+    name = next(tokens, None)
+    if name not in COMMANDS:
+        if "-h" in argv or "--help" in argv:
+            return SimpleNamespace(help=_help(None))
+        if name is None:
+            raise UsageError("the following arguments are required: command")
+        raise _invalid_choice("command", name, COMMANDS)
+    _, build, options = COMMANDS[name]
+    by_flag = {option.flag: option for option in options}
+    values = {option.dest: option.default for option in options}
+    required = {option.flag for option in options if option.required}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(help=_help(name))
+        flag, equals, text = token.partition("=")
+        option = by_flag.get(flag)
+        # no prefix of a flag stands for it, and a flag takes no =value
+        if option is None or option.convert is None and equals:
+            raise UsageError(f"unrecognized arguments: {token}")
+        if option.convert is None:
+            values[option.dest] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+        try:
+            value = option.convert(text)
+        except ValueError as exc:
+            raise UsageError(f"argument {flag}: {exc}") from None
+        if option.choices is not None and value not in option.choices:
+            raise _invalid_choice(flag, value, option.choices)
+        values[option.dest] = value
+        required.discard(flag)
+    if required:
+        raise UsageError("the following arguments are required: " + ", ".join(
+            option.flag for option in options if option.flag in required))
+    return SimpleNamespace(subcommand=name, build=build, **values)
 
 
 def _quoted(text: str) -> str:
@@ -385,10 +383,11 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
 
 
 def run(ns: SimpleNamespace) -> None:
-    """Execute parsed arguments, writing rows to standard output."""
+    """Execute parsed arguments, writing rows, or the help text, to standard output."""
     if sys.stdout is None:  # fd 1 was closed at start: nowhere to write rows
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.write(_render(ns.build(ns), ns.format, ns.decimals))
+    sys.stdout.write(ns.help if hasattr(ns, "help")
+                     else _render(ns.build(ns), ns.format, ns.decimals))
     sys.stdout.flush()  # a full disk or a closed pipe fails here, inside main's try
 
 

@@ -76,11 +76,13 @@ def _bench_argvs(workload, seed):
 
 def test_startup_path_imports_no_dataclasses_inspect_or_unneeded_json():
     # each cost a kgo process milliseconds before it did any work; the json
-    # writer quotes its own texts, and argparse is built only to write --help
-    # or a usage error
+    # writer quotes its own texts, and cli.parse_args writes every help text
+    # and usage error itself
     helps = [["--help"]] + [[command, "--help"]
                             for command in ("table", "spectrum", "wavefn", "oracle", "veff")]
-    runs = (helps + [argv + extra for argv in README_COMMANDS for extra, _ in FORMATS.values()]
+    usage_error = ["table", "--b", "0.1", "--n", "5"]
+    runs = (helps + [usage_error]
+            + [argv + extra for argv in README_COMMANDS for extra, _ in FORMATS.values()]
             + _bench_argvs("oracle-sweep", 1) + _bench_argvs("lookups", 1))
     loaded = {}
     for argv in runs:
@@ -88,7 +90,7 @@ def test_startup_path_imports_no_dataclasses_inspect_or_unneeded_json():
                               capture_output=True, text=True, check=True)
         code, *flags = proc.stdout.splitlines()[-1].split()
         found = [name for name, flag in zip(("dataclasses", "inspect", "json", "argparse"), flags)
-                 if flag == "True" and not (name == "argparse" and "--help" in argv)]
-        if code != "0" or found:
+                 if flag == "True"]
+        if code != ("2" if argv is usage_error else "0") or found:
             loaded[" ".join(argv)] = (code, found)
-    assert len(runs) == 6 + 18 + 12 + 16 and loaded == {}
+    assert len(runs) == 6 + 1 + 18 + 12 + 16 and loaded == {}
