@@ -11,6 +11,7 @@ Builders compute the rows, labels (n, b, parity) as text and values as numbers,
 the table's in blocks of levels, each computed when the writer reaches it;
 the writer alone formats the values, under --decimals, and writes once.  A
 failed build emits nothing, and a failed write ends in one error line.
+entry, the process entry, ends the process right after the last flush.
 Builders hand the writer lists of Python floats, and no command loads numpy
 or json.
 """
@@ -25,7 +26,7 @@ from functools import partial
 from itertools import repeat
 from operator import add
 from types import SimpleNamespace
-from typing import List, Sequence
+from typing import List, NoReturn, Sequence
 
 from . import spectrum
 from .errors import InvalidInput, KgoError, UsageError
@@ -193,13 +194,18 @@ COMMANDS = {
         Option("--b", "b", _positive_float, required=True, help="strength parameter"),
         Option("--n", "n", _nonnegative_int, required=True,
                help="level index within the chosen parity family"),
-        Option("--parity", "parity", str, "combined", choices=spectrum.PARITY_CHOICES),
-        Option("--expansion", "expansion", str, "exact", choices=("exact", "second-order")),
+        Option("--parity", "parity", str, "combined", choices=spectrum.PARITY_CHOICES,
+               help="family that --n counts in: level 2n of 'even', 2n+1 of 'odd', "
+                    "n of 'combined' (default: combined)"),
+        Option("--expansion", "expansion", str, "exact", choices=("exact", "second-order"),
+               help="'exact' sqrt(1+2b(n+1/2)) or its 'second-order' expansion in b "
+                    "(default: exact)"),
         Option("--binding", "binding", None, False,
                help="also emit the binding energy (energy - 1)"),
     ) + _COMMON),
     "wavefn": ("sample one stationary state", _build_wavefn, (
-        Option("--n", "n", _nonnegative_int, required=True),
+        Option("--n", "n", _nonnegative_int, required=True,
+               help="level index of the stationary state"),
         Option("--lambda", "lam", _positive_float, required=True,
                help="width parameter m*omega/hbar"),
         Option("--x-max", "x_max", _positive_float,
@@ -210,21 +216,23 @@ COMMANDS = {
                     f"refuses n x points above {WAVEFN_BUDGET} with exit 1"),
     ) + _COMMON),
     "oracle": ("finite-difference eigenvalues vs the closed form", _build_oracle, (
-        Option("--b", "b", _positive_float, required=True),
+        Option("--b", "b", _positive_float, required=True, help="strength parameter"),
         Option("--count", "count", _positive_int, required=True,
                help="number of lowest levels to verify"),
-        Option("--points", "points", _points, DEFAULT_POINTS),
+        Option("--points", "points", _points, DEFAULT_POINTS,
+               help=f"odd grid size in [3, {MAX_POINTS}] (default: {DEFAULT_POINTS})"),
         Option("--tol", "tol", _positive_float, DEFAULT_TOL,
                help=f"bisection bracket width on k^2 (default: {DEFAULT_TOL:g})"),
     ) + _COMMON),
     "veff": ("vector-coupling effective potential profile", _build_veff, (
-        Option("--b", "b", _positive_float, required=True),
+        Option("--b", "b", _positive_float, required=True, help="strength parameter"),
         Option("--energy", "energy", _finite_float, required=True,
                help="total energy in units of m c^2"),
         Option("--x-max", "x_max", _positive_float,
                help="half extent of the symmetric grid "
                     "(default: 2.5x the potential zero, or 5/b when E <= 0)"),
-        Option("--points", "points", _points, 201),
+        Option("--points", "points", _points, 201,
+               help=f"odd grid size in [3, {MAX_POINTS}] (default: 201)"),
     ) + _COMMON),
 }
 
@@ -251,7 +259,7 @@ def _help(name: str | None) -> str:
                                                  for option in options)])
         heading = "options"
         entries = [("-h, --help", "show this help message and exit"),
-                   *((_spelled(option), option.help or "") for option in options)]
+                   *((_spelled(option), option.help) for option in options)]
     width = max(len(left) for left, _ in entries) + 2
     rows = [f"  {left:<{width}}{text}".rstrip() for left, text in entries]
     return "\n".join([f"usage: {usage}", "", about, "", f"{heading}:", *rows]) + "\n"
@@ -383,12 +391,27 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
 
 
 def run(ns: SimpleNamespace) -> None:
-    """Execute parsed arguments, writing rows, or the help text, to standard output."""
-    if sys.stdout is None:  # fd 1 was closed at start: nowhere to write rows
+    """Execute parsed arguments, writing rows, or the help text, to standard output.
+
+    Every byte goes to the stream's binary layer, or the write that refused one
+    raises its OSError: unbuffered (python -u), that layer may take only part of
+    a write, such as when the reader leaves, and the text layer drops the rest."""
+    out = sys.stdout
+    if out is None:  # fd 1 was closed at start: nowhere to write rows
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.write(ns.help if hasattr(ns, "help")
-                     else _render(ns.build(ns), ns.format, ns.decimals))
-    sys.stdout.flush()  # a full disk or a closed pipe fails here, inside main's try
+    text = ns.help if hasattr(ns, "help") else _render(ns.build(ns), ns.format, ns.decimals)
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # a text stream alone, such as an in-process caller's StringIO
+        out.write(text)
+    else:
+        out.flush()  # text written to out earlier goes first
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            written = binary.write(data)
+            if written is None:  # a non-blocking stdout that is full
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            data = data[written:]
+    out.flush()  # a full disk or a closed pipe fails here, inside main's try
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -403,3 +426,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stderr.write(f"kgo: error: {message}\n")
         return 2 if isinstance(exc, UsageError) else 1
     return 0
+
+
+def entry() -> NoReturn:
+    """The process entry of `python -m kgo` and of the kgo script: main's code
+    is the exit status, given as soon as stdout and stderr are flushed, without
+    interpreter teardown and so without atexit hooks.  A stream that is closed
+    or refuses the flush has had its say in main."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(AttributeError, OSError):  # None: the fd was closed at start
+            stream.flush()
+    os._exit(code)

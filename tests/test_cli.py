@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -522,6 +523,15 @@ def test_help_is_the_same_at_every_terminal_width(command):
     assert outs[0] == outs[1] and outs[0].startswith(b"usage: kgo ")
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_option_help_line_says_what_the_option_does(capsys, command):
+    code, out, _ = _run(capsys, command, "--help")
+    lines = out.split("\noptions:\n", 1)[1].splitlines()
+    assert code == 0 and len(lines) == 1 + len(COMMANDS[command][2])  # -h, then each option
+    # two spaces or more part the flag, and its value if it takes one, from the text
+    assert [line for line in lines if not re.fullmatch(r"  \S+(?: \S+)?  +\S.*", line)] == []
+
+
 def test_abbreviated_option_is_refused(capsys):
     # --n names one level in spectrum and wavefn; it never stands for --n-max
     code, out, err = _run(capsys, "table", "--b", "0.1", "--n", "5")
@@ -616,6 +626,80 @@ def test_dead_stderr_keeps_the_exit_code_and_an_empty_stdout(argv, code, kill_st
     proc = subprocess.run([sys.executable, "-m", "kgo", *argv], stdout=subprocess.PIPE,
                           text=True, preexec_fn=kill_stderr)
     assert (proc.returncode, proc.stdout) == (code, "")
+
+
+def _buffering(unbuffered):
+    """A child's environment, with its stdout and stderr unbuffered or not."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
+def test_reader_leaving_mid_stream_is_one_error_line(unbuffered):
+    # unbuffered, the file takes the part of a write that fits before the
+    # reader leaves, and the text layer used to drop the rest and exit 0
+    with subprocess.Popen([sys.executable, "-m", "kgo", "table", "--b", "0.1",
+                           "--n-max", "300000"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_buffering(unbuffered)) as proc:
+        assert proc.stdout.read(10) == b"n,b,e_rel,"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"kgo: error: cannot write output: Broken pipe\n")
+
+
+@BUFFERING
+def test_full_non_blocking_stdout_is_one_error_line(unbuffered):
+    # nobody reads the pipe: once it is full a write takes nothing, which the
+    # unbuffered file reports as None and the text layer used to ignore
+    read_end, write_end = os.pipe()
+    os.set_blocking(write_end, False)
+    with open(read_end, "rb"), open(write_end, "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", "0.1",
+                               "--n-max", "300000"], stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, env=_buffering(unbuffered))
+    assert proc.returncode == 1 and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("kgo: error: cannot write output: ")
+
+
+@BUFFERING
+def test_refusing_stdout_or_stderr_keeps_the_exit_code(unbuffered):
+    # buffered, a flush that failed in main used to be retried at interpreter
+    # teardown, which printed "Exception ignored ..." and exited 120
+    with _full_disk() as stdout:
+        proc = subprocess.run([sys.executable, "-m", "kgo", "spectrum", "--b", "0.1", "--n", "0"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=_buffering(unbuffered))
+    assert (proc.returncode, proc.stderr) == (
+        1, "kgo: error: cannot write output: No space left on device\n")
+    proc = subprocess.run([sys.executable, "-m", "kgo", "spectrum", "--b", "-1", "--n", "0"],
+                          stdout=subprocess.PIPE, text=True, preexec_fn=_fill_stderr,
+                          env=_buffering(unbuffered))
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@BUFFERING
+def test_million_row_table_arrives_whole_through_a_pipe(unbuffered):
+    # the process ends right after its last write: nothing written is lost
+    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", "0.1",
+                           "--n-max", "999999"], capture_output=True, env=_buffering(unbuffered))
+    assert (proc.returncode, proc.stderr, hashlib.sha256(proc.stdout).hexdigest()) == (
+        0, b"", "c5cddf366972edd62c7b2db668434b89c47cdfdc9713483a6d82f2f2b65d84f0")
+
+
+def test_main_in_process_returns_its_code(capsys, monkeypatch):
+    # only cli.entry ends the process; main returns whatever the outcome
+    def refuse(code):
+        raise AssertionError(f"main ended the process with {code}")
+    monkeypatch.setattr(os, "_exit", refuse)
+    monkeypatch.setattr(sys, "exit", refuse)
+    codes = [main(argv) for argv in (["spectrum", "--b", "0.1", "--n", "0"], ["table", "--help"],
+                                     ["spectrum", "--b", "1e308", "--n", "1000000"],
+                                     ["nonsense"])]
+    assert codes == [0, 0, 1, 2]
+    assert capsys.readouterr().out.startswith("n,b,parity,energy\n0,0.1,combined,1.04881\n")
 
 
 def test_module_entry_point_exit_codes():

@@ -8,17 +8,22 @@ re-records the file and says so in CHANGES.md.  The Python block under
 "Library example" is executed as written.  Each README command and each
 `--help`, and each command of a round of the oracle-sweep and lookups
 benchmark workloads, also runs as `python -m kgo` in a fresh interpreter,
-which must not import the modules kept off the start-up path.
+which must not import the modules kept off the start-up path.  The console
+script named in pyproject.toml and `python -m kgo` enter through one function,
+and give the same bytes and exit codes.
 """
 
 import contextlib
+import importlib
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from kgo import __main__ as kgo_main
 from kgo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,16 +57,15 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md library example", "exec"), {})
 
 
-# Runs `python -m kgo <argv>` and prints the exit code, then whether
-# dataclasses, inspect, json and argparse were loaded; it imports none of them.
-_STARTUP_PROBE = """
-import runpy, sys
-try:
-    runpy.run_module("kgo", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-print(code, *(name in sys.modules for name in ("dataclasses", "inspect", "json", "argparse")))
-"""
+STARTUP_FORBIDDEN = {"dataclasses", "inspect", "json", "argparse"}
+
+
+def _imported(import_log):
+    """The top-level packages of the modules that a `-X importtime` log names.
+    The log leaves out a package that importlib.import_module loads, but not
+    its submodules, nor the modules that the package itself imports."""
+    return {line.rsplit("|", 1)[1].strip().split(".")[0]
+            for line in import_log.splitlines() if line.startswith("import time:")}
 
 
 def _bench_argvs(workload, seed):
@@ -85,12 +89,32 @@ def test_startup_path_imports_no_dataclasses_inspect_or_unneeded_json():
             + [argv + extra for argv in README_COMMANDS for extra, _ in FORMATS.values()]
             + _bench_argvs("oracle-sweep", 1) + _bench_argvs("lookups", 1))
     loaded = {}
-    for argv in runs:
-        proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv],
-                              capture_output=True, text=True, check=True)
-        code, *flags = proc.stdout.splitlines()[-1].split()
-        found = [name for name, flag in zip(("dataclasses", "inspect", "json", "argparse"), flags)
-                 if flag == "True"]
-        if code != ("2" if argv is usage_error else "0") or found:
-            loaded[" ".join(argv)] = (code, found)
+    for argv in runs:  # an error line shares stderr with the log, which _imported skips
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kgo", *argv],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        found = sorted(_imported(proc.stderr) & STARTUP_FORBIDDEN)
+        if proc.returncode != (2 if argv is usage_error else 0) or found:
+            loaded[" ".join(argv)] = (proc.returncode, found)
     assert len(runs) == 6 + 1 + 18 + 12 + 16 and loaded == {}
+
+
+# the console script that installing kgo writes: it calls [project.scripts]'s entry
+_SCRIPT = "import sys\nfrom {0} import {1}\nsys.exit({1}())\n"
+
+
+def test_module_and_script_entries_give_the_same_bytes_and_codes():
+    module, function = re.search(r'^kgo = "([\w.]+):(\w+)"$',
+                                 (ROOT / "pyproject.toml").read_text(), re.M).groups()
+    assert getattr(importlib.import_module(module), function) is kgo_main.entry  # one entry
+    script = _SCRIPT.format(module, function)
+    argvs = README_COMMANDS + [["table", "--b", "0.1", "--n", "5"],
+                               ["spectrum", "--b", "1e308", "--n", "1000000"]]
+    codes = []
+    for argv in argvs:
+        module_run, script_run = (subprocess.run([sys.executable, *entry, *argv],
+                                                 capture_output=True)
+                                  for entry in (["-m", "kgo"], ["-c", script]))
+        assert (script_run.returncode, script_run.stdout, script_run.stderr) == (
+            module_run.returncode, module_run.stdout, module_run.stderr)
+        codes.append(module_run.returncode)
+    assert codes == [0] * 6 + [2, 1]
