@@ -92,16 +92,15 @@ def _positive_float_list(text: str) -> List[float]:
     return [_positive_float(t) for t in items]
 
 
-def _fmt(values, decimals: int | None) -> List[str]:
-    """Cells for a list of numbers: 6 significant digits or K fixed decimals."""
-    spec = ".6g" if decimals is None else f".{decimals}f"
+def _fmt(values) -> List[str]:
+    """Cells for a list of numbers, to 6 significant digits."""
     # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"
-    return [format(v + 0.0, spec) for v in values]
+    return [format(v + 0.0, ".6g") for v in values]
 
 
 def _build_table(ns: SimpleNamespace) -> _Emission:
     levels = range(check_integer(ns.n_max) + 1)
-    b_cells = _fmt(ns.b, None)  # formatted once: each level's group of rows repeats them
+    b_cells = _fmt(ns.b)  # formatted once: each level's group of rows repeats them
 
     def blocks():  # rows run n-major, b-minor: a group of rows is a level
         for start in range(0, len(levels), TABLE_BLOCK):
@@ -121,7 +120,7 @@ def _build_spectrum(ns: SimpleNamespace) -> _Emission:
     else:
         energy = spectrum.energy_combined(index, ns.b)
         binding = spectrum.binding_energy(index, ns.b)
-    return _Emission([({"n": [str(ns.n)], "b": _fmt([ns.b], None), "parity": [ns.parity]},
+    return _Emission([({"n": [str(ns.n)], "b": _fmt([ns.b]), "parity": [ns.parity]},
                        {"energy": [energy], **({"binding": [binding]} if ns.binding else {})})])
 
 
@@ -342,13 +341,19 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
     row; a format sets how cells, rows and the frame (head, row separator,
     tail) are written."""
     value = "%.6g" if decimals is None else f"%.{decimals}f"
-    numbers = partial(map, add, repeat(0.0))  # 0.0 + -0.0 is 0.0: no cell reads "-0"
+
+    def numbers(column):  # no cell reads "-0": 0.0 + -0.0 is 0.0, and a negative
+        # value whose K-decimal cell has only zero digits (round(v, K) is 0) goes in as 0.0
+        if decimals is None or min(column) >= 0:
+            return map(add, repeat(0.0), column)
+        return [v if round(v, decimals) else 0.0 for v in column]
+
     texts = {}  # label -> the form its cells take in the output, where it differs
     if output_format == "json":
         # n cells stay ints and parity cells strings; every other cell loads as a float
         texts = {"b": _integral, "parity": _quoted}
         if decimals is None:  # a .6g cell may be integral: it goes in as text
-            value, numbers = "%s", lambda column: map(_integral, _fmt(column, None))
+            value, numbers = "%s", lambda column: map(_integral, _fmt(column))
         elif decimals == 0:  # a .0f cell is always integral, a .Kf one never
             value += ".0"
         row = lambda names, cells: "{" + ",".join(map("%s:%s".__mod__, zip(

@@ -1,0 +1,159 @@
+"""The output gate: kgo's stdout, exit codes, error texts and start-up imports.
+
+    python tests/output_gate.py
+
+Each case runs in a fresh child of the interpreter that runs this script, with
+the repository's src/ first on its path.  The child enters kgo as the console
+script does (the [project.scripts] function of pyproject.toml) or as
+`python -m kgo` does.  Just before the process ends through os._exit, which
+only cli.entry calls, the child writes its sys.modules to an inherited pipe.
+So one child checks its exit code, stdout and stderr, that it ended through
+cli.entry, and that it loaded no forbidden module, however it was imported.
+The standard library is all this needs (bench/workloads.py, which draws the
+benchmark's argvs, is stdlib-only too).  Exits 1 at the first difference,
+naming the case, or 0.
+"""
+
+import hashlib
+import itertools
+import os
+import re
+import subprocess
+import sys
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# no module whose name holds one of these may load: numpy is not a runtime
+# dependency, and dataclasses (with inspect), argparse and json would slow every
+# start, since cli reads argv and writes help, usage errors and json itself
+FORBIDDEN = ("numpy", "dataclasses", "inspect", "argparse", "json")
+_CHILD = """\
+import os, sys
+sys.path.insert(0, {src!r})
+def _exit(code, exit=os._exit, write=os.write):
+    write({fd}, " ".join(sys.modules).encode())
+    exit(code)
+os._exit = _exit
+{body}
+"""
+_MODULE = "import runpy\nrunpy.run_module('kgo', run_name='__main__', alter_sys=True)"
+
+# stdout: the exact bytes, a sha256 hex digest, or None (not checked); stderr: the exact bytes
+Case = namedtuple("Case", "name body argv code stdout stderr")
+
+
+def _bench_argvs(workload):
+    """The argvs of one round of a benchmark workload at seed 1."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return [invocation.argv for invocation in workloads.make_round(workload, 1)]
+
+
+def cases():
+    module, function = re.search(r'^kgo = "([\w.]+):(\w+)"$',
+                                 (ROOT / "pyproject.toml").read_text(), re.M).groups()
+    script = f"from {module} import {function}\nsys.exit({function}())"  # the console script
+    readme = [tuple(line.split()[1:]) for line in (ROOT / "README.md").read_text().splitlines()
+              if line.startswith("kgo ")]
+    runs = {}  # argv -> (code, stdout, stderr)
+    for index, argv in enumerate(readme, 1):
+        for extra, suffix in [((), "txt"), *((("--format", s), s) for s in ("json", "tsv"))]:
+            golden = ROOT / "tests" / "golden" / f"readme_{index}_{argv[0]}.{suffix}"
+            runs[argv + extra] = (0, golden.read_bytes(), b"")
+    runs[("--help",)] = (
+        0, "16e0323c7491f8b90d61adce5c8f320a4dda8e6c378a4ec31992e85036643212", b"")
+    # the table-bulk round at seed 1, recorded when the writer formatted each cell alone
+    bulk = ("table", "--b", "0.000123,0.000702,0.00806,0.0436", "--n-max", "49999")
+    runs[bulk] = (0, "6e0324e94d1612c4a202d4cb2d595b5eb8e2c7a10b4194275cca808dfd56414c", b"")
+    runs[bulk + ("--formula", "table", "--decimals", "5", "--format", "json")] = (
+        0, "d523cb088fe3d67a955e5d55a5d85438251795c93a81c1ef8e6c99f0385a796b", b"")
+    errors = {
+        ("table", "--b", "0.1", "--n", "5"): (2, "unrecognized arguments: --n"),
+        ("nonsense",): (2, "argument command: invalid choice: 'nonsense' (choose from "
+                           "'table', 'spectrum', 'wavefn', 'oracle', 'veff')"),
+        ("spectrum", "--b", "-1", "--n", "0"):
+            (2, "argument --b: must be a positive and finite number, got '-1'"),
+        ("wavefn", "--n", "1", "--lambda", "1", "--points", "4"):
+            (2, "argument --points: must be an odd integer in [3, 1000001], got '4'"),
+        ("spectrum", "--b", "1e308", "--n", "1000000"):
+            (1, "energy sqrt(1 + 2b(n + 0.5)) exceeds the floating-point range"),
+        ("oracle", "--b", "1e5", "--count", "5"):
+            (1, "eigenvalue 3: bracket still 1.16415e-10 wide after 200 bisection steps "
+                "(tol = 1e-10)"),
+        ("oracle", "--b", "1e200", "--count", "3"):
+            (1, "operator diagonal 2/h^2 + lam^2 x^2 exceeds the floating-point range"),
+        ("oracle", "--b", "0.1", "--count", "1000002"):
+            (1, "count must be in [1, 1999], got 1000002"),
+    }
+    runs.update((argv, (code, b"", f"kgo: error: {text}\n".encode()))
+                for argv, (code, text) in errors.items())
+    # argvs whose stdout is not pinned, unless a case above pins it
+    unpinned = [(command, "--help") for command in ("table", "spectrum", "wavefn", "oracle",
+                                                    "veff")]
+    unpinned += [("spectrum", "--b", "0.01", "--n", "3", "--parity", parity, "--expansion",
+                  expansion, *binding, "--format", output_format)
+                 for parity, expansion, binding, output_format in itertools.product(
+                     ("even", "odd", "combined"), ("exact", "second-order"),
+                     ((), ("--binding",)), ("csv", "tsv", "json"))]
+    unpinned += [readme[4] + ("--format", output_format)  # the README oracle command
+                 for output_format in ("csv", "tsv", "json")]
+    for argv in unpinned + _bench_argvs("oracle-sweep") + _bench_argvs("lookups"):
+        runs.setdefault(argv, (0, None, b""))
+    yield from (Case(" ".join(("kgo",) + argv), script, argv, *want)
+                for argv, want in runs.items())
+    # python -m kgo gives the same bytes and codes, and ends through cli.entry too
+    for argv in readme + [("table", "--b", "0.1", "--n", "5"),
+                          ("spectrum", "--b", "1e308", "--n", "1000000")]:
+        yield Case(" ".join(("python -m kgo",) + argv), _MODULE, argv, *runs[argv])
+    for body in "import kgo, kgo.cli", "import kgo, kgo.cli, kgo.oracle\nkgo.GridSpec(1.0, 3)":
+        yield Case(body.replace("\n", "; "), body + "\nos._exit(0)", (), 0, b"", b"")
+
+
+def _difference(stream, want, got):
+    """What is wrong with one output stream, or None."""
+    if isinstance(want, str):  # a sha256 digest
+        got = hashlib.sha256(got).hexdigest()
+    if want is None or got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return f"{stream} differs at {at}: got {got[at:at + 60]!r}, want {want[at:at + 60]!r}"
+
+
+def check(case):
+    """What is wrong with one case, or None."""
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as report:
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _CHILD.format(src=str(ROOT / "src"), fd=write_end,
+                                                     body=case.body), *case.argv],
+                stdin=subprocess.DEVNULL, capture_output=True, pass_fds=(write_end,), cwd=ROOT)
+        finally:
+            os.close(write_end)  # the child's copy is the only one left: EOF when it ends
+        modules = report.read().decode().split()
+    fault = ("it did not end through cli.entry" if not modules
+             else proc.returncode != case.code and f"want {case.code}")
+    if fault:
+        return f"exit code {proc.returncode}, {fault}; stderr {proc.stderr[-400:]!r}"
+    loaded = [name for name in modules if any(word in name for word in FORBIDDEN)]
+    return ((loaded and f"loaded {', '.join(loaded)}")
+            or _difference("stdout", case.stdout, proc.stdout)
+            or _difference("stderr", case.stderr, proc.stderr))
+
+
+def main():
+    for count, case in enumerate(cases(), 1):
+        fault = check(case)
+        if fault:
+            print(f"output gate: {case.name}: {fault}", file=sys.stderr)
+            return 1
+    print(f"output gate: {count} cases hold")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
