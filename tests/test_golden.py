@@ -3,14 +3,17 @@
 tests/output_gate.py runs each `kgo ...` line of README.md, in csv, json and
 tsv, in a fresh interpreter and compares its stdout with
 tests/golden/readme_<i>_<subcommand>.<txt|json|tsv>; it also checks exit
-codes, error texts and start-up imports (see its docstring).  A change that
-alters this output on purpose re-records the file and says so in CHANGES.md.
+codes, error texts and start-up imports (see its docstring).  Each of its
+cases is also a test here.  A change that alters this output on purpose
+re-records the file and says so in CHANGES.md.
 The Python block under "Library example" is executed as written.
 """
 
-import subprocess
-import sys
 from pathlib import Path
+
+import pytest
+
+import output_gate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,7 +30,19 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md library example", "exec"), {})
 
 
-def test_output_gate_holds():
-    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "output_gate.py")],
-                          capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+@pytest.mark.parametrize("case", list(output_gate.cases()), ids=lambda case: case.name)
+def test_output_gate_case_holds(case):
+    assert output_gate.check(case) is None
+
+
+def test_output_gate_stops_at_the_first_failing_case(monkeypatch, capsys):
+    held = output_gate.Case("held", "import kgo, kgo.cli\nos._exit(0)", (), 0, b"", b"")
+    wrong = held._replace(name="wrong code", code=3)
+    monkeypatch.setattr(output_gate, "cases", lambda: iter([held]))
+    assert output_gate.main() == 0
+    assert capsys.readouterr() == ("output gate: 1 cases hold\n", "")
+    monkeypatch.setattr(output_gate, "cases", lambda: iter([held, wrong, wrong._replace(name="later")]))
+    assert output_gate.main() == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("output gate: wrong code: exit code 0, want 3; ")
+    assert "later" not in err
