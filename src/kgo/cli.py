@@ -13,7 +13,10 @@ the writer alone formats the values, under --decimals, and writes once.  A
 failed build emits nothing, and a failed write ends in one error line.
 entry, the process entry, ends the process right after the last flush.
 Builders hand the writer lists of Python floats, and no command loads numpy
-or json.
+or json.  A start loads only the code its subcommand runs: this module,
+kgo.errors (the exceptions and input rules) and kgo.spectrum (which `table`
+and `spectrum` need), then params and the kernel module inside the wavefn,
+oracle and veff builders, and kgo.helptext for -h or --help alone.
 """
 
 import errno
@@ -21,18 +24,17 @@ import math
 import os
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from contextlib import suppress
 from functools import partial
 from itertools import repeat
 from operator import add
 from types import SimpleNamespace
-from typing import List, NoReturn, Sequence
 
 from . import spectrum
-from .errors import InvalidInput, KgoError, UsageError
-from .params import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, GridSpec, check_integer,
-                     check_points, check_positive, check_real, default_extent,
-                     evaluate_finite, from_b)
+from .errors import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, InvalidInput, KgoError,
+                     UsageError, check_integer, check_points, check_positive, check_real,
+                     evaluate_finite)
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -85,14 +87,14 @@ _decimals = _arg(int, partial(check_integer, high=MAX_DECIMALS),
 _points = _arg(int, check_points, f"an odd integer in [3, {MAX_POINTS}]")
 
 
-def _positive_float_list(text: str) -> List[float]:
+def _positive_float_list(text: str) -> list[float]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise ValueError(f"must be a comma-separated list of numbers, got {text!r}")
     return [_positive_float(t) for t in items]
 
 
-def _fmt(values) -> List[str]:
+def _fmt(values) -> list[str]:
     """Cells for a list of numbers, to 6 significant digits."""
     # adding 0.0 turns -0.0 into 0.0, so no cell reads "-0"
     return [format(v + 0.0, ".6g") for v in values]
@@ -126,6 +128,7 @@ def _build_spectrum(ns: SimpleNamespace) -> _Emission:
 
 def _build_wavefn(ns: SimpleNamespace) -> _Emission:
     from . import wavefn
+    from .params import GridSpec, default_extent
     # checked before any compute; a level past MAX_LEVEL is refused as such
     if check_integer(ns.n) * ns.points > WAVEFN_BUDGET:
         raise InvalidInput(f"n x points must be at most {WAVEFN_BUDGET}, "
@@ -138,6 +141,7 @@ def _build_wavefn(ns: SimpleNamespace) -> _Emission:
 
 def _build_oracle(ns: SimpleNamespace) -> _Emission:
     from . import oracle
+    from .params import from_b
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
@@ -149,6 +153,7 @@ def _build_oracle(ns: SimpleNamespace) -> _Emission:
 
 def _build_veff(ns: SimpleNamespace) -> _Emission:
     from . import oracle
+    from .params import GridSpec, from_b
     params = from_b(ns.b)
     if ns.x_max is not None:
         extent = ns.x_max
@@ -236,32 +241,10 @@ COMMANDS = {
 }
 
 
-def _spelled(option: Option) -> str:
-    """An option as its help writes it: the flag, then what its value is."""
-    if option.convert is None:
-        return option.flag
-    braced = option.choices and "{" + ",".join(option.choices) + "}"
-    return f"{option.flag} {option.metavar or braced or option.dest.upper()}"
-
-
-def _help(name: str | None) -> str:
-    """The help text of a subcommand, or of kgo for None: one line per entry,
-    never wrapped, so it is the same at every terminal width."""
-    if name is None:
-        usage, heading = "kgo [-h] command ...", "commands"
-        about = "Spectral toolkit for the one-dimensional Klein-Gordon oscillator."
-        entries = [(command, text) for command, (text, _, _) in COMMANDS.items()]
-    else:
-        about, _, options = COMMANDS[name]
-        usage = " ".join([f"kgo {name} [-h]", *(_spelled(option) if option.required
-                                                 else f"[{_spelled(option)}]"
-                                                 for option in options)])
-        heading = "options"
-        entries = [("-h, --help", "show this help message and exit"),
-                   *((_spelled(option), option.help) for option in options)]
-    width = max(len(left) for left, _ in entries) + 2
-    rows = [f"  {left:<{width}}{text}".rstrip() for left, text in entries]
-    return "\n".join([f"usage: {usage}", "", about, "", f"{heading}:", *rows]) + "\n"
+def _help(name: str | None) -> SimpleNamespace:
+    """The namespace of -h or --help: the help text of a subcommand, or of kgo for None."""
+    from .helptext import help_text
+    return SimpleNamespace(help=help_text(name))
 
 
 def _invalid_choice(argument: str, value, choices) -> UsageError:
@@ -282,7 +265,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     name = next(tokens, None)
     if name not in COMMANDS:
         if "-h" in argv or "--help" in argv:
-            return SimpleNamespace(help=_help(None))
+            return _help(None)
         if name is None:
             raise UsageError("the following arguments are required: command")
         raise _invalid_choice("command", name, COMMANDS)
@@ -292,7 +275,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     required = {option.flag for option in options if option.required}
     for token in tokens:
         if token in ("-h", "--help"):
-            return SimpleNamespace(help=_help(name))
+            return _help(name)
         flag, equals, text = token.partition("=")
         option = by_flag.get(flag)
         # no prefix of a flag stands for it, and a flag takes no =value
@@ -433,11 +416,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def entry() -> NoReturn:
-    """The process entry of `python -m kgo` and of the kgo script: main's code
-    is the exit status, given as soon as stdout and stderr are flushed, without
-    interpreter teardown and so without atexit hooks.  A stream that is closed
-    or refuses the flush has had its say in main."""
+def entry():
+    """The process entry of `python -m kgo` and of the kgo script, which never
+    returns: main's code is the exit status, given as soon as stdout and stderr
+    are flushed, without interpreter teardown and so without atexit hooks.  A
+    stream that is closed or refuses the flush has had its say in main."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         with suppress(AttributeError, OSError):  # None: the fd was closed at start

@@ -1,4 +1,20 @@
-"""Exception types shared across the package: one per kind of failure."""
+"""Exception types shared across the package, one per kind of failure, and
+beside them the input rules and the overflow policy that raise them, with
+the bounds and oracle defaults the CLI parser reads: so `kgo table` and
+`kgo spectrum` load no module but cli, errors and spectrum.  kgo.params
+imports each back.  Only an input neither float nor int loads `numbers`.
+"""
+
+import contextlib
+import math
+
+# plain machine integers for the level index
+MAX_LEVEL = 10**6
+# a 10^6 + 1 point grid and its formatted rows fit in 1 GiB of address space
+MAX_POINTS = 10**6 + 1
+# the oracle's default grid and bisection bracket width on k^2
+DEFAULT_POINTS = 2001
+DEFAULT_TOL = 1e-10
 
 
 class KgoError(Exception):
@@ -15,7 +31,7 @@ class InvalidInput(KgoError, ValueError):
 
 
 class OutOfRange(KgoError, OverflowError):
-    """A computed result does not fit in double precision (params.evaluate_finite)."""
+    """A computed result does not fit in double precision (evaluate_finite)."""
 
 
 class NonConvergence(KgoError, ArithmeticError):
@@ -24,3 +40,75 @@ class NonConvergence(KgoError, ArithmeticError):
 
 class UsageError(KgoError):
     """Command-line usage error; the CLI maps this to exit code 2."""
+
+
+def is_real(value) -> bool:
+    """The one rule for a real-number input: any numbers.Real, numpy scalars
+    included, except a bool, which check_integer refuses too."""
+    if type(value) in (float, int):  # the CLI's inputs: no import of numbers
+        return True
+    import numbers
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(name: str, value):
+    """value if is_real takes it and it is finite (an int past a double is), else InvalidInput."""
+    if not (is_real(value) and -math.inf < value < math.inf):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def check_positive(name: str, value) -> float:
+    """value as a Python float if it is a positive, finite real number.
+
+    The one validator for strictly positive inputs.  Anything is_real
+    refuses, or an int too large for a float, raises InvalidInput naming the
+    offending parameter.
+    """
+    number = math.nan
+    if is_real(value):
+        with contextlib.suppress(OverflowError):
+            number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def check_integer(n, what: str = "level index", low: int = 0, high: int = MAX_LEVEL) -> int:
+    """The one integer rule, for a level (the defaults), a degree, a count or a
+    point count: n as a plain int if it is a Python or numpy integer in
+    [low, high], else InvalidInput.  A bool is not an integer here, as in
+    check_positive, and neither is an array, even a 0-d or a 1-element one."""
+    if type(n) is not int:  # needs no numpy
+        import numbers
+        if not (is_real(n) and isinstance(n, numbers.Integral)):
+            raise InvalidInput(f"{what} must be an integer, got {n!r}")
+        n = int(n)
+    if not low <= n <= high:
+        raise InvalidInput(f"{what} must be in [{low}, {high}], got {n}")
+    return n
+
+
+def evaluate_finite(what: str, compute):
+    """compute() if its value, a float or a list of floats, is finite everywhere.
+
+    The one overflow policy for computed results: the errors Python floats
+    raise instead of giving inf are caught, and any non-finite entry raises
+    OutOfRange naming the quantity.
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+        raise OutOfRange(f"{what} exceeds the floating-point range")
+    return value
+
+
+def check_points(points) -> int:
+    """The one grid-size rule: points as a plain int if it is an odd integer
+    in [3, MAX_POINTS]."""
+    points = check_integer(points, "points", 3, MAX_POINTS)
+    if points % 2 == 0:
+        raise InvalidInput(f"points must be odd, got {points}")
+    return points

@@ -22,10 +22,9 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, islice
 
-from .errors import InvalidInput, NonConvergence
-from .params import (DEFAULT_POINTS, DEFAULT_TOL, GridSpec, OscillatorParams, check_grid,
-                     check_integer, check_points, check_positive, check_real,
-                     default_extent, evaluate_finite, is_real)
+from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_integer,
+                     check_points, check_positive, check_real, evaluate_finite, is_real)
+from .params import GridSpec, OscillatorParams, check_grid, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
@@ -127,7 +126,7 @@ def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None)
     """Number of eigenvalues strictly below shift, from LDL^T pivot signs, or
     limit, a count >= 1, once that many are found: min(count, limit).
 
-    shift is a finite real number (params.check_real).  The count only grows
+    shift is a finite real number (errors.check_real).  The count only grows
     along the rows, so the sweep returns when it reaches limit.
 
     A zero pivot is replaced by +eps times the Gershgorin bound, which counts
@@ -282,7 +281,7 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
 
     This is the Schrodinger-form potential (2 E V - V^2)/(c^2 hbar^2) with
     V = m w^2 x^2 / 2 substituted, at a real energy and a real x
-    (params.check_real).  It is evaluated in u = w x, so a tiny w with a huge
+    (errors.check_real).  It is evaluated in u = w x, so a tiny w with a huge
     x (or the reverse) neither underflows w^4 nor overflows x^2.
     """
     energy, x, m = check_real("energy", energy), check_real("x", x), params.mass
@@ -300,7 +299,7 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
 def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
     """Positive root of the effective potential, x* = 2 sqrt(E/m) / omega.
 
-    Zero for a real energy <= 0 (params.check_real), where V_eff is nowhere positive.
+    Zero for a real energy <= 0 (errors.check_real), where V_eff is nowhere positive.
     """
     if check_real("energy", energy) <= 0.0:
         return 0.0

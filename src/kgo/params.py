@@ -2,96 +2,22 @@
 
 Every other module takes its dimensional inputs from OscillatorParams.
 The default unit system is natural units (hbar = c = 1 with unit mass);
-user-facing energies are dimensionless, Ebar = E / (m c^2).  The input
-rules and the overflow policy all modules share, the grid defaults the CLI
-parser reads and the grid rule itself (GridSpec, default_extent) live here
-too.  Like every module they run on Python floats and lists of them,
-without numpy.  GridSpec and OscillatorParams are immutable namedtuples, not
-dataclasses (a slow import), and every path that constructs one checks it.
+user-facing energies are dimensionless, Ebar = E / (m c^2).  The grid rule
+(GridSpec, check_grid, default_extent) lives here too.  The input rules, the
+overflow policy and the bounds all modules share live in kgo.errors, beside
+the exceptions they raise, and are imported back here under the same names;
+so `kgo spectrum` and `kgo table` never load this module.  Like every module
+it runs on Python floats and lists of them, without numpy.  GridSpec and
+OscillatorParams are immutable namedtuples, not dataclasses (a slow
+import), and every path that constructs one checks it.
 """
 
-import contextlib
 import math
-import numbers
 from collections import namedtuple
 
-from .errors import InvalidInput, OutOfRange
-
-# plain machine integers for the level index
-MAX_LEVEL = 10**6
-# a 10^6 + 1 point grid and its formatted rows fit in 1 GiB of address space
-MAX_POINTS = 10**6 + 1
-# the oracle's default grid and bisection bracket width on k^2
-DEFAULT_POINTS = 2001
-DEFAULT_TOL = 1e-10
-
-
-def is_real(value) -> bool:
-    """The one rule for a real-number input: any numbers.Real, numpy scalars
-    included, except a bool, which check_integer refuses too."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_real(name: str, value):
-    """value if is_real takes it and it is finite (an int past a double is), else InvalidInput."""
-    if not (is_real(value) and -math.inf < value < math.inf):
-        raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    return value
-
-
-def check_positive(name: str, value) -> float:
-    """value as a Python float if it is a positive, finite real number.
-
-    The one validator for strictly positive inputs.  Anything is_real
-    refuses, or an int too large for a float, raises InvalidInput naming the
-    offending parameter.
-    """
-    number = math.nan
-    if is_real(value):
-        with contextlib.suppress(OverflowError):
-            number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
-    return number
-
-
-def check_integer(n, what: str = "level index", low: int = 0, high: int = MAX_LEVEL) -> int:
-    """The one integer rule, for a level (the defaults), a degree, a count or a
-    point count: n as a plain int if it is a Python or numpy integer in
-    [low, high], else InvalidInput.  A bool is not an integer here, as in
-    check_positive, and neither is an array, even a 0-d or a 1-element one."""
-    if type(n) is not int:  # needs no numpy
-        if not (is_real(n) and isinstance(n, numbers.Integral)):
-            raise InvalidInput(f"{what} must be an integer, got {n!r}")
-        n = int(n)
-    if not low <= n <= high:
-        raise InvalidInput(f"{what} must be in [{low}, {high}], got {n}")
-    return n
-
-
-def evaluate_finite(what: str, compute):
-    """compute() if its value, a float or a list of floats, is finite everywhere.
-
-    The one overflow policy for computed results: the errors Python floats
-    raise instead of giving inf are caught, and any non-finite entry raises
-    OutOfRange naming the quantity.
-    """
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
-        raise OutOfRange(f"{what} exceeds the floating-point range")
-    return value
-
-
-def check_points(points) -> int:
-    """The one grid-size rule: points as a plain int if it is an odd integer
-    in [3, MAX_POINTS]."""
-    points = check_integer(points, "points", 3, MAX_POINTS)
-    if points % 2 == 0:
-        raise InvalidInput(f"points must be odd, got {points}")
-    return points
+from .errors import (DEFAULT_POINTS, DEFAULT_TOL, MAX_LEVEL, MAX_POINTS, InvalidInput,
+                     OutOfRange, check_integer, check_points, check_positive, check_real,
+                     evaluate_finite, is_real)
 
 
 class _Checked:

@@ -1,20 +1,19 @@
 """Special-function kernel: physicists' Hermite polynomials and the regular
 confluent hypergeometric function M(a, c, y).
 
-Only real arguments are supported: each is a params.is_real number, taken
+Only real arguments are supported: each is an errors.is_real number, taken
 as a Python float, so numpy scalars of any width are computed in double;
 anything else is InvalidInput.  M is summed only where its series
 terminates, at a non-positive integer a: there it is a polynomial in y,
 summed exactly over its finitely many nonzero terms, which is all the
 Hermite bridges and the quantised states need.  Any other a is refused.
 A non-finite xi or y, an int past the double range, or a result outside
-it raises OutOfRange (params.evaluate_finite).
+it raises OutOfRange (errors.evaluate_finite).
 """
 
 import math
 
-from .errors import InvalidInput
-from .params import check_integer, evaluate_finite, is_real
+from .errors import InvalidInput, check_integer, evaluate_finite, is_real
 
 # |v - round(v)| up to this counts as an integer, for kummer_m's a (a
 # terminating series) and c (a pole).  The Hermite bridges pass exact
@@ -48,7 +47,7 @@ def kummer_m(a: float, c: float, y: float) -> float:
 
     There (within INTEGER_TOL) the series terminates: the sum runs over its
     -round(a) + 1 nonzero terms only, and the degree -round(a) must be a
-    level (params.check_integer).  Any other a, and a non-positive integer c
+    level (errors.check_integer).  Any other a, and a non-positive integer c
     (a pole), is InvalidInput.  A sum outside the double range is OutOfRange.
     """
     if not all(map(is_real, (a, c, y))):

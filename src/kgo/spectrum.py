@@ -11,10 +11,9 @@ floats: a table cell is the scalar energy bit for bit.
 """
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .errors import InvalidInput
-from .params import MAX_LEVEL, check_integer, check_positive, evaluate_finite
+from .errors import MAX_LEVEL, InvalidInput, check_integer, check_positive, evaluate_finite
 
 # formula -> shift s of the law sqrt(1 + 2 b (n + s))
 _SHIFTS = {"eq21": 0.5, "table": 1.0}

@@ -16,10 +16,10 @@ them, sample returns a list and inner_product takes lists.
 import math
 import sys
 
-from .errors import InvalidInput
-# re-exported from params beside the grid functions: GridSpec, default_extent, MAX_POINTS
-from .params import (MAX_POINTS, GridSpec, check_grid, check_integer, check_positive,
-                     default_extent, evaluate_finite, is_real)
+# MAX_POINTS, GridSpec and default_extent are also re-exported here
+from .errors import (MAX_POINTS, InvalidInput, check_integer, check_positive, evaluate_finite,
+                     is_real)
+from .params import GridSpec, check_grid, default_extent
 
 _LN2 = math.log(2.0)
 # log2 of a bound on |psi| far under 2^-1075, half the least subnormal

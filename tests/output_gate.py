@@ -6,12 +6,15 @@ Each case runs in a fresh child of the interpreter that runs this script, with
 the repository's src/ first on its path.  The child enters kgo as the console
 script does (the [project.scripts] function of pyproject.toml) or as
 `python -m kgo` does.  Just before the process ends through os._exit, which
-only cli.entry calls, the child writes its sys.modules to an inherited pipe.
-So one child checks its exit code, stdout and stderr, that it ended through
-cli.entry, and that it loaded no forbidden module, however it was imported.
-The standard library is all this needs (bench/workloads.py, which draws the
-benchmark's argvs, is stdlib-only too).  Exits 1 at the first difference,
-naming the case, or 0.
+only cli.entry calls, the child writes its sys.modules to an inherited pipe,
+and apart the modules loaded since it started.  So one child checks its exit
+code, stdout and stderr, that it ended through cli.entry, that it loaded no
+forbidden module, however it was imported, that it loaded no kgo module
+beyond those its case names, and that kgo loaded neither `numbers` nor
+`typing`.  Some cases run under `python -S`, where no site `.pth` imports
+`typing` first.  The standard library is all this needs (bench/workloads.py,
+which draws the benchmark's argvs, is stdlib-only too).  Exits 1 at the first
+difference, naming the case, or 0.
 """
 
 import hashlib
@@ -28,19 +31,50 @@ ROOT = Path(__file__).resolve().parents[1]
 # dependency, and dataclasses (with inspect), argparse and json would slow every
 # start, since cli reads argv and writes help, usage errors and json itself
 FORBIDDEN = ("numpy", "dataclasses", "inspect", "argparse", "json")
+# nor may kgo load these, though a site .pth may have loaded them before it:
+# kgo's rules take the CLI's floats and ints without numbers, and its
+# annotations need no typing
+NOT_LOADED_BY_KGO = ("numbers", "typing")
 _CHILD = """\
 import os, sys
 sys.path.insert(0, {src!r})
-def _exit(code, exit=os._exit, write=os.write):
-    write({fd}, " ".join(sys.modules).encode())
+def _exit(code, exit=os._exit, write=os.write, started=set(sys.modules)):
+    write({fd}, (" ".join(sys.modules) + "\\n"
+                 + " ".join(set(sys.modules) - started)).encode())
     exit(code)
 os._exit = _exit
 {body}
 """
 _MODULE = "import runpy\nrunpy.run_module('kgo', run_name='__main__', alter_sys=True)"
 
-# stdout: the exact bytes, a sha256 hex digest, or None (not checked); stderr: the exact bytes
-Case = namedtuple("Case", "name body argv code stdout stderr")
+# the kgo modules every start loads: the package, the CLI, the exceptions with
+# the input rules, and the closed-form spectrum that table and spectrum run
+START = ("kgo", "kgo.cli", "kgo.errors", "kgo.spectrum")
+# subcommand -> the kgo modules its builder adds; -h or --help adds kgo.helptext alone
+BUILDER = {"table": (), "spectrum": (), "wavefn": ("kgo.params", "kgo.wavefn"),
+           "oracle": ("kgo.params", "kgo.oracle"), "veff": ("kgo.params", "kgo.oracle")}
+
+# stdout: the exact bytes, a sha256 hex digest, or None (not checked); stderr: the
+# exact bytes; kgo: the kgo modules the child may load; flags: the interpreter's options
+Case = namedtuple("Case", "name body argv code stdout stderr kgo flags", defaults=(START, ()))
+
+
+def readme_commands(readme=None):
+    """The argvs of the README's example commands: the `kgo ` lines of the
+    fenced bash block under "## CLI", and no other line of readme (the text
+    of README.md by default)."""
+    readme = (ROOT / "README.md").read_text() if readme is None else readme
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("\n```bash\n", 1)[1].split("\n```", 1)[0]
+    return [tuple(line.split()[1:]) for line in block.splitlines() if line.startswith("kgo ")]
+
+
+def started(argv, code):
+    """The kgo modules a CLI start on argv that exits with code may load: a
+    usage error (code 2) runs no builder, and help runs none either."""
+    if "-h" in argv or "--help" in argv:
+        return START + ("kgo.helptext",)
+    return START + (BUILDER[argv[0]] if code != 2 else ())
 
 
 def _bench_argvs(workload):
@@ -53,12 +87,16 @@ def _bench_argvs(workload):
     return [invocation.argv for invocation in workloads.make_round(workload, 1)]
 
 
-def cases():
+def _script():
+    """The child body that enters kgo as the console script does."""
     module, function = re.search(r'^kgo = "([\w.]+):(\w+)"$',
                                  (ROOT / "pyproject.toml").read_text(), re.M).groups()
-    script = f"from {module} import {function}\nsys.exit({function}())"  # the console script
-    readme = [tuple(line.split()[1:]) for line in (ROOT / "README.md").read_text().splitlines()
-              if line.startswith("kgo ")]
+    return f"from {module} import {function}\nsys.exit({function}())"
+
+
+def cases():
+    script = _script()
+    readme = readme_commands()
     runs = {}  # argv -> (code, stdout, stderr)
     for index, argv in enumerate(readme, 1):
         for extra, suffix in [((), "txt"), *((("--format", s), s) for s in ("json", "tsv"))]:
@@ -103,14 +141,21 @@ def cases():
                  for output_format in ("csv", "tsv", "json")]
     for argv in unpinned + _bench_argvs("oracle-sweep") + _bench_argvs("lookups"):
         runs.setdefault(argv, (0, None, b""))
-    yield from (Case(" ".join(("kgo",) + argv), script, argv, *want)
+    yield from (Case(" ".join(("kgo",) + argv), script, argv, *want, started(argv, want[0]))
                 for argv, want in runs.items())
     # python -m kgo gives the same bytes and codes, and ends through cli.entry too
     for argv in readme + [("table", "--b", "0.1", "--n", "5"),
                           ("spectrum", "--b", "1e308", "--n", "1000000")]:
-        yield Case(" ".join(("python -m kgo",) + argv), _MODULE, argv, *runs[argv])
-    for body in "import kgo, kgo.cli", "import kgo, kgo.cli, kgo.oracle\nkgo.GridSpec(1.0, 3)":
-        yield Case(body.replace("\n", "; "), body + "\nos._exit(0)", (), 0, b"", b"")
+        yield Case(" ".join(("python -m kgo",) + argv), _MODULE, argv, *runs[argv],
+                   started(argv, runs[argv][0]))
+    # without site, nothing imports typing before kgo: each subcommand's start still does not
+    for argv in readme:
+        yield Case(" ".join(("python -S: kgo",) + argv), script, argv, *runs[argv],
+                   started(argv, runs[argv][0]), ("-S",))
+    for body, kgo in [("import kgo, kgo.cli", START),
+                      ("import kgo, kgo.cli, kgo.oracle\nkgo.GridSpec(1.0, 3)",
+                       START + ("kgo.params", "kgo.oracle"))]:
+        yield Case(body.replace("\n", "; "), body + "\nos._exit(0)", (), 0, b"", b"", kgo)
 
 
 def _difference(stream, want, got):
@@ -123,26 +168,55 @@ def _difference(stream, want, got):
     return f"{stream} differs at {at}: got {got[at:at + 60]!r}, want {want[at:at + 60]!r}"
 
 
-def check(case):
-    """What is wrong with one case, or None."""
+def run(case):
+    """(the finished child, its sys.modules as it ended, the modules it loaded
+    since it started); both lists are empty if it did not end through cli.entry."""
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as report:
         try:
             proc = subprocess.run(
-                [sys.executable, "-c", _CHILD.format(src=str(ROOT / "src"), fd=write_end,
-                                                     body=case.body), *case.argv],
+                [sys.executable, *case.flags, "-c", _CHILD.format(
+                    src=str(ROOT / "src"), fd=write_end, body=case.body), *case.argv],
                 stdin=subprocess.DEVNULL, capture_output=True, pass_fds=(write_end,), cwd=ROOT)
         finally:
             os.close(write_end)  # the child's copy is the only one left: EOF when it ends
-        modules = report.read().decode().split()
+        modules, _, since = report.read().decode().partition("\n")
+    return proc, modules.split(), since.split()
+
+
+def check(case):
+    """What is wrong with one case, or None."""
+    proc, modules, since = run(case)
     fault = ("it did not end through cli.entry" if not modules
              else proc.returncode != case.code and f"want {case.code}")
     if fault:
         return f"exit code {proc.returncode}, {fault}; stderr {proc.stderr[-400:]!r}"
     loaded = [name for name in modules if any(word in name for word in FORBIDDEN)]
+    unwanted = sorted(name for name in modules if name.partition(".")[0] == "kgo"
+                      and name not in case.kgo)
+    late = [name for name in NOT_LOADED_BY_KGO if name in since]
     return ((loaded and f"loaded {', '.join(loaded)}")
+            or (unwanted and f"loaded kgo modules {', '.join(unwanted)} beyond its own")
+            or (late and f"kgo loaded {', '.join(late)}")
             or _difference("stdout", case.stdout, proc.stdout)
             or _difference("stderr", case.stderr, proc.stderr))
+
+
+def start_report():
+    """A markdown table of what a start loads: for the first README command of
+    each subcommand and for --help, the kgo modules and their lines (wc -l)."""
+    argvs = {}
+    for argv in readme_commands():
+        argvs.setdefault(argv[0], argv)
+    rows = ["| kgo argv | kgo modules loaded | lines |", "|---|---|---|"]
+    for argv in [*argvs.values(), ("--help",)]:
+        _, modules, _ = run(Case("", _script(), argv, 0, None, b""))
+        kgo = sorted(name for name in modules if name.partition(".")[0] == "kgo")
+        paths = [ROOT / "src" / name.replace(".", "/") for name in kgo]
+        lines = sum((path / "__init__.py" if path.is_dir() else path.with_suffix(".py"))
+                    .read_bytes().count(b"\n") for path in paths)
+        rows.append(f"| `{' '.join(argv)}` | {', '.join(kgo)} | {lines} |")
+    return "\n".join(rows)
 
 
 def main():

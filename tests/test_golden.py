@@ -1,14 +1,16 @@
 """Refactor gate: the README examples still run as shown.
 
-tests/output_gate.py runs each `kgo ...` line of README.md, in csv, json and
-tsv, in a fresh interpreter and compares its stdout with
-tests/golden/readme_<i>_<subcommand>.<txt|json|tsv>; it also checks exit
-codes, error texts and start-up imports (see its docstring).  Each of its
-cases is also a test here.  A change that alters this output on purpose
-re-records the file and says so in CHANGES.md.
+tests/output_gate.py runs each `kgo ...` line of the bash block under
+"## CLI" in README.md, in csv, json and tsv, in a fresh interpreter and
+compares its stdout with tests/golden/readme_<i>_<subcommand>.<txt|json|tsv>;
+it also checks exit codes, error texts and start-up imports (see its
+docstring).  Each of its cases is also a test here.  A change that alters
+this output on purpose re-records the file and says so in CHANGES.md.
 The Python block under "Library example" is executed as written.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,9 +21,26 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_readme_has_the_six_examples():
-    commands = [line for line in (ROOT / "README.md").read_text().splitlines()
-                if line.startswith("kgo ")]
-    assert len(commands) == 6
+    assert len(output_gate.readme_commands()) == 6
+
+
+def test_only_the_cli_block_holds_readme_commands():
+    readme = "\n".join([
+        "# kgo", "kgo prose wrapped to the start of a line", "## CLI",
+        "kgo spectrum in prose before the block", "```bash", "# a comment",
+        "kgo spectrum --b 0.1 --n 0", "```", "kgo table in prose after the block",
+        "## Tests", "```bash", "kgo table --b 0.1 --n-max 3", "```", ""])
+    assert output_gate.readme_commands(readme) == [("spectrum", "--b", "0.1", "--n", "0")]
+
+
+def test_python_dash_s_starts_without_typing():
+    """The gate's `python -S` cases check that no start loads typing; without
+    site nothing has loaded it before kgo starts, so they check every import."""
+    probe = "import sys; print('typing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True).stdout == "False\n"
+    assert [case.argv for case in output_gate.cases() if case.flags == ("-S",)] == \
+        output_gate.readme_commands()
 
 
 def test_readme_library_example_runs():
@@ -46,3 +65,12 @@ def test_output_gate_stops_at_the_first_failing_case(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("output gate: wrong code: exit code 0, want 3; ")
     assert "later" not in err
+
+
+def test_start_report_names_the_modules_each_start_loads():
+    rows = output_gate.start_report().splitlines()[2:]
+    assert [row.split("`")[1].split()[0] for row in rows] == [
+        "table", "spectrum", "wavefn", "oracle", "veff", "--help"]
+    start = ", ".join(output_gate.START)
+    assert rows[1].split(" | ")[1] == start
+    assert rows[5].split(" | ")[1] == start.replace("kgo.errors", "kgo.errors, kgo.helptext")

@@ -137,6 +137,14 @@ def test_one_error_class_per_failure_kind():
             and issubclass(cls, Exception)} == set(kinds.values())
 
 
+def test_input_rules_live_in_errors_and_keep_their_params_names():
+    from kgo import params
+    for name in ("is_real", "check_real", "check_positive", "check_integer", "check_points",
+                 "evaluate_finite", "MAX_LEVEL", "MAX_POINTS", "DEFAULT_POINTS", "DEFAULT_TOL",
+                 "InvalidInput", "OutOfRange"):
+        assert getattr(params, name) is getattr(errors, name), name
+
+
 def test_params_are_immutable():
     p = natural_units()
     with pytest.raises(AttributeError):
