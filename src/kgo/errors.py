@@ -1,8 +1,9 @@
 """Exception types shared across the package, one per kind of failure, and
 beside them the input rules and the overflow policy that raise them, with
 the bounds and oracle defaults the CLI parser reads: so `kgo table` and
-`kgo spectrum` load no module but cli, errors and spectrum.  kgo.params
-imports each back.  Only an input neither float nor int loads `numbers`.
+`kgo spectrum` load no module but cli, errors and spectrum.  Each rule and
+bound is imported from here alone.  Only an input neither float nor int
+loads `numbers`.
 """
 
 import contextlib
@@ -102,6 +103,13 @@ def evaluate_finite(what: str, compute):
         value = math.inf
     if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
         raise OutOfRange(f"{what} exceeds the floating-point range")
+    return value
+
+
+def check_instance(what: str, value, cls):
+    """value if it is a cls, else InvalidInput: the one rule for a grid or an operator."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{what} must be a {cls.__name__}, got {value!r}")
     return value
 
 

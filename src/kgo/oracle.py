@@ -22,9 +22,10 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, islice
 
-from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_integer,
-                     check_points, check_positive, check_real, evaluate_finite, is_real)
-from .params import GridSpec, OscillatorParams, check_grid, default_extent
+from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_instance,
+                     check_integer, check_points, check_positive, check_real, evaluate_finite,
+                     is_real)
+from .params import GridSpec, OscillatorParams, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
@@ -41,10 +42,10 @@ class TridiagonalOperator:
     positive-semidefinite discretisations: eigenvalue brackets start at zero.
     _mirror_row marks the even block of a folded operator (see
     lowest_eigenvalues), whose row 0 couples to row 1 through
-    sqrt(2) * off_diagonal.
+    sqrt(2) * off_diagonal; only _block makes one.
     """
 
-    def __init__(self, diagonal, off_diagonal: float, _mirror_row: bool = False):
+    def __init__(self, diagonal, off_diagonal: float):
         try:
             entries = list(diagonal)
         except TypeError:  # a scalar
@@ -66,7 +67,7 @@ class TridiagonalOperator:
         self.off_diagonal = evaluate_finite("operator coupling", lambda: float(off_diagonal))
         self.diagonal = evaluate_finite("operator diagonal", lambda: list(map(float, entries)))
         evaluate_finite("operator coupling squared", lambda: self.off_diagonal ** 2)
-        self._mirror_row = _mirror_row
+        self._mirror_row = False
 
     @classmethod
     def _block(cls, diagonal: list, off_diagonal: float, mirror_row: bool):
@@ -105,7 +106,7 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     k^2 = (E^2 - m^2 c^4)/(c^2 hbar^2).  The rows are the interior nodes of
     grid.nodes().
     """
-    lam, h = check_positive("lam", lam), check_grid(grid).spacing
+    lam, h = check_positive("lam", lam), check_instance("grid", grid, GridSpec).spacing
 
     def diagonal():
         centre, lam_squared = 2.0 / h**2, lam**2
@@ -113,13 +114,6 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     return TridiagonalOperator(
         diagonal=evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2", diagonal),
         off_diagonal=-1.0 / h**2)
-
-
-def _check_operator(op) -> TridiagonalOperator:
-    """op if it is a TridiagonalOperator, else InvalidInput: the one rule for an operator."""
-    if not isinstance(op, TridiagonalOperator):
-        raise InvalidInput(f"operator must be a TridiagonalOperator, got {op!r}")
-    return op
 
 
 def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None) -> int:
@@ -144,7 +138,7 @@ def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None)
     sweep's, bit for bit.  On an oscillator block those rows lie past the
     classical turning point of the shift.
     """
-    op = _check_operator(op)
+    op = check_instance("operator", op, TridiagonalOperator)
     shift = evaluate_finite("Sturm shift", lambda: float(check_real("shift", shift)))
     limit = op.dimension if limit is None else check_integer(limit, "limit", 1, math.inf)
     pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
@@ -219,9 +213,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     rounding of an eigenvalue, where tol is below the rounding of a Sturm
     count, can go either way.
     """
-    op = _check_operator(op)
+    op = check_instance("operator", op, TridiagonalOperator)
     count = check_integer(count, "count", 1, op.dimension)
-    check_positive("tol", tol)
+    tol = check_positive("tol", tol)
     if min(op.diagonal) - 2.0 * abs(op.off_diagonal) < 0.0:
         below = sturm_count(op, 0.0)
         if below:
@@ -281,8 +275,9 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
 
     This is the Schrodinger-form potential (2 E V - V^2)/(c^2 hbar^2) with
     V = m w^2 x^2 / 2 substituted, at a real energy and a real x
-    (errors.check_real).  It is evaluated in u = w x, so a tiny w with a huge
-    x (or the reverse) neither underflows w^4 nor overflows x^2.
+    (errors.check_real), each taken as a Python float.  It is evaluated in
+    u = w x, so a tiny w with a huge x (or the reverse) neither underflows
+    w^4 nor overflows x^2.
     """
     energy, x, m = check_real("energy", energy), check_real("x", x), params.mass
 
@@ -291,7 +286,7 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
         # the profile of this even function mirrors bit for bit
         u = params.omega * float(x)
         u2 = u * u
-        numerator = energy * m * u2 - 0.25 * m**2 * u2 * u2
+        numerator = float(energy) * m * u2 - 0.25 * m**2 * u2 * u2
         return numerator / (params.c**2 * params.hbar**2)
     return evaluate_finite("effective potential V_eff", v_eff)
 
@@ -299,12 +294,13 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
 def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
     """Positive root of the effective potential, x* = 2 sqrt(E/m) / omega.
 
-    Zero for a real energy <= 0 (errors.check_real), where V_eff is nowhere positive.
+    Zero for a real energy <= 0 (errors.check_real), where V_eff is nowhere
+    positive; elsewhere computed from the energy as a Python float.
     """
     if check_real("energy", energy) <= 0.0:
         return 0.0
     return evaluate_finite("V_eff zero crossing 2 sqrt(E/m)/omega",
-                           lambda: 2.0 * math.sqrt(energy / params.mass) / params.omega)
+                           lambda: 2.0 * math.sqrt(float(energy) / params.mass) / params.omega)
 
 
 def profile_effective_potential(params: OscillatorParams, energy: float,
@@ -316,7 +312,7 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
     still decreasing outward.  At least 2 grid nodes must lie beyond x*.
     """
     xstar = veff_zero_crossing(params, energy)
-    x = check_grid(grid).nodes()
+    x = check_instance("grid", grid, GridSpec).nodes()
     beyond = len(x) - bisect_right(x, xstar)  # the nodes ascend
     if beyond < 2:
         raise InvalidInput(

@@ -2,22 +2,20 @@
 
 Every other module takes its dimensional inputs from OscillatorParams.
 The default unit system is natural units (hbar = c = 1 with unit mass);
-user-facing energies are dimensionless, Ebar = E / (m c^2).  The grid rule
-(GridSpec, check_grid, default_extent) lives here too.  The input rules, the
-overflow policy and the bounds all modules share live in kgo.errors, beside
-the exceptions they raise, and are imported back here under the same names;
-so `kgo spectrum` and `kgo table` never load this module.  Like every module
-it runs on Python floats and lists of them, without numpy.  GridSpec and
-OscillatorParams are immutable namedtuples, not dataclasses (a slow
-import), and every path that constructs one checks it.
+user-facing energies are dimensionless, Ebar = E / (m c^2).  The grid
+(GridSpec, default_extent) lives here too.  The input rules, the overflow
+policy and the bounds all modules share live in kgo.errors, beside the
+exceptions they raise; so `kgo spectrum` and `kgo table` never load this
+module.  Like every module it runs on Python floats and lists of them,
+without numpy.  GridSpec and OscillatorParams are immutable namedtuples,
+not dataclasses (a slow import); every path that constructs one checks it
+and stores the Python floats its rules return.
 """
 
 import math
 from collections import namedtuple
 
-from .errors import (DEFAULT_POINTS, DEFAULT_TOL, MAX_LEVEL, MAX_POINTS, InvalidInput,
-                     OutOfRange, check_integer, check_points, check_positive, check_real,
-                     evaluate_finite, is_real)
+from .errors import check_integer, check_points, check_positive, evaluate_finite
 
 
 class _Checked:
@@ -33,14 +31,14 @@ class GridSpec(_Checked, namedtuple("GridSpec", "extent points")):
     Odd counts keep x = 0 on the grid and make the point count usable for
     composite Simpson quadrature.  Nodes are built from signed integer
     offsets so that x = 0 is exact and x_{-i} = -x_i bit for bit.  A namedtuple:
-    keyword, positional, _make, _replace, copy and pickle all check both fields.
+    keyword, positional, _make, _replace, copy and pickle all check both fields,
+    and the extent is stored as the Python float check_positive returns.
     """
 
     __slots__ = ()
 
     def __new__(cls, extent: float, points: int):
-        check_positive("grid extent", extent)
-        self = super().__new__(cls, extent, check_points(points))
+        self = super().__new__(cls, check_positive("grid extent", extent), check_points(points))
         evaluate_finite(f"grid spacing over [-{extent!r}, {extent!r}]", lambda: self.spacing)
         return self
 
@@ -52,13 +50,6 @@ class GridSpec(_Checked, namedtuple("GridSpec", "extent points")):
         """The nodes i * spacing, i = -(points - 1)/2 ... (points - 1)/2, as a list."""
         half, h = (self.points - 1) // 2, self.spacing
         return [i * h for i in range(-half, half + 1)]
-
-
-def check_grid(grid) -> GridSpec:
-    """grid if it is a GridSpec, else InvalidInput: the one rule for a grid argument."""
-    if not isinstance(grid, GridSpec):
-        raise InvalidInput(f"grid must be a GridSpec, got {grid!r}")
-    return grid
 
 
 def default_extent(n: int, lam: float) -> float:
@@ -74,16 +65,14 @@ class OscillatorParams(_Checked, namedtuple("OscillatorParams", "mass omega hbar
 
     lam = m*omega/hbar sets the Gaussian width of the stationary states;
     b = hbar*omega/(m c^2) measures how relativistic the oscillator is.  A namedtuple:
-    keyword, positional, _make, _replace, copy and pickle all check every constant.
+    keyword, positional, _make, _replace, copy and pickle all check every constant,
+    and each is stored as the Python float check_positive returns.
     """
 
     __slots__ = ()
 
     def __new__(cls, mass: float, omega: float, hbar: float = 1.0, c: float = 1.0):
-        self = super().__new__(cls, mass, omega, hbar, c)
-        for name, value in zip(self._fields, self):
-            check_positive(name, value)
-        return self
+        return super().__new__(cls, *map(check_positive, cls._fields, (mass, omega, hbar, c)))
 
     @property
     def lam(self) -> float:

@@ -67,12 +67,18 @@ def kummer_m(a: float, c: float, y: float) -> float:
     return evaluate_finite(f"M({a!r}, {c!r}, {y!r})", lambda: s)
 
 
+def _hermite_from_kummer(n: int, xi: float, odd: int) -> float:
+    """H_{2n+odd}(xi) = (-1)^n (1 + odd) (2n+odd)!/n! xi^odd M(-n, 1/2 + odd, xi^2)."""
+    n, xi = check_integer(n), _real_xi(xi)
+    prefactor = (1.0 + odd) * math.prod(map(float, range(n + 1, 2 * n + 1 + odd)))
+    m = kummer_m(-float(n), 0.5 + odd, xi * xi)
+    return evaluate_finite(f"H_{2 * n + odd}({xi!r})",
+                           lambda: (-1.0) ** n * prefactor * (xi if odd else 1.0) * m)
+
+
 def hermite_from_kummer_even(n: int, xi: float) -> float:
     """H_{2n}(xi) through the identity (-1)^n (2n)!/n! M(-n, 1/2, xi^2)."""
-    n, xi = check_integer(n), _real_xi(xi)
-    prefactor = math.prod(map(float, range(n + 1, 2 * n + 1)))  # (2n)!/n!
-    m = kummer_m(-float(n), 0.5, xi * xi)
-    return evaluate_finite(f"H_{2 * n}({xi!r})", lambda: (-1.0) ** n * prefactor * m)
+    return _hermite_from_kummer(n, xi, 0)
 
 
 def hermite_from_kummer_odd(n: int, xi: float) -> float:
@@ -81,8 +87,4 @@ def hermite_from_kummer_odd(n: int, xi: float) -> float:
     The explicit xi factor is required: without it the right-hand side is
     an even function of xi and cannot equal an odd polynomial.
     """
-    n, xi = check_integer(n), _real_xi(xi)
-    prefactor = 2.0 * math.prod(map(float, range(n + 1, 2 * n + 2)))  # 2 (2n+1)!/n!
-    m = kummer_m(-float(n), 1.5, xi * xi)
-    return evaluate_finite(f"H_{2 * n + 1}({xi!r})",
-                           lambda: (-1.0) ** n * prefactor * xi * m)
+    return _hermite_from_kummer(n, xi, 1)

@@ -10,16 +10,16 @@ underflows, keeps it accurate at every level n <= MAX_LEVEL (compare
 Townsend, Trogdon & Olver, IMA J. Numer. Anal. 2016), and past a proven
 bound, where psi rounds to 0, the recurrence is skipped.  Like every module
 of the package it runs on Python floats: psi takes a float or a sequence of
-them, sample returns a list and inner_product takes lists.
+them, sample returns a list and inner_product takes lists.  The grid they
+take is a kgo.params.GridSpec (errors.check_instance).
 """
 
 import math
 import sys
 
-# MAX_POINTS, GridSpec and default_extent are also re-exported here
-from .errors import (MAX_POINTS, InvalidInput, check_integer, check_positive, evaluate_finite,
-                     is_real)
-from .params import GridSpec, check_grid, default_extent
+from .errors import (InvalidInput, check_instance, check_integer, check_positive,
+                     evaluate_finite, is_real)
+from .params import GridSpec
 
 _LN2 = math.log(2.0)
 # log2 of a bound on |psi| far under 2^-1075, half the least subnormal
@@ -126,7 +126,8 @@ def sample(n: int, grid: GridSpec, lam: float, _nodes: list | None = None) -> li
     runs on the nodes x >= 0, unchecked, and the rest is their mirror image.
     _nodes, if given, is grid.nodes(), built by the caller (kgo wavefn).
     """
-    n, lam, grid = check_integer(n), check_positive("lam", lam), check_grid(grid)
+    n, lam = check_integer(n), check_positive("lam", lam)
+    grid = check_instance("grid", grid, GridSpec)
     nodes = grid.nodes() if _nodes is None else _nodes
     right = _recurrence(n, nodes[grid.points // 2:], lam)
     left = right[:0:-1]
@@ -141,7 +142,7 @@ def inner_product(grid: GridSpec, f, g) -> float:
     or that hold a NaN are InvalidInput; a sum past the double range, from
     samples that hold an inf or overflow in f*g, is OutOfRange.
     """
-    grid, f, g = check_grid(grid), _floats(f), _floats(g)
+    grid, f, g = check_instance("grid", grid, GridSpec), _floats(f), _floats(g)
     if f is None or g is None:
         raise InvalidInput("sampled functions must hold real numbers")
     if len(f) != grid.points or len(g) != grid.points:

@@ -12,9 +12,11 @@ code, stdout and stderr, that it ended through cli.entry, that it loaded no
 forbidden module, however it was imported, that it loaded no kgo module
 beyond those its case names, and that kgo loaded neither `numbers` nor
 `typing`.  Some cases run under `python -S`, where no site `.pth` imports
-`typing` first.  The standard library is all this needs (bench/workloads.py,
-which draws the benchmark's argvs, is stdlib-only too).  Exits 1 at the first
-difference, naming the case, or 0.
+`typing` first, and some under `python -X dev -W error`, where any warning a
+start raises, such as a deprecation in a newer Python, fails the case.  The
+standard library is all this needs (bench/workloads.py, which draws the
+benchmark's argvs, is stdlib-only too).  Exits 1 at the first difference,
+naming the case, or 0.
 """
 
 import hashlib
@@ -53,6 +55,10 @@ START = ("kgo", "kgo.cli", "kgo.errors", "kgo.spectrum")
 # subcommand -> the kgo modules its builder adds; -h or --help adds kgo.helptext alone
 BUILDER = {"table": (), "spectrum": (), "wavefn": ("kgo.params", "kgo.wavefn"),
            "oracle": ("kgo.params", "kgo.oracle"), "veff": ("kgo.params", "kgo.oracle")}
+
+# the interpreter options the README commands run under once more each: no site,
+# and development mode with every warning an error
+README_FLAGS = (("-S",), ("-X", "dev", "-W", "error"))
 
 # stdout: the exact bytes, a sha256 hex digest, or None (not checked); stderr: the
 # exact bytes; kgo: the kgo modules the child may load; flags: the interpreter's options
@@ -148,10 +154,12 @@ def cases():
                           ("spectrum", "--b", "1e308", "--n", "1000000")]:
         yield Case(" ".join(("python -m kgo",) + argv), _MODULE, argv, *runs[argv],
                    started(argv, runs[argv][0]))
-    # without site, nothing imports typing before kgo: each subcommand's start still does not
-    for argv in readme:
-        yield Case(" ".join(("python -S: kgo",) + argv), script, argv, *runs[argv],
-                   started(argv, runs[argv][0]), ("-S",))
+    # without site, nothing imports typing before kgo: each subcommand's start still does
+    # not; and in development mode with warnings as errors each start warns of nothing
+    for flags in README_FLAGS:
+        for argv in readme:
+            yield Case(" ".join((f"python {' '.join(flags)}: kgo",) + argv), script, argv,
+                       *runs[argv], started(argv, runs[argv][0]), flags)
     for body, kgo in [("import kgo, kgo.cli", START),
                       ("import kgo, kgo.cli, kgo.oracle\nkgo.GridSpec(1.0, 3)",
                        START + ("kgo.params", "kgo.oracle"))]:

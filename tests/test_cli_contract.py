@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgo.cli import MAX_DECIMALS, main
-from kgo.spectrum import MAX_LEVEL
-from kgo.wavefn import MAX_POINTS
+from kgo.errors import MAX_LEVEL, MAX_POINTS
 
 DOUBLE_MAX = 1.7976931348623157e308
 # extremes and a few texts the option parsers must reject, or any double

@@ -43,6 +43,18 @@ def test_python_dash_s_starts_without_typing():
         output_gate.readme_commands()
 
 
+def test_python_dev_mode_cases_fail_on_any_warning():
+    """The gate's `python -X dev -W error` cases run every README command where
+    a warning, even a ResourceWarning that the default filters hide, ends the
+    process."""
+    probe = "import warnings; warnings.warn('late', ResourceWarning)"
+    flags = ("-X", "dev", "-W", "error")
+    assert subprocess.run([sys.executable, *flags, "-c", probe],
+                          capture_output=True).returncode == 1
+    assert [case.argv for case in output_gate.cases() if case.flags == flags] == \
+        output_gate.readme_commands()
+
+
 def test_readme_library_example_runs():
     section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]

@@ -8,15 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgo import oracle
-from kgo.errors import InvalidInput, NonConvergence, OutOfRange
-from kgo.oracle import (BISECTION_MAX_ITER, DEFAULT_POINTS, DEFAULT_TOL,
-                        MACHINE_EPS, TridiagonalOperator, discretize_weber,
+from kgo.errors import DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, OutOfRange
+from kgo.oracle import (BISECTION_MAX_ITER, MACHINE_EPS, TridiagonalOperator, discretize_weber,
                         effective_potential, lowest_eigenvalues,
                         oracle_energies, profile_effective_potential,
                         sturm_count, veff_zero_crossing)
-from kgo.params import OscillatorParams, from_b, natural_units
+from kgo.params import GridSpec, OscillatorParams, default_extent, from_b, natural_units
 from kgo.spectrum import energy_combined, generate_table
-from kgo.wavefn import GridSpec, default_extent
 
 
 def _toy_operator():
@@ -111,8 +109,7 @@ def test_sturm_count_analytic_3x3():
     # a mirror block [[0, sqrt(2) c], [sqrt(2) c, 0]] at a shift one subnormal
     # below 0: its first pivot, halved, rounded to 0 and the sweep divided by it
     for c, below in ((0.0, 0), (1.0, 1)):
-        assert sturm_count(TridiagonalOperator(np.zeros(2), c, _mirror_row=True),
-                           -5e-324) == below
+        assert sturm_count(TridiagonalOperator._block([0.0, 0.0], c, True), -5e-324) == below
     # the even block [[3, sqrt(2)], [sqrt(2), 3]] 1e154 of a 3x3 operator whose
     # squared coupling doubled would overflow: eigenvalues (3 -+ sqrt(2)) 1e154
     even, _ = oracle._half_line_blocks(TridiagonalOperator(np.full(3, 3e154), 1e154))
@@ -226,7 +223,8 @@ def _operators_and_shifts(draw):
         # a coupling far below the diagonal's ulp puts every edge on a row
         coupling = draw(st.sampled_from([0.0, -1.0, 1e-3, -1e-30, 1e-200])
                         | st.floats(-1e3, 1e3))
-    op = TridiagonalOperator(diagonal, coupling, _mirror_row=draw(st.booleans()))
+    checked = TridiagonalOperator(diagonal, coupling)
+    op = TridiagonalOperator._block(checked.diagonal, checked.off_diagonal, draw(st.booleans()))
     r = abs(op.off_diagonal)
     shifts = [0.0, op.gershgorin_upper, 2.0 * op.gershgorin_upper + 1e3 * (r + 1.0)]
     for a in draw(st.lists(st.sampled_from(op.diagonal), min_size=1, max_size=4)):

@@ -13,16 +13,16 @@ import pytest
 
 import kgo
 from kgo import errors
-from kgo.errors import (InvalidInput, KgoError, NonConvergence, OutOfRange,
-                        UsageError)
-from kgo.oracle import discretize_weber, oracle_energies, profile_effective_potential
-from kgo.params import (MAX_LEVEL, GridSpec, OscillatorParams, check_integer, check_positive,
-                        from_b, natural_units)
-from kgo.specfun import (hermite, hermite_from_kummer_even,
-                         hermite_from_kummer_odd)
-from kgo.spectrum import (combined_index, energy_combined, energy_second_order,
-                          generate_table)
-from kgo.wavefn import default_extent, inner_product, psi, sample
+from kgo.errors import (MAX_LEVEL, InvalidInput, KgoError, NonConvergence, OutOfRange,
+                        UsageError, check_integer, check_positive)
+from kgo.oracle import (TridiagonalOperator, discretize_weber, effective_potential,
+                        lowest_eigenvalues, oracle_energies, profile_effective_potential,
+                        sturm_count, veff_zero_crossing)
+from kgo.params import GridSpec, OscillatorParams, default_extent, from_b, natural_units
+from kgo.specfun import hermite, hermite_from_kummer_even, hermite_from_kummer_odd, kummer_m
+from kgo.spectrum import (binding_energy, binding_second_order, combined_index, energy_combined,
+                          energy_second_order, generate_table)
+from kgo.wavefn import inner_product, psi, sample
 
 
 def test_natural_units_fields_and_ratios():
@@ -137,12 +137,13 @@ def test_one_error_class_per_failure_kind():
             and issubclass(cls, Exception)} == set(kinds.values())
 
 
-def test_input_rules_live_in_errors_and_keep_their_params_names():
-    from kgo import params
-    for name in ("is_real", "check_real", "check_positive", "check_integer", "check_points",
-                 "evaluate_finite", "MAX_LEVEL", "MAX_POINTS", "DEFAULT_POINTS", "DEFAULT_TOL",
-                 "InvalidInput", "OutOfRange"):
-        assert getattr(params, name) is getattr(errors, name), name
+def test_each_input_rule_is_one_function():
+    from kgo import oracle, params
+    # one type rule, errors.check_instance, for a grid and for an operator
+    assert not hasattr(params, "check_grid") and not hasattr(oracle, "_check_operator")
+    # a fold block comes only from TridiagonalOperator._block
+    with pytest.raises(TypeError, match="_mirror_row"):
+        TridiagonalOperator([1.0], 0.0, _mirror_row=True)
 
 
 def test_params_are_immutable():
@@ -229,6 +230,53 @@ def test_every_level_taking_function_rejects_levels_outside_the_range(call, n, r
         call(n)
 
 
+def _grid_fields(grid):
+    return grid, grid.spacing, grid.nodes()
+
+
+def _params_fields(params):
+    return params, params.lam, params.b
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: _grid_fields(GridSpec(v, 7)),
+    lambda v: _params_fields(OscillatorParams(v, v, v, v)),
+    lambda v: _params_fields(from_b(v)),
+    lambda v: default_extent(3, v),
+    lambda v: [psi(3, v, v), psi(3, [v, -v], 1.0)],
+    lambda v: sample(3, GridSpec(v, 7), v),
+    lambda v: inner_product(GridSpec(v, 7), [v] * 7, [1.0] * 7),
+    lambda v: effective_potential(OscillatorParams(v, v), v, v),
+    lambda v: veff_zero_crossing(OscillatorParams(v, v), v),
+    lambda v: profile_effective_potential(OscillatorParams(v, v), v, GridSpec(5.0, 21)),
+    lambda v: [energy_combined(3, v), energy_second_order(3, v), binding_second_order(3, v),
+               binding_energy(3, v)],
+    lambda v: [generate_table([v, 0.5], range(3), formula) for formula in ("eq21", "table")],
+    lambda v: [lowest_eigenvalues(discretize_weber(1.0, GridSpec(4.0, 41)), 3, v),
+               oracle_energies(OscillatorParams(v, v), 2, 41, v)],
+    lambda v: discretize_weber(v, GridSpec(v, 7)).diagonal,
+    lambda v: [(op := TridiagonalOperator([v, 3.0, v], v)).diagonal, op.off_diagonal,
+               sturm_count(op, v)],
+    lambda v: [hermite(3, v), kummer_m(-2, v, v), hermite_from_kummer_even(2, v),
+               hermite_from_kummer_odd(2, v)],
+], ids=["GridSpec", "OscillatorParams", "from_b", "default_extent", "psi", "sample",
+        "inner_product", "effective_potential", "veff_zero_crossing",
+        "profile_effective_potential", "energy_laws", "generate_table", "tol",
+        "discretize_weber", "TridiagonalOperator", "specfun"])
+@pytest.mark.parametrize("value", [np.float32(1.1), np.float16(1.1), np.int64(2)],
+                         ids=["float32", "float16", "int64"])
+def test_numpy_scalars_give_the_python_floats_of_their_values(call, value):
+    # a float32 extent or mass was stored as given, so psi, the quadrature
+    # and V_eff ran in single precision; V_eff took its energy as given too
+    def plain(result):
+        return (all(map(plain, result)) if isinstance(result, (tuple, list))
+                else type(result) in (float, int, bool))
+
+    got = call(value)
+    assert plain(got), got
+    assert got == call(float(value))
+
+
 def test_generate_table_reports_the_first_level_past_64_bits():
     with pytest.raises(InvalidInput,
                        match=rf"^level index must be in \[0, {MAX_LEVEL}\], got {2**64}$"):
@@ -249,10 +297,10 @@ def test_package_names_resolve_to_their_submodule_objects():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         kgo.no_such_name
     # in a fresh interpreter a submodule is still an attribute after `import kgo`
-    probe = "import kgo; print(kgo.oracle.DEFAULT_TOL, kgo.wavefn.MAX_POINTS)"
+    probe = "import kgo; print(kgo.oracle.BISECTION_MAX_ITER, kgo.wavefn.psi.__name__)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout == "1e-10 1000001\n"
+    assert proc.stdout == "200 psi\n"
 
 
 def test_readme_names_only_public_names():
@@ -269,3 +317,30 @@ def test_readme_names_only_public_names():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module == "kgo" for alias in node.names}
     assert imported and imported <= set(kgo.__all__)
+
+
+def unused_kgo_imports(source):
+    """The names a module's source imports from kgo (a relative import or one
+    from kgo itself) and never reads, in the order ast.walk meets them."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").partition(".")[0] == "kgo")
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_kgo_module_imports_a_kgo_name_it_never_uses():
+    # each name has one import path: the module that defines it
+    src = Path(kgo.__file__).parent
+    unused = {path.name: unused_kgo_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_import_guard_names_what_a_module_imports_and_never_reads():
+    source = ("import math\nfrom . import spectrum\nfrom .errors import MAX_LEVEL, check_integer\n"
+              "from kgo.params import GridSpec as Grid\n\n"
+              "def f(n: int) -> float:\n    from .wavefn import psi\n"
+              "    return math.pi * check_integer(n)\n")
+    assert unused_kgo_imports(source) == ["spectrum", "MAX_LEVEL", "Grid", "psi"]

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgo.errors import InvalidInput, KgoError, OutOfRange
-from kgo.params import MAX_LEVEL
+from kgo.errors import MAX_LEVEL, InvalidInput, KgoError, OutOfRange
 from kgo.specfun import (hermite, hermite_from_kummer_even,
                          hermite_from_kummer_odd, kummer_m)
 

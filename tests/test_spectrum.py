@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgo import spectrum
-from kgo.errors import InvalidInput, OutOfRange
-from kgo.params import MAX_LEVEL, check_integer
+from kgo.errors import MAX_LEVEL, InvalidInput, OutOfRange, check_integer
 from kgo.spectrum import (binding_energy, binding_second_order, combined_index,
                           energy_combined, energy_second_order, generate_table)
 

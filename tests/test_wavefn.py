@@ -6,10 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from kgo.errors import InvalidInput, OutOfRange
+from kgo.errors import MAX_POINTS, InvalidInput, OutOfRange
+from kgo.params import GridSpec, default_extent
 from kgo.specfun import hermite, kummer_m
-from kgo.wavefn import (MAX_POINTS, GridSpec, _underflow_start, default_extent,
-                        inner_product, psi, sample)
+from kgo.wavefn import _underflow_start, inner_product, psi, sample
 
 MAX_FACTORIAL_LEVEL = 170  # n! is finite up to 170!
 
