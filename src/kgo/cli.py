@@ -272,7 +272,6 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     _, build, options = COMMANDS[name]
     by_flag = {option.flag: option for option in options}
     values = {option.dest: option.default for option in options}
-    required = {option.flag for option in options if option.required}
     for token in tokens:
         if token in ("-h", "--help"):
             return _help(name)
@@ -295,10 +294,11 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
         if option.choices is not None and value not in option.choices:
             raise _invalid_choice(flag, value, option.choices)
         values[option.dest] = value
-        required.discard(flag)
-    if required:
-        raise UsageError("the following arguments are required: " + ", ".join(
-            option.flag for option in options if option.flag in required))
+    # a required option has no default: it is missing while its value is None
+    missing = [option.flag for option in options
+               if option.required and values[option.dest] is None]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
     return SimpleNamespace(subcommand=name, build=build, **values)
 
 
@@ -320,9 +320,10 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
     """One writer for all formats.  Each group of rows is one `%` template:
     a fixed label's cells, the separators and the json keys are literal text
     in it, every other label is a `%s` and every value a `%.6g` or `%.Kf`.  A
-    block fills one template per group, from its columns interleaved row by
-    row; a format sets how cells, rows and the frame (head, row separator,
-    tail) are written."""
+    block fills one template per group through one zip of its columns: for
+    each row of the group, each label's cells and each value column's
+    iterator, which zip advances once a row; a format sets how cells, rows
+    and the frame (head, row separator, tail) are written."""
     value = "%.6g" if decimals is None else f"%.{decimals}f"
 
     def numbers(column):  # no cell reads "-0": 0.0 + -0.0 is 0.0, and a negative
@@ -361,17 +362,12 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
                 labels[name][r].replace("%", "%%") if name in emission.fixed
                 else "%s" if name in labels else value for name in names]) for r in range(group))
             head = '{"rows":[' if output_format == "json" else sep.join(names) + "\n"
-        columns = [cells for name, cells in labels.items() if name not in emission.fixed]
-        width = len(columns) + len(values)
-        flat = [None] * (width * len(next(iter(values.values()))))
-        # flat holds every group's cells in template order: column i of row r at
-        # r * width + i, from a label's one cell per group or a value's one per row
-        for i, cells in enumerate(columns):
-            for r in range(group):
-                flat[r * width + i::width * group] = cells
-        for i, column in enumerate(values.values(), len(columns)):
-            flat[i::width] = numbers(column)
-        bodies.append(row_sep.join(map(template.__mod__, zip(*[iter(flat)] * (width * group)))))
+        values = {name: iter(numbers(column)) for name, column in values.items()}
+        # each row of a group's template takes a label's cell of the group and
+        # the next cell of a value: zip pulls a value's one iterator once a row
+        cells = [labels[name] if name in labels else values[name]
+                 for _ in range(group) for name in names if name not in emission.fixed]
+        bodies.append(row_sep.join(map(template.__mod__, zip(*cells))))
     # the frame joins the end blocks, so the rows are copied once, by the join
     bodies[0] = head + bodies[0]
     bodies[-1] += tail + "\n"

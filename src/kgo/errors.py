@@ -52,11 +52,26 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_real(name: str, value):
-    """value if is_real takes it and it is finite (an int past a double is), else InvalidInput."""
+def check_real(name: str, value) -> float:
+    """value as a Python float if is_real takes it and it is finite, else
+    InvalidInput; an int past the double range is OutOfRange."""
     if not (is_real(value) and -math.inf < value < math.inf):
         raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    return value
+    # a finite float is itself; an int past a double raises OverflowError in float()
+    return value if type(value) is float else evaluate_finite(name, lambda: float(value))
+
+
+def real_floats(values) -> list | None:
+    """values as a list of Python floats if it is a sequence of real numbers
+    (is_real) that each fit in a double, else None."""
+    try:
+        values = list(values)
+        # is_real depends on an entry's type alone: test one entry of each type
+        if all(map(is_real, dict(zip(map(type, values), values)).values())):
+            return list(map(float, values))
+    except (TypeError, OverflowError):  # not a sequence, or an int past a double
+        pass
+    return None
 
 
 def check_positive(name: str, value) -> float:

@@ -24,7 +24,7 @@ from itertools import accumulate, islice
 
 from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_instance,
                      check_integer, check_points, check_positive, check_real, evaluate_finite,
-                     is_real)
+                     real_floats)
 from .params import GridSpec, OscillatorParams, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
@@ -46,26 +46,20 @@ class TridiagonalOperator:
     """
 
     def __init__(self, diagonal, off_diagonal: float):
-        try:
-            entries = list(diagonal)
-        except TypeError:  # a scalar
-            entries = None
-        # is_real depends on an entry's type alone: test one entry of each type
-        if entries is None or not all(map(is_real, dict(zip(map(type, entries),
-                                                            entries)).values())):
-            # a nested list or an array row; numbers and 0-d arrays have ndim 0
-            rule = ("be one-dimensional" if entries is None or any(
-                isinstance(e, (list, tuple)) or getattr(e, "ndim", 0) for e in entries)
-                else "hold real numbers")
+        entries = real_floats(diagonal)
+        if entries is None:
+            # a number, a nested list or an array row; numbers and 0-d arrays have ndim 0
+            rule = ("hold real numbers" if hasattr(diagonal, "__iter__") and not any(
+                isinstance(e, (list, tuple)) or getattr(e, "ndim", 0) for e in diagonal)
+                else "be one-dimensional")
             raise InvalidInput(f"operator diagonal must {rule}, got {diagonal!r}")
-        check_real("operator coupling", off_diagonal)
+        self.off_diagonal = check_real("operator coupling", off_diagonal)
         if not entries:
             raise InvalidInput("operator must have at least one row")
         # Python floats, so every pivot is a double whatever the input types; a
         # non-finite entry makes the bisection bracket non-finite, and
         # sturm_count divides the coupling's square by every pivot
-        self.off_diagonal = evaluate_finite("operator coupling", lambda: float(off_diagonal))
-        self.diagonal = evaluate_finite("operator diagonal", lambda: list(map(float, entries)))
+        self.diagonal = evaluate_finite("operator diagonal", lambda: entries)
         evaluate_finite("operator coupling squared", lambda: self.off_diagonal ** 2)
         self._mirror_row = False
 
@@ -139,7 +133,7 @@ def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None)
     classical turning point of the shift.
     """
     op = check_instance("operator", op, TridiagonalOperator)
-    shift = evaluate_finite("Sturm shift", lambda: float(check_real("shift", shift)))
+    shift = check_real("shift", shift)
     limit = op.dimension if limit is None else check_integer(limit, "limit", 1, math.inf)
     pivmin = MACHINE_EPS * op.gershgorin_upper or MACHINE_EPS
     offsq = op.off_diagonal * op.off_diagonal
@@ -284,9 +278,9 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
     def v_eff():
         # powers via products: multiplication is exactly sign-symmetric, so
         # the profile of this even function mirrors bit for bit
-        u = params.omega * float(x)
+        u = params.omega * x
         u2 = u * u
-        numerator = float(energy) * m * u2 - 0.25 * m**2 * u2 * u2
+        numerator = energy * m * u2 - 0.25 * m**2 * u2 * u2
         return numerator / (params.c**2 * params.hbar**2)
     return evaluate_finite("effective potential V_eff", v_eff)
 
@@ -297,10 +291,11 @@ def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
     Zero for a real energy <= 0 (errors.check_real), where V_eff is nowhere
     positive; elsewhere computed from the energy as a Python float.
     """
-    if check_real("energy", energy) <= 0.0:
+    energy = check_real("energy", energy)
+    if energy <= 0.0:
         return 0.0
     return evaluate_finite("V_eff zero crossing 2 sqrt(E/m)/omega",
-                           lambda: 2.0 * math.sqrt(float(energy) / params.mass) / params.omega)
+                           lambda: 2.0 * math.sqrt(energy / params.mass) / params.omega)
 
 
 def profile_effective_potential(params: OscillatorParams, energy: float,

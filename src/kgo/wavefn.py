@@ -18,7 +18,7 @@ import math
 import sys
 
 from .errors import (InvalidInput, check_instance, check_integer, check_positive,
-                     evaluate_finite, is_real)
+                     evaluate_finite, is_real, real_floats)
 from .params import GridSpec
 
 _LN2 = math.log(2.0)
@@ -40,7 +40,7 @@ def psi(n: int, x, lam: float):
     is 0 at +-inf.
     """
     n, lam, scalar = check_integer(n), check_positive("lam", lam), is_real(x)
-    xs = _floats([x] if scalar else x)
+    xs = real_floats([x] if scalar else x)
     if xs is None or any(map(math.isnan, xs)):
         raise InvalidInput(f"x must be real numbers other than NaN, got {x!r}")
     values = _recurrence(n, xs, lam)
@@ -83,17 +83,6 @@ def _recurrence(n: int, xs: list, lam: float) -> list:
                 exponent += shift
         values.append(math.ldexp(scale * phi, exponent))
     return values
-
-
-def _floats(values) -> list | None:
-    """values as a list of floats if it is a sequence of real numbers, else None."""
-    try:
-        values = list(values)
-        if all(type(v) is float or is_real(v) for v in values):  # floats need no ABC check
-            return list(map(float, values))
-        return None
-    except (TypeError, OverflowError):  # not a sequence, or an int past a double
-        return None
 
 
 def _underflow_start(n: int, lam: float) -> float:
@@ -142,7 +131,7 @@ def inner_product(grid: GridSpec, f, g) -> float:
     or that hold a NaN are InvalidInput; a sum past the double range, from
     samples that hold an inf or overflow in f*g, is OutOfRange.
     """
-    grid, f, g = check_instance("grid", grid, GridSpec), _floats(f), _floats(g)
+    grid, f, g = check_instance("grid", grid, GridSpec), real_floats(f), real_floats(g)
     if f is None or g is None:
         raise InvalidInput("sampled functions must hold real numbers")
     if len(f) != grid.points or len(g) != grid.points:

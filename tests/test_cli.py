@@ -171,7 +171,7 @@ def test_wavefn_builds_its_nodes_once_and_does_not_check_them_again(capsys, monk
     rows = _run(capsys, *argv)
     grids, nodes = [], GridSpec.nodes
     monkeypatch.setattr(GridSpec, "nodes", lambda grid: grids.append(grid) or nodes(grid))
-    monkeypatch.setattr(wavefn, "_floats", lambda values: pytest.fail("x checked again"))
+    monkeypatch.setattr(wavefn, "real_floats", lambda values: pytest.fail("x checked again"))
     assert _run(capsys, *argv) == rows and rows[0] == 0
     assert grids == [GridSpec(4.0, 9)]
 

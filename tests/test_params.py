@@ -14,7 +14,7 @@ import pytest
 import kgo
 from kgo import errors
 from kgo.errors import (MAX_LEVEL, InvalidInput, KgoError, NonConvergence, OutOfRange,
-                        UsageError, check_integer, check_positive)
+                        UsageError, check_integer, check_positive, check_real)
 from kgo.oracle import (TridiagonalOperator, discretize_weber, effective_potential,
                         lowest_eigenvalues, oracle_energies, profile_effective_potential,
                         sturm_count, veff_zero_crossing)
@@ -107,6 +107,16 @@ def test_check_positive_takes_numpy_scalars_as_python_floats():
         assert got == want and type(got) is float
     assert from_b(np.float32(0.1)).b == float(np.float32(0.1))
     assert type(from_b(np.float64(0.1)).omega) is float
+
+
+def test_check_real_returns_a_python_float():
+    # it returned the caller's object, so each caller converted it (or computed
+    # in float32 when it forgot)
+    for value in (np.float32(1.5), np.int64(3), 3):
+        got = check_real("x", value)
+        assert type(got) is float and got == float(value)
+    with pytest.raises(OutOfRange, match="^x exceeds the floating-point range$"):
+        check_real("x", 10**400)
 
 
 def test_check_positive_rejects_booleans_like_check_integer():
