@@ -6,7 +6,6 @@ bound is imported from here alone.  Only an input neither float nor int
 loads `numbers`.
 """
 
-import contextlib
 import math
 
 # plain machine integers for the level index
@@ -25,14 +24,16 @@ class KgoError(Exception):
 class InvalidInput(KgoError, ValueError):
     """An input is outside its allowed range; the message names the input.
 
-    A positive quantity was zero, negative or non-finite, an integer (a level,
-    a count, a degree, a point count) lies outside its bounds, or inputs do
-    not fit together (a pole of M(a, c, y), a grid too small or mismatched).
+    A real input was no real number, NaN, an int past the double range or,
+    where it must be finite, +-inf; a positive quantity was zero or negative;
+    an integer (a level, a count, a degree, a point count) lies outside its
+    bounds; or inputs do not fit together (a pole of M(a, c, y), a grid too
+    small or mismatched).  Every refused input raises this class.
     """
 
 
 class OutOfRange(KgoError, OverflowError):
-    """A computed result does not fit in double precision (evaluate_finite)."""
+    """A computed result, never an input, does not fit in a double (evaluate_finite)."""
 
 
 class NonConvergence(KgoError, ArithmeticError):
@@ -52,42 +53,56 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_real(name: str, value) -> float:
-    """value as a Python float if is_real takes it and it is finite, else
-    InvalidInput; an int past the double range is OutOfRange."""
-    if not (is_real(value) and -math.inf < value < math.inf):
-        raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    # a finite float is itself; an int past a double raises OverflowError in float()
-    return value if type(value) is float else evaluate_finite(name, lambda: float(value))
+def _real(value) -> float | None:
+    """The one conversion of a real input: value as a Python float if is_real
+    takes it, it is not NaN and it fits in a double, else None."""
+    if type(value) is not float:  # a float is itself: the oracle's shifts and rows
+        try:
+            value = float(value) if is_real(value) else math.nan
+        except OverflowError:  # an int past the double range
+            value = math.nan
+    return value if value == value else None
 
 
-def real_floats(values) -> list | None:
-    """values as a list of Python floats if it is a sequence of real numbers
-    (is_real) that each fit in a double, else None."""
+def show(value) -> str:
+    """value as an error message shows it: its repr, but an int past the double
+    range by its sign and bit length, and a value whose repr raises ValueError
+    (one that holds an int of more than 4300 digits) by its type."""
+    if type(value) is int and _real(value) is None:
+        return f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
     try:
-        values = list(values)
-        # is_real depends on an entry's type alone: test one entry of each type
-        if all(map(is_real, dict(zip(map(type, values), values)).values())):
-            return list(map(float, values))
-    except (TypeError, OverflowError):  # not a sequence, or an int past a double
-        pass
-    return None
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too large to show"
+
+
+def check_real(name: str, value) -> float:
+    """value as a Python float if it is a finite real number (_real), else InvalidInput."""
+    number = _real(value)
+    if number is None or not -math.inf < number < math.inf:
+        raise InvalidInput(f"{name} must be a real number, got {show(value)}")
+    return number
 
 
 def check_positive(name: str, value) -> float:
-    """value as a Python float if it is a positive, finite real number.
-
-    The one validator for strictly positive inputs.  Anything is_real
-    refuses, or an int too large for a float, raises InvalidInput naming the
-    offending parameter.
-    """
-    number = math.nan
-    if is_real(value):
-        with contextlib.suppress(OverflowError):
-            number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
+    """value as a Python float if it is a positive, finite real number (_real),
+    else InvalidInput: the one validator for strictly positive inputs."""
+    number = _real(value)
+    if number is None or not 0.0 < number < math.inf:
+        raise InvalidInput(f"{name} must be positive and finite, got {show(value)}")
     return number
+
+
+def real_floats(name: str, values) -> list:
+    """values as a list of Python floats if it is a sequence of real numbers
+    (_real), +-inf included, else InvalidInput."""
+    try:
+        floats = list(map(_real, values))
+    except TypeError:  # not a sequence
+        floats = [None]
+    if None in floats:
+        raise InvalidInput(f"{name} must be real numbers, got {show(values)}")
+    return floats
 
 
 def check_integer(n, what: str = "level index", low: int = 0, high: int = MAX_LEVEL) -> int:
@@ -98,10 +113,10 @@ def check_integer(n, what: str = "level index", low: int = 0, high: int = MAX_LE
     if type(n) is not int:  # needs no numpy
         import numbers
         if not (is_real(n) and isinstance(n, numbers.Integral)):
-            raise InvalidInput(f"{what} must be an integer, got {n!r}")
+            raise InvalidInput(f"{what} must be an integer, got {show(n)}")
         n = int(n)
     if not low <= n <= high:
-        raise InvalidInput(f"{what} must be in [{low}, {high}], got {n}")
+        raise InvalidInput(f"{what} must be in [{low}, {high}], got {show(n)}")
     return n
 
 
@@ -124,7 +139,7 @@ def evaluate_finite(what: str, compute):
 def check_instance(what: str, value, cls):
     """value if it is a cls, else InvalidInput: the one rule for a grid or an operator."""
     if not isinstance(value, cls):
-        raise InvalidInput(f"{what} must be a {cls.__name__}, got {value!r}")
+        raise InvalidInput(f"{what} must be a {cls.__name__}, got {show(value)}")
     return value
 
 

@@ -24,7 +24,7 @@ from itertools import accumulate, islice
 
 from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_instance,
                      check_integer, check_points, check_positive, check_real, evaluate_finite,
-                     real_floats)
+                     real_floats, show)
 from .params import GridSpec, OscillatorParams, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
@@ -36,30 +36,26 @@ TAIL_FRACTION = 0.1
 class TridiagonalOperator:
     """Symmetric tridiagonal matrix from a uniform three-point stencil.
 
-    diagonal is the main diagonal, any one-dimensional sequence of real
-    numbers, held as a list of Python floats; off_diagonal is the one
-    coupling shared by every pair of neighbouring rows.  Intended for
-    positive-semidefinite discretisations: eigenvalue brackets start at zero.
+    diagonal is the main diagonal, a sequence of finite real numbers
+    (errors.real_floats), held as a list of Python floats; off_diagonal is
+    the one coupling shared by every pair of neighbouring rows, a finite
+    real number (errors.check_real).  Intended for positive-semidefinite
+    discretisations: eigenvalue brackets start at zero.
     _mirror_row marks the even block of a folded operator (see
     lowest_eigenvalues), whose row 0 couples to row 1 through
     sqrt(2) * off_diagonal; only _block makes one.
     """
 
     def __init__(self, diagonal, off_diagonal: float):
-        entries = real_floats(diagonal)
-        if entries is None:
-            # a number, a nested list or an array row; numbers and 0-d arrays have ndim 0
-            rule = ("hold real numbers" if hasattr(diagonal, "__iter__") and not any(
-                isinstance(e, (list, tuple)) or getattr(e, "ndim", 0) for e in diagonal)
-                else "be one-dimensional")
-            raise InvalidInput(f"operator diagonal must {rule}, got {diagonal!r}")
+        # Python floats, so every pivot is a double whatever the input types
+        self.diagonal = real_floats("operator diagonal", diagonal)
         self.off_diagonal = check_real("operator coupling", off_diagonal)
-        if not entries:
+        if not self.diagonal:
             raise InvalidInput("operator must have at least one row")
-        # Python floats, so every pivot is a double whatever the input types; a
-        # non-finite entry makes the bisection bracket non-finite, and
+        # an infinite entry makes the bisection bracket infinite, and
         # sturm_count divides the coupling's square by every pivot
-        self.diagonal = evaluate_finite("operator diagonal", lambda: entries)
+        if not all(map(math.isfinite, self.diagonal)):
+            raise InvalidInput(f"operator diagonal must be finite, got {show(diagonal)}")
         evaluate_finite("operator coupling squared", lambda: self.off_diagonal ** 2)
         self._mirror_row = False
 
@@ -257,6 +253,7 @@ def oracle_energies(params: OscillatorParams, count: int,
     # one operator row per interior node; checked before default_extent, which
     # would report count - 1 as an out-of-range level
     count = check_integer(count, "count", 1, check_points(points) - 2)
+    params = check_instance("params", params, OscillatorParams)
     grid = GridSpec(default_extent(count - 1, params.lam), points)
     k_squared = lowest_eigenvalues(discretize_weber(params.lam, grid), count, tol)
     ratio = params.b / params.lam
@@ -273,6 +270,7 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
     u = w x, so a tiny w with a huge x (or the reverse) neither underflows
     w^4 nor overflows x^2.
     """
+    params = check_instance("params", params, OscillatorParams)
     energy, x, m = check_real("energy", energy), check_real("x", x), params.mass
 
     def v_eff():
@@ -291,6 +289,7 @@ def veff_zero_crossing(params: OscillatorParams, energy: float) -> float:
     Zero for a real energy <= 0 (errors.check_real), where V_eff is nowhere
     positive; elsewhere computed from the energy as a Python float.
     """
+    params = check_instance("params", params, OscillatorParams)
     energy = check_real("energy", energy)
     if energy <= 0.0:
         return 0.0

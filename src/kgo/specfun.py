@@ -1,19 +1,19 @@
 """Special-function kernel: physicists' Hermite polynomials and the regular
 confluent hypergeometric function M(a, c, y).
 
-Only real arguments are supported: each is an errors.is_real number, taken
-as a Python float, so numpy scalars of any width are computed in double;
-anything else is InvalidInput.  M is summed only where its series
-terminates, at a non-positive integer a: there it is a polynomial in y,
-summed exactly over its finitely many nonzero terms, which is all the
-Hermite bridges and the quantised states need.  Any other a is refused.
-A non-finite xi or y, an int past the double range, or a result outside
-it raises OutOfRange (errors.evaluate_finite).
+Each argument is a finite real number (errors.check_real), taken as a
+Python float, so numpy scalars of any width are computed in double;
+anything else, NaN, +-inf and an int past the double range included, is
+InvalidInput.  M is summed only where its series terminates, at a
+non-positive integer a: there it is a polynomial in y, summed exactly over
+its finitely many nonzero terms, which is all the Hermite bridges and the
+quantised states need.  Any other a is refused.  A result outside the
+double range raises OutOfRange (errors.evaluate_finite).
 """
 
 import math
 
-from .errors import InvalidInput, check_integer, evaluate_finite, is_real
+from .errors import InvalidInput, check_integer, check_real, evaluate_finite
 
 # |v - round(v)| up to this counts as an integer, for kummer_m's a (a
 # terminating series) and c (a pole).  The Hermite bridges pass exact
@@ -26,16 +26,9 @@ def _is_nonpositive_integer(v: float) -> bool:
     return abs(v - round(v)) <= INTEGER_TOL and round(v) <= 0
 
 
-def _real_xi(xi) -> float:
-    """xi as a Python float: the one argument rule of the Hermite functions."""
-    if not is_real(xi):
-        raise InvalidInput(f"H_n(xi) needs a real xi, got {xi!r}")
-    return evaluate_finite("H_n(xi) argument xi", lambda: float(xi))
-
-
 def hermite(n: int, xi: float) -> float:
     """H_n(xi) by the three-term recurrence H_{k+1} = 2 xi H_k - 2 k H_{k-1}."""
-    n, xi = check_integer(n, "polynomial degree"), _real_xi(xi)
+    n, xi = check_integer(n, "polynomial degree"), check_real("xi", xi)
     h_prev, h = 0.0, 1.0
     for k in range(n):
         h_prev, h = h, 2.0 * xi * h - 2.0 * k * h_prev
@@ -50,11 +43,7 @@ def kummer_m(a: float, c: float, y: float) -> float:
     level (errors.check_integer).  Any other a, and a non-positive integer c
     (a pole), is InvalidInput.  A sum outside the double range is OutOfRange.
     """
-    if not all(map(is_real, (a, c, y))):
-        raise InvalidInput(f"M(a, c, y) needs real a, c and y, got {a!r}, {c!r}, {y!r}")
-    if any(v != v or abs(v) == math.inf for v in (a, c)):  # round() needs finite values
-        raise InvalidInput(f"M(a, c, y) needs finite a and c, got {a!r}, {c!r}")
-    a, c, y = evaluate_finite("M(a, c, y) argument", lambda: [float(a), float(c), float(y)])
+    a, c, y = check_real("a", a), check_real("c", c), check_real("y", y)
     if _is_nonpositive_integer(c):
         raise InvalidInput(f"M(a, c, y) has a pole at c = {c!r}")
     if not _is_nonpositive_integer(a):
@@ -69,9 +58,9 @@ def kummer_m(a: float, c: float, y: float) -> float:
 
 def _hermite_from_kummer(n: int, xi: float, odd: int) -> float:
     """H_{2n+odd}(xi) = (-1)^n (1 + odd) (2n+odd)!/n! xi^odd M(-n, 1/2 + odd, xi^2)."""
-    n, xi = check_integer(n), _real_xi(xi)
+    n, xi = check_integer(n), check_real("xi", xi)
     prefactor = (1.0 + odd) * math.prod(map(float, range(n + 1, 2 * n + 1 + odd)))
-    m = kummer_m(-float(n), 0.5 + odd, xi * xi)
+    m = kummer_m(-float(n), 0.5 + odd, evaluate_finite("xi^2", lambda: xi * xi))
     return evaluate_finite(f"H_{2 * n + odd}({xi!r})",
                            lambda: (-1.0) ** n * prefactor * (xi if odd else 1.0) * m)
 

@@ -13,7 +13,7 @@ floats: a table cell is the scalar energy bit for bit.
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import MAX_LEVEL, InvalidInput, check_integer, check_positive, evaluate_finite
+from .errors import MAX_LEVEL, InvalidInput, check_integer, check_positive, evaluate_finite, show
 
 # formula -> shift s of the law sqrt(1 + 2 b (n + s))
 _SHIFTS = {"eq21": 0.5, "table": 1.0}
@@ -26,8 +26,8 @@ PARITY_CHOICES = (*_PARITY_OFFSETS, "combined")
 
 def combined_index(n: int, parity: str) -> int:
     """Index of level n of a parity family in the combined spectrum: n, 2n or 2n + 1."""
-    if parity not in PARITY_CHOICES:
-        raise InvalidInput(f"parity must be one of {PARITY_CHOICES}, got {parity!r}")
+    if not isinstance(parity, str) or parity not in PARITY_CHOICES:  # an array's == is elementwise
+        raise InvalidInput(f"parity must be one of {PARITY_CHOICES}, got {show(parity)}")
     if parity == "combined":
         return check_integer(n)
     offset = _PARITY_OFFSETS[parity]
@@ -98,8 +98,8 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.  Both
     columns are lists of floats; each level passes check_integer (a range's ends do).
     """
-    if formula not in FORMULA_CHOICES:
-        raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {formula!r}")
+    if not isinstance(formula, str) or formula not in FORMULA_CHOICES:
+        raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {show(formula)}")
     try:
         b = [check_positive("b", v) for v in b_values]
         n = _levels(n_values)

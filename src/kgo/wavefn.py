@@ -36,14 +36,11 @@ def psi(n: int, x, lam: float):
     rescaling by exact powers of two; elsewhere |phi_k| < 1 and every step
     rounds as in the plain recurrence.  From _underflow_start on psi is 0,
     with no step run.  Returns a float for a number and a list of floats for
-    a sequence.  An x that is_real refuses, or a NaN, is InvalidInput; psi
-    is 0 at +-inf.
+    a sequence.  An x that errors.real_floats refuses, NaN included, is
+    InvalidInput; psi is 0 at +-inf.
     """
     n, lam, scalar = check_integer(n), check_positive("lam", lam), is_real(x)
-    xs = real_floats([x] if scalar else x)
-    if xs is None or any(map(math.isnan, xs)):
-        raise InvalidInput(f"x must be real numbers other than NaN, got {x!r}")
-    values = _recurrence(n, xs, lam)
+    values = _recurrence(n, real_floats("x", [x] if scalar else x), lam)
     return values[0] if scalar else values
 
 
@@ -127,17 +124,14 @@ def inner_product(grid: GridSpec, f, g) -> float:
     """Composite-Simpson quadrature over grid of f*g, each sampled at its nodes.
 
     f and g are sequences of real numbers, one per node; the weighted
-    products are summed exactly with math.fsum.  Samples that is_real refuses
-    or that hold a NaN are InvalidInput; a sum past the double range, from
-    samples that hold an inf or overflow in f*g, is OutOfRange.
+    products are summed exactly with math.fsum.  Samples that
+    errors.real_floats refuses, NaN included, are InvalidInput; a sum past
+    the double range, from samples that hold an inf or overflow in f*g, is
+    OutOfRange.
     """
-    grid, f, g = check_instance("grid", grid, GridSpec), real_floats(f), real_floats(g)
-    if f is None or g is None:
-        raise InvalidInput("sampled functions must hold real numbers")
+    grid, f, g = check_instance("grid", grid, GridSpec), real_floats("f", f), real_floats("g", g)
     if len(f) != grid.points or len(g) != grid.points:
         raise InvalidInput(f"sampled functions must hold one value per node of {grid}")
-    if any(map(math.isnan, f + g)):
-        raise InvalidInput("sampled functions must not hold NaN")
     weights = [1.0] + [4.0, 2.0] * (grid.points // 2 - 1) + [4.0, 1.0]
     terms = [w * (a * b) for w, a, b in zip(weights, f, g)]
     return evaluate_finite("inner product", lambda: grid.spacing / 3.0 * math.fsum(terms)

@@ -51,12 +51,15 @@ def test_operator_rejects_a_coupling_whose_square_overflows():
         TridiagonalOperator(np.ones(3), 1e200)
 
 
-@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
-def test_operator_rejects_a_non_finite_diagonal(entry):
+@pytest.mark.parametrize("entry, rule", [(math.nan, "be real numbers"), (math.inf, "be finite"),
+                                         (-math.inf, "be finite")], ids=["nan", "inf", "-inf"])
+def test_operator_rejects_a_non_finite_diagonal(entry, rule):
     # a NaN diagonal made the Gershgorin bound NaN, so no bisection step ran
     # and lowest_eigenvalues returned NaNs with no error
-    with pytest.raises(OutOfRange, match="^operator diagonal exceeds the floating-point range$"):
-        lowest_eigenvalues(TridiagonalOperator(np.array([1.0, entry, 1.0]), -0.1), 2, 1e-10)
+    diagonal = np.array([1.0, entry, 1.0])
+    with pytest.raises(InvalidInput,
+                       match=rf"^operator diagonal must {rule}, got {re.escape(repr(diagonal))}$"):
+        lowest_eigenvalues(TridiagonalOperator(diagonal, -0.1), 2, 1e-10)
 
 
 def test_operator_rejects_an_empty_diagonal():
@@ -68,7 +71,7 @@ def test_operator_rejects_a_diagonal_that_is_not_one_dimensional():
     # a square diagonal used to pass, and _rows then raised a bare TypeError
     # a ragged one raised numpy's bare ValueError
     for diagonal in (np.ones((3, 3)), np.float64(1.0), [[1.0], 2.0]):
-        with pytest.raises(InvalidInput, match="^operator diagonal must be one-dimensional, "
+        with pytest.raises(InvalidInput, match="^operator diagonal must be real numbers, "
                                                f"got {re.escape(repr(diagonal))}$"):
             lowest_eigenvalues(TridiagonalOperator(diagonal, -1.0), 1, 1e-10)
 
@@ -85,7 +88,8 @@ def test_operator_holds_its_coupling_as_a_python_float():
     for coupling in (np.float32(-0.5), np.float64(-0.5), -1, -0.5):
         op = TridiagonalOperator(np.ones(3), coupling)
         assert type(op.off_diagonal) is float and op.off_diagonal == float(coupling)
-    with pytest.raises(OutOfRange, match="^operator coupling exceeds"):
+    with pytest.raises(InvalidInput, match="^operator coupling must be a real number, "
+                                           "got a positive int of 1329 bits$"):
         TridiagonalOperator(np.ones(3), 10**400)
 
 
@@ -94,8 +98,9 @@ def test_operator_holds_any_real_sequence_as_python_floats():
     for diagonal in (np.ones(3, dtype=np.float32), [1, 1, 1], (1.0, np.float32(1.0), np.int64(1))):
         op = TridiagonalOperator(diagonal, -0.5)
         assert op.diagonal == [1.0, 1.0, 1.0] and {type(a) for a in op.diagonal} == {float}
-    for diagonal in (["a", "b"], [1.0, None], [1.0, True], np.array([1j, 1j])):
-        with pytest.raises(InvalidInput, match="^operator diagonal must hold real numbers, got "):
+    for diagonal in (["a", "b"], [1.0, None], [1.0, True], np.array([1j, 1j]), [1.0, 10**400]):
+        with pytest.raises(InvalidInput, match="^operator diagonal must be real numbers, "
+                                               f"got {re.escape(repr(diagonal))}$"):
             TridiagonalOperator(diagonal, -0.5)
 
 
@@ -137,17 +142,13 @@ def test_sturm_count_stops_at_its_limit_with_the_capped_count():
                 assert sturm_count(block, shift, limit) == min(full, limit), (shift, limit)
 
 
-@pytest.mark.parametrize("shift, error, message", [
-    ("a", InvalidInput, "^shift must be a real number, got 'a'$"),
-    (None, InvalidInput, "^shift must be a real number, got None$"),
-    (math.nan, InvalidInput, "^shift must be a real number, got nan$"),
-    (math.inf, InvalidInput, "^shift must be a real number, got inf$"),
-    (True, InvalidInput, "^shift must be a real number, got True$"),
-    (10**400, OutOfRange, "^shift exceeds the floating-point range$"),
+@pytest.mark.parametrize("shift, shown", [
+    ("a", "'a'"), (None, "None"), (math.nan, "nan"), (math.inf, "inf"), (True, "True"),
+    (10**400, "a positive int of 1329 bits"),
 ], ids=["str", "none", "nan", "inf", "bool", "huge-int"])
-def test_sturm_count_takes_a_finite_real_shift(shift, error, message):
+def test_sturm_count_takes_a_finite_real_shift(shift, shown):
     # "a" and None raised a bare TypeError, nan counted 0 and True counted 1
-    with pytest.raises(error, match=message):
+    with pytest.raises(InvalidInput, match=f"^shift must be a real number, got {shown}$"):
         sturm_count(_toy_operator(), shift)
     assert sturm_count(_toy_operator(), np.float64(2.5)) == sturm_count(_toy_operator(), 2) + 1
 
@@ -563,7 +564,8 @@ def test_effective_potential_values():
                            match=f"^x must be a real number, got {re.escape(repr(x))}$"):
             effective_potential(p, 1.0, x)
     assert effective_potential(p, 1.0, np.float32(3.0)) == -11.25
-    with pytest.raises(OutOfRange, match="^x exceeds the floating-point range$"):
+    with pytest.raises(InvalidInput,
+                       match="^x must be a real number, got a positive int of 1329 bits$"):
         effective_potential(p, 1.0, 10**400)
 
 
@@ -583,7 +585,8 @@ def test_energy_is_a_real_number(energy):
 def test_energy_takes_any_real_number():
     p = natural_units()
     assert effective_potential(p, 1, 3.0) == effective_potential(p, np.float32(1.0), 3.0) == -11.25
-    with pytest.raises(OutOfRange, match="^energy exceeds the floating-point range$"):
+    with pytest.raises(InvalidInput,
+                       match="^energy must be a real number, got a positive int of 1329 bits$"):
         effective_potential(p, 10**400, 1.0)  # a real number, past the double range
 
 

@@ -115,7 +115,8 @@ def test_check_real_returns_a_python_float():
     for value in (np.float32(1.5), np.int64(3), 3):
         got = check_real("x", value)
         assert type(got) is float and got == float(value)
-    with pytest.raises(OutOfRange, match="^x exceeds the floating-point range$"):
+    with pytest.raises(InvalidInput,
+                       match="^x must be a real number, got a positive int of 1329 bits$"):
         check_real("x", 10**400)
 
 
@@ -128,8 +129,10 @@ def test_check_positive_rejects_booleans_like_check_integer():
 
 
 def test_check_positive_names_an_int_too_large_for_a_float():
-    with pytest.raises(InvalidInput, match="^tol must be positive and finite, got 1000"):
-        check_positive("tol", 10**400)
+    for value, sign in ((10**400, "positive"), (-10**400, "negative")):
+        with pytest.raises(InvalidInput,
+                           match=f"^tol must be positive and finite, got a {sign} int of 1329 bits$"):
+            check_positive("tol", value)
 
 
 def test_one_error_class_per_failure_kind():
@@ -148,9 +151,19 @@ def test_one_error_class_per_failure_kind():
 
 
 def test_each_input_rule_is_one_function():
-    from kgo import oracle, params
+    from kgo import cli, helptext, oracle, params, specfun, spectrum, wavefn
     # one type rule, errors.check_instance, for a grid and for an operator
     assert not hasattr(params, "check_grid") and not hasattr(oracle, "_check_operator")
+    # one real-number rule: errors alone decides what real number an input is;
+    # psi uses is_real only to tell one x from a sequence of them
+    assert not hasattr(specfun, "_real_xi")
+    modules = (cli, helptext, oracle, params, specfun, spectrum, wavefn)
+    assert [m.__name__ for m in modules if hasattr(m, "is_real")] == ["kgo.wavefn"]
+    assert [name for name, f in vars(wavefn).items() if getattr(f, "__module__", "") == "kgo.wavefn"
+            and "is_real" in getattr(getattr(f, "__code__", None), "co_names", ())] == ["psi"]
+    for values in ([1.0, None], None):  # it returned None, and each caller raised
+        with pytest.raises(InvalidInput, match="^x must be real numbers, got "):
+            errors.real_floats("x", values)
     # a fold block comes only from TridiagonalOperator._block
     with pytest.raises(TypeError, match="_mirror_row"):
         TridiagonalOperator([1.0], 0.0, _mirror_row=True)

@@ -217,17 +217,18 @@ def test_psi_accepts_scalar_or_array():
         assert isinstance(got, float) and got == v
 
 
-@pytest.mark.parametrize("x", ["a", None, 1j, math.nan, [0.0, math.nan], np.array([math.nan]),
-                               [0.0, None], 10**400, "1.5", True, [0.0, True],
-                               np.array([[0.0]])],
-                         ids=["str", "none", "complex", "nan", "nan_in_list", "nan_array",
-                              "none_in_list", "int_past_a_double", "numeric_str", "bool",
-                              "bool_in_list", "2d_array"])
-def test_psi_refuses_an_x_that_is_not_real_or_is_nan(x):
+@pytest.mark.parametrize("x, shown", [
+    ("a", "'a'"), (None, "None"), (1j, "1j"), (math.nan, "[nan]"), ([0.0, math.nan], "[0.0, nan]"),
+    (np.array([math.nan]), "array([nan])"), ([0.0, None], "[0.0, None]"),
+    (10**400, f"[{10**400}]"), ("1.5", "'1.5'"), (True, "True"), ([0.0, True], "[0.0, True]"),
+    (np.array([[0.0]]), "array([[0.]])"),
+], ids=["str", "none", "complex", "nan", "nan_in_list", "nan_array", "none_in_list",
+        "int_past_a_double", "numeric_str", "bool", "bool_in_list", "2d_array"])
+def test_psi_refuses_an_x_that_is_not_real_or_is_nan(x, shown):
     # "a" raised a bare ValueError, and a NaN x returned nan; "1.5" and True
-    # were taken as the numbers 1.5 and 1
-    with pytest.raises(InvalidInput,
-                       match=f"^x must be real numbers other than NaN, got {re.escape(repr(x))}$"):
+    # were taken as the numbers 1.5 and 1.  One real number is checked as the
+    # sequence [x], and the message shows that sequence
+    with pytest.raises(InvalidInput, match=f"^x must be real numbers, got {re.escape(shown)}$"):
         psi(3, x, 1.0)
 
 
@@ -347,8 +348,9 @@ def test_inner_product_refuses_nan_samples_and_names_an_overflowing_sum():
     s = sample(1, g, 1.0)
     bad = s.copy()
     bad[400] = math.nan
-    for f, h in ((bad, s), (s, bad)):
-        with pytest.raises(InvalidInput, match="^sampled functions must not hold NaN$"):
+    for f, h, name in ((bad, s, "f"), (s, bad, "g")):
+        with pytest.raises(InvalidInput, match=f"^{name} must be real numbers, got "
+                                               rf"\[{re.escape(repr(s[0]))}, .*, nan, .*\]$"):
             inner_product(g, f, h)
     bad[400] = math.inf
     with pytest.raises(OutOfRange, match="^inner product exceeds the floating-point range$"):
@@ -378,9 +380,10 @@ def test_inner_product_takes_lists_and_refuses_non_numbers():
     # "1", True and None were taken as 1.0, 1.0 and NaN
     for f in (["a"] * 3, [1.0, [1.0], 1.0], [10**400] * 3, ["1"] * 3, [True] * 3,
               [1.0, None, 1.0], "abc", None):
-        with pytest.raises(InvalidInput, match="^sampled functions must hold real numbers$"):
+        rule = f"must be real numbers, got {re.escape(repr(f))}$"
+        with pytest.raises(InvalidInput, match="^f " + rule):
             inner_product(grid, f, [1.0] * 3)
-        with pytest.raises(InvalidInput, match="^sampled functions must hold real numbers$"):
+        with pytest.raises(InvalidInput, match="^g " + rule):
             inner_product(grid, [1.0] * 3, f)
 
 
