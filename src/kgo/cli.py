@@ -145,7 +145,7 @@ def _build_oracle(ns: SimpleNamespace) -> _Emission:
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
-    reference = [spectrum.energy_combined(n, ns.b) for n in levels]
+    reference = spectrum.generate_table([ns.b], levels)[0]  # energy_combined bit for bit
     return _Emission([({"n": [str(n) for n in levels]},
                        {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
                         "rel_diff": [abs(e - r) / r for e, r in zip(e_oracle, reference)]})])

@@ -93,15 +93,26 @@ def check_positive(name: str, value) -> float:
     return number
 
 
+# iterable, but no sequence of numbers: its entries are characters or bytes
+TEXTS = (str, bytes, bytearray)
+
+
 def real_floats(name: str, values) -> list:
     """values as a list of Python floats if it is a sequence of real numbers
-    (_real), +-inf included, else InvalidInput."""
+    (_real), +-inf included, and no text (TEXTS), else InvalidInput.  The
+    message shows the first refused entry and its index, or the value that
+    is no sequence, so it does not grow with the sequence."""
     try:
-        floats = list(map(_real, values))
+        entries = None if isinstance(values, TEXTS) else list(values)
     except TypeError:  # not a sequence
-        floats = [None]
-    if None in floats:
+        entries = None
+    if entries is None:
         raise InvalidInput(f"{name} must be real numbers, got {show(values)}")
+    floats = list(map(_real, entries))
+    if None in floats:
+        index = floats.index(None)
+        raise InvalidInput(
+            f"{name} must be real numbers, got {show(entries[index])} at index {index}")
     return floats
 
 

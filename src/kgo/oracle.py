@@ -24,7 +24,7 @@ from itertools import accumulate, islice
 
 from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_instance,
                      check_integer, check_points, check_positive, check_real, evaluate_finite,
-                     real_floats, show)
+                     real_floats)
 from .params import GridSpec, OscillatorParams, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
@@ -37,7 +37,8 @@ class TridiagonalOperator:
     """Symmetric tridiagonal matrix from a uniform three-point stencil.
 
     diagonal is the main diagonal, a sequence of finite real numbers
-    (errors.real_floats), held as a list of Python floats; off_diagonal is
+    (errors.real_floats: no text, and a refusal names the first refused
+    entry and its index), held as a list of Python floats; off_diagonal is
     the one coupling shared by every pair of neighbouring rows, a finite
     real number (errors.check_real).  Intended for positive-semidefinite
     discretisations: eigenvalue brackets start at zero.
@@ -55,7 +56,9 @@ class TridiagonalOperator:
         # an infinite entry makes the bisection bracket infinite, and
         # sturm_count divides the coupling's square by every pivot
         if not all(map(math.isfinite, self.diagonal)):
-            raise InvalidInput(f"operator diagonal must be finite, got {show(diagonal)}")
+            index = [*map(math.isfinite, self.diagonal)].index(False)
+            raise InvalidInput(
+                f"operator diagonal must be finite, got {self.diagonal[index]} at index {index}")
         evaluate_finite("operator coupling squared", lambda: self.off_diagonal ** 2)
         self._mirror_row = False
 
@@ -266,20 +269,23 @@ def effective_potential(params: OscillatorParams, energy: float, x: float) -> fl
 
     This is the Schrodinger-form potential (2 E V - V^2)/(c^2 hbar^2) with
     V = m w^2 x^2 / 2 substituted, at a real energy and a real x
-    (errors.check_real), each taken as a Python float.  It is evaluated in
-    u = w x, so a tiny w with a huge x (or the reverse) neither underflows
-    w^4 nor overflows x^2.
+    (errors.check_real), each taken as a Python float: _v_eff on [x].
     """
     params = check_instance("params", params, OscillatorParams)
-    energy, x, m = check_real("energy", energy), check_real("x", x), params.mass
+    return _v_eff(params, check_real("energy", energy), [check_real("x", x)])[0]
+
+
+def _v_eff(params: OscillatorParams, energy: float, xs: list) -> list:
+    """V_eff at each float of xs, for checked params and a float energy: the
+    one formula, in u = w x, so a tiny w with a huge x (or the reverse)
+    neither underflows w^4 nor overflows x^2."""
+    m, omega = params.mass, params.omega
 
     def v_eff():
-        # powers via products: multiplication is exactly sign-symmetric, so
-        # the profile of this even function mirrors bit for bit
-        u = params.omega * x
-        u2 = u * u
-        numerator = energy * m * u2 - 0.25 * m**2 * u2 * u2
-        return numerator / (params.c**2 * params.hbar**2)
+        quadratic, quartic, scale = energy * m, 0.25 * m**2, params.c**2 * params.hbar**2
+        # u * u: a product is exactly sign-symmetric, so the profile mirrors bit for bit
+        squares = [u * u for u in [omega * x for x in xs]]
+        return [(quadratic * u2 - quartic * u2 * u2) / scale for u2 in squares]
     return evaluate_finite("effective potential V_eff", v_eff)
 
 
@@ -301,9 +307,13 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
                                 grid: GridSpec) -> tuple:
     """(v_eff, unbounded_below): V_eff at grid.nodes(), as a list, and a flag.
 
-    The flag is set when, over the outermost tenth of the samples beyond the
-    sign change at x* = 2 sqrt(E/m)/omega, the potential is negative and
-    still decreasing outward.  At least 2 grid nodes must lie beyond x*.
+    The list is _v_eff on the nodes, at the energy as a Python float
+    (errors.check_real): each entry is effective_potential at its node bit
+    for bit, and a profile that overflows raises what its first overflowing
+    node raises.  The flag is set when, over the outermost tenth of the
+    samples beyond the sign change at x* = 2 sqrt(E/m)/omega, the potential
+    is negative and still decreasing outward.  At least 2 grid nodes must
+    lie beyond x*.
     """
     xstar = veff_zero_crossing(params, energy)
     x = check_instance("grid", grid, GridSpec).nodes()
@@ -312,6 +322,6 @@ def profile_effective_potential(params: OscillatorParams, energy: float,
         raise InvalidInput(
             f"grid has {beyond} node(s) beyond the potential zero at "
             f"{xstar:g}; at least 2 are needed")
-    v = [effective_potential(params, energy, node) for node in x]
+    v = _v_eff(params, check_real("energy", energy), x)
     tail = v[-max(2, math.ceil(TAIL_FRACTION * beyond)):]
     return v, all(a < 0.0 for a in tail) and all(b < a for a, b in zip(tail, tail[1:]))

@@ -13,7 +13,8 @@ floats: a table cell is the scalar energy bit for bit.
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import MAX_LEVEL, InvalidInput, check_integer, check_positive, evaluate_finite, show
+from .errors import (MAX_LEVEL, TEXTS, InvalidInput, check_integer, check_positive,
+                     evaluate_finite, show)
 
 # formula -> shift s of the law sqrt(1 + 2 b (n + s))
 _SHIFTS = {"eq21": 0.5, "table": 1.0}
@@ -97,9 +98,12 @@ def generate_table(b_values: Iterable[float], n_values: Iterable[int],
     equal to energy_combined bit for bit, or "table" the tabulated
     sqrt(1 + 2b(n + 1)).  e_nr_plus_one is 1 + b (n + 1/2) exactly.  Both
     columns are lists of floats; each level passes check_integer (a range's ends do).
+    A bare number or a text (errors.TEXTS) is no sequence of b or n values.
     """
     if not isinstance(formula, str) or formula not in FORMULA_CHOICES:
         raise InvalidInput(f"formula must be one of {FORMULA_CHOICES}, got {show(formula)}")
+    if isinstance(b_values, TEXTS) or isinstance(n_values, TEXTS):  # no sequence of numbers
+        b_values = n_values = ()
     try:
         b = [check_positive("b", v) for v in b_values]
         n = _levels(n_values)

@@ -7,6 +7,8 @@ it also checks exit codes, error texts and start-up imports (see its
 docstring).  Each of its cases is also a test here.  A change that alters
 this output on purpose re-records the file and says so in CHANGES.md.
 The Python block under "Library example" is executed as written.
+tests/library_gate.py pins the numbers and refusals of every public
+function; each function of it is also a test here.
 """
 
 import subprocess
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import kgo
+import library_gate
 import output_gate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +90,14 @@ def test_start_report_names_the_modules_each_start_loads():
     start = ", ".join(output_gate.START)
     assert rows[1].split(" | ")[1] == start
     assert rows[5].split(" | ")[1] == start.replace("kgo.errors", "kgo.errors, kgo.helptext")
+
+
+def test_library_gate_covers_every_public_function():
+    assert library_gate.FUNCTIONS == [
+        name for name in kgo.__all__
+        if not (isinstance(getattr(kgo, name), type) and issubclass(getattr(kgo, name), Exception))]
+
+
+@pytest.mark.parametrize("name", library_gate.FUNCTIONS)
+def test_library_gate_function_holds(name):
+    assert library_gate.check(name) is None

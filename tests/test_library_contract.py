@@ -53,7 +53,8 @@ _GRID = GridSpec(4.0, 21)
         "combined_index parity", "combined_index n"])
 def test_an_int_of_more_than_4300_digits_is_refused_as_invalid_input(call):
     # formatting it into the message raised a bare ValueError ("Exceeds the limit")
-    with pytest.raises(InvalidInput, match=r"(int of 16610 bits|too large to show)$"):
+    with pytest.raises(InvalidInput,
+                       match=r"(int of 16610 bits|too large to show)( at index [01])?$"):
         call()
 
 
@@ -65,15 +66,16 @@ _NAN_OR_HUGE = [
     (lambda: sturm_count(_OP, math.nan), "shift must be a real number, got nan"),
     (lambda: sturm_count(_OP, _HUGE),
      "shift must be a real number, got a positive int of 1329 bits"),
-    (lambda: psi(0, _HUGE, 1), f"x must be real numbers, got [{_HUGE}]"),
+    (lambda: psi(0, _HUGE, 1),
+     "x must be real numbers, got a positive int of 1329 bits at index 0"),
     (lambda: effective_potential(natural_units(), 1, _HUGE),
      "x must be a real number, got a positive int of 1329 bits"),
     (lambda: TridiagonalOperator([1.0, math.inf], -1.0),
-     "operator diagonal must be finite, got [1.0, inf]"),
+     "operator diagonal must be finite, got inf at index 1"),
     (lambda: TridiagonalOperator([1.0, 1.0], math.inf),
      "operator coupling must be a real number, got inf"),
     (lambda: TridiagonalOperator([1.0, _HUGE], -1.0),
-     f"operator diagonal must be real numbers, got [1.0, {_HUGE}]"),
+     "operator diagonal must be real numbers, got a positive int of 1329 bits at index 1"),
     (lambda: TridiagonalOperator([1.0, 1.0], _HUGE),
      "operator coupling must be a real number, got a positive int of 1329 bits"),
 ]
@@ -101,10 +103,55 @@ def test_a_result_past_the_double_range_is_out_of_range(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: psi(3, "", 1.0), "x must be real numbers, got ''"),
+    (lambda: psi(0, b"\x00", 1.0), "x must be real numbers, got b'\\x00'"),
+    (lambda: TridiagonalOperator(b"\x01\x02", 0.5),
+     "operator diagonal must be real numbers, got b'\\x01\\x02'"),
+    (lambda: inner_product(GridSpec(1.0, 3), b"abc", b"abc"), "f must be real numbers, got b'abc'"),
+    (lambda: inner_product(GridSpec(1.0, 3), [1.0] * 3, bytearray(3)),
+     "g must be real numbers, got bytearray(b'\\x00\\x00\\x00')"),
+    (lambda: generate_table(b"\x01", [1]),
+     "b_values and n_values must both be non-empty sequences"),
+    (lambda: generate_table([0.1], b"\x01\x02"),
+     "b_values and n_values must both be non-empty sequences"),
+    (lambda: generate_table("1", [1]), "b_values and n_values must both be non-empty sequences"),
+], ids=["psi empty str", "psi bytes", "operator bytes", "inner_product bytes",
+        "inner_product bytearray", "generate_table b bytes", "generate_table n bytes",
+        "generate_table b str"])
+def test_a_text_is_no_sequence_of_numbers(call, message):
+    # psi(3, "", 1.0) returned [] and psi(0, b"\x00", 1.0) psi_0(0); the operator
+    # held the diagonal [1.0, 2.0], inner_product summed the bytes' ints, and
+    # generate_table took b"\x01" as b = 1 and b"\x01\x02" as levels 1 and 2
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_refused_sequence_names_its_first_refused_entry_alone():
+    # the message showed the whole sequence: 315,602 characters for one NaN in
+    # a 20001-row diagonal, 451,513 for one NaN sample in inner_product
+    diagonal = discretize_weber(1.0, GridSpec(10.0, 20001)).diagonal
+    nodes = GridSpec(10.0, 20001).nodes()
+    for entry, rule in ((math.nan, "be real numbers, got nan"), (math.inf, "be finite, got inf"),
+                        (-math.inf, "be finite, got -inf")):
+        bad = diagonal.copy()
+        bad[7000] = entry
+        with pytest.raises(InvalidInput,
+                           match=f"^operator diagonal must {rule} at index 7000$"):
+            TridiagonalOperator(bad, -1.0)
+    bad = nodes.copy()
+    bad[15000], bad[16000] = math.nan, None
+    with pytest.raises(InvalidInput, match="^f must be real numbers, got nan at index 15000$"):
+        inner_product(GridSpec(10.0, 20001), bad, nodes)
+    with pytest.raises(InvalidInput, match="^x must be real numbers, got 'a' at index 3$"):
+        psi(2, [0.0] * 3 + ["a"] * 20000, 1.0)
+
+
 # edge values drawn in place of any argument: each call refuses them or gives finite results
+_TEXTS = ["1.0", "", b"", b"\x01\x02", bytearray(b"\x01\x02")]  # no argument takes one
 _ODD = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, True, False,
         np.int64(3), np.int32(-2), np.float32(0.5), np.float16(math.inf), np.float64(math.nan),
-        2**70, _HUGE, -_HUGE, BIG, "1.0", "", None, [], [1.0], [[1.0]], [1.0, [1.0]],
+        2**70, _HUGE, -_HUGE, BIG, *_TEXTS, None, [], [1.0], [[1.0]], [1.0, [1.0]],
         np.ones((2, 2)), np.array(1.0), [math.nan], [BIG]]
 _LEVEL = st.integers(0, 12)
 _POSITIVE = st.sampled_from([0.1, 1.0, 2.5])
@@ -160,11 +207,14 @@ def _finite(value) -> bool:
     return type(value) in (int, bool) or type(value) is float and math.isfinite(value)
 
 
-def _nan_or_huge(value) -> bool:
-    """Whether value is or holds a NaN or an int past the double range."""
+def _refused(value) -> bool:
+    """Whether value is one of the texts or is or holds a NaN or an int past
+    the double range."""
+    if any(value is text for text in _TEXTS):
+        return True
     value = value.tolist() if isinstance(value, np.ndarray) else value
     if isinstance(value, (list, tuple)):
-        return any(map(_nan_or_huge, value))
+        return any(map(_refused, value))
     return (type(value) is int and value.bit_length() > 1024
             or isinstance(value, (float, np.floating)) and math.isnan(value))
 
@@ -182,8 +232,9 @@ def test_every_call_returns_finite_values_or_raises_one_kgo_error(name):
         try:
             result = getattr(kgo, name)(*args)
         except KgoError as error:  # one of the five classes
-            if any(map(_nan_or_huge, args)):
+            if any(map(_refused, args)):
                 assert type(error) is InvalidInput, error
         else:
             assert _finite(result), result
+            assert not any(arg is text for arg in args for text in _TEXTS), args
     check()

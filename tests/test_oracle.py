@@ -51,14 +51,15 @@ def test_operator_rejects_a_coupling_whose_square_overflows():
         TridiagonalOperator(np.ones(3), 1e200)
 
 
-@pytest.mark.parametrize("entry, rule", [(math.nan, "be real numbers"), (math.inf, "be finite"),
-                                         (-math.inf, "be finite")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry, rule", [
+    (math.nan, f"be real numbers, got {np.float64(math.nan)!r}"), (math.inf, "be finite, got inf"),
+    (-math.inf, "be finite, got -inf")], ids=["nan", "inf", "-inf"])
 def test_operator_rejects_a_non_finite_diagonal(entry, rule):
     # a NaN diagonal made the Gershgorin bound NaN, so no bisection step ran
     # and lowest_eigenvalues returned NaNs with no error
     diagonal = np.array([1.0, entry, 1.0])
     with pytest.raises(InvalidInput,
-                       match=rf"^operator diagonal must {rule}, got {re.escape(repr(diagonal))}$"):
+                       match=rf"^operator diagonal must {re.escape(rule)} at index 1$"):
         lowest_eigenvalues(TridiagonalOperator(diagonal, -0.1), 2, 1e-10)
 
 
@@ -70,9 +71,13 @@ def test_operator_rejects_an_empty_diagonal():
 def test_operator_rejects_a_diagonal_that_is_not_one_dimensional():
     # a square diagonal used to pass, and _rows then raised a bare TypeError
     # a ragged one raised numpy's bare ValueError
-    for diagonal in (np.ones((3, 3)), np.float64(1.0), [[1.0], 2.0]):
+    # the message shows the first entry that is no real number, or the value
+    # that is no sequence
+    for diagonal, shown in ((np.ones((3, 3)), f"{np.ones(3)!r} at index 0"),
+                            (np.float64(1.0), repr(np.float64(1.0))),
+                            ([[1.0], 2.0], "[1.0] at index 0")):
         with pytest.raises(InvalidInput, match="^operator diagonal must be real numbers, "
-                                               f"got {re.escape(repr(diagonal))}$"):
+                                               f"got {re.escape(shown)}$"):
             lowest_eigenvalues(TridiagonalOperator(diagonal, -1.0), 1, 1e-10)
 
 
@@ -98,9 +103,13 @@ def test_operator_holds_any_real_sequence_as_python_floats():
     for diagonal in (np.ones(3, dtype=np.float32), [1, 1, 1], (1.0, np.float32(1.0), np.int64(1))):
         op = TridiagonalOperator(diagonal, -0.5)
         assert op.diagonal == [1.0, 1.0, 1.0] and {type(a) for a in op.diagonal} == {float}
-    for diagonal in (["a", "b"], [1.0, None], [1.0, True], np.array([1j, 1j]), [1.0, 10**400]):
+    for diagonal, shown in ((["a", "b"], "'a' at index 0"), ([1.0, None], "None at index 1"),
+                            ([1.0, True], "True at index 1"),
+                            (np.array([1j, 1j]), f"{np.complex128(1j)!r} at index 0"),
+                            ([1.0, 10**400], "a positive int of 1329 bits at index 1"),
+                            ("ab", "'ab'"), (b"\x01", "b'\\x01'")):
         with pytest.raises(InvalidInput, match="^operator diagonal must be real numbers, "
-                                               f"got {re.escape(repr(diagonal))}$"):
+                                               f"got {re.escape(shown)}$"):
             TridiagonalOperator(diagonal, -0.5)
 
 
@@ -614,6 +623,31 @@ def test_profile_detects_unboundedness():
     idx = int(np.argmin(np.abs(x - 3.0)))
     assert x[idx] == pytest.approx(3.0, abs=1e-12)
     assert v[idx] == pytest.approx(-11.25, abs=1e-9)
+    # the profile is effective_potential at each node, bit for bit: for other
+    # constants, a numpy-scalar energy (taken as a Python float, not float32
+    # arithmetic) and a grid at the end of the double range
+    for p, energy, grid in [
+            (OscillatorParams(mass=2.0, omega=3.0, hbar=0.5, c=2.0), 1.7, GridSpec(2.5, 101)),
+            (OscillatorParams(mass=0.3, omega=7.0, hbar=1e-3, c=3e8), np.float32(0.7),
+             GridSpec(1.0, 41)),
+            (from_b(0.01), np.float64(2.0), GridSpec(800.0, 201)),
+            (OscillatorParams(mass=1.0, omega=1e-300, hbar=1.0, c=1.0), -1.0,
+             GridSpec(5e307, 201)),
+            (OscillatorParams(mass=1e-150, omega=1e150, hbar=1e-20, c=1e20), 3.0,
+             GridSpec(1e-74, 21))]:
+        v, _ = profile_effective_potential(p, energy, grid)
+        want = [effective_potential(p, energy, node) for node in grid.nodes()]
+        assert [a.hex() for a in v] == [a.hex() for a in want]
+        assert {type(a) for a in v} == {float}
+    # an overflowing profile raises what its first overflowing node raises
+    for p, energy, grid in [(natural_units(), 1e300, GridSpec(1e151, 21)),
+                            (OscillatorParams(mass=1e200, omega=1e-200, hbar=1.0, c=1.0), 1.0,
+                             GridSpec(1e201, 5))]:
+        with pytest.raises(OutOfRange) as first:
+            for node in grid.nodes():
+                effective_potential(p, energy, node)
+        with pytest.raises(OutOfRange, match=f"^{re.escape(str(first.value))}$"):
+            profile_effective_potential(p, energy, grid)
 
 
 def test_profile_requires_grid_beyond_zero():

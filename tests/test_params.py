@@ -161,8 +161,9 @@ def test_each_input_rule_is_one_function():
     assert [m.__name__ for m in modules if hasattr(m, "is_real")] == ["kgo.wavefn"]
     assert [name for name, f in vars(wavefn).items() if getattr(f, "__module__", "") == "kgo.wavefn"
             and "is_real" in getattr(getattr(f, "__code__", None), "co_names", ())] == ["psi"]
-    for values in ([1.0, None], None):  # it returned None, and each caller raised
-        with pytest.raises(InvalidInput, match="^x must be real numbers, got "):
+    # it returned None, and each caller raised
+    for values, shown in (([1.0, None], "None at index 1"), (None, "None"), ("1", "'1'")):
+        with pytest.raises(InvalidInput, match=f"^x must be real numbers, got {shown}$"):
             errors.real_floats("x", values)
     # a fold block comes only from TridiagonalOperator._block
     with pytest.raises(TypeError, match="_mirror_row"):

@@ -218,16 +218,21 @@ def test_psi_accepts_scalar_or_array():
 
 
 @pytest.mark.parametrize("x, shown", [
-    ("a", "'a'"), (None, "None"), (1j, "1j"), (math.nan, "[nan]"), ([0.0, math.nan], "[0.0, nan]"),
-    (np.array([math.nan]), "array([nan])"), ([0.0, None], "[0.0, None]"),
-    (10**400, f"[{10**400}]"), ("1.5", "'1.5'"), (True, "True"), ([0.0, True], "[0.0, True]"),
-    (np.array([[0.0]]), "array([[0.]])"),
+    ("a", "'a'"), (None, "None"), (1j, "1j"), (math.nan, "nan at index 0"),
+    ([0.0, math.nan], "nan at index 1"),
+    (np.array([math.nan]), f"{np.float64(math.nan)!r} at index 0"),
+    ([0.0, None], "None at index 1"), (10**400, "a positive int of 1329 bits at index 0"),
+    ("1.5", "'1.5'"), (True, "True"), ([0.0, True], "True at index 1"),
+    (np.array([[0.0]]), "array([0.]) at index 0"), ("", "''"), (b"\x00", "b'\\x00'"),
+    (bytearray(2), "bytearray(b'\\x00\\x00')"),
 ], ids=["str", "none", "complex", "nan", "nan_in_list", "nan_array", "none_in_list",
-        "int_past_a_double", "numeric_str", "bool", "bool_in_list", "2d_array"])
+        "int_past_a_double", "numeric_str", "bool", "bool_in_list", "2d_array", "empty_str",
+        "bytes", "bytearray"])
 def test_psi_refuses_an_x_that_is_not_real_or_is_nan(x, shown):
     # "a" raised a bare ValueError, and a NaN x returned nan; "1.5" and True
-    # were taken as the numbers 1.5 and 1.  One real number is checked as the
-    # sequence [x], and the message shows that sequence
+    # were taken as the numbers 1.5 and 1, "" as no x and b"\x00" as x = 0.
+    # One real number is checked as the sequence [x]; the message shows the
+    # first refused entry and its index, or the x that is no sequence
     with pytest.raises(InvalidInput, match=f"^x must be real numbers, got {re.escape(shown)}$"):
         psi(3, x, 1.0)
 
@@ -349,8 +354,8 @@ def test_inner_product_refuses_nan_samples_and_names_an_overflowing_sum():
     bad = s.copy()
     bad[400] = math.nan
     for f, h, name in ((bad, s, "f"), (s, bad, "g")):
-        with pytest.raises(InvalidInput, match=f"^{name} must be real numbers, got "
-                                               rf"\[{re.escape(repr(s[0]))}, .*, nan, .*\]$"):
+        with pytest.raises(InvalidInput,
+                           match=f"^{name} must be real numbers, got nan at index 400$"):
             inner_product(g, f, h)
     bad[400] = math.inf
     with pytest.raises(OutOfRange, match="^inner product exceeds the floating-point range$"):
@@ -378,9 +383,12 @@ def test_inner_product_takes_lists_and_refuses_non_numbers():
     assert inner_product(grid, grid.nodes(), [1, 2, 3]) == inner_product(
         grid, np.array(grid.nodes()), np.array([1.0, 2.0, 3.0]))
     # "1", True and None were taken as 1.0, 1.0 and NaN
-    for f in (["a"] * 3, [1.0, [1.0], 1.0], [10**400] * 3, ["1"] * 3, [True] * 3,
-              [1.0, None, 1.0], "abc", None):
-        rule = f"must be real numbers, got {re.escape(repr(f))}$"
+    for f, shown in ((["a"] * 3, "'a' at index 0"), ([1.0, [1.0], 1.0], "[1.0] at index 1"),
+                     ([10**400] * 3, "a positive int of 1329 bits at index 0"),
+                     (["1"] * 3, "'1' at index 0"), ([True] * 3, "True at index 0"),
+                     ([1.0, None, 1.0], "None at index 1"), ("abc", "'abc'"), (None, "None"),
+                     (b"abc", "b'abc'")):
+        rule = f"must be real numbers, got {re.escape(shown)}$"
         with pytest.raises(InvalidInput, match="^f " + rule):
             inner_product(grid, f, [1.0] * 3)
         with pytest.raises(InvalidInput, match="^g " + rule):
