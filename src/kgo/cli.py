@@ -8,10 +8,10 @@ Each subcommand's options are declared once, in COMMANDS, and parse_args
 reads every argv, writes every usage error and builds every help text from
 that table alone.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers,
-the table's in blocks of levels, each computed when the writer reaches it;
-the writer alone formats the values, under --decimals, and writes once.  A
-failed build emits nothing, and a failed write ends in one error line.
-entry, the process entry, ends the process right after the last flush.
+the table's in blocks of levels, each computed when the writer reaches it; the
+writer alone formats the values, under --decimals, all before the first byte,
+and holds each row once as text.  A failed build emits nothing, a failed write
+one error line; entry, the process entry, ends it right after the last flush.
 Builders hand the writer lists of Python floats, and no command loads numpy
 or json.  A start loads only the code its subcommand runs: this module,
 kgo.errors (the exceptions and input rules) and kgo.spectrum (which `table`
@@ -145,7 +145,7 @@ def _build_oracle(ns: SimpleNamespace) -> _Emission:
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
-    reference = spectrum.generate_table([ns.b], levels)[0]  # energy_combined bit for bit
+    reference = spectrum._energy_law(levels, [ns.b], 0.5)  # energy_combined bit for bit
     return _Emission([({"n": [str(n) for n in levels]},
                        {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
                         "rel_diff": [abs(e - r) / r for e, r in zip(e_oracle, reference)]})])
@@ -316,14 +316,15 @@ def _integral(cell: str) -> str:
     return cell if "." in cell or "e" in cell else cell + ".0"
 
 
-def _render(emission: _Emission, output_format: str, decimals: int | None) -> str:
-    """One writer for all formats.  Each group of rows is one `%` template:
-    a fixed label's cells, the separators and the json keys are literal text
-    in it, every other label is a `%s` and every value a `%.6g` or `%.Kf`.  A
-    block fills one template per group through one zip of its columns: for
-    each row of the group, each label's cells and each value column's
-    iterator, which zip advances once a row; a format sets how cells, rows
-    and the frame (head, row separator, tail) are written."""
+def _render(emission: _Emission, output_format: str, decimals: int | None) -> list[str]:
+    """One writer for all formats; its texts, in output order and never joined,
+    are the head, each block's rows, the row separator between blocks and the
+    tail.  Each group of rows is one `%` template: a fixed label's cells, the
+    separators and the json keys are literal text in it, every other label is
+    a `%s` and every value a `%.6g` or `%.Kf`.  A block fills one template per
+    group through one zip of its columns: for each row of the group, each
+    label's cells and each value column's iterator, which zip advances once a
+    row."""
     value = "%.6g" if decimals is None else f"%.{decimals}f"
 
     def numbers(column):  # no cell reads "-0": 0.0 + -0.0 is 0.0, and a negative
@@ -332,10 +333,10 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
             return map(add, repeat(0.0), column)
         return [v if round(v, decimals) else 0.0 for v in column]
 
-    texts = {}  # label -> the form its cells take in the output, where it differs
+    forms = {}  # label -> the form its cells take in the output, where it differs
     if output_format == "json":
         # n cells stay ints and parity cells strings; every other cell loads as a float
-        texts = {"b": _integral, "parity": _quoted}
+        forms = {"b": _integral, "parity": _quoted}
         if decimals is None:  # a .6g cell may be integral: it goes in as text
             value, numbers = "%s", lambda column: map(_integral, _fmt(column))
         elif decimals == 0:  # a .0f cell is always integral, a .Kf one never
@@ -351,50 +352,49 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> st
         notes = [f"{key}: {_JSON_BOOL[flag]}" for key, flag in emission.extra.items()]
         row_sep = "\n"
         tail = "".join(f"\n# {note}" for note in [*notes, *emission.warnings])
-    bodies = []
+    texts = []
     for labels, values in emission.blocks:
-        labels = {name: list(map(texts[name], cells)) if name in texts else cells
+        labels = {name: list(map(forms[name], cells)) if name in forms else cells
                   for name, cells in labels.items()}
-        if not bodies:  # every block has the first one's columns and fixed cells
+        if not texts:  # every block has the first one's columns and fixed cells
             names = [*labels, *values]
             group = len(labels[emission.fixed[0]]) if emission.fixed else 1
             template = row_sep.join(row(names, [
                 labels[name][r].replace("%", "%%") if name in emission.fixed
                 else "%s" if name in labels else value for name in names]) for r in range(group))
-            head = '{"rows":[' if output_format == "json" else sep.join(names) + "\n"
+            texts.append('{"rows":[' if output_format == "json" else sep.join(names) + "\n")
         values = {name: iter(numbers(column)) for name, column in values.items()}
         # each row of a group's template takes a label's cell of the group and
         # the next cell of a value: zip pulls a value's one iterator once a row
         cells = [labels[name] if name in labels else values[name]
                  for _ in range(group) for name in names if name not in emission.fixed]
-        bodies.append(row_sep.join(map(template.__mod__, zip(*cells))))
-    # the frame joins the end blocks, so the rows are copied once, by the join
-    bodies[0] = head + bodies[0]
-    bodies[-1] += tail + "\n"
-    return row_sep.join(bodies)
+        texts += [row_sep.join(map(template.__mod__, zip(*cells))), row_sep]
+    texts[-1] = tail + "\n"  # the last block's row separator gives way to the tail
+    return texts
 
 
 def run(ns: SimpleNamespace) -> None:
     """Execute parsed arguments, writing rows, or the help text, to standard output.
 
-    Every byte goes to the stream's binary layer, or the write that refused one
-    raises its OSError: unbuffered (python -u), that layer may take only part of
-    a write, such as when the reader leaves, and the text layer drops the rest."""
+    Once every block is formatted, each text goes in turn to the stream's
+    binary layer, or the write that refused a byte raises its OSError:
+    unbuffered (python -u), that layer may take only part of a write, such as
+    when the reader leaves, and the text layer drops the rest."""
     out = sys.stdout
     if out is None:  # fd 1 was closed at start: nowhere to write rows
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    text = ns.help if hasattr(ns, "help") else _render(ns.build(ns), ns.format, ns.decimals)
+    texts = [ns.help] if hasattr(ns, "help") else _render(ns.build(ns), ns.format, ns.decimals)
     binary = getattr(out, "buffer", None)
     if binary is None:  # a text stream alone, such as an in-process caller's StringIO
-        out.write(text)
+        out.writelines(texts)
     else:
         out.flush()  # text written to out earlier goes first
-        data = memoryview(text.encode(out.encoding, out.errors))
-        while data:
-            written = binary.write(data)
-            if written is None:  # a non-blocking stdout that is full
-                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            data = data[written:]
+        for data in (memoryview(text.encode(out.encoding, out.errors)) for text in texts):
+            while data:
+                written = binary.write(data)
+                if written is None:  # a non-blocking stdout that is full
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                data = data[written:]
     out.flush()  # a full disk or a closed pipe fails here, inside main's try
 
 

@@ -65,15 +65,16 @@ def _real(value) -> float | None:
 
 
 def show(value) -> str:
-    """value as an error message shows it: its repr, but an int past the double
-    range by its sign and bit length, and a value whose repr raises ValueError
-    (one that holds an int of more than 4300 digits) by its type."""
+    """value as an error message shows it: its repr, cut to 80 characters, but an
+    int past the double range by its sign and bit length, and a value whose repr
+    raises ValueError (one that holds an int of more than 4300 digits) by its type."""
     if type(value) is int and _real(value) is None:
         return f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"a {type(value).__name__} too large to show"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def check_real(name: str, value) -> float:

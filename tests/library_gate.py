@@ -68,7 +68,7 @@ DIGESTS = {
     "hermite_from_kummer_even": "8f2bd50bc03298fbbfb9a85b0df97bd57f57840473135f82681d50875ad1eca1",
     "hermite_from_kummer_odd": "4969cb98b6b2a54993937632192ad0e0d9a8d5341e07bd1b2599079550f952b8",
     "inner_product": "b59f6048b70c751e559632c34694f35eee6a462fc428e20f3db0213a1d425997",
-    "kummer_m": "a129cc140e484fc9f81b375d1fe05ddf4701ea2402134e2e086e7086f104fd67",
+    "kummer_m": "877d442947a9e902cc526cdfcecd82a55f7e69a8baedf919a57c258705917375",
     "lowest_eigenvalues": "f16b82932bd73e62b6a0a788f2d657669eda771e36d6456b6809a863195b4f07",
     "natural_units": "942e27177f357acdf2c082a61b68e5207f75af6650ae05c445372f6a5902401d",
     "oracle_energies": "8d30b061cc3f1eefdee77023e689e9ef7f8a5fdb29f0ff29168e0bb5f61d73a5",

@@ -423,7 +423,7 @@ def test_negative_zero_values_print_as_zero(capsys, argv, output_format, decimal
 @pytest.mark.parametrize("output_format", ["csv", "tsv", "json"])
 def test_negative_value_that_rounds_to_zero_prints_unsigned(output_format, decimals):
     values = [-0.4, -0.5, -0.5000001, -1e-300]
-    text = _render(_Emission([({}, {"v": values})]), output_format, decimals)
+    text = "".join(_render(_Emission([({}, {"v": values})]), output_format, decimals))
     cells = ["%.*f" % (decimals, v) for v in values]  # a cell of zero digits loses its sign
     want = [cell.lstrip("-") if cell.strip("-0.") == "" else cell for cell in cells]
     if output_format == "json" and decimals == 0:
@@ -567,12 +567,13 @@ def test_out_of_memory_is_one_error_line_under_memory_limit():
     assert proc.stderr == "kgo: error: out of memory\n"
 
 
-def test_ten_million_row_table_prints_under_memory_limit():
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_ten_million_row_table_prints_under_memory_limit(output_format):
     # computed and formatted in blocks of levels, the rows are held once as
-    # text before the one write
+    # text, block by block, and each block is encoded and written in turn
     b = ",".join(f"{k / 10:g}" for k in range(1, 11))
-    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b,
-                           "--n-max", "1000000"], stdout=subprocess.DEVNULL,
+    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b, "--n-max", "1000000",
+                           "--format", output_format], stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True,
                           preexec_fn=_limit_address_space_to_1_gib)
     assert (proc.returncode, proc.stderr) == (0, "")

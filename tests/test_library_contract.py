@@ -59,6 +59,8 @@ def test_an_int_of_more_than_4300_digits_is_refused_as_invalid_input(call):
 
 
 _HUGE = 10**400  # a real number past the double range
+_ZEROS = "[" + "0.0, " * 15 + "0..."  # a long list's repr, cut to 80 characters
+_ONES = "[" + "1.0, " * 15 + "1..."
 _NAN_OR_HUGE = [
     (lambda: hermite(3, math.nan), "xi must be a real number, got nan"),
     (lambda: hermite(3, math.inf), "xi must be a real number, got inf"),
@@ -78,13 +80,23 @@ _NAN_OR_HUGE = [
      "operator diagonal must be real numbers, got a positive int of 1329 bits at index 1"),
     (lambda: TridiagonalOperator([1.0, 1.0], _HUGE),
      "operator coupling must be a real number, got a positive int of 1329 bits"),
+    # a long value shows its first 80 characters: the message held its whole repr
+    (lambda: discretize_weber(1.0, [0.0] * 20001), "grid must be a GridSpec, got " + _ZEROS),
+    (lambda: lowest_eigenvalues([1.0] * 20001, 1, 1e-10),
+     "operator must be a TridiagonalOperator, got " + _ONES),
+    (lambda: psi(0, "a" * 100000, 1.0), "x must be real numbers, got '" + "a" * 76 + "..."),
+    (lambda: psi(0, [[0.0] * 20001], 1.0), f"x must be real numbers, got {_ZEROS} at index 0"),
+    (lambda: GridSpec("9" * 50000, 3),
+     "grid extent must be positive and finite, got '" + "9" * 76 + "..."),
 ]
 
 
 @pytest.mark.parametrize("call, message", _NAN_OR_HUGE,
                          ids=["hermite nan", "hermite inf", "kummer_m y inf", "sturm_count nan",
                               "sturm_count huge", "psi huge", "effective_potential huge",
-                              "diagonal inf", "coupling inf", "diagonal huge", "coupling huge"])
+                              "diagonal inf", "coupling inf", "diagonal huge", "coupling huge",
+                              "discretize_weber long list", "lowest_eigenvalues long list",
+                              "psi long str", "psi long nested list", "GridSpec long str"])
 def test_a_refused_input_is_invalid_input_whatever_takes_it(call, message):
     # hermite(3, nan), the operator's inf diagonal, its huge coupling and a huge
     # shift, energy or x were OutOfRange, which other functions called the same
