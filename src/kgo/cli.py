@@ -33,8 +33,8 @@ from types import SimpleNamespace
 
 from . import spectrum
 from .errors import (DEFAULT_POINTS, DEFAULT_TOL, MAX_POINTS, InvalidInput, KgoError,
-                     UsageError, check_integer, check_points, check_positive, check_real,
-                     evaluate_finite)
+                     UsageError, check_integer, check_points, check_positive, check_real, cut,
+                     evaluate_finite, show)
 
 FORMATS = ("csv", "tsv", "json")
 
@@ -68,13 +68,14 @@ def _arg(convert, check, expected: str):
     """An option converter returning check(convert(text)).
 
     Any ValueError, from the conversion or from the library's own check,
-    becomes the one usage-error text "must be <expected>, got '<text>'".
+    becomes the one usage-error text "must be <expected>, got '<text>'", the
+    text quoted as errors.show quotes it, cut to 80 characters.
     """
     def parse(text: str):
         try:
             return check(convert(text))
         except ValueError:
-            raise ValueError(f"must be {expected}, got {text!r}") from None
+            raise ValueError(f"must be {expected}, got {show(text)}") from None
     return parse
 
 
@@ -90,7 +91,7 @@ _points = _arg(int, check_points, f"an odd integer in [3, {MAX_POINTS}]")
 def _positive_float_list(text: str) -> list[float]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
-        raise ValueError(f"must be a comma-separated list of numbers, got {text!r}")
+        raise ValueError(f"must be a comma-separated list of numbers, got {show(text)}")
     return [_positive_float(t) for t in items]
 
 
@@ -248,7 +249,7 @@ def _help(name: str | None) -> SimpleNamespace:
 
 
 def _invalid_choice(argument: str, value, choices) -> UsageError:
-    return UsageError(f"argument {argument}: invalid choice: {value!r} "
+    return UsageError(f"argument {argument}: invalid choice: {show(value)} "
                       f"(choose from {', '.join(map(repr, choices))})")
 
 
@@ -259,7 +260,8 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     argv is a subcommand, then flags and `--option value` or `--option=value`
     in any order, a later one replacing an earlier one; the token after a
     value option is its value, whatever it starts with.  The first token at
-    fault raises UsageError, with the message argparse gives for it.
+    fault raises UsageError, with the message argparse gives for it, but one
+    that shows at most 80 characters of an argv text (errors.show, errors.cut).
     """
     tokens = iter(argv)
     name = next(tokens, None)
@@ -279,7 +281,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
         option = by_flag.get(flag)
         # no prefix of a flag stands for it, and a flag takes no =value
         if option is None or option.convert is None and equals:
-            raise UsageError(f"unrecognized arguments: {token}")
+            raise UsageError(f"unrecognized arguments: {cut(token)}")
         if option.convert is None:
             values[option.dest] = True
             continue

@@ -65,15 +65,23 @@ def _real(value) -> float | None:
 
 
 def show(value) -> str:
-    """value as an error message shows it: its repr, cut to 80 characters, but an
-    int past the double range by its sign and bit length, and a value whose repr
-    raises ValueError (one that holds an int of more than 4300 digits) by its type."""
+    """value as an error message shows it: its repr, cut to 80 characters (cut),
+    but an int past the double range by its sign and bit length, and a value whose
+    repr raises ValueError (one that holds an int of more than 4300 digits) by its
+    type.  Of a list or tuple only the first 80 items are repr'd: with more, that
+    repr is already over 80 characters and begins as the whole one does, so the
+    text is the same, at a cost that does not grow with the sequence."""
     if type(value) is int and _real(value) is None:
         return f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
     try:
-        text = repr(value)
+        text = repr(value[:80] if type(value) in (list, tuple) else value)
     except ValueError:
         return f"a {type(value).__name__} too large to show"
+    return cut(text)
+
+
+def cut(text: str) -> str:
+    """text if it has 80 characters or fewer, else its first 77 and "..."."""
     return text if len(text) <= 80 else text[:77] + "..."
 
 

@@ -5,7 +5,9 @@ central stencil under Dirichlet boundaries and its lowest eigenvalues k^2
 are located by bisection on Sturm pivot counts, on the even and odd
 half-line blocks of the mirror-symmetric matrix (lowest_eigenvalues), with
 sweeps that end past the classical turning point of their shift
-(sturm_count).  Nothing from the closed-form spectrum module enters this
+(sturm_count).  Where their sweeps repay a fork, the two blocks bisect in
+two processes, the odd one in a forked child, with results identical to
+those of one process.  Nothing from the closed-form spectrum module enters this
 path, so agreement between the two is evidence rather than construction.
 The module runs on lists of Python floats and never loads numpy.
 
@@ -16,10 +18,12 @@ particles: the potential is unbounded from below at large |x|, which
 profile_effective_potential detects.
 """
 
+import marshal
 import math
+import os
 import sys
 from bisect import bisect_left, bisect_right
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, islice
 
 from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_instance,
@@ -29,6 +33,9 @@ from .params import GridSpec, OscillatorParams, default_extent
 
 MACHINE_EPS = sys.float_info.epsilon
 BISECTION_MAX_ITER = 200
+# A forked child costs about 3 ms; from about 10^6 rows of Sturm sweeps the
+# second CPU repays it (lowest_eigenvalues, on a 2-vCPU Linux VM)
+_FORK_MIN_ROWS = 10**6
 # fraction of the beyond-zero samples inspected for the unboundedness flag
 TAIL_FRACTION = 0.1
 
@@ -182,6 +189,110 @@ def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
             TridiagonalOperator._block(diagonal[m + 1:], op.off_diagonal, False)]
 
 
+def _bisect_block(block: TridiagonalOperator, levels: range, hi0: float,
+                  tol: float, parent: int | None = None) -> tuple[list, tuple | None]:
+    """(k^2 of levels, the first failure as (j, message) or None): level j of
+    levels is level j // levels.step of block, and each starts from the
+    bracket [0, hi0].  The levels bisect one memo: midpoint -> Sturm count,
+    up to len(levels), which no index reaches.  In a forked child, parent is
+    the pid that reads the result, and the child ends through os._exit
+    before a level once that process is gone."""
+    memo = {}
+    k_squared = []
+    for j in levels:
+        if parent is not None and os.getppid() != parent:
+            os._exit(0)
+        index = j // levels.step
+        lo, hi = 0.0, hi0
+        iterations = 0
+        while hi - lo > tol:
+            if iterations >= BISECTION_MAX_ITER:
+                return k_squared, (j, f"eigenvalue {j}: bracket still {hi - lo:g} wide after "
+                                      f"{BISECTION_MAX_ITER} bisection steps (tol = {tol:g})")
+            mid = 0.5 * (lo + hi)
+            below = memo.get(mid)
+            if below is None:
+                below = memo[mid] = sturm_count(block, mid, len(levels))
+            if below > index:
+                hi = mid
+            else:
+                lo = mid
+            iterations += 1
+        k_squared.append(0.5 * (lo + hi))
+    return k_squared, None
+
+
+def _fork_pays(rows: int) -> bool:
+    """Whether to bisect a block in a forked child: the sweeps hold at least
+    _FORK_MIN_ROWS rows, os.fork exists, the machine has a second CPU, and
+    the process runs one thread as /proc/self/task counts them, native
+    threads such as a BLAS pool included (where it cannot be read, no child
+    is forked).  A fork copies the calling thread alone, so a lock that
+    another thread holds would stay held in the child."""
+    if rows < _FORK_MIN_ROWS or not hasattr(os, "fork") or (os.cpu_count() or 1) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _bisect_apart(even, odd) -> list:
+    """[even(), odd()], odd() run in a forked child while this process runs even().
+
+    The child points its stdin, stdout and stderr at os.devnull, so it holds
+    none of the caller's pipes, sends its result through a pipe as marshal
+    bytes and ends through os._exit whatever happens, or before a level once
+    this process is gone.  This process reads the pipe to its end and reaps
+    the child, or kills and reaps it if even() raises.  The child's exit
+    status is never read, so a caller that ignores SIGCHLD or reaps children
+    itself gets the same result.  If no child starts, or it sends no result
+    that reads, odd() runs here.
+    """
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException as error:
+        os.close(read_end)
+        os.close(write_end)
+        if isinstance(error, OSError):  # no process to spare: both blocks run here
+            return [even(), odd()]
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            null = os.open(os.devnull, os.O_RDWR)
+            for fd in (0, 1, 2):
+                os.dup2(null, fd)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(odd(parent)))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            first = even()
+            data = pipe.read()
+    except BaseException:
+        import signal
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:  # already ended and reaped by the caller
+            pass
+        raise
+    finally:
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped by the caller, or SIGCHLD is ignored
+            pass
+    try:
+        second = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):  # the child died before it wrote all
+        second = odd()
+    return [first, second]
+
+
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
                        tol: float) -> list[float]:
     """First `count` eigenvalues by Sturm bisection, as an ascending list.
@@ -205,6 +316,13 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     every decision is the unfolded one; in floating point a midpoint within
     rounding of an eigenvalue, where tol is below the rounding of a Sturm
     count, can go either way.
+
+    No result passes between the two blocks, so where a fork repays its
+    cost (_fork_pays: _FORK_MIN_ROWS rows of sweeps, a second CPU, os.fork
+    and one thread in the process), the odd block bisects in a forked child
+    while this process bisects the even one (_bisect_apart): each block runs
+    the same loop on the same numbers, so the result is bit for bit the one
+    a single process gives, and a failure raises the lowest failing level.
     """
     op = check_instance("operator", op, TridiagonalOperator)
     count = check_integer(count, "count", 1, op.dimension)
@@ -213,33 +331,21 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
         below = sturm_count(op, 0.0)
         if below:
             raise InvalidInput(f"{below} eigenvalue(s) lie below 0, where the brackets start")
-    # each block with the number of levels taken from it, and its memo:
-    # midpoint -> Sturm count, up to that number, which no index reaches
     folds = _half_line_blocks(op)
-    blocks = [(block, len(range(parity, count, len(folds))), {})
-              for parity, block in enumerate(folds)]
-    hi0 = op.gershgorin_upper
-    k_squared = []
-    for j in range(count):
-        index, parity = divmod(j, len(blocks))
-        block, levels, memo = blocks[parity]
-        lo, hi = 0.0, hi0
-        iterations = 0
-        while hi - lo > tol:
-            if iterations >= BISECTION_MAX_ITER:
-                raise NonConvergence(
-                    f"eigenvalue {j}: bracket still {hi - lo:g} wide after "
-                    f"{BISECTION_MAX_ITER} bisection steps (tol = {tol:g})")
-            mid = 0.5 * (lo + hi)
-            below = memo.get(mid)
-            if below is None:
-                below = memo[mid] = sturm_count(block, mid, levels)
-            if below > index:
-                hi = mid
-            else:
-                lo = mid
-            iterations += 1
-        k_squared.append(0.5 * (lo + hi))
+    runs = [partial(_bisect_block, block, range(parity, count, len(folds)),
+                    op.gershgorin_upper, tol) for parity, block in enumerate(folds)]
+    # count levels x rows x bisection steps from the bracket [0, hi0] to tol
+    rows = count * op.dimension * math.frexp(op.gershgorin_upper / tol)[1]
+    if count > 1 and len(runs) == 2 and _fork_pays(rows):
+        results = _bisect_apart(*runs)
+    else:
+        results = [run() for run in runs]
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise NonConvergence(min(failures)[1])
+    k_squared = [0.0] * count
+    for parity, (levels, _) in enumerate(results):
+        k_squared[parity::len(results)] = levels
     return k_squared
 
 

@@ -5,18 +5,19 @@
 Each case runs in a fresh child of the interpreter that runs this script, with
 the repository's src/ first on its path.  The child enters kgo as the console
 script does (the [project.scripts] function of pyproject.toml) or as
-`python -m kgo` does.  Just before the process ends through os._exit, which
-only cli.entry calls, the child writes its sys.modules to an inherited pipe,
-and apart the modules loaded since it started.  So one child checks its exit
-code, stdout and stderr, that it ended through cli.entry, that it loaded no
-forbidden module, however it was imported, that it loaded no kgo module
-beyond those its case names, and that kgo loaded neither `numbers` nor
-`typing`.  Some cases run under `python -S`, where no site `.pth` imports
-`typing` first, and some under `python -X dev -W error`, where any warning a
-start raises, such as a deprecation in a newer Python, fails the case.  The
-standard library is all this needs (bench/workloads.py, which draws the
-benchmark's argvs, is stdlib-only too).  Exits 1 at the first difference,
-naming the case, or 0.
+`python -m kgo` does.  Just before the child ends through os._exit, which
+only cli.entry calls in it, the child writes its sys.modules to an inherited
+pipe, and apart the modules loaded since it started; a process that the
+oracle forks from it ends through os._exit too, and writes nothing.  So one
+child checks its exit code, stdout and stderr, that it ended through
+cli.entry, that it loaded no forbidden module, however it was imported, that
+it loaded no kgo module beyond those its case names, and that kgo loaded
+neither `numbers` nor `typing`.  Some cases run under `python -S`, where no
+site `.pth` imports `typing` first, and some under `python -X dev -W error`,
+where any warning a start raises, such as a deprecation in a newer Python,
+fails the case.  The standard library is all this needs (bench/workloads.py,
+which draws the benchmark's argvs, is stdlib-only too).  Exits 1 at the first
+difference, naming the case, or 0.
 """
 
 import hashlib
@@ -40,9 +41,10 @@ NOT_LOADED_BY_KGO = ("numbers", "typing")
 _CHILD = """\
 import os, sys
 sys.path.insert(0, {src!r})
-def _exit(code, exit=os._exit, write=os.write, started=set(sys.modules)):
-    write({fd}, (" ".join(sys.modules) + "\\n"
-                 + " ".join(set(sys.modules) - started)).encode())
+def _exit(code, exit=os._exit, write=os.write, started=set(sys.modules), pid=os.getpid()):
+    if os.getpid() == pid:  # a child the oracle forks ends through os._exit too
+        write({fd}, (" ".join(sys.modules) + "\\n"
+                     + " ".join(set(sys.modules) - started)).encode())
     exit(code)
 os._exit = _exit
 {body}

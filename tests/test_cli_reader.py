@@ -152,6 +152,23 @@ def test_usage_errors_are_argparse_messages(argv, message):
     assert str(err.value) == message
 
 
+LONG = "x" * 100000
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--b", LONG, "--n", "0"],
+    ["spectrum", "--b", "0.1", "--n", "0", "--format", LONG],
+    ["spectrum", "--b", "0.1", "--n", "0", "--" + LONG],
+    ["table", "--b", f"0.1,{LONG}", "--n-max", "1"],
+    ["table", "--b", "," * 100000, "--n-max", "1"], [LONG]],
+    ids=["value", "choice", "unrecognized", "list item", "empty list", "command"])
+def test_a_long_argv_text_gives_a_short_usage_error(argv):
+    # each wrote one stderr line of about 100,000 bytes: the whole text
+    code, out, err = _main(argv)
+    assert (code, out) == (2, "") and err.startswith("kgo: error: ")
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
+
+
 @pytest.mark.parametrize("argv, usage", [
     (["spectrum", "--b", "0.1", "--n", "0", "--help"], "kgo spectrum [-h] --b B --n N"),
     (["spectrum", "-h"], "kgo spectrum [-h] --b B --n N"),

@@ -159,6 +159,24 @@ def test_a_refused_sequence_names_its_first_refused_entry_alone():
         psi(2, [0.0] * 3 + ["a"] * 20000, 1.0)
 
 
+@pytest.mark.parametrize("sequence", [list, tuple])
+def test_a_long_sequence_is_shown_from_its_first_items(sequence):
+    # show built the whole repr to cut it to 80 characters: 5,000,000
+    # characters for discretize_weber(1.0, [0.5] * 10**6)
+    calls = []
+
+    class Item:
+        def __repr__(self):
+            calls.append(self)
+            return "item"
+
+    value = sequence([Item()] * 10**5)
+    shown = (repr(sequence(["item"] * 20)).replace("'", "")[:77] + "...")
+    with pytest.raises(InvalidInput, match=f"^grid must be a GridSpec, got {re.escape(shown)}$"):
+        discretize_weber(1.0, value)
+    assert len(calls) <= 80
+
+
 # edge values drawn in place of any argument: each call refuses them or gives finite results
 _TEXTS = ["1.0", "", b"", b"\x01\x02", bytearray(b"\x01\x02")]  # no argument takes one
 _ODD = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, True, False,

@@ -1,5 +1,12 @@
 import math
+import os
+import random
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -378,6 +385,205 @@ def test_folded_bisection_takes_the_unfolded_decisions_bit_for_bit(b, count, poi
     op = discretize_weber(b, GridSpec(default_extent(count - 1, b), points))
     assert lowest_eigenvalues(op, count, DEFAULT_TOL) == \
         _unfolded_bisection(op, count, DEFAULT_TOL)
+
+
+def _one_process(op, count, tol):
+    """lowest_eigenvalues with no os.fork: both blocks bisect in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        return lowest_eigenvalues(op, count, tol)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process, with _FORK_MIN_ROWS at 0, so
+    every operator of two blocks forks at a count above 1, however small."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(oracle, "_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def _mirror_operator(rng):
+    coupling = rng.uniform(0.01, 100.0)
+    half = [rng.uniform(0.0, 1000.0) for _ in range(rng.randint(2, 30))]
+    return TridiagonalOperator([2.0 * coupling + e for e in half[:0:-1] + half], -coupling)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_processes_give_the_bits_of_one(seed, forks):
+    # the odd block bisects in a forked child; each block runs the same loop
+    # on the same numbers wherever it runs
+    rng = random.Random(seed)
+    op = _mirror_operator(rng) if seed else discretize_weber(0.37, GridSpec(12.0, 201))
+    counts = sorted({1, 2, 3, 4, op.dimension // 2, op.dimension - 1, op.dimension})
+    for count in counts:
+        tol = rng.choice([1e-12, 1e-10, 1e-6])
+        forked = lowest_eigenvalues(op, count, tol)
+        assert forked == _one_process(op, count, tol), count
+        _assert_no_child()
+    assert len(forks) == len(counts) - 1  # every count but 1 leaves the odd block a level
+
+
+def test_a_child_is_forked_where_its_sweeps_repay_it(monkeypatch):
+    # _FORK_MIN_ROWS counts levels x rows x bisection steps: the README oracle
+    # (5 levels of 2001 points) stays in one process, 50 levels of it fork
+    assert oracle._fork_pays(oracle._FORK_MIN_ROWS)  # this process runs one thread
+    fork = os.fork
+    pids = []
+    monkeypatch.setattr(os, "fork", lambda: pids.append(None) or fork())
+    op = discretize_weber(1e-3, GridSpec(default_extent(49, 1e-3), DEFAULT_POINTS))
+    small = lowest_eigenvalues(op, 5, DEFAULT_TOL)
+    assert not pids
+    large = lowest_eigenvalues(op, 50, DEFAULT_TOL)
+    assert len(pids) == 1
+    assert large[:5] == small
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert lowest_eigenvalues(op, 50, DEFAULT_TOL) == large
+    assert len(pids) == 1  # one CPU: nothing to run the child on
+    _assert_no_child()
+
+
+def test_a_process_with_threads_bisects_both_blocks_itself(forks):
+    # a forked child holds the calling thread alone, and any lock another
+    # thread held stays held there; the OS counts native threads too
+    op = discretize_weber(0.37, GridSpec(12.0, 1001))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        got = lowest_eigenvalues(op, 10, DEFAULT_TOL)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and not forks
+    assert got == lowest_eigenvalues(op, 10, DEFAULT_TOL)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("b, count, level", [(1e5, 5, 3), (3e5, 5, 1), (1.5e5, 6, 2),
+                                             (7e5, 5, 0)])
+def test_a_failure_names_the_lowest_failing_level(b, count, level, forks):
+    # in this band both blocks fail to reach tol; the odd levels (the child's)
+    # fail first at b = 1e5 and 3e5, the even ones at 1.5e5 and 7e5
+    params = from_b(b)
+    op = discretize_weber(params.lam, GridSpec(default_extent(count - 1, params.lam), 2001))
+    with pytest.raises(NonConvergence) as alone:
+        _one_process(op, count, DEFAULT_TOL)
+    assert re.fullmatch(rf"eigenvalue {level}: bracket still \S+ wide after 200 bisection "
+                        r"steps \(tol = 1e-10\)", str(alone.value))
+    with pytest.raises(NonConvergence, match=f"^{re.escape(str(alone.value))}$"):
+        oracle_energies(params, count)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_the_child_is_killed_and_reaped_when_this_process_raises(forks):
+    parent = os.getpid()
+
+    def interrupted(block, shift, *limit):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return sturm_count(block, shift, *limit)
+
+    with mock.patch.object(oracle, "sturm_count", interrupted):
+        with pytest.raises(KeyboardInterrupt):
+            lowest_eigenvalues(discretize_weber(1.0, GridSpec(10.0, 2001)), 6, DEFAULT_TOL)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_a_child_that_dies_before_it_writes_leaves_the_result_unchanged(forks):
+    op = discretize_weber(0.02, GridSpec(default_extent(9, 0.02), 2001))
+    parent = os.getpid()
+
+    def dying(block, shift, *limit):
+        if os.getpid() != parent:
+            os._exit(3)
+        return sturm_count(block, shift, *limit)
+
+    with mock.patch.object(oracle, "sturm_count", dying):
+        got = lowest_eigenvalues(op, 10, DEFAULT_TOL)
+    assert len(forks) == 1
+    assert got == _one_process(op, 10, DEFAULT_TOL)
+    _assert_no_child()
+
+
+def test_a_caller_that_ignores_sigchld_gets_the_same_result(forks):
+    # the kernel reaps each child at once, so waitpid finds none to reap
+    op = discretize_weber(0.02, GridSpec(default_extent(9, 0.02), 2001))
+    alone = _one_process(op, 10, DEFAULT_TOL)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        got = lowest_eigenvalues(op, 10, DEFAULT_TOL)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 1
+    assert got == alone
+    _assert_no_child()
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as children:
+        return [int(child) for child in children.read().split()]
+
+
+def _ended(pid):
+    # gone, or a zombie that nothing reaps (a container's init may not)
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _streams(pid):
+    return [os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (0, 1, 2)]
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_a_killed_kgo_leaves_its_pipes_closed_and_no_process():
+    # the child points its streams at os.devnull, so a reader that kills kgo
+    # sees EOF at once, and it ends before its next level; the whole run
+    # would take minutes, and each level of it under a second
+    proc = subprocess.Popen([sys.executable, "-m", "kgo", "oracle", "--b", "0.001",
+                             "--count", "3000", "--points", "300001"],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        while not _children(proc.pid) or _streams(_children(proc.pid)[0]) != [os.devnull] * 3:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        [child] = _children(proc.pid)
+    finally:
+        proc.kill()
+    start = time.monotonic()
+    out, err = proc.communicate(timeout=10)
+    assert time.monotonic() - start < 2
+    assert (out, err, proc.returncode) == (b"", b"", -signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    try:
+        while not _ended(child):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        if not _ended(child):
+            os.kill(child, signal.SIGKILL)
 
 
 def test_lowest_eigenvalues_validation():
