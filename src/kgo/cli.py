@@ -8,15 +8,21 @@ Each subcommand's options are declared once, in COMMANDS, and parse_args
 reads every argv, writes every usage error and builds every help text from
 that table alone.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers,
-the table's in blocks of levels, each computed when the writer reaches it; the
-writer alone formats the values, under --decimals, all before the first byte,
-and holds each row once as text.  A failed build emits nothing, a failed write
-one error line; entry, the process entry, ends it right after the last flush.
+the table's in blocks of levels, each computed when the writer takes it by
+index; the writer alone formats the values, under --decimals, all before the
+first byte, and holds each row once as text.  A table of two blocks or more
+and _FORK_MIN_ROWS rows or more is computed and formatted in two processes
+where a fork pays (kgo.fork: a second CPU, os.fork, one thread): a forked
+child fills the second half of the blocks with the same templates and code,
+so the bytes are those of one process, and sends them to be written once
+both halves are whole.  A failed build emits nothing, a failed write one
+error line; entry, the process entry, ends it right after the last flush.
 Builders hand the writer lists of Python floats, and no command loads numpy
 or json.  A start loads only the code its subcommand runs: this module,
 kgo.errors (the exceptions and input rules) and kgo.spectrum (which `table`
 and `spectrum` need), then params and the kernel module inside the wavefn,
-oracle and veff builders, and kgo.helptext for -h or --help alone.
+oracle and veff builders, kgo.fork where a table's or the oracle's work is
+large enough to repay a child, and kgo.helptext for -h or --help alone.
 """
 
 import errno
@@ -24,10 +30,10 @@ import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 from types import SimpleNamespace
 
@@ -48,6 +54,10 @@ VEFF_DEFAULT_EXTENT_FACTOR = 2.5  # default x_max as a multiple of the V_eff zer
 # a wavefn run takes up to n x points / 2 recurrence steps; this cap keeps
 # the slowest accepted one below 15 s (2-vCPU Xeon VM, Python 3.11)
 WAVEFN_BUDGET = 3 * 10**8
+# an oracle run bisects count levels on an operator of about points rows; this
+# cap keeps the slowest accepted one, with count near points, near 15 s (14 s
+# for 4999 x 5001 at b = 10, in two processes, on the same VM)
+ORACLE_BUDGET = 25 * 10**6
 # a double's exact decimal expansion has at most 1074 fractional digits, so
 # more decimals only add zeros (and a huge K exhausts memory)
 MAX_DECIMALS = 1074
@@ -55,13 +65,31 @@ MAX_DECIMALS = 1074
 
 # levels per generate_table call: one block of table rows is computed, then formatted
 TABLE_BLOCK = 4096
+# A forked child costs about 3 ms; from about 2 * 10^4 table rows the second
+# CPU repays it (_render, on a 2-vCPU Linux VM)
+_FORK_MIN_ROWS = 2 * 10**4
 
-# blocks: (labels, values) pairs of columns.  Rows come in groups of one
-# template each (see _render): a label (n, b, parity) holds one text cell per
-# group and a value one number per row.  A label named in fixed holds instead
-# the cells of a group row by row, the same in every group (the table's b);
-# without one a group is a single row.  extra holds bools.
-_Emission = namedtuple("_Emission", "blocks warnings extra fixed", defaults=((), {}, ()))
+# blocks: a sequence of (labels, values) pairs of columns.  Rows come in groups
+# of one template each (see _render): a label (n, b, parity) holds one text
+# cell per group and a value one number per row.  A label named in fixed holds
+# instead the cells of a group row by row, the same in every group (the
+# table's b); without one a group is a single row.  extra holds bools.  rows
+# counts the rows where a builder of many blocks counts them (the table).
+_Emission = namedtuple("_Emission", "blocks warnings extra fixed rows",
+                       defaults=((), {}, (), 0))
+
+
+class _Blocks:
+    """A sequence of blocks, each computed when taken: item i is block(starts[i])."""
+
+    def __init__(self, block, starts: range):
+        self.block, self.starts = block, starts
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        return self.block(self.starts[i])  # past the end, the range raises IndexError
 
 
 def _arg(convert, check, expected: str):
@@ -105,14 +133,14 @@ def _build_table(ns: SimpleNamespace) -> _Emission:
     levels = range(check_integer(ns.n_max) + 1)
     b_cells = _fmt(ns.b)  # formatted once: each level's group of rows repeats them
 
-    def blocks():  # rows run n-major, b-minor: a group of rows is a level
-        for start in range(0, len(levels), TABLE_BLOCK):
-            part = levels[start:start + TABLE_BLOCK]
-            e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, part, ns.formula)
-            yield ({"n": list(map(str, part)), "b": b_cells},
-                   {"e_rel": e_rel, "e_nr_plus_one": e_nr_plus_one})
-    return _Emission(blocks(), [TABLE_FORMULA_WARNING] if ns.formula == "table" else [],
-                     fixed=("b",))
+    def block(start):  # rows run n-major, b-minor: a group of rows is a level
+        part = levels[start:start + TABLE_BLOCK]
+        e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, part, ns.formula)
+        return ({"n": list(map(str, part)), "b": b_cells},
+                {"e_rel": e_rel, "e_nr_plus_one": e_nr_plus_one})
+    return _Emission(_Blocks(block, range(0, len(levels), TABLE_BLOCK)),
+                     [TABLE_FORMULA_WARNING] if ns.formula == "table" else [],
+                     fixed=("b",), rows=len(levels) * len(ns.b))
 
 
 def _build_spectrum(ns: SimpleNamespace) -> _Emission:
@@ -143,6 +171,10 @@ def _build_wavefn(ns: SimpleNamespace) -> _Emission:
 def _build_oracle(ns: SimpleNamespace) -> _Emission:
     from . import oracle
     from .params import from_b
+    # checked before any compute; a count past points - 2 is refused as such
+    if check_integer(ns.count, "count", 1, ns.points - 2) * ns.points > ORACLE_BUDGET:
+        raise InvalidInput(f"count x points must be at most {ORACLE_BUDGET}, "
+                           f"got {ns.count} x {ns.points} = {ns.count * ns.points}")
     levels = range(ns.count)
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
@@ -223,7 +255,8 @@ COMMANDS = {
     "oracle": ("finite-difference eigenvalues vs the closed form", _build_oracle, (
         Option("--b", "b", _positive_float, required=True, help="strength parameter"),
         Option("--count", "count", _positive_int, required=True,
-               help="number of lowest levels to verify"),
+               help="number of lowest levels to verify; the work budget refuses "
+                    f"count x points above {ORACLE_BUDGET} with exit 1"),
         Option("--points", "points", _points, DEFAULT_POINTS,
                help=f"odd grid size in [3, {MAX_POINTS}] (default: {DEFAULT_POINTS})"),
         Option("--tol", "tol", _positive_float, DEFAULT_TOL,
@@ -318,15 +351,24 @@ def _integral(cell: str) -> str:
     return cell if "." in cell or "e" in cell else cell + ".0"
 
 
-def _render(emission: _Emission, output_format: str, decimals: int | None) -> list[str]:
-    """One writer for all formats; its texts, in output order and never joined,
-    are the head, each block's rows, the row separator between blocks and the
-    tail.  Each group of rows is one `%` template: a fixed label's cells, the
-    separators and the json keys are literal text in it, every other label is
-    a `%s` and every value a `%.6g` or `%.Kf`.  A block fills one template per
-    group through one zip of its columns: for each row of the group, each
-    label's cells and each value column's iterator, which zip advances once a
-    row."""
+def _render(emission: _Emission, output_format: str, decimals: int | None) -> Iterator[str]:
+    """One writer for all formats: an iterator over its texts, in output order
+    and never joined, which are the head, each block's rows, the row
+    separator between blocks and the tail.  Each group of rows is one `%`
+    template: a fixed label's cells, the separators and the json keys are
+    literal text in it, every other label is a `%s` and every value a `%.6g`
+    or `%.Kf`.  A block fills one template per group through one zip of its
+    columns: for each row of the group, each label's cells and each value
+    column's iterator, which zip advances once a row.
+
+    Each block is taken, and its template built, by index, so no block needs
+    another.  Where a table's rows repay a fork (from _FORK_MIN_ROWS rows,
+    where fork.pays), a forked child fills the second half of the blocks
+    while this process fills the first (fork.apart): both fill the same
+    templates with the same code, so the texts are those of one process.
+    Every block of both halves is filled before the first text is handed out,
+    so a run that fails hands out nothing, and once this returns in one
+    process only the texts are held."""
     value = "%.6g" if decimals is None else f"%.{decimals}f"
 
     def numbers(column):  # no cell reads "-0": 0.0 + -0.0 is 0.0, and a negative
@@ -354,34 +396,45 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> li
         notes = [f"{key}: {_JSON_BOOL[flag]}" for key, flag in emission.extra.items()]
         row_sep = "\n"
         tail = "".join(f"\n# {note}" for note in [*notes, *emission.warnings])
-    texts = []
-    for labels, values in emission.blocks:
+
+    def fill(i):  # [the head, or before any later block the row separator, block i's rows]
+        labels, values = emission.blocks[i]
         labels = {name: list(map(forms[name], cells)) if name in forms else cells
                   for name, cells in labels.items()}
-        if not texts:  # every block has the first one's columns and fixed cells
-            names = [*labels, *values]
-            group = len(labels[emission.fixed[0]]) if emission.fixed else 1
-            template = row_sep.join(row(names, [
-                labels[name][r].replace("%", "%%") if name in emission.fixed
-                else "%s" if name in labels else value for name in names]) for r in range(group))
-            texts.append('{"rows":[' if output_format == "json" else sep.join(names) + "\n")
+        # every block has the same columns and fixed cells, so the same template
+        names = [*labels, *values]
+        group = len(labels[emission.fixed[0]]) if emission.fixed else 1
+        template = row_sep.join(row(names, [
+            labels[name][r].replace("%", "%%") if name in emission.fixed
+            else "%s" if name in labels else value for name in names]) for r in range(group))
         values = {name: iter(numbers(column)) for name, column in values.items()}
         # each row of a group's template takes a label's cell of the group and
         # the next cell of a value: zip pulls a value's one iterator once a row
         cells = [labels[name] if name in labels else values[name]
                  for _ in range(group) for name in names if name not in emission.fixed]
-        texts += [row_sep.join(map(template.__mod__, zip(*cells))), row_sep]
-    texts[-1] = tail + "\n"  # the last block's row separator gives way to the tail
-    return texts
+        head = '{"rows":[' if output_format == "json" else sep.join(names) + "\n"
+        return [row_sep if i else head, row_sep.join(map(template.__mod__, zip(*cells)))]
+
+    count, blocks = len(emission.blocks), None
+    if count > 1 and emission.rows >= _FORK_MIN_ROWS:  # a large table of two blocks
+        from . import fork
+        if fork.pays():
+            blocks = fork.apart(fill, count, count // 2)
+    if blocks is None:
+        blocks = [fill(i) for i in range(count)]
+    return chain(chain.from_iterable(blocks), [tail + "\n"])
 
 
 def run(ns: SimpleNamespace) -> None:
     """Execute parsed arguments, writing rows, or the help text, to standard output.
 
-    Once every block is formatted, each text goes in turn to the stream's
-    binary layer, or the write that refused a byte raises its OSError:
-    unbuffered (python -u), that layer may take only part of a write, such as
-    when the reader leaves, and the text layer drops the rest."""
+    Once every block is formatted, in one process or two (_render), each text
+    goes in turn to the stream's binary layer, a forked child's as it arrives,
+    or the write that refused a byte raises its OSError: unbuffered
+    (python -u), that layer may take only part of a write, such as when the
+    reader leaves, and the text layer drops the rest.  A write that raises
+    drops the texts, and with them a forked child's frames: the child is
+    killed and reaped (fork.apart)."""
     out = sys.stdout
     if out is None:  # fd 1 was closed at start: nowhere to write rows
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))

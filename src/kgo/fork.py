@@ -1,0 +1,109 @@
+"""The one way kgo gives a part of its work to a second process: pays says
+whether a child can be forked, and apart runs the later part of a list of
+independent works in a forked child while this process runs the earlier
+part.  The table writer (cli._render) and the oracle's bisection
+(oracle.lowest_eigenvalues) use it alike, and load it only once their work
+is large enough to repay a child, so no other start compiles it.
+"""
+
+import marshal
+import os
+from contextlib import suppress
+
+
+def pays() -> bool:
+    """Whether a forked child can take a part of the work, which its caller
+    has found large enough to repay a child's cost: os.fork exists, the
+    machine has a second CPU, and the process runs one thread as
+    /proc/self/task counts them, native threads such as a BLAS pool included
+    (where it cannot be read, no child is forked).  A fork copies the calling
+    thread alone, so a lock that another thread holds would stay held in the
+    child."""
+    if not hasattr(os, "fork") or (os.cpu_count() or 1) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _load(pipe):
+    """The next marshal frame of pipe, or None where none loads: the writer
+    ended, or was cut off, before the frame was whole."""
+    try:
+        return marshal.load(pipe)
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def apart(work, count: int, split: int):
+    """work(i) for i in range(count), in order, as an iterator: a forked child
+    runs work(i) from i = split on while this process runs the ones before.
+    Every result is one that marshal writes, and none is None.
+
+    Nothing is handed out until both parts are done.  The child runs its
+    whole part, then reports success through a pipe, then sends each result
+    as one marshal frame, which the iterator hands out as it arrives; so each
+    process holds at most its own part.  The child points its stdin, stdout
+    and stderr at os.devnull, so it holds none of the caller's pipes, ends
+    through os._exit whatever happens, and ends before its next result once
+    this process is gone.  This process reaps the child, or kills and reaps
+    it if its own part raises or the iterator is closed, or dropped, before
+    its end.  The child's exit status is never read, so a caller that
+    ignores SIGCHLD or reaps children itself gets the same results.  If no
+    pipe or child can be made, or the child ends before its success, or a
+    frame does not load, this process runs the work itself from the first
+    result it lacks: so the results, and the exception that the first
+    failing work(i) raises, are those of one process.
+    """
+    parent, ends = os.getpid(), []
+    try:
+        ends += os.pipe()
+        pid = os.fork()
+    except BaseException as error:
+        for end in ends:
+            os.close(end)
+        if not isinstance(error, OSError):
+            raise
+        pid = None  # no file or process to spare: all the work runs here
+    else:
+        read_end, write_end = ends
+    if pid == 0:
+        try:
+            os.close(read_end)
+            null = os.open(os.devnull, os.O_RDWR)
+            for fd in (0, 1, 2):
+                os.dup2(null, fd)
+            results = []
+            for i in range(split, count):
+                if os.getppid() != parent:
+                    os._exit(0)
+                results.append(work(i))
+            with open(write_end, "wb") as pipe:
+                marshal.dump(True, pipe)
+                for result in results:
+                    marshal.dump(result, pipe)
+        finally:
+            os._exit(0)
+    results, missing = [], 0 if pid is None else split
+    if pid:
+        os.close(write_end)
+        try:
+            with open(read_end, "rb") as pipe:
+                results = [work(i) for i in range(split)]
+                if _load(pipe) is True:  # the child's part is done: its frames follow
+                    yield from results
+                    results = []
+                    while missing < count and (result := _load(pipe)) is not None:
+                        yield result
+                        missing += 1
+        except BaseException:
+            import signal
+            with suppress(ProcessLookupError):  # already ended and reaped by the caller
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            with suppress(ChildProcessError):  # reaped by the caller, or SIGCHLD is ignored
+                os.waitpid(pid, 0)
+    results += map(work, range(missing, count))
+    yield from results

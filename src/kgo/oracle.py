@@ -18,12 +18,11 @@ particles: the potential is unbounded from below at large |x|, which
 profile_effective_potential detects.
 """
 
-import marshal
 import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, islice
 
 from .errors import (DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, check_instance,
@@ -190,17 +189,17 @@ def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
 
 
 def _bisect_block(block: TridiagonalOperator, levels: range, hi0: float,
-                  tol: float, parent: int | None = None) -> tuple[list, tuple | None]:
+                  tol: float, parent: int) -> tuple[list, tuple | None]:
     """(k^2 of levels, the first failure as (j, message) or None): level j of
     levels is level j // levels.step of block, and each starts from the
     bracket [0, hi0].  The levels bisect one memo: midpoint -> Sturm count,
-    up to len(levels), which no index reaches.  In a forked child, parent is
-    the pid that reads the result, and the child ends through os._exit
+    up to len(levels), which no index reaches.  parent is the pid that reads
+    the result: a child forked from it (fork.apart) ends through os._exit
     before a level once that process is gone."""
     memo = {}
     k_squared = []
     for j in levels:
-        if parent is not None and os.getppid() != parent:
+        if parent not in (os.getpid(), os.getppid()):
             os._exit(0)
         index = j // levels.step
         lo, hi = 0.0, hi0
@@ -220,77 +219,6 @@ def _bisect_block(block: TridiagonalOperator, levels: range, hi0: float,
             iterations += 1
         k_squared.append(0.5 * (lo + hi))
     return k_squared, None
-
-
-def _fork_pays(rows: int) -> bool:
-    """Whether to bisect a block in a forked child: the sweeps hold at least
-    _FORK_MIN_ROWS rows, os.fork exists, the machine has a second CPU, and
-    the process runs one thread as /proc/self/task counts them, native
-    threads such as a BLAS pool included (where it cannot be read, no child
-    is forked).  A fork copies the calling thread alone, so a lock that
-    another thread holds would stay held in the child."""
-    if rows < _FORK_MIN_ROWS or not hasattr(os, "fork") or (os.cpu_count() or 1) < 2:
-        return False
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _bisect_apart(even, odd) -> list:
-    """[even(), odd()], odd() run in a forked child while this process runs even().
-
-    The child points its stdin, stdout and stderr at os.devnull, so it holds
-    none of the caller's pipes, sends its result through a pipe as marshal
-    bytes and ends through os._exit whatever happens, or before a level once
-    this process is gone.  This process reads the pipe to its end and reaps
-    the child, or kills and reaps it if even() raises.  The child's exit
-    status is never read, so a caller that ignores SIGCHLD or reaps children
-    itself gets the same result.  If no child starts, or it sends no result
-    that reads, odd() runs here.
-    """
-    parent = os.getpid()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException as error:
-        os.close(read_end)
-        os.close(write_end)
-        if isinstance(error, OSError):  # no process to spare: both blocks run here
-            return [even(), odd()]
-        raise
-    if pid == 0:
-        try:
-            os.close(read_end)
-            null = os.open(os.devnull, os.O_RDWR)
-            for fd in (0, 1, 2):
-                os.dup2(null, fd)
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(odd(parent)))
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            first = even()
-            data = pipe.read()
-    except BaseException:
-        import signal
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:  # already ended and reaped by the caller
-            pass
-        raise
-    finally:
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped by the caller, or SIGCHLD is ignored
-            pass
-    try:
-        second = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):  # the child died before it wrote all
-        second = odd()
-    return [first, second]
 
 
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
@@ -318,9 +246,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     count, can go either way.
 
     No result passes between the two blocks, so where a fork repays its
-    cost (_fork_pays: _FORK_MIN_ROWS rows of sweeps, a second CPU, os.fork
-    and one thread in the process), the odd block bisects in a forked child
-    while this process bisects the even one (_bisect_apart): each block runs
+    cost (_FORK_MIN_ROWS rows of sweeps, and fork.pays: a second CPU,
+    os.fork and one thread in the process), the odd block bisects in a forked child
+    while this process bisects the even one (fork.apart): each block runs
     the same loop on the same numbers, so the result is bit for bit the one
     a single process gives, and a failure raises the lowest failing level.
     """
@@ -332,14 +260,20 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
         if below:
             raise InvalidInput(f"{below} eigenvalue(s) lie below 0, where the brackets start")
     folds = _half_line_blocks(op)
-    runs = [partial(_bisect_block, block, range(parity, count, len(folds)),
-                    op.gershgorin_upper, tol) for parity, block in enumerate(folds)]
+    parent = os.getpid()
+
+    def bisect(parity):
+        return _bisect_block(folds[parity], range(parity, count, len(folds)),
+                             op.gershgorin_upper, tol, parent)
     # count levels x rows x bisection steps from the bracket [0, hi0] to tol
     rows = count * op.dimension * math.frexp(op.gershgorin_upper / tol)[1]
-    if count > 1 and len(runs) == 2 and _fork_pays(rows):
-        results = _bisect_apart(*runs)
-    else:
-        results = [run() for run in runs]
+    results = None
+    if count > 1 and len(folds) == 2 and rows >= _FORK_MIN_ROWS:  # each block has a level
+        from . import fork
+        if fork.pays():
+            results = list(fork.apart(bisect, 2, 1))
+    if results is None:
+        results = list(map(bisect, range(len(folds))))
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise NonConvergence(min(failures)[1])

@@ -5,11 +5,11 @@
 Each case runs in a fresh child of the interpreter that runs this script, with
 the repository's src/ first on its path.  The child enters kgo as the console
 script does (the [project.scripts] function of pyproject.toml) or as
-`python -m kgo` does.  Just before the child ends through os._exit, which
-only cli.entry calls in it, the child writes its sys.modules to an inherited
-pipe, and apart the modules loaded since it started; a process that the
-oracle forks from it ends through os._exit too, and writes nothing.  So one
-child checks its exit code, stdout and stderr, that it ended through
+`python -m kgo` does.  Just before the child ends through os._exit, which only
+cli.entry calls in it, the child writes its sys.modules to an inherited pipe,
+and apart the modules loaded since it started; a process that the oracle or
+the table writer forks from it ends through os._exit too, and writes nothing.
+So one child checks its exit code, stdout and stderr, that it ended through
 cli.entry, that it loaded no forbidden module, however it was imported, that
 it loaded no kgo module beyond those its case names, and that kgo loaded
 neither `numbers` nor `typing`.  Some cases run under `python -S`, where no
@@ -42,7 +42,7 @@ _CHILD = """\
 import os, sys
 sys.path.insert(0, {src!r})
 def _exit(code, exit=os._exit, write=os.write, started=set(sys.modules), pid=os.getpid()):
-    if os.getpid() == pid:  # a child the oracle forks ends through os._exit too
+    if os.getpid() == pid:  # a child that kgo forks ends through os._exit too
         write({fd}, (" ".join(sys.modules) + "\\n"
                      + " ".join(set(sys.modules) - started)).encode())
     exit(code)
@@ -120,12 +120,31 @@ def readme_commands(readme=None):
     return [tuple(line.split()[1:]) for line in block.splitlines() if line.startswith("kgo ")]
 
 
+def _may_fork(argv):
+    """Whether a start on argv, which parses, may load kgo.fork to ask
+    whether a child can take half of its work: a table of two blocks or more
+    and cli._FORK_MIN_ROWS rows or more, or an oracle of more than one level
+    (whose sweeps may or may not reach oracle._FORK_MIN_ROWS rows)."""
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from kgo.cli import _FORK_MIN_ROWS, TABLE_BLOCK
+    finally:
+        sys.path.remove(str(ROOT / "src"))
+    options = dict(zip(argv[1::2], argv[2::2]))  # neither command takes a flag
+    if argv[0] == "table":
+        levels = int(options["--n-max"]) + 1
+        return levels > TABLE_BLOCK and levels * len(options["--b"].split(",")) >= _FORK_MIN_ROWS
+    return argv[0] == "oracle" and int(options["--count"]) > 1
+
+
 def started(argv, code):
     """The kgo modules a CLI start on argv that exits with code may load: a
     usage error (code 2) runs no builder, and help runs none either."""
     if "-h" in argv or "--help" in argv:
         return START + ("kgo.helptext",)
-    return START + (BUILDER[argv[0]] if code != 2 else ())
+    if code == 2:
+        return START
+    return START + BUILDER[argv[0]] + (("kgo.fork",) if _may_fork(argv) else ())
 
 
 def _bench_argvs(workload):

@@ -1,23 +1,31 @@
+import errno
 import hashlib
 import json
+import marshal
 import math
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from kgo import wavefn
-from kgo.cli import (_JSON_BOOL, COMMANDS, TABLE_BLOCK, TABLE_FORMULA_WARNING, WAVEFN_BUDGET,
-                     _Emission, _render, main, parse_args)
+from kgo import cli, fork, spectrum, wavefn
+from kgo.cli import (_JSON_BOOL, COMMANDS, ORACLE_BUDGET, TABLE_BLOCK, TABLE_FORMULA_WARNING,
+                     WAVEFN_BUDGET, _Emission, _render, main, parse_args)
 from kgo.errors import UsageError
 from kgo.params import GridSpec
 from kgo.spectrum import PARITY_CHOICES, generate_table
 from kgo.wavefn import psi
+
+from test_oracle import assert_a_killed_kgo_leaves_no_process, needs_children
 
 
 def _run(capsys, *argv):
@@ -198,6 +206,29 @@ def test_wavefn_work_budget_accepts_its_largest_product(capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == points
     assert [row for row in rows if row.split(",")[1] != "0"] == [f"0,{psi(n, 0.0, 1.0):.6g}"]
+
+
+def test_oracle_work_budget_refuses_a_larger_product_before_any_compute(capsys):
+    # 999999 levels on 10^6 + 1 points would run for days; one product past
+    # the budget is refused too, and so before b = 1e200 overflows the operator
+    for b, count, points in (("0.1", 999999, 1000001), ("1e200", 64, 390627),
+                             ("1", ORACLE_BUDGET // 390625 + 1, 390625)):
+        code, out, err = _run(capsys, "oracle", "--b", b, "--count", str(count),
+                              "--points", str(points))
+        assert code == 1 and out == ""
+        assert err == (f"kgo: error: count x points must be at most {ORACLE_BUDGET}, "
+                       f"got {count} x {points} = {count * points}\n")
+
+
+def test_oracle_work_budget_accepts_its_largest_product(capsys):
+    # a bracket tol wider than the Gershgorin bound takes no bisection step,
+    # so the run builds the operator and returns each bracket's midpoint
+    count, points = ORACLE_BUDGET // 390625, 390625
+    assert count * points == ORACLE_BUDGET
+    code, out, err = _run(capsys, "oracle", "--b", "1", "--count", str(count),
+                          "--points", str(points), "--tol", "1e300")
+    assert code == 0 and err == ""
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [str(n) for n in range(count)]
 
 
 def test_oracle_reports_small_relative_difference(capsys):
@@ -570,7 +601,8 @@ def test_out_of_memory_is_one_error_line_under_memory_limit():
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_ten_million_row_table_prints_under_memory_limit(output_format):
     # computed and formatted in blocks of levels, the rows are held once as
-    # text, block by block, and each block is encoded and written in turn
+    # text, block by block, and each block is encoded and written in turn;
+    # the table forks, and each process holds at most its own half of them
     b = ",".join(f"{k / 10:g}" for k in range(1, 11))
     proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b, "--n-max", "1000000",
                            "--format", output_format], stdout=subprocess.DEVNULL,
@@ -702,3 +734,239 @@ def test_main_in_process_returns_its_code(capsys, monkeypatch):
                                      ["nonsense"])]
     assert codes == [0, 0, 1, 2]
     assert capsys.readouterr().out.startswith("n,b,parity,energy\n0,0.1,combined,1.04881\n")
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process, with cli._FORK_MIN_ROWS at 0,
+    so every table of two blocks or more forks, however few its rows."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def _one_process(capsys, argv):
+    """main's (code, stdout, stderr) on argv with no os.fork: every block is filled here."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        return _run(capsys, *argv)
+
+
+def _assert_same_run(capsys, argv, alone):
+    got = _run(capsys, *argv)
+    same = got == alone  # apart from the assert: pytest's diff of long strings takes minutes
+    assert same, (got[0], got[2], len(got[1]), alone[0], alone[2], len(alone[1]))
+
+
+def _table(n_max, *options):
+    return ("table", "--b", "0.1,1e-9", "--n-max", str(n_max), *options)
+
+
+@pytest.mark.parametrize("formula", ["eq21", "table"])
+@pytest.mark.parametrize("decimals", [[], ["--decimals", "0"], ["--decimals", "5"]],
+                         ids=["6g", "0", "5"])
+@pytest.mark.parametrize("output_format", ["csv", "tsv", "json"])
+def test_two_processes_write_the_bytes_of_one(capsys, forks, output_format, decimals, formula):
+    # three blocks: this process fills the first, a forked child the other two
+    argv = _table(2 * TABLE_BLOCK + 5, "--format", output_format, "--formula", formula,
+                  *decimals)
+    alone = _one_process(capsys, argv)
+    assert alone[0] == 0 and not forks
+    _assert_same_run(capsys, argv, alone)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("n_max, blocks", [(TABLE_BLOCK - 1, 1), (TABLE_BLOCK, 2),
+                                           (2 * TABLE_BLOCK - 1, 2), (4 * TABLE_BLOCK, 5)])
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_two_processes_split_the_blocks_at_every_edge(capsys, forks, output_format, n_max,
+                                                      blocks):
+    # one block has no second half: only a table of two blocks or more forks
+    argv = _table(n_max, "--format", output_format)
+    alone = _one_process(capsys, argv)
+    _assert_same_run(capsys, argv, alone)
+    assert len(forks) == (blocks > 1)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("b, n_max", [("1e303", 100000), ("1e308", 2 * TABLE_BLOCK + 5)],
+                         ids=["child", "parent"])
+def test_an_overflow_in_either_half_is_the_one_process_error(capsys, forks, b, n_max):
+    # 2b(n + 1/2) overflows from n = 89884 at b = 1e303, in block 21 of 25,
+    # which the child fills; at b = 1e308 from n = 1, in this process's block
+    argv = ("table", "--b", b, "--n-max", str(n_max))
+    alone = _one_process(capsys, argv)
+    assert alone == (1, "", "kgo: error: energy sqrt(1 + 2b(n + 0.5)) exceeds the "
+                            "floating-point range\n")
+    assert _run(capsys, *argv) == alone
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_an_error_in_this_half_kills_the_child_at_once(capsys, forks, monkeypatch):
+    # the child would fill its first block for a minute: this process, whose
+    # own block overflows, kills it rather than wait for it
+    parent, generate_table = os.getpid(), spectrum.generate_table
+
+    def slow(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return generate_table(*args)
+
+    monkeypatch.setattr(spectrum, "generate_table", slow)
+    start = time.monotonic()
+    code, out, err = _run(capsys, "table", "--b", "1e308", "--n-max", str(2 * TABLE_BLOCK + 5))
+    assert (code, out) == (1, "") and err.endswith(" exceeds the floating-point range\n")
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_the_overflowing_table_forks_at_the_real_threshold_with_the_same_error():
+    # 100001 rows of 25 blocks: a fork pays without a forced threshold
+    assert 100001 >= cli._FORK_MIN_ROWS
+    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", "1e303", "--n-max",
+                           "100000"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "kgo: error: energy sqrt(1 + 2b(n + 0.5)) exceeds the floating-point range\n")
+
+
+def _dying_marshal(parent, frames, cut, loaded):
+    """marshal for kgo.fork, whose dump SIGKILLs a forked child once it has
+    sent its success report and frames frames, after half of the next frame
+    if cut; load records in loaded each frame that this process loads."""
+    sent = []
+
+    def dump(value, pipe):
+        if os.getpid() != parent and len(sent) == 1 + frames:
+            data = marshal.dumps(value)
+            pipe.write(data[:len(data) // 2] if cut else b"")
+            pipe.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        sent.append(value)
+        marshal.dump(value, pipe)
+
+    def load(pipe):
+        value = marshal.load(pipe)
+        loaded.append(value)
+        return value
+    return SimpleNamespace(dump=dump, dumps=marshal.dumps, load=load)
+
+
+@pytest.mark.parametrize("frames, cut", [(0, False), (1, False), (1, True)],
+                         ids=["report", "one-frame", "cut-frame"])
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_a_child_killed_after_some_frames_leaves_the_bytes_unchanged(capsys, forks, monkeypatch,
+                                                                     output_format, frames, cut):
+    # four blocks, the child's two sent as two frames: those that arrive are
+    # written, and this process fills the rest from the first that does not
+    argv = _table(3 * TABLE_BLOCK, "--format", output_format)
+    alone = _one_process(capsys, argv)
+    loaded = []
+    monkeypatch.setattr(fork, "marshal", _dying_marshal(os.getpid(), frames, cut, loaded))
+    _assert_same_run(capsys, argv, alone)
+    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] is True
+    _assert_no_child()
+
+
+def test_a_child_killed_before_it_writes_leaves_the_bytes_unchanged(capsys, forks,
+                                                                     monkeypatch):
+    argv = _table(2 * TABLE_BLOCK + 5, "--format", "json", "--decimals", "5")
+    alone = _one_process(capsys, argv)
+    parent, generate_table = os.getpid(), spectrum.generate_table
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return generate_table(*args)
+
+    monkeypatch.setattr(spectrum, "generate_table", dying)
+    _assert_same_run(capsys, argv, alone)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_no_child_without_os_fork_or_with_a_thread_running(capsys, forks):
+    # a forked child holds the calling thread alone, and any lock another
+    # thread held stays held there
+    argv = _table(2 * TABLE_BLOCK + 5)
+    alone = _one_process(capsys, argv)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        _assert_same_run(capsys, argv, alone)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and not forks
+    _assert_same_run(capsys, argv, alone)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_a_writer_dropped_early_kills_and_reaps_its_child(forks):
+    # the texts are handed out once both halves are filled; a caller that
+    # drops them, as run does when stdout refuses a write, ends the child
+    ns = parse_args(_table(3 * TABLE_BLOCK))
+    texts = _render(ns.build(ns), ns.format, ns.decimals)
+    assert next(texts) == "n,b,e_rel,e_nr_plus_one\n"
+    assert len(forks) == 1
+    del texts
+    _assert_no_child()
+
+
+def test_without_a_pipe_no_child_is_forked_and_the_bytes_are_unchanged(capsys, forks,
+                                                                      monkeypatch):
+    # with no file descriptor to spare for the pipe, this process fills every block
+    argv = _table(2 * TABLE_BLOCK + 5, "--format", "json")
+    alone = _one_process(capsys, argv)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    _assert_same_run(capsys, argv, alone)
+    assert not forks
+    _assert_no_child()
+
+
+@needs_children
+def test_a_killed_table_writer_leaves_its_pipes_closed_and_no_child():
+    # 10^7 rows, about 7 s in two processes: the child, which fills its half
+    # before it sends a byte, would run on for seconds after the kill
+    b = ",".join(f"{k / 10:g}" for k in range(1, 11))
+    assert_a_killed_kgo_leaves_no_process("table", "--b", b, "--n-max", "1000000",
+                                          "--format", "json")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("table", "--b", "0.1,0.001,0.0001", "--n-max", "100"), False),  # README's: one block
+    (("table", "--b", "0.1", "--n-max", str(2 * TABLE_BLOCK)), False),  # 3 blocks, 8193 rows
+    (("table", "--b", "0.1,0.2,0.3", "--n-max", str(2 * TABLE_BLOCK - 1)), True),
+    (("oracle", "--b", "0.001", "--count", "5", "--points", "2001"), False),  # README's
+    (("oracle", "--b", "0.001", "--count", "50", "--points", "2001"), True),
+])
+def test_only_a_start_whose_work_repays_a_child_loads_the_fork_helper(argv, loads):
+    # each caller compares its rows with its threshold before it imports
+    # kgo.fork, so a start that cannot fork does not compile it
+    script = ("import sys\nfrom kgo.cli import main\n"
+              f"main({list(argv)!r})\nprint('kgo.fork' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    assert proc.stderr == f"{loads}\n"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kgo import oracle
 from kgo.errors import DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, OutOfRange
+from kgo.fork import pays
 from kgo.oracle import (BISECTION_MAX_ITER, MACHINE_EPS, TridiagonalOperator, discretize_weber,
                         effective_potential, lowest_eigenvalues,
                         oracle_energies, profile_effective_potential,
@@ -441,7 +442,7 @@ def test_two_processes_give_the_bits_of_one(seed, forks):
 def test_a_child_is_forked_where_its_sweeps_repay_it(monkeypatch):
     # _FORK_MIN_ROWS counts levels x rows x bisection steps: the README oracle
     # (5 levels of 2001 points) stays in one process, 50 levels of it fork
-    assert oracle._fork_pays(oracle._FORK_MIN_ROWS)  # this process runs one thread
+    assert pays()  # this process runs one thread
     fork = os.fork
     pids = []
     monkeypatch.setattr(os, "fork", lambda: pids.append(None) or fork())
@@ -554,14 +555,12 @@ def _streams(pid):
     return [os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (0, 1, 2)]
 
 
-@pytest.mark.skipif(not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
-                    reason="needs /proc/<pid>/task/<pid>/children")
-def test_a_killed_kgo_leaves_its_pipes_closed_and_no_process():
-    # the child points its streams at os.devnull, so a reader that kills kgo
-    # sees EOF at once, and it ends before its next level; the whole run
-    # would take minutes, and each level of it under a second
-    proc = subprocess.Popen([sys.executable, "-m", "kgo", "oracle", "--b", "0.001",
-                             "--count", "3000", "--points", "300001"],
+def assert_a_killed_kgo_leaves_no_process(*argv):
+    """Start `python -m kgo` on argv, SIGKILL it once its forked child has
+    pointed its streams at os.devnull, and check that the pipes reach EOF at
+    once and that the child, which has seconds of work left, ends within 2 s:
+    it checks before each part of its work that its parent is unchanged."""
+    proc = subprocess.Popen([sys.executable, "-m", "kgo", *argv],
                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     try:
@@ -576,7 +575,7 @@ def test_a_killed_kgo_leaves_its_pipes_closed_and_no_process():
     out, err = proc.communicate(timeout=10)
     assert time.monotonic() - start < 2
     assert (out, err, proc.returncode) == (b"", b"", -signal.SIGKILL)
-    deadline = time.monotonic() + 10
+    deadline = time.monotonic() + 2
     try:
         while not _ended(child):
             assert time.monotonic() < deadline
@@ -584,6 +583,19 @@ def test_a_killed_kgo_leaves_its_pipes_closed_and_no_process():
     finally:
         if not _ended(child):
             os.kill(child, signal.SIGKILL)
+
+
+needs_children = pytest.mark.skipif(
+    not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<pid>/children")
+
+
+@needs_children
+def test_a_killed_kgo_leaves_its_pipes_closed_and_no_process():
+    # the slowest shape the work budget accepts: about 10 s in two processes,
+    # a few ms a level, so the child would run on for seconds after the kill
+    assert_a_killed_kgo_leaves_no_process("oracle", "--b", "10", "--count", "4999",
+                                          "--points", "5001")
 
 
 def test_lowest_eigenvalues_validation():
