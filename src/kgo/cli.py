@@ -8,15 +8,16 @@ Each subcommand's options are declared once, in COMMANDS, and parse_args
 reads every argv, writes every usage error and builds every help text from
 that table alone.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers,
-the table's in blocks of levels, each computed when the writer takes it by
-index; the writer alone formats the values, under --decimals, all before the
-first byte, and holds each row once as text.  A table of two blocks or more
-and _FORK_MIN_ROWS rows or more is computed and formatted in two processes
-where a fork pays (kgo.fork: a second CPU, os.fork, one thread): a forked
-child fills the second half of the blocks with the same templates and code,
-so the bytes are those of one process, and sends them to be written once
-both halves are whole.  A failed build emits nothing, a failed write one
-error line; entry, the process entry, ends it right after the last flush.
+the table's in blocks of levels (TABLE_BLOCK), each computed when the writer
+takes it by index; the writer alone formats the values, under --decimals, all
+before the first byte, and holds each row once as text.  A table of two
+blocks or more and _FORK_MIN_ROWS rows or more hands its blocks to kgo.fork,
+the one module that knows about processes: where a fork pays there (a
+second CPU, os.fork, one thread), a forked child fills the second half of
+the blocks with the same templates and code, so the bytes are those of one
+process, and sends them to be written once both halves are whole.  A
+failed build emits nothing, a failed write one error line; entry, the
+process entry, ends it right after the last flush.
 Builders hand the writer lists of Python floats, and no command loads numpy
 or json.  A start loads only the code its subcommand runs: this module,
 kgo.errors (the exceptions and input rules) and kgo.spectrum (which `table`
@@ -63,7 +64,9 @@ ORACLE_BUDGET = 25 * 10**6
 MAX_DECIMALS = 1074
 
 
-# levels per generate_table call: one block of table rows is computed, then formatted
+# levels per generate_table call: one block of table rows is computed, then
+# formatted; a table of more than 4 b values takes fewer, so that a block holds
+# at most 4 * TABLE_BLOCK rows, or one level
 TABLE_BLOCK = 4096
 # A forked child costs about 3 ms; from about 2 * 10^4 table rows the second
 # CPU repays it (_render, on a 2-vCPU Linux VM)
@@ -132,13 +135,14 @@ def _fmt(values) -> list[str]:
 def _build_table(ns: SimpleNamespace) -> _Emission:
     levels = range(check_integer(ns.n_max) + 1)
     b_cells = _fmt(ns.b)  # formatted once: each level's group of rows repeats them
+    step = max(1, min(TABLE_BLOCK, 4 * TABLE_BLOCK // len(ns.b)))
 
     def block(start):  # rows run n-major, b-minor: a group of rows is a level
-        part = levels[start:start + TABLE_BLOCK]
+        part = levels[start:start + step]
         e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, part, ns.formula)
         return ({"n": list(map(str, part)), "b": b_cells},
                 {"e_rel": e_rel, "e_nr_plus_one": e_nr_plus_one})
-    return _Emission(_Blocks(block, range(0, len(levels), TABLE_BLOCK)),
+    return _Emission(_Blocks(block, range(0, len(levels), step)),
                      [TABLE_FORMULA_WARNING] if ns.formula == "table" else [],
                      fixed=("b",), rows=len(levels) * len(ns.b))
 
@@ -362,9 +366,9 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> It
     column's iterator, which zip advances once a row.
 
     Each block is taken, and its template built, by index, so no block needs
-    another.  Where a table's rows repay a fork (from _FORK_MIN_ROWS rows,
-    where fork.pays), a forked child fills the second half of the blocks
-    while this process fills the first (fork.apart): both fill the same
+    another.  A table of _FORK_MIN_ROWS rows or more hands its blocks to
+    fork.apart, which, where a fork pays, has a forked child fill the second
+    half of them while this process fills the first: both fill the same
     templates with the same code, so the texts are those of one process.
     Every block of both halves is filled before the first text is handed out,
     so a run that fails hands out nothing, and once this returns in one
@@ -415,12 +419,11 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> It
         head = '{"rows":[' if output_format == "json" else sep.join(names) + "\n"
         return [row_sep if i else head, row_sep.join(map(template.__mod__, zip(*cells)))]
 
-    count, blocks = len(emission.blocks), None
+    count = len(emission.blocks)
     if count > 1 and emission.rows >= _FORK_MIN_ROWS:  # a large table of two blocks
         from . import fork
-        if fork.pays():
-            blocks = fork.apart(fill, count, count // 2)
-    if blocks is None:
+        blocks = fork.apart(fill, count, count // 2)
+    else:
         blocks = [fill(i) for i in range(count)]
     return chain(chain.from_iterable(blocks), [tail + "\n"])
 

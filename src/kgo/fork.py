@@ -1,9 +1,11 @@
-"""The one way kgo gives a part of its work to a second process: pays says
-whether a child can be forked, and apart runs the later part of a list of
+"""The one way kgo gives a part of its work to a second process, and the one
+module that knows about processes: apart runs the later part of a list of
 independent works in a forked child while this process runs the earlier
-part.  The table writer (cli._render) and the oracle's bisection
-(oracle.lowest_eigenvalues) use it alike, and load it only once their work
-is large enough to repay a child, so no other start compiles it.
+part, where pays says that a child can be forked.  The table writer
+(cli._render), one work per block, and the oracle's bisection
+(oracle.lowest_eigenvalues), one work per level, use it alike, and load it
+only once their work is large enough to repay a child, so no other start
+compiles it.
 """
 
 import marshal
@@ -12,9 +14,9 @@ from contextlib import suppress
 
 
 def pays() -> bool:
-    """Whether a forked child can take a part of the work, which its caller
-    has found large enough to repay a child's cost: os.fork exists, the
-    machine has a second CPU, and the process runs one thread as
+    """Whether a forked child can take a part of the work, which apart's
+    caller has found large enough to repay a child's cost: os.fork exists,
+    the machine has a second CPU, and the process runs one thread as
     /proc/self/task counts them, native threads such as a BLAS pool included
     (where it cannot be read, no child is forked).  A fork copies the calling
     thread alone, so a lock that another thread holds would stay held in the
@@ -37,16 +39,17 @@ def _load(pipe):
 
 
 def apart(work, count: int, split: int):
-    """work(i) for i in range(count), in order, as an iterator: a forked child
-    runs work(i) from i = split on while this process runs the ones before.
-    Every result is one that marshal writes, and none is None.
+    """work(i) for i in range(count), in order, as an iterator: where a fork
+    pays, a forked child runs work(i) from i = split on while this process
+    runs the ones before; elsewhere this process runs them all.  Every
+    result is one that marshal writes, and none is None.
 
     Nothing is handed out until both parts are done.  The child runs its
     whole part, then reports success through a pipe, then sends each result
     as one marshal frame, which the iterator hands out as it arrives; so each
     process holds at most its own part.  The child points its stdin, stdout
     and stderr at os.devnull, so it holds none of the caller's pipes, ends
-    through os._exit whatever happens, and ends before its next result once
+    through os._exit whatever happens, and ends before its next work once
     this process is gone.  This process reaps the child, or kills and reaps
     it if its own part raises or the iterator is closed, or dropped, before
     its end.  The child's exit status is never read, so a caller that
@@ -56,21 +59,20 @@ def apart(work, count: int, split: int):
     result it lacks: so the results, and the exception that the first
     failing work(i) raises, are those of one process.
     """
-    parent, ends = os.getpid(), []
+    parent, ends, pid = os.getpid(), [], None
     try:
-        ends += os.pipe()
-        pid = os.fork()
+        if pays():
+            ends += os.pipe()  # [read end, write end]
+            pid = os.fork()
     except BaseException as error:
         for end in ends:
             os.close(end)
+        # an OSError leaves no file or process to spare: all the work runs here
         if not isinstance(error, OSError):
             raise
-        pid = None  # no file or process to spare: all the work runs here
-    else:
-        read_end, write_end = ends
     if pid == 0:
         try:
-            os.close(read_end)
+            os.close(ends[0])
             null = os.open(os.devnull, os.O_RDWR)
             for fd in (0, 1, 2):
                 os.dup2(null, fd)
@@ -79,7 +81,7 @@ def apart(work, count: int, split: int):
                 if os.getppid() != parent:
                     os._exit(0)
                 results.append(work(i))
-            with open(write_end, "wb") as pipe:
+            with open(ends[1], "wb") as pipe:
                 marshal.dump(True, pipe)
                 for result in results:
                     marshal.dump(result, pipe)
@@ -87,9 +89,9 @@ def apart(work, count: int, split: int):
             os._exit(0)
     results, missing = [], 0 if pid is None else split
     if pid:
-        os.close(write_end)
+        os.close(ends[1])
         try:
-            with open(read_end, "rb") as pipe:
+            with open(ends[0], "rb") as pipe:
                 results = [work(i) for i in range(split)]
                 if _load(pipe) is True:  # the child's part is done: its frames follow
                     yield from results

@@ -5,10 +5,12 @@ central stencil under Dirichlet boundaries and its lowest eigenvalues k^2
 are located by bisection on Sturm pivot counts, on the even and odd
 half-line blocks of the mirror-symmetric matrix (lowest_eigenvalues), with
 sweeps that end past the classical turning point of their shift
-(sturm_count).  Where their sweeps repay a fork, the two blocks bisect in
-two processes, the odd one in a forked child, with results identical to
-those of one process.  Nothing from the closed-form spectrum module enters this
-path, so agreement between the two is evidence rather than construction.
+(sturm_count).  Each level is one work of kgo.fork's apart, which, where
+the sweeps repay a fork and a fork pays, bisects the odd block's levels in
+a forked child, with results identical to those of one process; this
+module itself knows nothing of processes.  Nothing from the closed-form
+spectrum module enters this path, so agreement between the two is evidence
+rather than construction.
 The module runs on lists of Python floats and never loads numpy.
 
 The module also profiles the effective potential that arises when the
@@ -19,7 +21,6 @@ profile_effective_potential detects.
 """
 
 import math
-import os
 import sys
 from bisect import bisect_left, bisect_right
 from functools import cached_property
@@ -188,69 +189,38 @@ def _half_line_blocks(op: TridiagonalOperator) -> list[TridiagonalOperator]:
             TridiagonalOperator._block(diagonal[m + 1:], op.off_diagonal, False)]
 
 
-def _bisect_block(block: TridiagonalOperator, levels: range, hi0: float,
-                  tol: float, parent: int) -> tuple[list, tuple | None]:
-    """(k^2 of levels, the first failure as (j, message) or None): level j of
-    levels is level j // levels.step of block, and each starts from the
-    bracket [0, hi0].  The levels bisect one memo: midpoint -> Sturm count,
-    up to len(levels), which no index reaches.  parent is the pid that reads
-    the result: a child forked from it (fork.apart) ends through os._exit
-    before a level once that process is gone."""
-    memo = {}
-    k_squared = []
-    for j in levels:
-        if parent not in (os.getpid(), os.getppid()):
-            os._exit(0)
-        index = j // levels.step
-        lo, hi = 0.0, hi0
-        iterations = 0
-        while hi - lo > tol:
-            if iterations >= BISECTION_MAX_ITER:
-                return k_squared, (j, f"eigenvalue {j}: bracket still {hi - lo:g} wide after "
-                                      f"{BISECTION_MAX_ITER} bisection steps (tol = {tol:g})")
-            mid = 0.5 * (lo + hi)
-            below = memo.get(mid)
-            if below is None:
-                below = memo[mid] = sturm_count(block, mid, len(levels))
-            if below > index:
-                hi = mid
-            else:
-                lo = mid
-            iterations += 1
-        k_squared.append(0.5 * (lo + hi))
-    return k_squared, None
-
-
 def lowest_eigenvalues(op: TridiagonalOperator, count: int,
                        tol: float) -> list[float]:
     """First `count` eigenvalues by Sturm bisection, as an ascending list.
 
     Each eigenvalue starts from the bracket [0, Gershgorin upper bound] and
     is bisected until the bracket is narrower than tol; the bracket midpoint
-    is returned.  An operator with an eigenvalue below 0 is refused.
+    is returned.  An operator with an eigenvalue below 0 is refused, and the
+    lowest level whose bracket is still wider than tol after
+    BISECTION_MAX_ITER steps raises NonConvergence.
 
     A mirror-symmetric operator is folded into its even and odd half-line
     blocks: by the discrete oscillation theorem level j has parity (-1)^j,
     so it is level j // 2 of the even block for even j and of the odd block
     for odd j, and each Sturm sweep runs over half the rows.  All levels
     bisect one tree of midpoints from the same root, so each block counts a
-    midpoint once and later levels reuse the counts of earlier ones, as the
-    shared brackets of LAPACK dstebz do.  Each sweep ends once its pivots
-    can no longer turn negative, past the turning point of the midpoint, and
-    gives the full sweep's count (see sturm_count), or once it has counted
-    as many eigenvalues as the levels taken from its block: every index
-    bisected there is below that number, so each decision is the one the
-    full count gives, and the memo holds the capped count.  In exact arithmetic
-    every decision is the unfolded one; in floating point a midpoint within
-    rounding of an eigenvalue, where tol is below the rounding of a Sturm
-    count, can go either way.
+    midpoint once, in a memo that its levels share, and later levels reuse
+    the counts of earlier ones, as the shared brackets of LAPACK dstebz do.
+    Each sweep ends once its pivots can no longer turn negative, past the
+    turning point of the midpoint, and gives the full sweep's count (see
+    sturm_count), or once it has counted as many eigenvalues as the levels
+    taken from its block: every index bisected there is below that number,
+    so each decision is the one the full count gives, and the memo holds the
+    capped count.  In exact arithmetic every decision is the unfolded one;
+    in floating point a midpoint within rounding of an eigenvalue, where tol
+    is below the rounding of a Sturm count, can go either way.
 
-    No result passes between the two blocks, so where a fork repays its
-    cost (_FORK_MIN_ROWS rows of sweeps, and fork.pays: a second CPU,
-    os.fork and one thread in the process), the odd block bisects in a forked child
-    while this process bisects the even one (fork.apart): each block runs
-    the same loop on the same numbers, so the result is bit for bit the one
-    a single process gives, and a failure raises the lowest failing level.
+    Each level is one work of fork.apart, the even block's levels first and
+    then the odd block's, and no result passes between the two blocks: where
+    the sweeps hold _FORK_MIN_ROWS rows or more, apart may bisect the odd
+    block in a forked child while this process bisects the even one.  Each
+    level runs the same loop on the same numbers wherever it runs, so the
+    results, and the failure, are bit for bit those of one process.
     """
     op = check_instance("operator", op, TridiagonalOperator)
     count = check_integer(count, "count", 1, op.dimension)
@@ -260,27 +230,41 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
         if below:
             raise InvalidInput(f"{below} eigenvalue(s) lie below 0, where the brackets start")
     folds = _half_line_blocks(op)
-    parent = os.getpid()
+    # level j is level j // len(folds) of block j % len(folds)
+    per_block = [range(parity, count, len(folds)) for parity in range(len(folds))]
+    levels = [j for part in per_block for j in part]  # the work items, block by block
+    memos = [{} for _ in folds]  # per block: midpoint -> Sturm count, up to its level count
 
-    def bisect(parity):
-        return _bisect_block(folds[parity], range(parity, count, len(folds)),
-                             op.gershgorin_upper, tol, parent)
-    # count levels x rows x bisection steps from the bracket [0, hi0] to tol
+    def bisect(item):  # the last bracket (lo, hi) of levels[item]
+        index, parity = divmod(levels[item], len(folds))
+        block, memo, limit = folds[parity], memos[parity], len(per_block[parity])
+        lo, hi = 0.0, op.gershgorin_upper
+        for _ in range(BISECTION_MAX_ITER):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            below = memo.get(mid)
+            if below is None:
+                below = memo[mid] = sturm_count(block, mid, limit)
+            if below > index:
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+    # count levels x rows x bisection steps from the bracket's start to tol
     rows = count * op.dimension * math.frexp(op.gershgorin_upper / tol)[1]
-    results = None
-    if count > 1 and len(folds) == 2 and rows >= _FORK_MIN_ROWS:  # each block has a level
+    split = len(per_block[0])  # the even block's levels: the odd block's follow
+    if split < count and rows >= _FORK_MIN_ROWS:  # the odd block has a level
         from . import fork
-        if fork.pays():
-            results = list(fork.apart(bisect, 2, 1))
-    if results is None:
-        results = list(map(bisect, range(len(folds))))
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise NonConvergence(min(failures)[1])
-    k_squared = [0.0] * count
-    for parity, (levels, _) in enumerate(results):
-        k_squared[parity::len(results)] = levels
-    return k_squared
+        brackets = fork.apart(bisect, count, split)
+    else:
+        brackets = map(bisect, range(count))
+    brackets = sorted(zip(levels, brackets))  # in level order
+    for j, (lo, hi) in brackets:
+        if hi - lo > tol:
+            raise NonConvergence(f"eigenvalue {j}: bracket still {hi - lo:g} wide after "
+                                 f"{BISECTION_MAX_ITER} bisection steps (tol = {tol:g})")
+    return [0.5 * (lo + hi) for _, (lo, hi) in brackets]
 
 
 def oracle_energies(params: OscillatorParams, count: int,

@@ -1,11 +1,15 @@
 """Closed-form bound-state energies of the relativistic oscillator.
 
 Two square-root laws coexist on purpose.  energy_combined implements the
-derived spectrum Ebar_n = sqrt(1 + 2 b (n + 1/2)), which the independent
-finite-difference oracle confirms.  generate_table's formula "table"
-carries the alternative sqrt(1 + 2 b (n + 1)) law that the tabulated
-reference values follow; it is exposed (CLI formula "table") so the
-disagreement stays visible instead of being silently patched either way.
+derived spectrum Ebar_n = sqrt(1 + 2 b (n + 1/2)), the symmetric ordering
+p^2 + A^2 x^2 of the coupling (A = m omega).  generate_table's formula
+"table" carries the alternative sqrt(1 + 2 b (n + 1)) law that the
+tabulated reference values follow, the ordering (p - iAx)(p + iAx); it is
+exposed (CLI formula "table") so the disagreement stays visible instead of
+being silently patched either way.  The finite-difference oracle
+discretises the symmetric ordering (oracle.discretize_weber), so its
+agreement with eq21 checks that reduction; it does not decide which
+ordering the paper means.
 Both are the one function _energy_law, at shift 1/2 or 1, on Python
 floats: a table cell is the scalar energy bit for bit.
 """

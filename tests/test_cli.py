@@ -1,7 +1,6 @@
 import errno
 import hashlib
 import json
-import marshal
 import math
 import os
 import re
@@ -13,7 +12,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +23,7 @@ from kgo.params import GridSpec
 from kgo.spectrum import PARITY_CHOICES, generate_table
 from kgo.wavefn import psi
 
-from test_oracle import assert_a_killed_kgo_leaves_no_process, needs_children
+from test_oracle import _dying_marshal, assert_a_killed_kgo_leaves_no_process, needs_children
 
 
 def _run(capsys, *argv):
@@ -598,17 +596,34 @@ def test_out_of_memory_is_one_error_line_under_memory_limit():
     assert proc.stderr == "kgo: error: out of memory\n"
 
 
-@pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_ten_million_row_table_prints_under_memory_limit(output_format):
-    # computed and formatted in blocks of levels, the rows are held once as
-    # text, block by block, and each block is encoded and written in turn;
-    # the table forks, and each process holds at most its own half of them
-    b = ",".join(f"{k / 10:g}" for k in range(1, 11))
-    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b, "--n-max", "1000000",
+_TEN_B = ",".join(f"{k / 10:g}" for k in range(1, 11))
+
+
+@pytest.mark.parametrize("b, n_max, output_format", [
+    (_TEN_B, 1000000, "csv"), (_TEN_B, 1000000, "json"),
+    # 1000 b values: a block of 4096 levels would hold 4 x 10^6 json rows
+    (",".join(f"{k / 1000:g}" for k in range(1, 1001)), 9999, "json")],
+    ids=["csv", "json", "json-1000-b"])
+def test_ten_million_row_table_prints_under_memory_limit(b, n_max, output_format):
+    # computed and formatted in blocks of at most 4 x TABLE_BLOCK rows, the
+    # rows are held once as text, block by block, and each block is encoded
+    # and written in turn; the table forks, and each process holds at most
+    # its own half of them
+    proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b, "--n-max", str(n_max),
                            "--format", output_format], stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True,
                           preexec_fn=_limit_address_space_to_1_gib)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("b_count, levels", [
+    (1, TABLE_BLOCK), (4, TABLE_BLOCK), (5, 4 * TABLE_BLOCK // 5), (1000, 16),
+    (4 * TABLE_BLOCK, 1), (4 * TABLE_BLOCK + 1, 1)])
+def test_a_table_block_holds_at_most_four_table_blocks_of_rows(b_count, levels):
+    # up to 4 b values a block is TABLE_BLOCK levels; beyond, its rows are capped
+    ns = parse_args(("table", "--b", ",".join(["0.1"] * b_count), "--n-max", str(2 * levels)))
+    blocks = ns.build(ns).blocks
+    assert [len(blocks[i][0]["n"]) for i in range(len(blocks))] == [levels, levels, 1]
 
 
 def _closed_pipe():
@@ -846,28 +861,6 @@ def test_the_overflowing_table_forks_at_the_real_threshold_with_the_same_error()
         1, "", "kgo: error: energy sqrt(1 + 2b(n + 0.5)) exceeds the floating-point range\n")
 
 
-def _dying_marshal(parent, frames, cut, loaded):
-    """marshal for kgo.fork, whose dump SIGKILLs a forked child once it has
-    sent its success report and frames frames, after half of the next frame
-    if cut; load records in loaded each frame that this process loads."""
-    sent = []
-
-    def dump(value, pipe):
-        if os.getpid() != parent and len(sent) == 1 + frames:
-            data = marshal.dumps(value)
-            pipe.write(data[:len(data) // 2] if cut else b"")
-            pipe.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        sent.append(value)
-        marshal.dump(value, pipe)
-
-    def load(pipe):
-        value = marshal.load(pipe)
-        loaded.append(value)
-        return value
-    return SimpleNamespace(dump=dump, dumps=marshal.dumps, load=load)
-
-
 @pytest.mark.parametrize("frames, cut", [(0, False), (1, False), (1, True)],
                          ids=["report", "one-frame", "cut-frame"])
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -950,8 +943,7 @@ def test_without_a_pipe_no_child_is_forked_and_the_bytes_are_unchanged(capsys, f
 def test_a_killed_table_writer_leaves_its_pipes_closed_and_no_child():
     # 10^7 rows, about 7 s in two processes: the child, which fills its half
     # before it sends a byte, would run on for seconds after the kill
-    b = ",".join(f"{k / 10:g}" for k in range(1, 11))
-    assert_a_killed_kgo_leaves_no_process("table", "--b", b, "--n-max", "1000000",
+    assert_a_killed_kgo_leaves_no_process("table", "--b", _TEN_B, "--n-max", "1000000",
                                           "--format", "json")
 
 

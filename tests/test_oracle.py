@@ -1,3 +1,4 @@
+import marshal
 import math
 import os
 import random
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kgo import oracle
+from kgo import fork, oracle
 from kgo.errors import DEFAULT_POINTS, DEFAULT_TOL, InvalidInput, NonConvergence, OutOfRange
 from kgo.fork import pays
 from kgo.oracle import (BISECTION_MAX_ITER, MACHINE_EPS, TridiagonalOperator, discretize_weber,
@@ -553,6 +555,44 @@ def _ended(pid):
 
 def _streams(pid):
     return [os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (0, 1, 2)]
+
+
+def _dying_marshal(parent, frames, cut, loaded):
+    """marshal for kgo.fork, whose dump SIGKILLs a forked child once it has
+    sent its success report and frames frames, after half of the next frame
+    if cut; load records in loaded each frame that this process loads."""
+    sent = []
+
+    def dump(value, pipe):
+        if os.getpid() != parent and len(sent) == 1 + frames:
+            data = marshal.dumps(value)
+            pipe.write(data[:len(data) // 2] if cut else b"")
+            pipe.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        sent.append(value)
+        marshal.dump(value, pipe)
+
+    def load(pipe):
+        value = marshal.load(pipe)
+        loaded.append(value)
+        return value
+    return SimpleNamespace(dump=dump, dumps=marshal.dumps, load=load)
+
+
+@pytest.mark.parametrize("frames", [0, 1, 5], ids=["report", "one-frame", "all-frames"])
+@pytest.mark.parametrize("count", [10, 11])
+def test_a_child_killed_after_some_levels_leaves_the_result_unchanged(forks, monkeypatch,
+                                                                       count, frames):
+    # the child bisects the 5 odd levels and sends each as one frame: those
+    # that arrive are kept, and this process bisects the rest from the first
+    # that does not
+    op = discretize_weber(0.02, GridSpec(default_extent(count - 1, 0.02), 2001))
+    alone = _one_process(op, count, DEFAULT_TOL)
+    loaded = []
+    monkeypatch.setattr(fork, "marshal", _dying_marshal(os.getpid(), frames, False, loaded))
+    assert lowest_eigenvalues(op, count, DEFAULT_TOL) == alone
+    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] is True
+    _assert_no_child()
 
 
 def assert_a_killed_kgo_leaves_no_process(*argv):
