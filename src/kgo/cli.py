@@ -9,21 +9,23 @@ reads every argv, writes every usage error and builds every help text from
 that table alone.
 Builders compute the rows, labels (n, b, parity) as text and values as numbers,
 the table's in blocks of levels (TABLE_BLOCK), each computed when the writer
-takes it by index; the writer alone formats the values, under --decimals, all
-before the first byte, and holds each row once as text.  A table of two
-blocks or more and _FORK_MIN_ROWS rows or more hands its blocks to kgo.fork,
-the one module that knows about processes: where a fork pays there (a
-second CPU, os.fork, one thread), a forked child fills the second half of
-the blocks with the same templates and code, so the bytes are those of one
-process, and sends them to be written once both halves are whole.  A
+takes it by index, and wavefn's and veff's grids in blocks of TABLE_BLOCK rows;
+the writer alone formats the values, under --decimals, all before the first
+byte, and holds each row once as text.  An output of two blocks or more and
+_FORK_MIN_ROWS rows or more hands its blocks to kgo.fork, the one module
+that knows about processes: where a fork pays there (a second CPU, os.fork,
+one thread), a forked child fills the second half of the blocks with the
+same templates and code, so the bytes are those of one process, and sends
+them to be written once both halves are whole.  A
 failed build emits nothing, a failed write one error line; entry, the
 process entry, ends it right after the last flush.
 Builders hand the writer lists of Python floats, and no command loads numpy
 or json.  A start loads only the code its subcommand runs: this module,
 kgo.errors (the exceptions and input rules) and kgo.spectrum (which `table`
 and `spectrum` need), then params and the kernel module inside the wavefn,
-oracle and veff builders, kgo.fork where a table's or the oracle's work is
-large enough to repay a child, and kgo.helptext for -h or --help alone.
+oracle and veff builders, kgo.fork where the writer's, the oracle's or
+wavefn's work is large enough to repay a child, and kgo.helptext for -h or
+--help alone.
 """
 
 import errno
@@ -77,7 +79,7 @@ _FORK_MIN_ROWS = 2 * 10**4
 # cell per group and a value one number per row.  A label named in fixed holds
 # instead the cells of a group row by row, the same in every group (the
 # table's b); without one a group is a single row.  extra holds bools.  rows
-# counts the rows where a builder of many blocks counts them (the table).
+# counts the rows where a builder of many blocks counts them.
 _Emission = namedtuple("_Emission", "blocks warnings extra fixed rows",
                        defaults=((), {}, (), 0))
 
@@ -93,6 +95,13 @@ class _Blocks:
 
     def __getitem__(self, i):
         return self.block(self.starts[i])  # past the end, the range raises IndexError
+
+
+def _value_blocks(columns: dict, **fields) -> _Emission:
+    """A grid's value columns, one row a node, in blocks of TABLE_BLOCK rows."""
+    rows = len(columns["x"])
+    block = lambda start: ({}, {name: c[start:start + TABLE_BLOCK] for name, c in columns.items()})
+    return _Emission(_Blocks(block, range(0, rows, TABLE_BLOCK)), rows=rows, **fields)
 
 
 def _arg(convert, check, expected: str):
@@ -169,7 +178,7 @@ def _build_wavefn(ns: SimpleNamespace) -> _Emission:
     extent = ns.x_max if ns.x_max is not None else default_extent(ns.n, ns.lam)
     grid = GridSpec(extent, ns.points)
     nodes = grid.nodes()  # built once: the x column, and the points psi runs on
-    return _Emission([({}, {"x": nodes, "psi": wavefn.sample(ns.n, grid, ns.lam, _nodes=nodes)})])
+    return _value_blocks({"x": nodes, "psi": wavefn.sample(ns.n, grid, ns.lam, _nodes=nodes)})
 
 
 def _build_oracle(ns: SimpleNamespace) -> _Emission:
@@ -202,8 +211,8 @@ def _build_veff(ns: SimpleNamespace) -> _Emission:
                                  lambda: VEFF_DEFAULT_EXTENT_FACTOR * xstar)
     grid = GridSpec(extent, ns.points)
     v_eff, unbounded = oracle.profile_effective_potential(params, ns.energy, grid)
-    return _Emission([({}, {"x": grid.nodes(), "v_eff": v_eff})],
-                     extra={"unbounded_below_detected": unbounded})
+    return _value_blocks({"x": grid.nodes(), "v_eff": v_eff},
+                         extra={"unbounded_below_detected": unbounded})
 
 
 # One option of a subcommand.  convert turns the option's text into its
@@ -366,7 +375,7 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> It
     column's iterator, which zip advances once a row.
 
     Each block is taken, and its template built, by index, so no block needs
-    another.  A table of _FORK_MIN_ROWS rows or more hands its blocks to
+    another.  An output of _FORK_MIN_ROWS rows or more hands its blocks to
     fork.apart, which, where a fork pays, has a forked child fill the second
     half of them while this process fills the first: both fill the same
     templates with the same code, so the texts are those of one process.

@@ -1,11 +1,11 @@
 """The one way kgo gives a part of its work to a second process, and the one
 module that knows about processes: apart runs the later part of a list of
 independent works in a forked child while this process runs the earlier
-part, where pays says that a child can be forked.  The table writer
-(cli._render), one work per block, and the oracle's bisection
-(oracle.lowest_eigenvalues), one work per level, use it alike, and load it
-only once their work is large enough to repay a child, so no other start
-compiles it.
+part, where pays says that a child can be forked.  The writer
+(cli._render), one work per block, the oracle's bisection
+(oracle.lowest_eigenvalues), one work per level, and wavefn.sample, one work
+per slice of nodes, use it alike, and load it only once their work is large
+enough to repay a child, so no other start compiles it.
 """
 
 import marshal
@@ -30,10 +30,12 @@ def pays() -> bool:
 
 
 def _load(pipe):
-    """The next marshal frame of pipe, or None where none loads: the writer
-    ended, or was cut off, before the frame was whole."""
+    """The value of the next frame of pipe, or None where none loads: the
+    writer ended, or was cut off, before the frame was whole.  A frame, the
+    marshal of a value's marshal bytes, loads in one read of the pipe, where
+    marshal.load makes two reads a float of a list."""
     try:
-        return marshal.load(pipe)
+        return marshal.loads(marshal.load(pipe))
     except (EOFError, ValueError, TypeError):
         return None
 
@@ -46,18 +48,18 @@ def apart(work, count: int, split: int):
 
     Nothing is handed out until both parts are done.  The child runs its
     whole part, then reports success through a pipe, then sends each result
-    as one marshal frame, which the iterator hands out as it arrives; so each
-    process holds at most its own part.  The child points its stdin, stdout
-    and stderr at os.devnull, so it holds none of the caller's pipes, ends
-    through os._exit whatever happens, and ends before its next work once
-    this process is gone.  This process reaps the child, or kills and reaps
-    it if its own part raises or the iterator is closed, or dropped, before
-    its end.  The child's exit status is never read, so a caller that
-    ignores SIGCHLD or reaps children itself gets the same results.  If no
-    pipe or child can be made, or the child ends before its success, or a
-    frame does not load, this process runs the work itself from the first
-    result it lacks: so the results, and the exception that the first
-    failing work(i) raises, are those of one process.
+    as one frame that loads in one read (_load), which the iterator hands out
+    as it arrives; so each process holds at most its own part.  The child
+    points its stdin, stdout and stderr at os.devnull, so it holds none of
+    the caller's pipes, ends through os._exit whatever happens, and ends
+    before its next work once this process is gone.  This process reaps the
+    child, or kills and reaps it if its own part raises or the iterator is
+    closed, or dropped, before its end.  The child's exit status is never
+    read, so a caller that ignores SIGCHLD or reaps children itself gets the
+    same results.  If no pipe or child can be made, or the child ends before
+    its success, or a frame does not load, this process runs the work itself
+    from the first result it lacks: so the results, and the exception that
+    the first failing work(i) raises, are those of one process.
     """
     parent, ends, pid = os.getpid(), [], None
     try:
@@ -82,9 +84,8 @@ def apart(work, count: int, split: int):
                     os._exit(0)
                 results.append(work(i))
             with open(ends[1], "wb") as pipe:
-                marshal.dump(True, pipe)
-                for result in results:
-                    marshal.dump(result, pipe)
+                for result in [True, *results]:
+                    marshal.dump(marshal.dumps(result), pipe)
         finally:
             os._exit(0)
     results, missing = [], 0 if pid is None else split

@@ -11,11 +11,14 @@ Townsend, Trogdon & Olver, IMA J. Numer. Anal. 2016), and past a proven
 bound, where psi rounds to 0, the recurrence is skipped.  Like every module
 of the package it runs on Python floats: psi takes a float or a sequence of
 them, sample returns a list and inner_product takes lists.  The grid they
-take is a kgo.params.GridSpec (errors.check_instance).
+take is a kgo.params.GridSpec (errors.check_instance).  sample may hand half a
+large grid to a forked child through kgo.fork, which alone knows of processes.
 """
 
 import math
 import sys
+from bisect import bisect_left
+from itertools import chain
 
 from .errors import (InvalidInput, check_instance, check_integer, check_positive,
                      evaluate_finite, is_real, real_floats)
@@ -25,6 +28,12 @@ _LN2 = math.log(2.0)
 # log2 of a bound on |psi| far under 2^-1075, half the least subnormal
 _UNDERFLOW_LOG2 = -1100.0
 _RESCALE = 2.0 ** 500  # past this phi_k and phi_{k-1} are scaled to below 1
+# sample counts a point as _POINT_STEPS recurrence steps (exp, loop set-up).  A
+# fork costs a kgo start about 10 ms, repaid from about 2 * 10^5 steps (2-vCPU
+# Linux VM); a work of fork.apart holds at most _PART_STEPS steps, about 0.2 s
+_POINT_STEPS = 4
+_FORK_MIN_STEPS = 2 * 10**5
+_PART_STEPS = 2 * 10**6
 
 
 def psi(n: int, x, lam: float):
@@ -110,12 +119,25 @@ def sample(n: int, grid: GridSpec, lam: float, _nodes: list | None = None) -> li
 
     The nodes are odd and psi_n has parity (-1)^n, both bit for bit, so psi
     runs on the nodes x >= 0, unchecked, and the rest is their mirror image.
-    _nodes, if given, is grid.nodes(), built by the caller (kgo wavefn).
+    From _FORK_MIN_STEPS steps on, they are an even number of fork.apart works
+    that share the nodes below the underflow start evenly, the later half
+    maybe run in a forked child, with the bits of one process.  _nodes, if
+    given, is grid.nodes(), built by the caller (kgo wavefn).
     """
     n, lam = check_integer(n), check_positive("lam", lam)
     grid = check_instance("grid", grid, GridSpec)
     nodes = grid.nodes() if _nodes is None else _nodes
-    right = _recurrence(n, nodes[grid.points // 2:], lam)
+    right = nodes[grid.points // 2:]
+    below = bisect_left(right, _underflow_start(n, lam) / math.sqrt(lam))  # psi is 0 from there
+    steps = below * (n + _POINT_STEPS)
+    if steps < _FORK_MIN_STEPS:
+        right = _recurrence(n, right, lam)
+    else:
+        from . import fork
+        parts = 2 * -(-steps // (2 * _PART_STEPS))
+        edges = [below * k // parts for k in range(parts)] + [len(right)]
+        right = list(chain.from_iterable(fork.apart(
+            lambda k: _recurrence(n, right[edges[k]:edges[k + 1]], lam), parts, parts // 2)))
     left = right[:0:-1]
     return (left if n % 2 == 0 else [-v for v in left]) + right
 

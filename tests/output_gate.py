@@ -123,17 +123,29 @@ def readme_commands(readme=None):
 def _may_fork(argv):
     """Whether a start on argv, which parses, may load kgo.fork to ask
     whether a child can take half of its work: a table of two blocks or more
-    and cli._FORK_MIN_ROWS rows or more, or an oracle of more than one level
-    (whose sweeps may or may not reach oracle._FORK_MIN_ROWS rows)."""
+    and cli._FORK_MIN_ROWS rows or more, a wavefn or veff grid of as many
+    points and more than TABLE_BLOCK, a wavefn whose nodes x >= 0 could hold
+    wavefn._FORK_MIN_STEPS steps (those past psi's underflow start hold
+    none), or an oracle of more than one level (whose sweeps may or may not
+    reach oracle._FORK_MIN_ROWS rows)."""
     sys.path.insert(0, str(ROOT / "src"))
     try:
-        from kgo.cli import _FORK_MIN_ROWS, TABLE_BLOCK
+        from kgo.cli import _FORK_MIN_ROWS, COMMANDS, TABLE_BLOCK
+        from kgo.wavefn import _FORK_MIN_STEPS, _POINT_STEPS
     finally:
         sys.path.remove(str(ROOT / "src"))
-    options = dict(zip(argv[1::2], argv[2::2]))  # neither command takes a flag
+    # none of these commands takes a flag
+    options = {option.flag: option.default for option in COMMANDS[argv[0]][2]}
+    options.update(zip(argv[1::2], argv[2::2]))
     if argv[0] == "table":
         levels = int(options["--n-max"]) + 1
         return levels > TABLE_BLOCK and levels * len(options["--b"].split(",")) >= _FORK_MIN_ROWS
+    if argv[0] in ("wavefn", "veff"):
+        points = int(options["--points"])
+        if points > TABLE_BLOCK and points >= _FORK_MIN_ROWS:
+            return True
+        return argv[0] == "wavefn" and (
+            (points // 2 + 1) * (int(options["--n"]) + _POINT_STEPS) >= _FORK_MIN_STEPS)
     return argv[0] == "oracle" and int(options["--count"]) > 1
 
 

@@ -806,6 +806,26 @@ def test_two_processes_write_the_bytes_of_one(capsys, forks, output_format, deci
     _assert_no_child()
 
 
+@pytest.mark.parametrize("decimals", [[], ["--decimals", "3"]], ids=["6g", "3"])
+@pytest.mark.parametrize("output_format", ["csv", "tsv", "json"])
+@pytest.mark.parametrize("command", [
+    ("wavefn", "--n", "7", "--lambda", "0.6"),
+    ("veff", "--b", "0.1", "--energy", "1.2"),
+])
+def test_two_processes_write_the_grid_bytes_of_one(capsys, forks, monkeypatch, command,
+                                                   output_format, decimals):
+    # three blocks of TABLE_BLOCK rows: this process fills the first, a forked
+    # child the other two; wavefn also samples half its nodes in a child
+    argv = (*command, "--points", str(2 * TABLE_BLOCK + 5), "--format", output_format,
+            *decimals)
+    alone = _one_process(capsys, argv)
+    assert alone[0] == 0 and not forks
+    monkeypatch.setattr(wavefn, "_FORK_MIN_STEPS", 0)
+    _assert_same_run(capsys, argv, alone)
+    assert len(forks) == 1 + (command[0] == "wavefn")
+    _assert_no_child()
+
+
 @pytest.mark.parametrize("n_max, blocks", [(TABLE_BLOCK - 1, 1), (TABLE_BLOCK, 2),
                                            (2 * TABLE_BLOCK - 1, 2), (4 * TABLE_BLOCK, 5)])
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -953,6 +973,12 @@ def test_a_killed_table_writer_leaves_its_pipes_closed_and_no_child():
     (("table", "--b", "0.1,0.2,0.3", "--n-max", str(2 * TABLE_BLOCK - 1)), True),
     (("oracle", "--b", "0.001", "--count", "5", "--points", "2001"), False),  # README's
     (("oracle", "--b", "0.001", "--count", "50", "--points", "2001"), True),
+    (("wavefn", "--n", "4", "--lambda", "1", "--x-max", "6", "--points", "241"), False),
+    # 7221 nodes x (n + 4) steps, and 14441 rows: n = 15 forks for neither, n = 30 for psi
+    (("wavefn", "--n", "15", "--lambda", "1", "--points", "14441"), False),
+    (("wavefn", "--n", "30", "--lambda", "1", "--points", "14441"), True),
+    (("veff", "--b", "0.1", "--energy", "1.2", "--points", str(2 * TABLE_BLOCK + 5)), False),
+    (("veff", "--b", "0.1", "--energy", "1.2", "--points", "100001"), True),
 ])
 def test_only_a_start_whose_work_repays_a_child_loads_the_fork_helper(argv, loads):
     # each caller compares its rows with its threshold before it imports

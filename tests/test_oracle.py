@@ -1,3 +1,4 @@
+import io
 import marshal
 import math
 import os
@@ -560,7 +561,7 @@ def _streams(pid):
 def _dying_marshal(parent, frames, cut, loaded):
     """marshal for kgo.fork, whose dump SIGKILLs a forked child once it has
     sent its success report and frames frames, after half of the next frame
-    if cut; load records in loaded each frame that this process loads."""
+    if cut; loads records in loaded each value that this process loads."""
     sent = []
 
     def dump(value, pipe):
@@ -572,11 +573,37 @@ def _dying_marshal(parent, frames, cut, loaded):
         sent.append(value)
         marshal.dump(value, pipe)
 
-    def load(pipe):
-        value = marshal.load(pipe)
+    def loads(data):
+        value = marshal.loads(data)
         loaded.append(value)
         return value
-    return SimpleNamespace(dump=dump, dumps=marshal.dumps, load=load)
+    return SimpleNamespace(dump=dump, dumps=marshal.dumps, load=marshal.load, loads=loads)
+
+
+class _CountedReads(io.RawIOBase):
+    """A readable raw stream over data that counts the reads made of it."""
+
+    def __init__(self, data):
+        self.data, self.reads = memoryview(data), 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        self.reads += 1
+        size = min(len(buffer), len(self.data))
+        buffer[:size], self.data = self.data[:size], self.data[size:]
+        return size
+
+
+def test_a_list_frame_loads_in_one_read():
+    # marshal.load reads a list from a file two reads a float, each a call
+    # into the buffered pipe; a frame of the list's marshal bytes is one read
+    values = [k / 7.0 for k in range(10**5)]
+    raw = _CountedReads(marshal.dumps(marshal.dumps(values)))
+    assert fork._load(io.BufferedReader(raw)) == values
+    assert raw.reads <= 3
+    assert fork._load(io.BufferedReader(_CountedReads(b""))) is None
 
 
 @pytest.mark.parametrize("frames", [0, 1, 5], ids=["report", "one-frame", "all-frames"])

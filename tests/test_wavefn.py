@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -6,10 +7,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from kgo import fork, wavefn
 from kgo.errors import MAX_POINTS, InvalidInput, OutOfRange
 from kgo.params import GridSpec, default_extent
 from kgo.specfun import hermite, kummer_m
 from kgo.wavefn import _underflow_start, inner_product, psi, sample
+from test_oracle import _dying_marshal, assert_a_killed_kgo_leaves_no_process, needs_children
 
 MAX_FACTORIAL_LEVEL = 170  # n! is finite up to 170!
 
@@ -424,3 +427,116 @@ def test_sampled_states_satisfy_weber_equation():
         fine = _max_weber_residual(n, 1.0, 1601)
         assert coarse < 0.05
         assert 3.0 < coarse / fine < 5.0, n
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process, with _FORK_MIN_STEPS at 0, so
+    every sample forks, however few its nodes."""
+    pids = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(wavefn, "_FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def _bits(values):
+    return [v.hex() for v in values]  # tells -0.0 from 0.0, as == does not
+
+
+def _one_process(n, grid, lam):
+    """sample in this process alone, in one run of the recurrence over its nodes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        patch.setattr(wavefn, "_FORK_MIN_STEPS", math.inf)
+        return sample(n, grid, lam)
+
+
+def _past_the_start(n, lam, factor, points):
+    """A grid that reaches factor times past psi's underflow start."""
+    return GridSpec(factor * _underflow_start(n, lam) / math.sqrt(lam), points)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 10, 20, 65, 115])
+@pytest.mark.parametrize("grid", ["default", "tails", "past"])
+def test_two_processes_give_the_bits_of_one(forks, n, grid):
+    # "tails" holds nodes where exp(-xi^2/2) is not a normal double, so the
+    # exponent is carried, and nodes past _underflow_start, where psi is 0;
+    # every node of "past" but x = 0 lies past that start
+    lam = 0.7
+    grid = {"default": GridSpec(default_extent(n, lam), 2001),
+            "tails": _past_the_start(n, lam, 1.3, 2001),
+            "past": _past_the_start(n, lam, 1.01, 3)}[grid]
+    alone = _one_process(n, grid, lam)
+    assert not forks
+    assert _bits(sample(n, grid, lam)) == _bits(alone)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def test_the_tails_grid_holds_carried_and_skipped_nodes():
+    lam = 0.7
+    for n in (0, 115):
+        xis = [math.sqrt(lam) * x for x in _past_the_start(n, lam, 1.3, 2001).nodes()]
+        assert any(math.exp(-0.5 * xi * xi) < 2.0**-1022 and xi < _underflow_start(n, lam)
+                   for xi in xis)
+        assert sum(xi > _underflow_start(n, lam) for xi in xis) > 100
+
+
+@pytest.mark.parametrize("frames, cut", [(0, False), (1, False), (1, True)],
+                         ids=["report", "one-frame", "cut-frame"])
+def test_a_child_killed_after_its_report_leaves_the_bits_unchanged(forks, monkeypatch,
+                                                                   frames, cut):
+    # the child's part is several works, each sent as one frame: those that
+    # arrive are kept, and this process evaluates the rest from the first
+    # that does not
+    monkeypatch.setattr(wavefn, "_PART_STEPS", 10**4)
+    n, lam = 12, 1.0
+    grid = GridSpec(default_extent(n, lam), 4001)
+    alone = _one_process(n, grid, lam)
+    loaded = []
+    monkeypatch.setattr(fork, "marshal", _dying_marshal(os.getpid(), frames, cut, loaded))
+    assert _bits(sample(n, grid, lam)) == _bits(alone)
+    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] is True
+    _assert_no_child()
+
+
+def test_a_child_is_forked_where_its_steps_repay_it(monkeypatch):
+    # _FORK_MIN_STEPS counts the nodes below the underflow start times n plus
+    # a point's own cost: the README state stays in one process, 69001 nodes
+    # of n = 15 fork, and so do 69001 nodes of n = 2, whose cost is mostly
+    # per point
+    assert fork.pays()  # this process runs one thread
+    real_fork = os.fork
+    pids = []
+    monkeypatch.setattr(os, "fork", lambda: pids.append(None) or real_fork())
+    sample(4, GridSpec(6.0, 241), 1.0)
+    assert not pids
+    for n in (15, 2):
+        grid = GridSpec(default_extent(n, 1.0), 69001)
+        assert _bits(sample(n, grid, 1.0)) == _bits(_one_process(n, grid, 1.0))
+    assert len(pids) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    sample(15, GridSpec(default_extent(15, 1.0), 69001), 1.0)
+    assert len(pids) == 2  # one CPU: nothing to run the child on
+    _assert_no_child()
+
+
+@needs_children
+def test_a_killed_kgo_wavefn_leaves_its_pipes_closed_and_no_child():
+    # about 4 s in two processes, in works of at most _PART_STEPS steps: the
+    # child would run on for seconds after the kill
+    assert_a_killed_kgo_leaves_no_process("wavefn", "--n", "4000", "--lambda", "1",
+                                          "--points", "69001")
