@@ -14,11 +14,11 @@ the writer alone formats the values, under --decimals, all before the first
 byte, and holds each row once as text.  An output of two blocks or more and
 _FORK_MIN_ROWS rows or more hands its blocks to kgo.fork, the one module
 that knows about processes: where a fork pays there (a second CPU, os.fork,
-one thread), a forked child fills the second half of the blocks with the
-same templates and code, so the bytes are those of one process, and sends
-them to be written once both halves are whole.  A
-failed build emits nothing, a failed write one error line; entry, the
-process entry, ends it right after the last flush.
+one thread), a forked child fills blocks from the last down while this
+process fills them from the first up, with the same templates and code, so
+the bytes are those of one process, and sends them to be written once both
+parts are whole.  A failed build emits nothing, a failed write one error
+line; entry, the process entry, ends it right after the last flush.
 Builders hand the writer lists of Python floats, and no command loads numpy
 or json.  A start loads only the code its subcommand runs: this module,
 kgo.errors (the exceptions and input rules) and kgo.spectrum (which `table`
@@ -376,17 +376,19 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> It
 
     Each block is taken, and its template built, by index, so no block needs
     another.  An output of _FORK_MIN_ROWS rows or more hands its blocks to
-    fork.apart, which, where a fork pays, has a forked child fill the second
-    half of them while this process fills the first: both fill the same
-    templates with the same code, so the texts are those of one process.
-    Every block of both halves is filled before the first text is handed out,
+    fork.apart, which, where a fork pays, has a forked child fill them from
+    the last down while this process fills them from the first up: both fill
+    the same templates with the same code, so the texts are those of one
+    process.  Every block is filled before the first text is handed out,
     so a run that fails hands out nothing, and once this returns in one
     process only the texts are held."""
     value = "%.6g" if decimals is None else f"%.{decimals}f"
 
-    def numbers(column):  # no cell reads "-0": 0.0 + -0.0 is 0.0, and a negative
-        # value whose K-decimal cell has only zero digits (round(v, K) is 0) goes in as 0.0
-        if decimals is None or min(column) >= 0:
+    def numbers(column):  # no cell reads "-0": a column above 0 has no -0.0, 0.0 + -0.0 is
+        # 0.0, and a negative value whose K-decimal cell has only zero digits goes in as 0.0
+        if (least := min(column)) > 0:
+            return column
+        if decimals is None or least >= 0:
             return map(add, repeat(0.0), column)
         return [v if round(v, decimals) else 0.0 for v in column]
 
@@ -431,7 +433,7 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> It
     count = len(emission.blocks)
     if count > 1 and emission.rows >= _FORK_MIN_ROWS:  # a large table of two blocks
         from . import fork
-        blocks = fork.apart(fill, count, count // 2)
+        blocks = fork.apart(fill, count)
     else:
         blocks = [fill(i) for i in range(count)]
     return chain(chain.from_iterable(blocks), [tail + "\n"])

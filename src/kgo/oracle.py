@@ -6,9 +6,9 @@ are located by bisection on Sturm pivot counts, on the even and odd
 half-line blocks of the mirror-symmetric matrix (lowest_eigenvalues), with
 sweeps that end past the classical turning point of their shift
 (sturm_count).  Each level is one work of kgo.fork's apart, which, where
-the sweeps repay a fork and a fork pays, bisects the odd block's levels in
-a forked child, with results identical to those of one process; this
-module itself knows nothing of processes.  Nothing from the closed-form
+the sweeps repay a fork and a fork pays, has a forked child bisect levels
+from the odd block's highest down, with results identical to those of one
+process; this module itself knows nothing of processes.  Nothing from the closed-form
 spectrum module enters this path, so agreement between the two is evidence
 rather than construction.
 The module runs on lists of Python floats and never loads numpy.
@@ -71,7 +71,7 @@ class TridiagonalOperator:
 
     @classmethod
     def _block(cls, diagonal: list, off_diagonal: float, mirror_row: bool):
-        """An operator on entries that a checked operator holds: a fold block."""
+        """An operator on entries known to pass __init__'s checks, unchecked."""
         self = cls.__new__(cls)
         self.diagonal, self.off_diagonal, self._mirror_row = diagonal, off_diagonal, mirror_row
         return self
@@ -111,9 +111,10 @@ def discretize_weber(lam: float, grid: GridSpec) -> TridiagonalOperator:
     def diagonal():
         centre, lam_squared = 2.0 / h**2, lam**2
         return [centre + lam_squared * (x * x) for x in grid.nodes()[1:-1]]
-    return TridiagonalOperator(
-        diagonal=evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2", diagonal),
-        off_diagonal=-1.0 / h**2)
+    diagonal = evaluate_finite("operator diagonal 2/h^2 + lam^2 x^2", diagonal)
+    off_diagonal = -1.0 / h**2  # finite, as 2/h^2 is
+    evaluate_finite("operator coupling squared", lambda: off_diagonal ** 2)
+    return TridiagonalOperator._block(diagonal, off_diagonal, False)  # floats __init__ passes
 
 
 def sturm_count(op: TridiagonalOperator, shift: float, limit: int | None = None) -> int:
@@ -216,11 +217,13 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     is below the rounding of a Sturm count, can go either way.
 
     Each level is one work of fork.apart, the even block's levels first and
-    then the odd block's, and no result passes between the two blocks: where
-    the sweeps hold _FORK_MIN_ROWS rows or more, apart may bisect the odd
-    block in a forked child while this process bisects the even one.  Each
-    level runs the same loop on the same numbers wherever it runs, so the
-    results, and the failure, are bit for bit those of one process.
+    then the odd block's: where the sweeps hold _FORK_MIN_ROWS rows or more,
+    apart may have a forked child bisect from the odd block's highest level
+    down while this process bisects from the even block's lowest up.  One
+    that runs out of its own block's levels bisects the other's without that
+    block's memo, to the same bits: each level runs the same loop on the same
+    numbers wherever it runs, so the results, and the failure, are bit for
+    bit those of one process.
     """
     op = check_instance("operator", op, TridiagonalOperator)
     count = check_integer(count, "count", 1, op.dimension)
@@ -253,10 +256,9 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
         return lo, hi
     # count levels x rows x bisection steps from the bracket's start to tol
     rows = count * op.dimension * math.frexp(op.gershgorin_upper / tol)[1]
-    split = len(per_block[0])  # the even block's levels: the odd block's follow
-    if split < count and rows >= _FORK_MIN_ROWS:  # the odd block has a level
+    if len(per_block[0]) < count and rows >= _FORK_MIN_ROWS:  # the odd block has a level
         from . import fork
-        brackets = fork.apart(bisect, count, split)
+        brackets = fork.apart(bisect, count)
     else:
         brackets = map(bisect, range(count))
     brackets = sorted(zip(levels, brackets))  # in level order

@@ -11,8 +11,8 @@ Townsend, Trogdon & Olver, IMA J. Numer. Anal. 2016), and past a proven
 bound, where psi rounds to 0, the recurrence is skipped.  Like every module
 of the package it runs on Python floats: psi takes a float or a sequence of
 them, sample returns a list and inner_product takes lists.  The grid they
-take is a kgo.params.GridSpec (errors.check_instance).  sample may hand half a
-large grid to a forked child through kgo.fork, which alone knows of processes.
+take is a kgo.params.GridSpec (errors.check_instance).  sample may share a
+large grid with a forked child through kgo.fork, which alone knows of processes.
 """
 
 import math
@@ -49,46 +49,49 @@ def psi(n: int, x, lam: float):
     InvalidInput; psi is 0 at +-inf.
     """
     n, lam, scalar = check_integer(n), check_positive("lam", lam), is_real(x)
-    values = _recurrence(n, real_floats("x", [x] if scalar else x), lam)
+    values = _recurrence(n, lam, _underflow_start(n, lam))(real_floats("x", [x] if scalar else x))
     return values[0] if scalar else values
 
 
-def _recurrence(n: int, xs: list, lam: float) -> list:
-    """psi's values at xs, a list of floats other than NaN, for a checked n and lam."""
+def _recurrence(n: int, lam: float, skip: float):
+    """psi's values at xs, a list of floats other than NaN, as a function of xs
+    set up once for a checked n and lam and skip = _underflow_start(n, lam)."""
     steps = [(math.sqrt(2.0 / (k + 1.0)), math.sqrt(k / (k + 1.0))) for k in range(n)]
-    skip = _underflow_start(n, lam)
     # a step grows max(|phi_k|, |phi_{k-1}|) by at most sqrt(2) |xi| + 1, so
     # from 2^500 a chunk of steps stays below 2^1000: carried values are
     # checked for rescaling once per chunk
     size = int(500.0 / math.log2(math.sqrt(2.0) * skip + 1.0))
     chunks = [steps[k:k + size] for k in range(0, n, size)]
-    root, scale, start = math.sqrt(lam), lam ** 0.25, math.pi ** -0.25
-    tiny, values = sys.float_info.min, []
-    for point in xs:
-        xi = root * point
-        if not abs(xi) < skip:  # psi rounds to 0, also at +-inf
-            values.append(0.0)
-            continue
-        log_gauss = -0.5 * xi * xi
-        phi, phi_prev = start * math.exp(log_gauss), 0.0
-        if phi >= tiny:  # then |phi_k| < 1 at every k
-            for a, b in steps:
-                phi_prev, phi = phi, a * xi * phi - b * phi_prev
-            values.append(scale * phi)
-            continue
-        # start from pi^(-1/4) 2^f and carry the exponent e of
-        # exp(-xi^2/2) = 2^(f + e), f in (-1, 0]
-        fraction, exponent = math.modf(log_gauss / _LN2)
-        phi, exponent = start * 2.0 ** fraction, int(exponent)
-        for chunk in chunks:
-            for a, b in chunk:
-                phi_prev, phi = phi, a * xi * phi - b * phi_prev
-            if max(abs(phi), abs(phi_prev)) > _RESCALE:
-                shift = math.frexp(max(abs(phi), abs(phi_prev)))[1]
-                phi, phi_prev = math.ldexp(phi, -shift), math.ldexp(phi_prev, -shift)
-                exponent += shift
-        values.append(math.ldexp(scale * phi, exponent))
-    return values
+    root, scale, start, tiny = math.sqrt(lam), lam ** 0.25, math.pi ** -0.25, sys.float_info.min
+
+    def values_at(xs):
+        values = []
+        for point in xs:
+            xi = root * point
+            if not abs(xi) < skip:  # psi rounds to 0, also at +-inf
+                values.append(0.0)
+                continue
+            log_gauss = -0.5 * xi * xi
+            phi, phi_prev = start * math.exp(log_gauss), 0.0
+            if phi >= tiny:  # then |phi_k| < 1 at every k
+                for a, b in steps:
+                    phi_prev, phi = phi, a * xi * phi - b * phi_prev
+                values.append(scale * phi)
+                continue
+            # start from pi^(-1/4) 2^f and carry the exponent e of
+            # exp(-xi^2/2) = 2^(f + e), f in (-1, 0]
+            fraction, exponent = math.modf(log_gauss / _LN2)
+            phi, exponent = start * 2.0 ** fraction, int(exponent)
+            for chunk in chunks:
+                for a, b in chunk:
+                    phi_prev, phi = phi, a * xi * phi - b * phi_prev
+                if max(abs(phi), abs(phi_prev)) > _RESCALE:
+                    shift = math.frexp(max(abs(phi), abs(phi_prev)))[1]
+                    phi, phi_prev = math.ldexp(phi, -shift), math.ldexp(phi_prev, -shift)
+                    exponent += shift
+            values.append(math.ldexp(scale * phi, exponent))
+        return values
+    return values_at
 
 
 def _underflow_start(n: int, lam: float) -> float:
@@ -120,24 +123,25 @@ def sample(n: int, grid: GridSpec, lam: float, _nodes: list | None = None) -> li
     The nodes are odd and psi_n has parity (-1)^n, both bit for bit, so psi
     runs on the nodes x >= 0, unchecked, and the rest is their mirror image.
     From _FORK_MIN_STEPS steps on, they are an even number of fork.apart works
-    that share the nodes below the underflow start evenly, the later half
-    maybe run in a forked child, with the bits of one process.  _nodes, if
-    given, is grid.nodes(), built by the caller (kgo wavefn).
+    that share the nodes below the underflow start evenly and one set-up of
+    the recurrence, which a forked child may run from the last down, with
+    the bits of one process.  _nodes, if given, is grid.nodes(), built by
+    the caller (kgo wavefn).
     """
     n, lam = check_integer(n), check_positive("lam", lam)
     grid = check_instance("grid", grid, GridSpec)
     nodes = grid.nodes() if _nodes is None else _nodes
     right = nodes[grid.points // 2:]
-    below = bisect_left(right, _underflow_start(n, lam) / math.sqrt(lam))  # psi is 0 from there
-    steps = below * (n + _POINT_STEPS)
+    below = bisect_left(right, (skip := _underflow_start(n, lam)) / math.sqrt(lam))  # psi is 0
+    steps, values_at = below * (n + _POINT_STEPS), _recurrence(n, lam, skip)
     if steps < _FORK_MIN_STEPS:
-        right = _recurrence(n, right, lam)
+        right = values_at(right)
     else:
         from . import fork
         parts = 2 * -(-steps // (2 * _PART_STEPS))
         edges = [below * k // parts for k in range(parts)] + [len(right)]
         right = list(chain.from_iterable(fork.apart(
-            lambda k: _recurrence(n, right[edges[k]:edges[k + 1]], lam), parts, parts // 2)))
+            lambda k: values_at(right[edges[k]:edges[k + 1]]), parts)))
     left = right[:0:-1]
     return (left if n % 2 == 0 else [-v for v in left]) + right
 

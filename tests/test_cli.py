@@ -23,7 +23,8 @@ from kgo.params import GridSpec
 from kgo.spectrum import PARITY_CHOICES, generate_table
 from kgo.wavefn import psi
 
-from test_oracle import _dying_marshal, assert_a_killed_kgo_leaves_no_process, needs_children
+from test_oracle import (_dying_marshal, assert_a_killed_kgo_leaves_no_process, needs_children,
+                         pin_the_child_to_all_works_but_the_first)
 
 
 def _run(capsys, *argv):
@@ -608,7 +609,7 @@ def test_ten_million_row_table_prints_under_memory_limit(b, n_max, output_format
     # computed and formatted in blocks of at most 4 x TABLE_BLOCK rows, the
     # rows are held once as text, block by block, and each block is encoded
     # and written in turn; the table forks, and each process holds at most
-    # its own half of them
+    # its own part of them
     proc = subprocess.run([sys.executable, "-m", "kgo", "table", "--b", b, "--n-max", str(n_max),
                            "--format", output_format], stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True,
@@ -796,7 +797,8 @@ def _table(n_max, *options):
                          ids=["6g", "0", "5"])
 @pytest.mark.parametrize("output_format", ["csv", "tsv", "json"])
 def test_two_processes_write_the_bytes_of_one(capsys, forks, output_format, decimals, formula):
-    # three blocks: this process fills the first, a forked child the other two
+    # three blocks: this process fills them from the first, a forked child
+    # from the last, until the two meet
     argv = _table(2 * TABLE_BLOCK + 5, "--format", output_format, "--formula", formula,
                   *decimals)
     alone = _one_process(capsys, argv)
@@ -814,8 +816,8 @@ def test_two_processes_write_the_bytes_of_one(capsys, forks, output_format, deci
 ])
 def test_two_processes_write_the_grid_bytes_of_one(capsys, forks, monkeypatch, command,
                                                    output_format, decimals):
-    # three blocks of TABLE_BLOCK rows: this process fills the first, a forked
-    # child the other two; wavefn also samples half its nodes in a child
+    # three blocks of TABLE_BLOCK rows, shared by this process and a forked
+    # child; wavefn also samples a part of its nodes in a child
     argv = (*command, "--points", str(2 * TABLE_BLOCK + 5), "--format", output_format,
             *decimals)
     alone = _one_process(capsys, argv)
@@ -831,7 +833,7 @@ def test_two_processes_write_the_grid_bytes_of_one(capsys, forks, monkeypatch, c
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_two_processes_split_the_blocks_at_every_edge(capsys, forks, output_format, n_max,
                                                       blocks):
-    # one block has no second half: only a table of two blocks or more forks
+    # one block leaves no work to share: only a table of two blocks or more forks
     argv = _table(n_max, "--format", output_format)
     alone = _one_process(capsys, argv)
     _assert_same_run(capsys, argv, alone)
@@ -843,7 +845,8 @@ def test_two_processes_split_the_blocks_at_every_edge(capsys, forks, output_form
                          ids=["child", "parent"])
 def test_an_overflow_in_either_half_is_the_one_process_error(capsys, forks, b, n_max):
     # 2b(n + 1/2) overflows from n = 89884 at b = 1e303, in block 21 of 25,
-    # which the child fills; at b = 1e308 from n = 1, in this process's block
+    # which the child, from block 25 down, likely fills first; at b = 1e308
+    # from n = 1, in this process's first block
     argv = ("table", "--b", b, "--n-max", str(n_max))
     alone = _one_process(capsys, argv)
     assert alone == (1, "", "kgo: error: energy sqrt(1 + 2b(n + 0.5)) exceeds the "
@@ -886,14 +889,16 @@ def test_the_overflowing_table_forks_at_the_real_threshold_with_the_same_error()
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_a_child_killed_after_some_frames_leaves_the_bytes_unchanged(capsys, forks, monkeypatch,
                                                                      output_format, frames, cut):
-    # four blocks, the child's two sent as two frames: those that arrive are
-    # written, and this process fills the rest from the first that does not
+    # four blocks, the child's last three sent as three frames: those that
+    # arrive are written, and this process fills the rest from the first that
+    # does not
     argv = _table(3 * TABLE_BLOCK, "--format", output_format)
     alone = _one_process(capsys, argv)
     loaded = []
     monkeypatch.setattr(fork, "marshal", _dying_marshal(os.getpid(), frames, cut, loaded))
+    pin_the_child_to_all_works_but_the_first(monkeypatch)
     _assert_same_run(capsys, argv, alone)
-    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] is True
+    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] == 1
     _assert_no_child()
 
 

@@ -1,6 +1,7 @@
 import io
 import marshal
 import math
+import mmap
 import os
 import random
 import re
@@ -429,8 +430,8 @@ def _mirror_operator(rng):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_two_processes_give_the_bits_of_one(seed, forks):
-    # the odd block bisects in a forked child; each block runs the same loop
-    # on the same numbers wherever it runs
+    # a forked child bisects from the odd block's last level down; each level
+    # runs the same loop on the same numbers wherever it runs
     rng = random.Random(seed)
     op = _mirror_operator(rng) if seed else discretize_weber(0.37, GridSpec(12.0, 201))
     counts = sorted({1, 2, 3, 4, op.dimension // 2, op.dimension - 1, op.dimension})
@@ -481,8 +482,9 @@ def test_a_process_with_threads_bisects_both_blocks_itself(forks):
 @pytest.mark.parametrize("b, count, level", [(1e5, 5, 3), (3e5, 5, 1), (1.5e5, 6, 2),
                                              (7e5, 5, 0)])
 def test_a_failure_names_the_lowest_failing_level(b, count, level, forks):
-    # in this band both blocks fail to reach tol; the odd levels (the child's)
-    # fail first at b = 1e5 and 3e5, the even ones at 1.5e5 and 7e5
+    # in this band both blocks fail to reach tol; the odd levels (the child
+    # starts at the last of them) fail first at b = 1e5 and 3e5, the even ones
+    # at 1.5e5 and 7e5
     params = from_b(b)
     op = discretize_weber(params.lam, GridSpec(default_extent(count - 1, params.lam), 2001))
     with pytest.raises(NonConvergence) as alone:
@@ -606,20 +608,143 @@ def test_a_list_frame_loads_in_one_read():
     assert fork._load(io.BufferedReader(_CountedReads(b""))) is None
 
 
-@pytest.mark.parametrize("frames", [0, 1, 5], ids=["report", "one-frame", "all-frames"])
+def _wait_until(ready):
+    """Poll ready() until it holds, for at most 30 s."""
+    deadline = time.monotonic() + 30
+    while not ready():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def pin_the_child_to_all_works_but_the_first(monkeypatch):
+    """Patch fork.apart so that this process's work 0 waits until a forked
+    child has begun work 1: the child, which claims works from the last down,
+    then runs works 1 on and this process work 0 alone, however the two are
+    scheduled."""
+    apart, parent = fork.apart, os.getpid()
+
+    def pinned(work, count):
+        begun = mmap.mmap(-1, 1)  # shared with the child that apart forks after this
+
+        def waiting(i):
+            if os.getpid() != parent and i == 1:
+                begun[0] = 1
+            elif os.getpid() == parent and i == 0:
+                _wait_until(lambda: begun[0])
+            return work(i)
+        return apart(waiting, count)
+    monkeypatch.setattr(fork, "apart", pinned)
+
+
+@pytest.mark.parametrize("frames", [0, 1, None], ids=["report", "one-frame", "all-frames"])
 @pytest.mark.parametrize("count", [10, 11])
 def test_a_child_killed_after_some_levels_leaves_the_result_unchanged(forks, monkeypatch,
                                                                        count, frames):
-    # the child bisects the 5 odd levels and sends each as one frame: those
-    # that arrive are kept, and this process bisects the rest from the first
-    # that does not
+    # the child bisects every level but the first work's, even level 0, and
+    # sends each as one frame: those that arrive are kept, and this process
+    # bisects the rest from the first that does not
+    frames = count - 1 if frames is None else frames
     op = discretize_weber(0.02, GridSpec(default_extent(count - 1, 0.02), 2001))
     alone = _one_process(op, count, DEFAULT_TOL)
     loaded = []
     monkeypatch.setattr(fork, "marshal", _dying_marshal(os.getpid(), frames, False, loaded))
+    pin_the_child_to_all_works_but_the_first(monkeypatch)
     assert lowest_eigenvalues(op, count, DEFAULT_TOL) == alone
-    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] is True
+    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] == 1
     _assert_no_child()
+
+
+class _Runs:
+    """Works for fork.apart that record, in an mmap shared with a forked
+    child, the pid of each process that ran each of them, and whose results
+    depend on the index alone.  wait(i) is called before work i runs."""
+
+    def __init__(self, count, wait=lambda runs, i: None):
+        self.count, self.wait, self.parent = count, wait, os.getpid()
+        self.pids = mmap.mmap(-1, 8 * count)  # per work: this process's pid, the child's
+
+    def ran(self, i, child=False):
+        """The pid of the process, this one or the child, that ran work i, or 0."""
+        return int.from_bytes(self.pids[8 * i + 4 * child:8 * i + 4 * child + 4], "little")
+
+    def __call__(self, i):
+        at = 8 * i + 4 * (os.getpid() != self.parent)
+        self.pids[at:at + 4] = os.getpid().to_bytes(4, "little")
+        self.wait(self, i)
+        return [i, i / 7.0]
+
+    def run(self):
+        """The results of apart, checked against one process's, and the works
+        that this process and the child ran."""
+        got = list(fork.apart(self, self.count))
+        assert got == [[i, i / 7.0] for i in range(self.count)]
+        _assert_no_child()
+        return ([i for i in range(self.count) if self.ran(i) == self.parent],
+                [i for i in range(self.count) if self.ran(i, True)])
+
+
+def test_a_child_claims_all_but_a_prefix_of_a_slow_process(forks):
+    # this process's work 0 lasts until the child has begun work 1
+    runs = _Runs(12, lambda runs, i: i == 0 and _wait_until(lambda: runs.ran(1, True)))
+    assert runs.run() == ([0], list(range(1, 12)))
+    assert [runs.ran(i, True) for i in range(1, 12)] == forks * 11
+
+
+def test_this_process_claims_all_but_the_last_work_of_a_slow_child(forks):
+    # this process's work 0 lasts until the child has begun the last work,
+    # which lasts until this process has begun the one before it
+    def wait(runs, i):
+        if i == 0:
+            _wait_until(lambda: runs.ran(11, True))
+        elif i == 11 and os.getpid() != runs.parent:
+            _wait_until(lambda: runs.ran(10))
+    runs = _Runs(12, wait)
+    assert runs.run() == (list(range(11)), [11])
+
+
+def test_a_work_that_both_processes_ran_is_handed_out_once(forks, monkeypatch):
+    # where both load work 6's claim as unset, both run it, each in work 6
+    # waiting until the other has begun it; each then stops at the next claim
+    class Unseen:
+        def __init__(self, claims):
+            self.claims = claims
+
+        def __getitem__(self, i):
+            return 0 if i == 6 else self.claims[i]
+
+        def __setitem__(self, i, value):
+            self.claims[i] = value
+
+    runs = _Runs(12, lambda runs, i: i == 6 and _wait_until(
+        lambda: runs.ran(6) and runs.ran(6, True)))
+    real = mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: Unseen(real(*args)))
+    assert runs.run() == (list(range(7)), list(range(6, 12)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_claims_under_random_timing_hand_out_every_work_once(forks, seed):
+    # works of random lengths, 0 to 0.5 ms: this process runs a prefix and
+    # the child the rest, maybe with the work where they met in both
+    rng = random.Random(seed)
+    for count in rng.sample(range(2, 60), 20):
+        delays = [rng.uniform(0.0, 5e-4) for _ in range(count)]
+        mine, child = _Runs(count, lambda runs, i: time.sleep(delays[i])).run()
+        assert mine == list(range(len(mine))) and child == list(range(count - len(child), count))
+        assert len(mine) + len(child) >= count
+    assert len(forks) == 20
+
+
+def test_works_a_killed_child_claimed_are_run_here(forks):
+    # the child claims works 11, 10 and 9 and is killed in work 9, before its
+    # report; this process's work 0 lasts until then, and it stops at work 9
+    def wait(runs, i):
+        if i == 0:
+            _wait_until(lambda: runs.ran(9, True))
+        elif i == 9 and os.getpid() != runs.parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+    runs = _Runs(12, wait)
+    assert runs.run() == (list(range(12)), [9, 10, 11])
 
 
 def assert_a_killed_kgo_leaves_no_process(*argv):

@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import re
 import warnings
@@ -12,7 +13,8 @@ from kgo.errors import MAX_POINTS, InvalidInput, OutOfRange
 from kgo.params import GridSpec, default_extent
 from kgo.specfun import hermite, kummer_m
 from kgo.wavefn import _underflow_start, inner_product, psi, sample
-from test_oracle import _dying_marshal, assert_a_killed_kgo_leaves_no_process, needs_children
+from test_oracle import (_dying_marshal, assert_a_killed_kgo_leaves_no_process, needs_children,
+                         pin_the_child_to_all_works_but_the_first)
 
 MAX_FACTORIAL_LEVEL = 170  # n! is finite up to 170!
 
@@ -499,17 +501,40 @@ def test_the_tails_grid_holds_carried_and_skipped_nodes():
                          ids=["report", "one-frame", "cut-frame"])
 def test_a_child_killed_after_its_report_leaves_the_bits_unchanged(forks, monkeypatch,
                                                                    frames, cut):
-    # the child's part is several works, each sent as one frame: those that
-    # arrive are kept, and this process evaluates the rest from the first
-    # that does not
+    # the child's part is every work but the first, each sent as one frame:
+    # those that arrive are kept, and this process evaluates the rest from the
+    # first that does not
     monkeypatch.setattr(wavefn, "_PART_STEPS", 10**4)
     n, lam = 12, 1.0
     grid = GridSpec(default_extent(n, lam), 4001)
     alone = _one_process(n, grid, lam)
     loaded = []
     monkeypatch.setattr(fork, "marshal", _dying_marshal(os.getpid(), frames, cut, loaded))
+    pin_the_child_to_all_works_but_the_first(monkeypatch)
     assert _bits(sample(n, grid, lam)) == _bits(alone)
-    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] is True
+    assert len(forks) == 1 and len(loaded) == 1 + frames and loaded[0] == 1
+    _assert_no_child()
+
+
+def test_two_processes_of_4_works_find_the_underflow_start_once(forks, monkeypatch):
+    # sample computes the underflow start, and the step coefficients, once
+    # before the fork, and each work of either process reuses them
+    monkeypatch.setattr(wavefn, "_PART_STEPS", 10**4)
+    n, lam = 12, 1.0
+    grid = GridSpec(default_extent(n, lam), 4001)
+    alone = _one_process(n, grid, lam)
+    calls, works = mmap.mmap(-1, 1), []  # calls: shared with the child
+    underflow_start, apart = wavefn._underflow_start, fork.apart
+
+    def counted(*args):
+        calls[0] += 1
+        return underflow_start(*args)
+
+    monkeypatch.setattr(wavefn, "_underflow_start", counted)
+    monkeypatch.setattr(fork, "apart", lambda work, count: works.append(count) or
+                        apart(work, count))
+    assert _bits(sample(n, grid, lam)) == _bits(alone)
+    assert (len(forks), works, calls[0]) == (1, [4], 1)
     _assert_no_child()
 
 
