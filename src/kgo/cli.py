@@ -74,34 +74,22 @@ TABLE_BLOCK = 4096
 # CPU repays it (_render, on a 2-vCPU Linux VM)
 _FORK_MIN_ROWS = 2 * 10**4
 
-# blocks: a sequence of (labels, values) pairs of columns.  Rows come in groups
-# of one template each (see _render): a label (n, b, parity) holds one text
-# cell per group and a value one number per row.  A label named in fixed holds
-# instead the cells of a group row by row, the same in every group (the
-# table's b); without one a group is a single row.  extra holds bools.  rows
-# counts the rows where a builder of many blocks counts them.
-_Emission = namedtuple("_Emission", "blocks warnings extra fixed rows",
-                       defaults=((), {}, (), 0))
-
-
-class _Blocks:
-    """A sequence of blocks, each computed when taken: item i is block(starts[i])."""
-
-    def __init__(self, block, starts: range):
-        self.block, self.starts = block, starts
-
-    def __len__(self):
-        return len(self.starts)
-
-    def __getitem__(self, i):
-        return self.block(self.starts[i])  # past the end, the range raises IndexError
+# block(i), for i in range(count), computes block i, a (labels, values) pair of
+# columns.  Rows come in groups of one template each (see _render): a label
+# (n, b, parity) holds one text cell per group and a value one number per row.
+# A label named in fixed holds instead the cells of a group row by row, the
+# same in every group (the table's b); without one a group is a single row.
+# extra holds bools.  rows counts the rows where a builder of many blocks counts them.
+_Emission = namedtuple("_Emission", "block count warnings extra fixed rows",
+                       defaults=(1, (), {}, (), 0))
 
 
 def _value_blocks(columns: dict, **fields) -> _Emission:
     """A grid's value columns, one row a node, in blocks of TABLE_BLOCK rows."""
     rows = len(columns["x"])
-    block = lambda start: ({}, {name: c[start:start + TABLE_BLOCK] for name, c in columns.items()})
-    return _Emission(_Blocks(block, range(0, rows, TABLE_BLOCK)), rows=rows, **fields)
+    block = lambda i: ({}, {name: c[i * TABLE_BLOCK:(i + 1) * TABLE_BLOCK]
+                            for name, c in columns.items()})
+    return _Emission(block, -(-rows // TABLE_BLOCK), rows=rows, **fields)
 
 
 def _arg(convert, check, expected: str):
@@ -146,12 +134,12 @@ def _build_table(ns: SimpleNamespace) -> _Emission:
     b_cells = _fmt(ns.b)  # formatted once: each level's group of rows repeats them
     step = max(1, min(TABLE_BLOCK, 4 * TABLE_BLOCK // len(ns.b)))
 
-    def block(start):  # rows run n-major, b-minor: a group of rows is a level
-        part = levels[start:start + step]
+    def block(i):  # rows run n-major, b-minor: a group of rows is a level
+        part = levels[i * step:(i + 1) * step]
         e_rel, e_nr_plus_one = spectrum.generate_table(ns.b, part, ns.formula)
         return ({"n": list(map(str, part)), "b": b_cells},
                 {"e_rel": e_rel, "e_nr_plus_one": e_nr_plus_one})
-    return _Emission(_Blocks(block, range(0, len(levels), step)),
+    return _Emission(block, -(-len(levels) // step),
                      [TABLE_FORMULA_WARNING] if ns.formula == "table" else [],
                      fixed=("b",), rows=len(levels) * len(ns.b))
 
@@ -164,8 +152,9 @@ def _build_spectrum(ns: SimpleNamespace) -> _Emission:
     else:
         energy = spectrum.energy_combined(index, ns.b)
         binding = spectrum.binding_energy(index, ns.b)
-    return _Emission([({"n": [str(ns.n)], "b": _fmt([ns.b]), "parity": [ns.parity]},
-                       {"energy": [energy], **({"binding": [binding]} if ns.binding else {})})])
+    return _Emission(lambda i: ({"n": [str(ns.n)], "b": _fmt([ns.b]), "parity": [ns.parity]},
+                                {"energy": [energy],
+                                 **({"binding": [binding]} if ns.binding else {})}))
 
 
 def _build_wavefn(ns: SimpleNamespace) -> _Emission:
@@ -192,9 +181,10 @@ def _build_oracle(ns: SimpleNamespace) -> _Emission:
     k_squared, e_oracle = oracle.oracle_energies(from_b(ns.b), ns.count,
                                                  ns.points, ns.tol)
     reference = spectrum._energy_law(levels, [ns.b], 0.5)  # energy_combined bit for bit
-    return _Emission([({"n": [str(n) for n in levels]},
-                       {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
-                        "rel_diff": [abs(e - r) / r for e, r in zip(e_oracle, reference)]})])
+    return _Emission(lambda i: ({"n": [str(n) for n in levels]},
+                                {"k_squared": k_squared, "e_oracle": e_oracle, "e_eq21": reference,
+                                 "rel_diff": [abs(e - r) / r
+                                              for e, r in zip(e_oracle, reference)]}))
 
 
 def _build_veff(ns: SimpleNamespace) -> _Emission:
@@ -413,7 +403,7 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> It
         tail = "".join(f"\n# {note}" for note in [*notes, *emission.warnings])
 
     def fill(i):  # [the head, or before any later block the row separator, block i's rows]
-        labels, values = emission.blocks[i]
+        labels, values = emission.block(i)
         labels = {name: list(map(forms[name], cells)) if name in forms else cells
                   for name, cells in labels.items()}
         # every block has the same columns and fixed cells, so the same template
@@ -430,12 +420,11 @@ def _render(emission: _Emission, output_format: str, decimals: int | None) -> It
         head = '{"rows":[' if output_format == "json" else sep.join(names) + "\n"
         return [row_sep if i else head, row_sep.join(map(template.__mod__, zip(*cells)))]
 
-    count = len(emission.blocks)
-    if count > 1 and emission.rows >= _FORK_MIN_ROWS:  # a large table of two blocks
+    if emission.count > 1 and emission.rows >= _FORK_MIN_ROWS:
         from . import fork
-        blocks = fork.apart(fill, count)
+        blocks = fork.apart(fill, emission.count)
     else:
-        blocks = [fill(i) for i in range(count)]
+        blocks = [fill(i) for i in range(emission.count)]
     return chain(chain.from_iterable(blocks), [tail + "\n"])
 
 

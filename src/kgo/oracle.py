@@ -7,8 +7,8 @@ half-line blocks of the mirror-symmetric matrix (lowest_eigenvalues), with
 sweeps that end past the classical turning point of their shift
 (sturm_count).  Each level is one work of kgo.fork's apart, which, where
 the sweeps repay a fork and a fork pays, has a forked child bisect levels
-from the odd block's highest down, with results identical to those of one
-process; this module itself knows nothing of processes.  Nothing from the closed-form
+from the highest down, with results identical to those of one process;
+this module itself knows nothing of processes.  Nothing from the closed-form
 spectrum module enters this path, so agreement between the two is evidence
 rather than construction.
 The module runs on lists of Python floats and never loads numpy.
@@ -217,11 +217,10 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
     is below the rounding of a Sturm count, can go either way.
 
     Each level is one work of fork.apart, the even block's levels first and
-    then the odd block's: where the sweeps hold _FORK_MIN_ROWS rows or more,
-    apart may have a forked child bisect from the odd block's highest level
-    down while this process bisects from the even block's lowest up.  One
-    that runs out of its own block's levels bisects the other's without that
-    block's memo, to the same bits: each level runs the same loop on the same
+    then the odd block's.  From two levels whose sweeps hold _FORK_MIN_ROWS
+    rows or more, folded or not, a forked child may bisect from the last
+    work down while this process bisects from the first up, each with its
+    own copy of the memos.  Each level runs the same loop on the same
     numbers wherever it runs, so the results, and the failure, are bit for
     bit those of one process.
     """
@@ -256,7 +255,7 @@ def lowest_eigenvalues(op: TridiagonalOperator, count: int,
         return lo, hi
     # count levels x rows x bisection steps from the bracket's start to tol
     rows = count * op.dimension * math.frexp(op.gershgorin_upper / tol)[1]
-    if len(per_block[0]) < count and rows >= _FORK_MIN_ROWS:  # the odd block has a level
+    if count > 1 and rows >= _FORK_MIN_ROWS:
         from . import fork
         brackets = fork.apart(bisect, count)
     else:

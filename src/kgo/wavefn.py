@@ -28,12 +28,11 @@ _LN2 = math.log(2.0)
 # log2 of a bound on |psi| far under 2^-1075, half the least subnormal
 _UNDERFLOW_LOG2 = -1100.0
 _RESCALE = 2.0 ** 500  # past this phi_k and phi_{k-1} are scaled to below 1
-# sample counts a point as _POINT_STEPS recurrence steps (exp, loop set-up).  A
-# fork costs a kgo start about 10 ms, repaid from about 2 * 10^5 steps (2-vCPU
-# Linux VM); a work of fork.apart holds at most _PART_STEPS steps, about 0.2 s
+# sample counts a point as _POINT_STEPS recurrence steps (exp, loop set-up) and
+# hands fork.apart one work per _WORK_STEPS steps, about 5 ms; a fork costs a
+# kgo start about 10 ms, repaid from two works (2-vCPU Linux VM)
 _POINT_STEPS = 4
-_FORK_MIN_STEPS = 2 * 10**5
-_PART_STEPS = 2 * 10**6
+_WORK_STEPS = 10**5
 
 
 def psi(n: int, x, lam: float):
@@ -122,23 +121,22 @@ def sample(n: int, grid: GridSpec, lam: float, _nodes: list | None = None) -> li
 
     The nodes are odd and psi_n has parity (-1)^n, both bit for bit, so psi
     runs on the nodes x >= 0, unchecked, and the rest is their mirror image.
-    From _FORK_MIN_STEPS steps on, they are an even number of fork.apart works
-    that share the nodes below the underflow start evenly and one set-up of
-    the recurrence, which a forked child may run from the last down, with
-    the bits of one process.  _nodes, if given, is grid.nodes(), built by
-    the caller (kgo wavefn).
+    The nodes below the underflow start are one fork.apart work per
+    _WORK_STEPS steps, which share one set-up of the recurrence; from two
+    works on, a forked child may run some of them, with the bits of one
+    process.  _nodes, if given, is grid.nodes(), built by the caller (kgo
+    wavefn).
     """
     n, lam = check_integer(n), check_positive("lam", lam)
     grid = check_instance("grid", grid, GridSpec)
     nodes = grid.nodes() if _nodes is None else _nodes
     right = nodes[grid.points // 2:]
     below = bisect_left(right, (skip := _underflow_start(n, lam)) / math.sqrt(lam))  # psi is 0
-    steps, values_at = below * (n + _POINT_STEPS), _recurrence(n, lam, skip)
-    if steps < _FORK_MIN_STEPS:
+    parts, values_at = below * (n + _POINT_STEPS) // _WORK_STEPS, _recurrence(n, lam, skip)
+    if parts < 2:
         right = values_at(right)
     else:
         from . import fork
-        parts = 2 * -(-steps // (2 * _PART_STEPS))
         edges = [below * k // parts for k in range(parts)] + [len(right)]
         right = list(chain.from_iterable(fork.apart(
             lambda k: values_at(right[edges[k]:edges[k + 1]]), parts)))

@@ -122,30 +122,32 @@ def readme_commands(readme=None):
 
 def _may_fork(argv):
     """Whether a start on argv, which parses, may load kgo.fork to ask
-    whether a child can take half of its work: a table of two blocks or more
-    and cli._FORK_MIN_ROWS rows or more, a wavefn or veff grid of as many
-    points and more than TABLE_BLOCK, a wavefn whose nodes x >= 0 could hold
-    wavefn._FORK_MIN_STEPS steps (those past psi's underflow start hold
-    none), or an oracle of more than one level (whose sweeps may or may not
-    reach oracle._FORK_MIN_ROWS rows)."""
+    whether a child can take a part of its work: a table whose emission, as
+    kgo's own builder makes it (it computes no block until one is taken),
+    has two blocks or more and cli._FORK_MIN_ROWS rows or more; a wavefn or
+    veff grid of as many points and more than TABLE_BLOCK; a wavefn whose
+    nodes x >= 0 could hold two works of wavefn._WORK_STEPS steps (those
+    past psi's underflow start hold none); or an oracle of more than one
+    level (whose sweeps may or may not reach oracle._FORK_MIN_ROWS rows)."""
     sys.path.insert(0, str(ROOT / "src"))
     try:
-        from kgo.cli import _FORK_MIN_ROWS, COMMANDS, TABLE_BLOCK
-        from kgo.wavefn import _FORK_MIN_STEPS, _POINT_STEPS
+        from kgo.cli import _FORK_MIN_ROWS, COMMANDS, TABLE_BLOCK, parse_args
+        from kgo.wavefn import _POINT_STEPS, _WORK_STEPS
     finally:
         sys.path.remove(str(ROOT / "src"))
+    if argv[0] == "table":
+        ns = parse_args(argv)
+        emission = ns.build(ns)
+        return emission.count > 1 and emission.rows >= _FORK_MIN_ROWS
     # none of these commands takes a flag
     options = {option.flag: option.default for option in COMMANDS[argv[0]][2]}
     options.update(zip(argv[1::2], argv[2::2]))
-    if argv[0] == "table":
-        levels = int(options["--n-max"]) + 1
-        return levels > TABLE_BLOCK and levels * len(options["--b"].split(",")) >= _FORK_MIN_ROWS
     if argv[0] in ("wavefn", "veff"):
         points = int(options["--points"])
         if points > TABLE_BLOCK and points >= _FORK_MIN_ROWS:
             return True
         return argv[0] == "wavefn" and (
-            (points // 2 + 1) * (int(options["--n"]) + _POINT_STEPS) >= _FORK_MIN_STEPS)
+            (points // 2 + 1) * (int(options["--n"]) + _POINT_STEPS) >= 2 * _WORK_STEPS)
     return argv[0] == "oracle" and int(options["--count"]) > 1
 
 
@@ -221,6 +223,8 @@ def cases():
                      ((), ("--binding",)), ("csv", "tsv", "json"))]
     unpinned += [readme[4] + ("--format", output_format)  # the README oracle command
                  for output_format in ("csv", "tsv", "json")]
+    # 5 values of b make blocks of 3276 levels: 4001 levels are 2 blocks of 20005 rows
+    unpinned.append(("table", "--b", "0.1,0.2,0.3,0.4,0.5", "--n-max", "4000"))
     for workload, digests in BENCH_DIGESTS.items():
         for argv, digest in zip(_bench_argvs(workload), digests, strict=True):
             runs.setdefault(argv, (0, digest, b""))

@@ -437,7 +437,9 @@ def _value_rows(text, output_format):
 def test_negative_zero_values_print_as_zero(capsys, argv, output_format, decimals):
     # V_eff at x = 0 and the left tails of the odd states hold -0.0
     ns = parse_args(argv)
-    (_, values), = ns.build(ns).blocks
+    emission = ns.build(ns)
+    assert emission.count == 1
+    _, values = emission.block(0)
     zero = "0.000" if decimals else "0.0" if output_format == "json" else "0"
     expected = [[zero if v == 0 else None for v in row] for row in zip(*values.values())]
     assert any(math.copysign(1.0, v) < 0 for row in zip(*values.values()) for v in row
@@ -453,7 +455,7 @@ def test_negative_zero_values_print_as_zero(capsys, argv, output_format, decimal
 @pytest.mark.parametrize("output_format", ["csv", "tsv", "json"])
 def test_negative_value_that_rounds_to_zero_prints_unsigned(output_format, decimals):
     values = [-0.4, -0.5, -0.5000001, -1e-300]
-    text = "".join(_render(_Emission([({}, {"v": values})]), output_format, decimals))
+    text = "".join(_render(_Emission(lambda i: ({}, {"v": values})), output_format, decimals))
     cells = ["%.*f" % (decimals, v) for v in values]  # a cell of zero digits loses its sign
     want = [cell.lstrip("-") if cell.strip("-0.") == "" else cell for cell in cells]
     if output_format == "json" and decimals == 0:
@@ -623,8 +625,8 @@ def test_ten_million_row_table_prints_under_memory_limit(b, n_max, output_format
 def test_a_table_block_holds_at_most_four_table_blocks_of_rows(b_count, levels):
     # up to 4 b values a block is TABLE_BLOCK levels; beyond, its rows are capped
     ns = parse_args(("table", "--b", ",".join(["0.1"] * b_count), "--n-max", str(2 * levels)))
-    blocks = ns.build(ns).blocks
-    assert [len(blocks[i][0]["n"]) for i in range(len(blocks))] == [levels, levels, 1]
+    emission = ns.build(ns)
+    assert [len(emission.block(i)[0]["n"]) for i in range(emission.count)] == [levels, levels, 1]
 
 
 def _closed_pipe():
@@ -822,7 +824,7 @@ def test_two_processes_write_the_grid_bytes_of_one(capsys, forks, monkeypatch, c
             *decimals)
     alone = _one_process(capsys, argv)
     assert alone[0] == 0 and not forks
-    monkeypatch.setattr(wavefn, "_FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(wavefn, "_WORK_STEPS", 1)
     _assert_same_run(capsys, argv, alone)
     assert len(forks) == 1 + (command[0] == "wavefn")
     _assert_no_child()

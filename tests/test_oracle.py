@@ -407,7 +407,7 @@ def _assert_no_child():
 @pytest.fixture
 def forks(monkeypatch):
     """The pids os.fork returns in this process, with _FORK_MIN_ROWS at 0, so
-    every operator of two blocks forks at a count above 1, however small."""
+    every operator forks at a count above 1, however small."""
     pids = []
     fork = os.fork
 
@@ -440,7 +440,19 @@ def test_two_processes_give_the_bits_of_one(seed, forks):
         forked = lowest_eigenvalues(op, count, tol)
         assert forked == _one_process(op, count, tol), count
         _assert_no_child()
-    assert len(forks) == len(counts) - 1  # every count but 1 leaves the odd block a level
+    assert len(forks) == len(counts) - 1  # every count but 1 forks
+
+
+def test_two_processes_bisect_an_operator_that_does_not_fold(forks):
+    # a diagonal that does not read the same backwards is one block, whose
+    # levels two processes share as they share a folded operator's
+    rng = random.Random(400)
+    op = TridiagonalOperator([2.0 + rng.uniform(0.0, 1000.0) for _ in range(400)], -1.0)
+    assert len(oracle._half_line_blocks(op)) == 1
+    alone = _one_process(op, 12, DEFAULT_TOL)
+    assert [k.hex() for k in lowest_eigenvalues(op, 12, DEFAULT_TOL)] == [k.hex() for k in alone]
+    assert len(forks) == 1
+    _assert_no_child()
 
 
 def test_a_child_is_forked_where_its_sweeps_repay_it(monkeypatch):

@@ -438,7 +438,7 @@ def _assert_no_child():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids os.fork returns in this process, with _FORK_MIN_STEPS at 0, so
+    """The pids os.fork returns in this process, with _WORK_STEPS at 1, so
     every sample forks, however few its nodes."""
     pids = []
     real_fork = os.fork
@@ -449,7 +449,7 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(wavefn, "_FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(wavefn, "_WORK_STEPS", 1)
     monkeypatch.setattr(os, "fork", counted_fork)
     return pids
 
@@ -462,7 +462,7 @@ def _one_process(n, grid, lam):
     """sample in this process alone, in one run of the recurrence over its nodes."""
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(os, "fork")
-        patch.setattr(wavefn, "_FORK_MIN_STEPS", math.inf)
+        patch.setattr(wavefn, "_WORK_STEPS", math.inf)
         return sample(n, grid, lam)
 
 
@@ -504,7 +504,7 @@ def test_a_child_killed_after_its_report_leaves_the_bits_unchanged(forks, monkey
     # the child's part is every work but the first, each sent as one frame:
     # those that arrive are kept, and this process evaluates the rest from the
     # first that does not
-    monkeypatch.setattr(wavefn, "_PART_STEPS", 10**4)
+    monkeypatch.setattr(wavefn, "_WORK_STEPS", 8000)
     n, lam = 12, 1.0
     grid = GridSpec(default_extent(n, lam), 4001)
     alone = _one_process(n, grid, lam)
@@ -519,7 +519,7 @@ def test_a_child_killed_after_its_report_leaves_the_bits_unchanged(forks, monkey
 def test_two_processes_of_4_works_find_the_underflow_start_once(forks, monkeypatch):
     # sample computes the underflow start, and the step coefficients, once
     # before the fork, and each work of either process reuses them
-    monkeypatch.setattr(wavefn, "_PART_STEPS", 10**4)
+    monkeypatch.setattr(wavefn, "_WORK_STEPS", 8000)
     n, lam = 12, 1.0
     grid = GridSpec(default_extent(n, lam), 4001)
     alone = _one_process(n, grid, lam)
@@ -538,9 +538,40 @@ def test_two_processes_of_4_works_find_the_underflow_start_once(forks, monkeypat
     _assert_no_child()
 
 
+def _works(monkeypatch):
+    """The counts of works that sample hands fork.apart, one per call."""
+    works, apart = [], fork.apart
+    monkeypatch.setattr(fork, "apart", lambda work, count: works.append(count) or
+                        apart(work, count))
+    return works
+
+
+def test_two_processes_share_the_nodes_in_works_of_work_steps(monkeypatch):
+    # 34501 nodes x (15 + 4) = 655,519 steps: 6 works, which claims can
+    # share out between two processes of unequal speed
+    grid = GridSpec(default_extent(15, 1.0), 69001)
+    alone = _one_process(15, grid, 1.0)
+    works = _works(monkeypatch)
+    assert _bits(sample(15, grid, 1.0)) == _bits(alone)
+    assert works == [6]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("points, works", [(99999, [2]), (99997, [])])
+def test_a_sample_forks_from_two_works_of_steps(monkeypatch, points, works):
+    # at n = 0 every node x >= 0 of the default grid holds 4 steps: 50000
+    # nodes are the 200,000 steps of two works, and 49999 nodes, 199,996
+    # steps, stay in one process
+    counted = _works(monkeypatch)
+    grid = GridSpec(default_extent(0, 1.0), points)
+    assert _bits(sample(0, grid, 1.0)) == _bits(_one_process(0, grid, 1.0))
+    assert counted == works
+    _assert_no_child()
+
+
 def test_a_child_is_forked_where_its_steps_repay_it(monkeypatch):
-    # _FORK_MIN_STEPS counts the nodes below the underflow start times n plus
-    # a point's own cost: the README state stays in one process, 69001 nodes
+    # sample counts the nodes below the underflow start times n plus a
+    # point's own cost: the README state stays in one process, 69001 nodes
     # of n = 15 fork, and so do 69001 nodes of n = 2, whose cost is mostly
     # per point
     assert fork.pays()  # this process runs one thread
@@ -561,7 +592,7 @@ def test_a_child_is_forked_where_its_steps_repay_it(monkeypatch):
 
 @needs_children
 def test_a_killed_kgo_wavefn_leaves_its_pipes_closed_and_no_child():
-    # about 4 s in two processes, in works of at most _PART_STEPS steps: the
-    # child would run on for seconds after the kill
+    # about 4 s in two processes, in works of _WORK_STEPS steps: the child
+    # would run on for seconds after the kill
     assert_a_killed_kgo_leaves_no_process("wavefn", "--n", "4000", "--lambda", "1",
                                           "--points", "69001")
